@@ -23,7 +23,6 @@ __all__ = [
     "face_diff_power",
     "divergence",
     "integrate_power",
-    "integrate_series_power",
     "sobolev_troisi_gap",
     "calibrate_troisi_constant",
     "field_to_csv",
@@ -196,13 +195,6 @@ def integrate_power(fld: ScalarField, exponent: float) -> float:
         raise ValueError("exponent must be nonnegative")
     w = fld.grid.cell_weights()
     return float(np.sum(np.abs(fld.values) ** exponent * w))
-
-
-def integrate_series_power(series: TimeSeries, exponent: float) -> float:
-    """Space-time trapezoid integral of |u|^exponent over [t0, tM] x box."""
-    ts = series.times
-    vals = [integrate_power(f, exponent) for f in series.fields]
-    return float(np.trapezoid(vals, ts))
 
 
 def _face_midpoint_weights(grid: Grid, axis: int) -> np.ndarray:

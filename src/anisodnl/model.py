@@ -321,14 +321,14 @@ def check_admissibility(spec: ProblemSpec, samples: int = 2000,
     lip_ok = True
     lip_margin = math.inf
     for j in range(spec.dim):
-        a_u = np.asarray(spec.coeffs.funcs[j](x, float(t[0]), uvals), dtype=float)
+        a_u = np.asarray(spec.coeffs.funcs[j](x, t, uvals), dtype=float)
         a_u = np.broadcast_to(a_u, uvals.shape)
         band_margin = min(band_margin,
                           float(np.min(a_u) - 1.0 / lam),
                           float(lam - np.max(a_u)))
         band_ok = band_ok and band_margin >= 0.0
         a_v = np.broadcast_to(
-            np.asarray(spec.coeffs.funcs[j](x, float(t[0]), vvals), dtype=float),
+            np.asarray(spec.coeffs.funcs[j](x, t, vvals), dtype=float),
             vvals.shape)
         diff = np.abs(a_u - a_v)
         bound = spec.coeffs.lipschitz_c * np.abs(uvals - vvals)
@@ -338,7 +338,7 @@ def check_admissibility(spec: ProblemSpec, samples: int = 2000,
     rep.add("ellipticity", band_ok, "1/lam <= a_j <= lam on samples", band_margin)
     rep.add("lipschitz", lip_ok, "|a_j(u)-a_j(v)| <= c|u-v| on samples", lip_margin)
 
-    fvals = np.asarray(spec.f(x, float(t[0])), dtype=float)
+    fvals = np.asarray(spec.f(x, t), dtype=float)
     fvals = np.broadcast_to(fvals, uvals.shape)
     rep.add("f_nonneg", bool(np.all(fvals >= 0.0)), "f >= 0 on samples",
             float(np.min(fvals)))
@@ -352,7 +352,7 @@ def check_admissibility(spec: ProblemSpec, samples: int = 2000,
             bool(np.all(u0vals >= 0.0) and np.all(np.isfinite(u0vals))),
             "u0 >= 0 and bounded on samples", float(np.min(u0vals)))
 
-    gvals = np.broadcast_to(np.asarray(spec.g(x, float(t[0])), dtype=float),
+    gvals = np.broadcast_to(np.asarray(spec.g(x, t), dtype=float),
                             uvals.shape)
     if spec.eps0 > 0.0:
         g_ok = bool(np.all(gvals >= spec.eps0))

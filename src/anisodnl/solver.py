@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -200,39 +201,44 @@ class _StepProblem:
         R[~self.interior] = u[~self.interior] - self.bc[~self.interior]
         return R
 
-    def jacobian(self, u: np.ndarray, secant: bool = False) -> sp.csr_matrix:
-        """Sparse Jacobian of the residual.
+    def _face_slopes(self, u: np.ndarray, secant: bool):
+        """Per axis, the Jacobian weights (g_lo, g_hi) of every face on its
+        lo and hi node.
 
         Face slopes use the regularized power (D^2 + eps^2)^((p-2)/2); the
         coefficient dependence on u through the face mean is lagged.  With
         secant=True the slope drops the factor (p-1), which yields the
-        lagged-diffusivity fixed-point matrix.
+        lagged-diffusivity fixed-point matrix.  The face between node i (lo)
+        and i+1 (hi) on axis j contributes +g_lo, +g_hi to the diagonal of
+        lo, hi and -g_hi, -g_lo to the entries (lo, hi), (hi, lo).
         """
-        spec, grid, cfg = self.spec, self.grid, self.config
-        eps = cfg.eps_reg
-        n = self.n_nodes
-        idx = np.arange(n).reshape(grid.counts)
-        rows, cols, vals = [], [], []
-        diag = np.full(grid.counts, 1.0 / cfg.dt)
-        for j in range(grid.dim):
-            pj = spec.exponents.p[j]
-            h = grid.spacings[j]
+        eps = self.config.eps_reg
+        out = []
+        for j in range(self.grid.dim):
+            pj = self.spec.exponents.p[j]
+            h = self.grid.spacings[j]
             c, D, dlo, dhi = self._face_data(u, j)
             slope = c * (D * D + eps * eps) ** ((pj - 2.0) / 2.0)
             if not secant:
                 slope = slope * (pj - 1.0)
-            # face between node i (lo) and i+1 (hi) on axis j:
-            # dF/du_lo = -slope*dlo/h, dF/du_hi = slope*dhi/h
+            out.append((slope * dlo / (h * h), slope * dhi / (h * h)))
+        return out
+
+    def jacobian(self, u: np.ndarray, secant: bool = False) -> sp.csr_matrix:
+        """Sparse Jacobian of the residual (see ``_face_slopes``), with
+        identity rows at the boundary nodes."""
+        grid, cfg = self.grid, self.config
+        n = self.n_nodes
+        idx = np.arange(n).reshape(grid.counts)
+        rows, cols, vals = [], [], []
+        diag = np.full(grid.counts, 1.0 / cfg.dt)
+        for j, (g_lo, g_hi) in enumerate(self._face_slopes(u, secant)):
             lo_sl = [slice(None)] * grid.dim
             lo_sl[j] = slice(0, -1)
             hi_sl = [slice(None)] * grid.dim
             hi_sl[j] = slice(1, None)
             i_lo = idx[tuple(lo_sl)]
             i_hi = idx[tuple(hi_sl)]
-            g_lo = slope * dlo / (h * h)
-            g_hi = slope * dhi / (h * h)
-            # R_lo gains +F/h -> dR_lo/du_hi = -g_hi, dR_lo/du_lo += g_lo
-            # R_hi gains -F/h -> dR_hi/du_lo = -g_lo, dR_hi/du_hi += g_hi
             diag[tuple(lo_sl)] += g_lo
             diag[tuple(hi_sl)] += g_hi
             rows.append(i_lo.ravel())
@@ -256,6 +262,62 @@ class _StepProblem:
             (np.ones(len(bidx)), (bidx, bidx)), shape=(n, n)).tocsr()
         return J
 
+    def update(self, u: np.ndarray, R: np.ndarray,
+               secant: bool = False) -> np.ndarray:
+        """Solve J(u) delta = R for the Newton (or secant) update.
+
+        Direct mode solves the full sparse system by LU: its Jacobian is
+        nonsymmetric, because each axis scales its columns by
+        m_j u^(m_j - 1).  In k-mode the working power is u itself, so the
+        interior Jacobian is symmetric with a positive, dominating diagonal,
+        and the boundary rows are identity rows whose residual is 0 once u
+        carries the boundary data.  The update then comes from a banded
+        Cholesky solve on the interior unknowns, ordered with the longest
+        interior axis outermost so the half-bandwidth is the product of the
+        other interior extents.  Raises ``LinAlgError`` when that system is
+        not finite or not positive definite.
+        """
+        grid = self.grid
+        if self.k is None:
+            J = self.jacobian(u, secant=secant)
+            return spla.spsolve(J, R.ravel()).reshape(grid.counts)
+        inner = (slice(1, -1),) * grid.dim
+        ext = [n - 2 for n in grid.counts]
+        order = sorted(range(grid.dim), key=lambda j: -ext[j])
+        shape = tuple(ext[j] for j in order)
+        stride = {j: int(np.prod(shape[q + 1:])) for q, j in enumerate(order)}
+        back = np.argsort(order)
+        # lower band storage: ab[s, i] holds entry (i + s, i); each row of
+        # ab is viewed as an interior field with the natural axis order
+        ab = np.zeros((stride[order[0]] + 1, int(np.prod(shape))))
+        diag = ab[0].reshape(shape).transpose(back)
+        diag[...] = 1.0 / self.config.dt
+        for j, (g, _) in enumerate(self._face_slopes(u, secant)):
+            # g_lo == g_hi in k-mode; keep the faces of interior cross lines
+            g = g[tuple(slice(None) if i == j else slice(1, -1)
+                        for i in range(grid.dim))]
+            lo = tuple(slice(0, -1) if i == j else slice(None)
+                       for i in range(grid.dim))
+            hi = tuple(slice(1, None) if i == j else slice(None)
+                       for i in range(grid.dim))
+            diag += g[lo]
+            diag += g[hi]
+            # coupling of interior nodes i and i+1, stored at column i
+            off = ab[stride[j]].reshape(shape).transpose(back)
+            off[lo] -= g[hi][lo]
+        b = R[inner].transpose(order).ravel()
+        if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(b))):
+            raise np.linalg.LinAlgError("Newton system is not finite")
+        if b.size == 1:
+            # the tridiagonal path of solveh_banded needs two unknowns; a
+            # zero band sends a lone unknown through the banded Cholesky
+            ab = np.vstack([ab, np.zeros((1, 1))])
+        x = scipy.linalg.solveh_banded(ab, b, overwrite_ab=True, lower=True,
+                                       check_finite=False)
+        delta = np.zeros(grid.counts)
+        delta[inner] = x.reshape(shape).transpose(back)
+        return delta
+
 
 def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
                   config: SolverConfig) -> tuple[ScalarField, StepReport]:
@@ -264,7 +326,8 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     Solves (u - u_n)/dt = div F + f(., t_next) with boundary nodes pinned
     to g(., t_next) (plus 1/k in k-mode) by damped Newton with an exact
     residual.  If Newton stalls and the fallback is enabled, the step
-    switches to the lagged-diffusivity iteration.
+    switches to the lagged-diffusivity iteration.  A Newton system that
+    cannot be solved ends the step in ``StepFailure``.
     """
     grid = u_n.grid
     prob = _StepProblem(spec, grid, config, u_n.values, t_next)
@@ -280,8 +343,8 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     hist = []
     secant = False
     stall_ref = None
+    R = prob.residual(u)
     for it in range(config.newton_max):
-        R = prob.residual(u)
         res = float(np.max(np.abs(R)))
         hist.append(res)
         if res <= config.newton_tol:
@@ -293,8 +356,10 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
             secant = True
         if it % 5 == 0:
             stall_ref = res
-        J = prob.jacobian(u, secant=secant)
-        delta = spla.spsolve(J, R.ravel()).reshape(grid.counts)
+        try:
+            delta = prob.update(u, R, secant=secant)
+        except np.linalg.LinAlgError as exc:
+            raise StepFailure(-1, hist) from exc
         lam = config.damping if not secant else 1.0
         accepted = False
         for _ in range(10):
@@ -302,9 +367,11 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
             if direct and np.any(trial < 0.0):
                 trial = np.maximum(trial, 0.0)
                 clamped = True
-            r_trial = float(np.max(np.abs(prob.residual(trial))))
+            R_trial = prob.residual(trial)
+            r_trial = float(np.max(np.abs(R_trial)))
             if r_trial < res or secant:
-                u = trial
+                # the accepted trial's residual is the next iteration's R
+                u, R = trial, R_trial
                 accepted = True
                 break
             lam /= 2.0
@@ -313,7 +380,7 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
             if direct and np.any(u < 0.0):
                 u = np.maximum(u, 0.0)
                 clamped = True
-    R = prob.residual(u)
+            R = prob.residual(u)
     res = float(np.max(np.abs(R)))
     hist.append(res)
     if res <= config.newton_tol:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,3 +238,23 @@ class TestAdmissibility:
     def test_report_dict(self):
         d = check_admissibility(simple_spec((2.0,), (1.0,))).as_dict()
         assert {"checks", "all_passed", "cascade_capable"} <= set(d)
+
+    @pytest.mark.parametrize("check, data", [
+        # g = 0.5 = eps0 up to t = 0.1, below it afterwards
+        ("g_condition", {"g": lambda x, t: np.full(np.shape(x[0]), 0.5)
+                         - np.maximum(np.asarray(t) - 0.1, 0.0)}),
+        # f >= 0 up to t = 0.9, negative afterwards
+        ("f_nonneg", {"f": lambda x, t: np.full(np.shape(x[0]), 0.9)
+                      - np.asarray(t)}),
+        # a = 1 = lam up to t = 0.5, above the band afterwards
+        ("ellipticity", {"coeffs": CoefficientSpec(
+            (lambda x, t, u: 1.0 + np.maximum(np.asarray(t) - 0.5, 0.0)
+             + 0.0 * np.asarray(u),), 1.0, 0.0)}),
+    ])
+    def test_time_dependent_data_audited_at_sampled_times(self, check, data):
+        spec = replace(simple_spec((2.0,), (1.0,)), **data)
+        # the first time drawn with seed 8 is 0.07, where all three data
+        # are admissible: an audit at that one time would pass
+        rep = check_admissibility(spec, seed=8)
+        assert not rep[check].passed
+        assert rep[check].margin < 0.0

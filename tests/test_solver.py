@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from dataclasses import replace
 
 from anisodnl.analysis import comparison_check, gradient_power_norms
@@ -14,6 +15,7 @@ from anisodnl.presets import (
 from anisodnl.solver import (
     SolverConfig,
     StepFailure,
+    _StepProblem,
     manufactured_rhs,
     ordering_tolerance,
     regularization_cascade,
@@ -56,6 +58,75 @@ class TestConstantPreservation:
         for f in ts.fields:
             assert np.max(np.abs(f.values - (0.7 + 1.0 / k))) \
                 <= cfg.newton_tol
+
+
+def varcoeff_problem(dim):
+    """Anisotropic problem with a u-dependent coefficient, in 1 to 3 D."""
+    p = (3.0, 1.7, 2.5)[:dim]
+    m = (1.2, 1.0, 1.4)[:dim]
+
+    def a(x, t, u):
+        uu = np.maximum(np.asarray(u, dtype=float), 0.0)
+        return 1.0 + 0.5 * uu / (1.0 + uu)
+
+    return ProblemSpec(
+        box=(1.0, 0.8, 1.3)[:dim], T=0.2,
+        exponents=Exponents(p, m),
+        coeffs=CoefficientSpec(tuple([a] * dim), 1.5, 0.5),
+        f=lambda x, t: np.full(np.shape(x[0]), 0.3),
+        g=lambda x, t: 0.4 + 0.2 * x[0],
+        u0=lambda x: np.full(np.shape(x[0]), 0.5),
+        sigma=3.0, eps0=0.4)
+
+
+class TestNewtonUpdate:
+    @pytest.mark.parametrize("secant", [False, True])
+    @pytest.mark.parametrize("counts", [(33,), (9, 13), (5, 6, 7), (3,)])
+    def test_k_mode_banded_matches_sparse_lu(self, counts, secant):
+        spec = varcoeff_problem(len(counts))
+        grid = Grid(spec.box, counts)
+        cfg = SolverConfig(dt=0.01, k=4)
+        rng = np.random.default_rng(len(counts))
+        prob = _StepProblem(spec, grid, cfg, np.full(counts, 0.6), 0.01)
+        u = rng.uniform(0.3, 1.5, counts)
+        u[~prob.interior] = prob.bc[~prob.interior]
+        R = prob.residual(u)
+        ref = spla.spsolve(prob.jacobian(u, secant=secant), R.ravel())
+        got = prob.update(u, R, secant=secant)
+        assert np.max(np.abs(got.ravel() - ref)) \
+            <= 1e-12 * np.max(np.abs(ref))
+        assert np.all(got[~prob.interior] == 0.0)
+
+    @pytest.mark.parametrize("name, counts, ks, n_steps, iters", [
+        ("aniso-cascade", (17, 17), [2, 4, 8, 16], 8, [29, 30, 31, 31]),
+        ("porous-cascade", (65,), [1, 2, 4, 8, 16], 16,
+         [16, 108, 135, 166, 194]),
+    ])
+    def test_k_mode_newton_counts(self, name, counts, ks, n_steps, iters):
+        # counts recorded with the sparse LU update on the full system
+        spec = get_preset(name)
+        grid = Grid(spec.box, counts)
+        res = regularization_cascade(
+            spec, grid, SolverConfig(dt=spec.T / n_steps), ks)
+        assert [r.total_iterations for r in res.reports] == iters
+
+    @pytest.mark.parametrize("u0", [0.5, "bump"])
+    def test_nan_coefficient_ends_in_step_failure(self, u0):
+        # with constant u0 the residual stays finite and only the Newton
+        # system holds NaN; with a bump the residual is NaN too
+        spec = replace(
+            varcoeff_problem(2),
+            coeffs=CoefficientSpec(
+                (lambda x, t, u: np.full(np.shape(u), np.nan),) * 2,
+                1.0, 0.0),
+            g=lambda x, t: np.full(np.shape(x[0]), 0.5),
+            u0=(make_bump((1.0, 0.8), 0.3) if u0 == "bump"
+                else lambda x: np.full(np.shape(x[0]), u0)))
+        grid = Grid(spec.box, (9, 9))
+        with pytest.raises(StepFailure) as exc:
+            solve_problem(spec, grid, SolverConfig(dt=spec.T / 4, k=2))
+        assert exc.value.step_index == 0
+        assert len(exc.value.residual_history) >= 1
 
 
 class TestLowerBound:
