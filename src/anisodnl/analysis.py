@@ -20,6 +20,7 @@ from .discretization import (
     ScalarField,
     TimeSeries,
     face_diff_power,
+    face_mean,
     integrate_face_power,
     integrate_power,
 )
@@ -528,9 +529,7 @@ def energy_check(series: TimeSeries, spec: ProblemSpec, M: float,
             mj = spec.exponents.m[j]
             pj = spec.exponents.p[j]
             D = face_diff_power(trunc, 1.0, j)
-            vface = (np.take(v, range(0, v.shape[j] - 1), axis=j)
-                     + np.take(v, range(1, v.shape[j]), axis=j)) / 2.0
-            weight = vface ** ((mj - m) * (pj - 1.0))
+            weight = face_mean(v, j) ** ((mj - m) * (pj - 1.0))
             grad_t[j].append(
                 integrate_face_power(grid, weight ** (1.0 / pj) * D, j, pj))
         fvals = np.broadcast_to(

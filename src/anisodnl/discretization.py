@@ -20,6 +20,7 @@ __all__ = [
     "Grid",
     "ScalarField",
     "TimeSeries",
+    "face_mean",
     "face_diff_power",
     "divergence",
     "integrate_power",
@@ -144,6 +145,17 @@ class TimeSeries:
     def values_array(self) -> np.ndarray:
         """Stack all nodal values into one (ntimes, *counts) array."""
         return np.stack([f.values for f in self.fields])
+
+
+def face_mean(values: np.ndarray, axis: int) -> np.ndarray:
+    """Mean of the two nodal values on every face along one axis.
+
+    Returns (u_i + u_{i+1})/2, an array with one fewer entry along that
+    axis.
+    """
+    lo = (slice(None),) * axis + (slice(0, -1),)
+    hi = (slice(None),) * axis + (slice(1, None),)
+    return (values[lo] + values[hi]) / 2.0
 
 
 def face_diff_power(fld: ScalarField, exponent: float, axis: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretization import Grid, ScalarField, TimeSeries
+from .discretization import Grid, ScalarField, TimeSeries, face_mean
 from .model import ProblemSpec, truncate
 from .analysis import vpm_distance
 
@@ -120,14 +120,19 @@ def _boundary_values(spec: ProblemSpec, grid: Grid, t: float,
     return g + shift
 
 
-def _face_mean(u: np.ndarray, axis: int) -> np.ndarray:
-    lo = np.take(u, range(0, u.shape[axis] - 1), axis=axis)
-    hi = np.take(u, range(1, u.shape[axis]), axis=axis)
-    return (lo + hi) / 2.0
+def _axis_slices(dim: int, axis: int, sl: slice) -> tuple[slice, ...]:
+    """Index that applies ``sl`` along one axis and keeps the others whole."""
+    return tuple(sl if i == axis else slice(None) for i in range(dim))
 
 
 class _StepProblem:
-    """Residual and Jacobian assembly for one implicit step."""
+    """Residual and Newton update for one implicit step.
+
+    ``residual(u)`` computes the face data of every axis at u (one face
+    pass) and keeps them for that iterate only; ``update`` and ``jacobian``
+    at the same array reuse them.  An iterate must therefore not be
+    modified in place after its residual was evaluated.
+    """
 
     def __init__(self, spec: ProblemSpec, grid: Grid, config: SolverConfig,
                  u_prev: np.ndarray, t_next: float):
@@ -139,30 +144,53 @@ class _StepProblem:
         self.k = None if config.k == "direct" else int(config.k)
         self.n_nodes = int(np.prod(grid.counts))
         self.interior = grid.interior_mask()
+        self.boundary = ~self.interior
         x = grid.meshgrid()
         self.f_vals = np.broadcast_to(
             np.asarray(spec.f(x, t_next), dtype=float), grid.counts)
-        self.x_face = [tuple(_face_mean(c, j) for c in x)
+        self.x_face = [tuple(face_mean(c, j) for c in x)
                        for j in range(grid.dim)]
         self.bc = _boundary_values(
             spec, grid, t_next, 0.0 if self.k is None else 1.0 / self.k)
+        self.bc_boundary = self.bc[self.boundary]
+        dim = grid.dim
+        self.h = grid.spacings
+        self.p = spec.exponents.p
+        self.m = spec.exponents.m
+        # per axis: the lo and hi node of every face, and the nodes between
+        # two faces of the axis
+        self.lo = [_axis_slices(dim, j, slice(0, -1)) for j in range(dim)]
+        self.hi = [_axis_slices(dim, j, slice(1, None)) for j in range(dim)]
+        self.core = [_axis_slices(dim, j, slice(1, -1)) for j in range(dim)]
+        self._faces = (None, None)
+        if self.k is not None:
+            # band layout of the interior unknowns, longest axis outermost
+            self.inner = (slice(1, -1),) * dim
+            ext = [n - 2 for n in grid.counts]
+            self.order = sorted(range(dim), key=lambda j: -ext[j])
+            self.shape = tuple(ext[j] for j in self.order)
+            self.stride = [0] * dim
+            for q, j in enumerate(self.order):
+                self.stride[j] = int(np.prod(self.shape[q + 1:]))
+            self.back = np.argsort(self.order)
+            # the faces of axis j that lie on interior lines of the others
+            self.cross = [tuple(slice(None) if i == j else slice(1, -1)
+                                for i in range(dim)) for j in range(dim)]
 
     def _face_data(self, u: np.ndarray, j: int):
         """Per-face coefficient c, diff D of the working power, and the
         derivative of the working power at both adjacent nodes."""
-        spec, grid = self.spec, self.grid
-        mj = spec.exponents.m[j]
-        h = grid.spacings[j]
-        uf = _face_mean(u, j)
+        mj = self.m[j]
+        uf = face_mean(u, j)
         a = np.broadcast_to(
-            np.asarray(spec.coeffs.funcs[j](self.x_face[j], self.t, uf),
+            np.asarray(self.spec.coeffs.funcs[j](self.x_face[j], self.t, uf),
                        dtype=float), uf.shape)
-        lo = np.take(u, range(0, u.shape[j] - 1), axis=j)
-        hi = np.take(u, range(1, u.shape[j]), axis=j)
+        lo = u[self.lo[j]]
+        hi = u[self.hi[j]]
         if self.k is None:
             if mj == 1.0:
                 wlo, whi = lo, hi
-                dlo = dhi = np.ones_like(lo)
+                dlo = dhi = 1.0
             else:
                 safe_lo = np.maximum(lo, 0.0)
                 safe_hi = np.maximum(hi, 0.0)
@@ -172,33 +200,32 @@ class _StepProblem:
                 dhi = mj * safe_hi ** (mj - 1.0)
             c = a
         else:
-            pj = spec.exponents.p[j]
+            pj = self.p[j]
             c = a * mj ** (pj - 1.0) * truncate(self.k, uf) \
                 ** ((mj - 1.0) * (pj - 1.0))
             wlo, whi = lo, hi
-            dlo = dhi = np.ones_like(lo)
-        D = (whi - wlo) / h
+            dlo = dhi = 1.0
+        D = (whi - wlo) / self.h[j]
         return c, D, dlo, dhi
 
+    def _face_pass(self, u: np.ndarray) -> list:
+        """Face data of every axis at u, kept as the last iterate's."""
+        faces = [self._face_data(u, j) for j in range(self.grid.dim)]
+        self._faces = (u, faces)
+        return faces
+
+    def _faces_at(self, u: np.ndarray) -> list:
+        """Face data at u, reused when u is the iterate last evaluated."""
+        return self._faces[1] if self._faces[0] is u else self._face_pass(u)
+
     def residual(self, u: np.ndarray) -> np.ndarray:
-        spec, grid = self.spec, self.grid
         R = (u - self.u_prev) / self.config.dt - self.f_vals
-        for j in range(grid.dim):
-            pj = spec.exponents.p[j]
-            h = grid.spacings[j]
-            c, D, _, _ = self._face_data(u, j)
+        for j, (c, D, _, _) in enumerate(self._face_pass(u)):
+            pj = self.p[j]
             with np.errstate(divide="ignore", invalid="ignore"):
                 F = np.where(D == 0.0, 0.0, c * np.abs(D) ** (pj - 2.0) * D)
-            core = [slice(None)] * grid.dim
-            core[j] = slice(1, -1)
-            lo = [slice(None)] * grid.dim
-            lo[j] = slice(0, -1)
-            hi = [slice(None)] * grid.dim
-            hi[j] = slice(1, None)
-            div = np.zeros(grid.counts)
-            div[tuple(core)] = (F[tuple(hi)] - F[tuple(lo)]) / h
-            R -= div
-        R[~self.interior] = u[~self.interior] - self.bc[~self.interior]
+            R[self.core[j]] -= (F[self.hi[j]] - F[self.lo[j]]) / self.h[j]
+        R[self.boundary] = u[self.boundary] - self.bc_boundary
         return R
 
     def _face_slopes(self, u: np.ndarray, secant: bool):
@@ -214,10 +241,9 @@ class _StepProblem:
         """
         eps = self.config.eps_reg
         out = []
-        for j in range(self.grid.dim):
-            pj = self.spec.exponents.p[j]
-            h = self.grid.spacings[j]
-            c, D, dlo, dhi = self._face_data(u, j)
+        for j, (c, D, dlo, dhi) in enumerate(self._faces_at(u)):
+            pj = self.p[j]
+            h = self.h[j]
             slope = c * (D * D + eps * eps) ** ((pj - 2.0) / 2.0)
             if not secant:
                 slope = slope * (pj - 1.0)
@@ -233,14 +259,10 @@ class _StepProblem:
         rows, cols, vals = [], [], []
         diag = np.full(grid.counts, 1.0 / cfg.dt)
         for j, (g_lo, g_hi) in enumerate(self._face_slopes(u, secant)):
-            lo_sl = [slice(None)] * grid.dim
-            lo_sl[j] = slice(0, -1)
-            hi_sl = [slice(None)] * grid.dim
-            hi_sl[j] = slice(1, None)
-            i_lo = idx[tuple(lo_sl)]
-            i_hi = idx[tuple(hi_sl)]
-            diag[tuple(lo_sl)] += g_lo
-            diag[tuple(hi_sl)] += g_hi
+            i_lo = idx[self.lo[j]]
+            i_hi = idx[self.hi[j]]
+            diag[self.lo[j]] += g_lo
+            diag[self.hi[j]] += g_hi
             rows.append(i_lo.ravel())
             cols.append(i_hi.ravel())
             vals.append((-g_hi).ravel())
@@ -254,7 +276,7 @@ class _StepProblem:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n)).tocsr()
         # boundary rows are identity
-        bmask = (~self.interior).ravel()
+        bmask = self.boundary.ravel()
         bidx = np.where(bmask)[0]
         keep = sp.diags((~bmask).astype(float))
         J = keep @ J
@@ -274,38 +296,33 @@ class _StepProblem:
         carries the boundary data.  The update then comes from a banded
         Cholesky solve on the interior unknowns, ordered with the longest
         interior axis outermost so the half-bandwidth is the product of the
-        other interior extents.  Raises ``LinAlgError`` when that system is
-        not finite or not positive definite.
+        other interior extents.  Raises ``LinAlgError`` when the system or
+        the direct-mode update is not finite, or the k-mode system is not
+        positive definite.
         """
-        grid = self.grid
         if self.k is None:
             J = self.jacobian(u, secant=secant)
-            return spla.spsolve(J, R.ravel()).reshape(grid.counts)
-        inner = (slice(1, -1),) * grid.dim
-        ext = [n - 2 for n in grid.counts]
-        order = sorted(range(grid.dim), key=lambda j: -ext[j])
-        shape = tuple(ext[j] for j in order)
-        stride = {j: int(np.prod(shape[q + 1:])) for q, j in enumerate(order)}
-        back = np.argsort(order)
+            if not (np.all(np.isfinite(J.data)) and np.all(np.isfinite(R))):
+                raise np.linalg.LinAlgError("Newton system is not finite")
+            delta = spla.spsolve(J, R.ravel())
+            if not np.all(np.isfinite(delta)):
+                raise np.linalg.LinAlgError("Newton update is not finite")
+            return delta.reshape(self.grid.counts)
+        shape, back = self.shape, self.back
         # lower band storage: ab[s, i] holds entry (i + s, i); each row of
         # ab is viewed as an interior field with the natural axis order
-        ab = np.zeros((stride[order[0]] + 1, int(np.prod(shape))))
+        ab = np.zeros((self.stride[self.order[0]] + 1, int(np.prod(shape))))
         diag = ab[0].reshape(shape).transpose(back)
         diag[...] = 1.0 / self.config.dt
         for j, (g, _) in enumerate(self._face_slopes(u, secant)):
             # g_lo == g_hi in k-mode; keep the faces of interior cross lines
-            g = g[tuple(slice(None) if i == j else slice(1, -1)
-                        for i in range(grid.dim))]
-            lo = tuple(slice(0, -1) if i == j else slice(None)
-                       for i in range(grid.dim))
-            hi = tuple(slice(1, None) if i == j else slice(None)
-                       for i in range(grid.dim))
-            diag += g[lo]
-            diag += g[hi]
+            g = g[self.cross[j]]
+            diag += g[self.lo[j]]
+            diag += g[self.hi[j]]
             # coupling of interior nodes i and i+1, stored at column i
-            off = ab[stride[j]].reshape(shape).transpose(back)
-            off[lo] -= g[hi][lo]
-        b = R[inner].transpose(order).ravel()
+            off = ab[self.stride[j]].reshape(shape).transpose(back)
+            off[self.lo[j]] -= g[self.core[j]]
+        b = R[self.inner].transpose(self.order).ravel()
         if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(b))):
             raise np.linalg.LinAlgError("Newton system is not finite")
         if b.size == 1:
@@ -314,8 +331,8 @@ class _StepProblem:
             ab = np.vstack([ab, np.zeros((1, 1))])
         x = scipy.linalg.solveh_banded(ab, b, overwrite_ab=True, lower=True,
                                        check_finite=False)
-        delta = np.zeros(grid.counts)
-        delta[inner] = x.reshape(shape).transpose(back)
+        delta = np.zeros(self.grid.counts)
+        delta[self.inner] = x.reshape(shape).transpose(back)
         return delta
 
 
@@ -336,7 +353,7 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
         # perturb the initial Newton iterate; the converged state must not
         # depend on it beyond the residual tolerance
         u[prob.interior] += config.guess_offset
-    u[~prob.interior] = prob.bc[~prob.interior]
+    u[prob.boundary] = prob.bc_boundary
     direct = config.k == "direct"
     clamped = False
 

@@ -8,6 +8,7 @@ from anisodnl.discretization import (
     calibrate_troisi_constant,
     divergence,
     face_diff_power,
+    face_mean,
     field_to_csv,
     integrate_power,
     sobolev_troisi_gap,
@@ -66,6 +67,16 @@ class TestFaceDiffPower:
         f = ScalarField(g, np.array([-1.0, 0.5, 1.0]))
         with pytest.raises(ValueError):
             face_diff_power(f, 1.5, 0)
+
+
+class TestFaceMean:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_mean_of_adjacent_nodes(self, axis):
+        v = np.random.default_rng(axis).uniform(-1.0, 2.0, (4, 5, 6))
+        n = v.shape[axis]
+        ref = (np.take(v, np.arange(n - 1), axis=axis)
+               + np.take(v, np.arange(1, n), axis=axis)) / 2.0
+        assert np.array_equal(face_mean(v, axis), ref)
 
 
 class TestDivergence:

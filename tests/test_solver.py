@@ -1,11 +1,26 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from dataclasses import replace
 
 from anisodnl.analysis import comparison_check, gradient_power_norms
-from anisodnl.discretization import Grid, ScalarField, integrate_power
-from anisodnl.model import CoefficientSpec, Exponents, ProblemSpec
+from anisodnl.discretization import (
+    Grid,
+    ScalarField,
+    divergence,
+    face_diff_power,
+    face_mean,
+    integrate_power,
+)
+from anisodnl.model import (
+    CoefficientSpec,
+    Exponents,
+    ProblemSpec,
+    eval_flux,
+    eval_flux_truncated,
+)
 from anisodnl.presets import (
     get_preset,
     make_bump,
@@ -16,6 +31,7 @@ from anisodnl.solver import (
     SolverConfig,
     StepFailure,
     _StepProblem,
+    implicit_step,
     manufactured_rhs,
     ordering_tolerance,
     regularization_cascade,
@@ -127,6 +143,105 @@ class TestNewtonUpdate:
             solve_problem(spec, grid, SolverConfig(dt=spec.T / 4, k=2))
         assert exc.value.step_index == 0
         assert len(exc.value.residual_history) >= 1
+
+    def test_direct_mode_nan_coefficient_fails_at_first_iteration(self):
+        # the residual of the constant start is finite (0.3, from f) and
+        # only the Jacobian holds NaN: the step ends there, with no
+        # singular-matrix warning per wasted iteration
+        spec = replace(
+            varcoeff_problem(2),
+            coeffs=CoefficientSpec(
+                (lambda x, t, u: np.full(np.shape(u), np.nan),) * 2,
+                1.0, 0.0),
+            g=lambda x, t: np.full(np.shape(x[0]), 0.5),
+            u0=lambda x: np.full(np.shape(x[0]), 0.5))
+        grid = Grid(spec.box, (9, 9))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StepFailure) as exc:
+                solve_problem(spec, grid, SolverConfig(dt=spec.T / 4))
+        assert exc.value.step_index == 0
+        assert exc.value.residual_history == pytest.approx([0.3])
+        assert not [w for w in caught
+                    if issubclass(w.category, spla.MatrixRankWarning)]
+
+
+def counted_coefficients(spec):
+    """A copy of spec whose axis-j coefficient adds 1 to calls[j] on each
+    call; returns (spec, calls)."""
+    calls = [0] * spec.dim
+
+    def counted(j, a):
+        def a_j(x, t, u):
+            calls[j] += 1
+            return a(x, t, u)
+        return a_j
+
+    funcs = tuple(counted(j, a) for j, a in enumerate(spec.coeffs.funcs))
+    return replace(spec, coeffs=replace(spec.coeffs, funcs=funcs)), calls
+
+
+def reference_residual(spec, grid, k, u_prev, u, dt, t):
+    """Step residual from the model's flux and the conservative divergence,
+    with the rows of boundary nodes u - g (shifted by 1/k in k-mode)."""
+    x = grid.meshgrid()
+    fld = ScalarField(grid, u)
+    fluxes = []
+    for j in range(grid.dim):
+        x_face = tuple(face_mean(c, j) for c in x)
+        uf = face_mean(u, j)
+        if k is None:
+            xi = face_diff_power(fld, spec.exponents.m[j], j)
+            fluxes.append(eval_flux(spec, j, x_face, t, uf, xi))
+        else:
+            xi = face_diff_power(fld, 1.0, j)
+            fluxes.append(eval_flux_truncated(spec, k, j, x_face, t, uf, xi))
+    R = (u - u_prev) / dt - spec.f(x, t) - divergence(grid, fluxes).values
+    bc = spec.g(x, t) + (0.0 if k is None else 1.0 / k)
+    boundary = grid.boundary_mask()
+    R[boundary] = u[boundary] - bc[boundary]
+    return R
+
+
+class TestStepProblem:
+    @pytest.mark.parametrize("clamped", [False, True])
+    @pytest.mark.parametrize("k", [4, "direct"])
+    @pytest.mark.parametrize("counts", [(9,), (7, 9), (5, 6, 7)])
+    def test_residual_matches_model_flux(self, counts, k, clamped):
+        # m = (1.2, 1.0, 1.4) and p = (3, 1.7, 2.5) per axis; a clamped
+        # iterate holds a block of zeros, so some face differences vanish
+        spec = varcoeff_problem(len(counts))
+        grid = Grid(spec.box, counts)
+        dt, t = 0.01, 0.01
+        prob = _StepProblem(spec, grid, SolverConfig(dt=dt, k=k),
+                            np.full(counts, 0.6), t)
+        u = np.random.default_rng(len(counts)).uniform(0.3, 1.5, counts)
+        if clamped:
+            u[(slice(1, 4),) * len(counts)] = 0.0
+        ref = reference_residual(spec, grid, prob.k, np.full(counts, 0.6),
+                                 u, dt, t)
+        got = prob.residual(u)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("k", [4, "direct"])
+    @pytest.mark.parametrize("counts", [(65,), (9, 13)])
+    def test_one_face_pass_per_iterate(self, counts, k, monkeypatch):
+        # the update at an iterate reuses the face data of its residual, so
+        # each coefficient runs once per residual evaluation
+        spec, calls = counted_coefficients(varcoeff_problem(len(counts)))
+        grid = Grid(spec.box, counts)
+        n_residuals = [0]
+        residual = _StepProblem.residual
+
+        def counted_residual(self, u):
+            n_residuals[0] += 1
+            return residual(self, u)
+
+        monkeypatch.setattr(_StepProblem, "residual", counted_residual)
+        u_n = ScalarField(grid, np.full(counts, 0.75))
+        _, rep = implicit_step(u_n, 0.01, spec, SolverConfig(dt=0.01, k=k))
+        assert rep.iterations >= 2
+        assert calls == [n_residuals[0]] * len(counts)
 
 
 class TestLowerBound:
