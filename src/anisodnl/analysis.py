@@ -172,6 +172,29 @@ def _antiderivative_eval(times: np.ndarray, vals: np.ndarray,
     return V[i] + vals[i] * s + slope * s * s / 2.0
 
 
+def _window_mean(series: TimeSeries, h: float) -> Callable:
+    """Mean over a window [lo, hi] of width h of the piecewise-linear
+    interpolant of the series, as a function of (lo, hi).
+
+    The window integral is exact: the antiderivative is the cumulative
+    trapezoid integral up to the enclosing sample plus the partial
+    interval.
+    """
+    times = series.times
+    vals = series.values_array()
+    dts = np.diff(times)
+    seg = (vals[:-1] + vals[1:]) / 2.0 * dts.reshape(
+        (-1,) + (1,) * (vals.ndim - 1))
+    V = np.concatenate([np.zeros((1,) + vals.shape[1:]),
+                        np.cumsum(seg, axis=0)])
+
+    def mean(lo: float, hi: float) -> np.ndarray:
+        return (_antiderivative_eval(times, vals, V, hi)
+                - _antiderivative_eval(times, vals, V, lo)) / h
+
+    return mean
+
+
 def steklov(series: TimeSeries, h: float, reverse: bool = False) -> TimeSeries:
     """Sliding window time average of width h.
 
@@ -186,23 +209,12 @@ def steklov(series: TimeSeries, h: float, reverse: bool = False) -> TimeSeries:
     T0, T1 = times[0], times[-1]
     if not 0.0 < h < T1 - T0:
         raise ValueError("window must lie inside the series time span")
-    vals = series.values_array()
-    dts = np.diff(times)
-    seg = (vals[:-1] + vals[1:]) / 2.0 * dts.reshape((-1,) + (1,) * (vals.ndim - 1))
-    V = np.concatenate([np.zeros((1,) + vals.shape[1:]), np.cumsum(seg, axis=0)])
+    mean = _window_mean(series, h)
     out = []
-    for i, t in enumerate(times):
-        if reverse:
-            if t - h < T0:
-                continue
-            lo, hi = t - h, t
-        else:
-            if t + h > T1:
-                continue
-            lo, hi = t, t + h
-        wa = _antiderivative_eval(times, vals, V, lo)
-        wb = _antiderivative_eval(times, vals, V, hi)
-        out.append(ScalarField(series.grid, (wb - wa) / h, float(t)))
+    for t in times:
+        lo, hi = (t - h, t) if reverse else (t, t + h)
+        if T0 <= lo and hi <= T1:
+            out.append(ScalarField(series.grid, mean(lo, hi), float(t)))
     return TimeSeries(out)
 
 
@@ -214,17 +226,18 @@ def steklov_eval(series: TimeSeries, h: float, t: float,
     derivative identities can be probed between sample times.
     """
     times = series.times
-    vals = series.values_array()
-    dts = np.diff(times)
-    seg = (vals[:-1] + vals[1:]) / 2.0 * dts.reshape(
-        (-1,) + (1,) * (vals.ndim - 1))
-    V = np.concatenate([np.zeros((1,) + vals.shape[1:]),
-                        np.cumsum(seg, axis=0)])
     lo, hi = (t - h, t) if reverse else (t, t + h)
     if lo < times[0] or hi > times[-1]:
         raise ValueError("window leaves the series time span")
-    return (_antiderivative_eval(times, vals, V, hi)
-            - _antiderivative_eval(times, vals, V, lo)) / h
+    return _window_mean(series, h)(lo, hi)
+
+
+def _exp_interval(w, v_end, slope, dt: float, h: float):
+    """Exponential mollification carried across one interval of length dt
+    on which the input is linear with the given slope and ends at v_end;
+    w is the value at the start of the interval."""
+    E = math.exp(-dt / h)
+    return E * w + v_end * (1.0 - E) - slope * (h * (1.0 - E) - dt * E)
 
 
 def exp_mollify_eval(series: TimeSeries, h: float, t: float) -> np.ndarray:
@@ -246,9 +259,7 @@ def exp_mollify_eval(series: TimeSeries, h: float, t: float) -> np.ndarray:
         dt = min(dt_full, t - times[i])
         if dt <= 0:
             break
-        E = math.exp(-dt / h)
-        v_end = vals[i] + c * dt
-        w = E * w + v_end * (1.0 - E) - c * (h * (1.0 - E) - dt * E)
+        w = _exp_interval(w, vals[i] + c * dt, c, dt, h)
         if t <= times[i + 1]:
             break
     return w
@@ -274,9 +285,7 @@ def exp_mollify(series: TimeSeries, h: float, reverse: bool = False) -> TimeSeri
     for i in range(len(times) - 1):
         dt = times[i + 1] - times[i]
         c = (vals[i + 1] - vals[i]) / dt
-        E = math.exp(-dt / h)
-        w[i + 1] = (E * w[i] + vals[i + 1] * (1.0 - E)
-                    - c * (h * (1.0 - E) - dt * E))
+        w[i + 1] = _exp_interval(w[i], vals[i + 1], c, dt, h)
     if reverse:
         w = w[::-1]
     out_times = series.times

@@ -9,8 +9,7 @@ d_j u^m = (u_{i+1}^m - u_i^m)/h holds exactly.
 from __future__ import annotations
 
 import io
-import json
-import struct
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,6 +19,7 @@ __all__ = [
     "Grid",
     "ScalarField",
     "TimeSeries",
+    "axis_slices",
     "face_mean",
     "face_diff_power",
     "divergence",
@@ -27,12 +27,7 @@ __all__ = [
     "sobolev_troisi_gap",
     "calibrate_troisi_constant",
     "field_to_csv",
-    "series_to_binary",
-    "series_from_binary",
 ]
-
-_BINARY_MAGIC = b"ANDL"
-_BINARY_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -69,17 +64,7 @@ class Grid:
 
     def cell_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights: cell volume with boundary halves."""
-        w = np.ones(self.counts[0])
-        w[0] = w[-1] = 0.5
-        out = w
-        for j in range(1, self.dim):
-            wj = np.ones(self.counts[j])
-            wj[0] = wj[-1] = 0.5
-            out = np.multiply.outer(out, wj)
-        vol = 1.0
-        for h in self.spacings:
-            vol *= h
-        return out * vol
+        return _quadrature_weights(self)
 
     def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.counts, dtype=bool)
@@ -147,14 +132,36 @@ class TimeSeries:
         return np.stack([f.values for f in self.fields])
 
 
+def _quadrature_weights(grid: Grid, face_axis: int | None = None):
+    """Cell volume times per-axis trapezoid weights (boundary halves).
+
+    Along ``face_axis``, if given, the weights belong to the faces of that
+    axis and are full: one midpoint cell per face.
+    """
+    out = None
+    for j, n in enumerate(grid.counts):
+        if j == face_axis:
+            w = np.ones(n - 1)
+        else:
+            w = np.ones(n)
+            w[0] = w[-1] = 0.5
+        out = w if out is None else np.multiply.outer(out, w)
+    return out * math.prod(grid.spacings)
+
+
+def axis_slices(dim: int, axis: int, sl: slice) -> tuple[slice, ...]:
+    """Index that applies ``sl`` along one axis and keeps the others whole."""
+    return tuple(sl if i == axis else slice(None) for i in range(dim))
+
+
 def face_mean(values: np.ndarray, axis: int) -> np.ndarray:
     """Mean of the two nodal values on every face along one axis.
 
     Returns (u_i + u_{i+1})/2, an array with one fewer entry along that
     axis.
     """
-    lo = (slice(None),) * axis + (slice(0, -1),)
-    hi = (slice(None),) * axis + (slice(1, None),)
+    lo = axis_slices(values.ndim, axis, slice(0, -1))
+    hi = axis_slices(values.ndim, axis, slice(1, None))
     return (values[lo] + values[hi]) / 2.0
 
 
@@ -189,14 +196,9 @@ def divergence(grid: Grid, face_fluxes: Sequence[np.ndarray]) -> ScalarField:
         if F.shape != tuple(expected):
             raise ValueError(
                 f"axis {j} flux shape {F.shape}, expected {tuple(expected)}")
-        h = grid.spacings[j]
-        core = [slice(None)] * grid.dim
-        core[j] = slice(1, -1)
-        lo = [slice(None)] * grid.dim
-        lo[j] = slice(0, -1)
-        hi = [slice(None)] * grid.dim
-        hi[j] = slice(1, None)
-        out[tuple(core)] += (F[tuple(hi)] - F[tuple(lo)]) / h
+        lo, hi, core = (axis_slices(grid.dim, j, slice(a, b))
+                        for a, b in ((0, -1), (1, None), (1, -1)))
+        out[core] += (F[hi] - F[lo]) / grid.spacings[j]
     out[grid.boundary_mask()] = 0.0
     return ScalarField(grid, out)
 
@@ -209,30 +211,10 @@ def integrate_power(fld: ScalarField, exponent: float) -> float:
     return float(np.sum(np.abs(fld.values) ** exponent * w))
 
 
-def _face_midpoint_weights(grid: Grid, axis: int) -> np.ndarray:
-    """Quadrature weights for face-located data: full face-cell volume
-    along the diff axis, trapezoid weights transverse."""
-    parts = []
-    for j in range(grid.dim):
-        if j == axis:
-            parts.append(np.ones(grid.counts[j] - 1))
-        else:
-            w = np.ones(grid.counts[j])
-            w[0] = w[-1] = 0.5
-            parts.append(w)
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.multiply.outer(out, p)
-    vol = 1.0
-    for h in grid.spacings:
-        vol *= h
-    return out * vol
-
-
 def integrate_face_power(grid: Grid, face_vals: np.ndarray, axis: int,
                          exponent: float) -> float:
     """Integral of |face data|^exponent using midpoint cells on the axis."""
-    w = _face_midpoint_weights(grid, axis)
+    w = _quadrature_weights(grid, axis)
     return float(np.sum(np.abs(face_vals) ** exponent * w))
 
 
@@ -312,36 +294,3 @@ def field_to_csv(fld: ScalarField) -> str:
     for row in zip(*flat):
         buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return buf.getvalue()
-
-
-def series_to_binary(series: TimeSeries) -> bytes:
-    """Compact versioned binary dump of a TimeSeries.
-
-    Layout: magic, version, JSON header (grid box/counts, times), then the
-    stacked float64 values in C order.
-    """
-    grid = series.grid
-    header = {
-        "box": list(grid.box),
-        "counts": list(grid.counts),
-        "times": [float(t) for t in series.times],
-    }
-    hb = json.dumps(header, sort_keys=True).encode()
-    data = series.values_array().astype("<f8").tobytes()
-    return (_BINARY_MAGIC + struct.pack("<II", _BINARY_VERSION, len(hb))
-            + hb + data)
-
-
-def series_from_binary(blob: bytes) -> TimeSeries:
-    if blob[:4] != _BINARY_MAGIC:
-        raise ValueError("not a series dump")
-    version, hlen = struct.unpack("<II", blob[4:12])
-    if version != _BINARY_VERSION:
-        raise ValueError(f"unsupported dump version {version}")
-    header = json.loads(blob[12:12 + hlen].decode())
-    grid = Grid(tuple(header["box"]), tuple(header["counts"]))
-    times = header["times"]
-    arr = np.frombuffer(blob[12 + hlen:], dtype="<f8").reshape(
-        (len(times),) + grid.counts).astype(float)
-    fields = [ScalarField(grid, arr[i], times[i]) for i in range(len(times))]
-    return TimeSeries(fields)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +25,8 @@ __all__ = [
     "compute_bar_exponents",
     "check_admissibility",
     "truncate",
+    "flux_coefficient",
+    "flux",
     "eval_flux",
     "eval_flux_truncated",
     "truncated_growth_constant",
@@ -157,10 +159,7 @@ class ProblemSpec:
 
     @property
     def volume(self) -> float:
-        v = 1.0
-        for b in self.box:
-            v *= b
-        return v
+        return math.prod(self.box)
 
     def bar(self) -> BarExponents:
         return compute_bar_exponents(self.exponents)
@@ -176,31 +175,37 @@ def truncate(k: int, s):
     return np.minimum(float(k), np.maximum(s, 1.0 / k))
 
 
-def _odd_power(xi, p: float):
-    # |xi|^(p-2) xi with the continuous extension 0 at xi = 0 for p < 2
+def flux_coefficient(spec: ProblemSpec, k: int | None, j: int, x, t: float,
+                     u):
+    """Coefficient of the axis-j flux at (x, t, u): a_j(x, t, u) in direct
+    mode (k None), a_j m_j^(p_j-1) T_k(u)^((m_j-1)(p_j-1)) for integer k."""
+    a = np.broadcast_to(np.asarray(spec.coeffs.funcs[j](x, t, u), dtype=float),
+                        np.shape(u))
+    if k is None:
+        return a
+    pj = spec.exponents.p[j]
+    mj = spec.exponents.m[j]
+    return a * mj ** (pj - 1.0) * truncate(k, u) ** ((mj - 1.0) * (pj - 1.0))
+
+
+def flux(c, xi, p: float):
+    """Flux c |xi|^(p-2) xi, with the continuous extension 0 at xi = 0
+    for p < 2."""
     xi = np.asarray(xi, dtype=float)
-    out = np.zeros_like(xi)
-    nz = xi != 0.0
-    out[nz] = np.abs(xi[nz]) ** (p - 2.0) * xi[nz]
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(xi == 0.0, 0.0, c * np.abs(xi) ** (p - 2.0) * xi)
 
 
 def eval_flux(spec: ProblemSpec, j: int, x, t: float, u, xi):
     """Axis-j flux a_j(x,t,u) |xi|^(p_j - 2) xi."""
-    a = spec.coeffs.funcs[j](x, t, u)
-    return a * _odd_power(xi, spec.exponents.p[j])
-
-
-def _truncation_factor(spec: ProblemSpec, k: int, j: int, u):
-    pj = spec.exponents.p[j]
-    mj = spec.exponents.m[j]
-    return mj ** (pj - 1.0) * truncate(k, u) ** ((mj - 1.0) * (pj - 1.0))
+    return flux(flux_coefficient(spec, None, j, x, t, u), xi,
+                spec.exponents.p[j])
 
 
 def eval_flux_truncated(spec: ProblemSpec, k: int, j: int, x, t: float, u, xi):
     """Axis-j truncated flux a_j m_j^(p_j-1) T_k(u)^((m_j-1)(p_j-1)) |xi|^(p_j-2) xi."""
-    a = spec.coeffs.funcs[j](x, t, u)
-    return a * _truncation_factor(spec, k, j, u) * _odd_power(xi, spec.exponents.p[j])
+    return flux(flux_coefficient(spec, k, j, x, t, u), xi,
+                spec.exponents.p[j])
 
 
 def truncated_growth_constant(spec: ProblemSpec, k: int, j: int) -> float:

@@ -16,8 +16,6 @@ Coefficient entries (one per axis):
 
 from __future__ import annotations
 
-import json
-import math
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +30,8 @@ __all__ = [
     "make_constant",
     "make_affine",
     "make_bump",
+    "MANUFACTURED_EXACT",
+    "shifted_problem",
 ]
 
 
@@ -69,6 +69,19 @@ def make_bump(box: Sequence[float], amplitude: float, rate: float = 0.0):
         return out
 
     return f
+
+
+def shifted_problem(spec: ProblemSpec, amplitude: float,
+                    shift: float) -> ProblemSpec:
+    """Companion problem with ordered data: the source gains a bump of the
+    given amplitude, and the boundary and initial data rise by shift."""
+    bump = make_bump(spec.box, amplitude)
+    return ProblemSpec(
+        box=spec.box, T=spec.T, exponents=spec.exponents, coeffs=spec.coeffs,
+        f=lambda x, t: np.asarray(spec.f(x, t), dtype=float) + bump(x, t),
+        g=lambda x, t: np.asarray(spec.g(x, t), dtype=float) + shift,
+        u0=lambda x: np.asarray(spec.u0(x), dtype=float) + shift,
+        sigma=spec.sigma, eps0=spec.eps0)
 
 
 def _coeff_from_config(entry: dict):
@@ -211,16 +224,12 @@ def _preset_strong_source() -> ProblemSpec:
         sigma=3.0, eps0=0.0)
 
 
-def _preset_manufactured_1d() -> ProblemSpec:
-    """Closed-form source for the exact solution u = 1 + t x (1 - x)."""
-    box = (1.0,)
-    exps = Exponents((2.0,), (1.0,))
-
-    def f(x, t):
-        return x[0] * (1.0 - x[0]) + 2.0 * t
-
+def _manufactured(f) -> ProblemSpec:
+    """1D heat equation (p = 2, m = 1, a = 1) on [0, 1] up to T = 1 with
+    u0 = g = 1 and the closed-form source f of a manufactured solution."""
     return ProblemSpec(
-        box=box, T=1.0, exponents=exps, coeffs=_const_coeffs(1),
+        box=(1.0,), T=1.0, exponents=Exponents((2.0,), (1.0,)),
+        coeffs=_const_coeffs(1),
         f=f,
         g=make_constant(1.0),
         u0=lambda x: np.ones(np.shape(x[0])),
@@ -228,60 +237,31 @@ def _preset_manufactured_1d() -> ProblemSpec:
 
 
 def manufactured_1d_exact(x, t):
-    """Exact solution matching the manufactured-1d preset."""
+    """Exact solution of the manufactured-1d preset, which the scheme
+    reproduces to rounding."""
     return 1.0 + t * x[0] * (1.0 - x[0])
 
 
-def _preset_manufactured_quartic() -> ProblemSpec:
-    """Closed-form source for u = 1 + t^2 x^2 (1 - x)^2.
-
-    Unlike the base manufactured case, this solution is not reproduced
-    exactly by the scheme, so it shows genuine discretization error.
-    """
-    box = (1.0,)
-    exps = Exponents((2.0,), (1.0,))
-
-    def f(x, t):
-        xx = x[0]
-        return (2.0 * t * xx ** 2 * (1.0 - xx) ** 2
-                - t * t * (2.0 - 12.0 * xx + 12.0 * xx ** 2))
-
-    return ProblemSpec(
-        box=box, T=1.0, exponents=exps, coeffs=_const_coeffs(1),
-        f=f,
-        g=make_constant(1.0),
-        u0=lambda x: np.ones(np.shape(x[0])),
-        sigma=3.0, eps0=1.0)
-
-
 def manufactured_quartic_exact(x, t):
-    """Exact solution matching the manufactured-quartic preset."""
+    """Exact solution of the manufactured-quartic preset.  Unlike the base
+    case, the scheme does not reproduce it exactly, so it shows genuine
+    discretization error."""
     return 1.0 + t * t * x[0] ** 2 * (1.0 - x[0]) ** 2
 
 
-def _preset_manufactured_strong() -> ProblemSpec:
-    """Closed-form source for u = 1 + 40 t x (1 - x).
-
-    The solution climbs an order of magnitude above the data bound, which
-    makes level energies and exceedance sets robustly nonzero.
-    """
-    box = (1.0,)
-    exps = Exponents((2.0,), (1.0,))
-
-    def f(x, t):
-        return 40.0 * x[0] * (1.0 - x[0]) + 80.0 * t
-
-    return ProblemSpec(
-        box=box, T=1.0, exponents=exps, coeffs=_const_coeffs(1),
-        f=f,
-        g=make_constant(1.0),
-        u0=lambda x: np.ones(np.shape(x[0])),
-        sigma=3.0, eps0=1.0)
-
-
 def manufactured_strong_exact(x, t):
-    """Exact solution matching the manufactured-strong preset."""
+    """Exact solution of the manufactured-strong preset.  It climbs an
+    order of magnitude above the data bound, which makes level energies
+    and exceedance sets robustly nonzero."""
     return 1.0 + 40.0 * t * x[0] * (1.0 - x[0])
+
+
+# preset name -> exact solution, for the presets built by _manufactured
+MANUFACTURED_EXACT = {
+    "manufactured-1d": manufactured_1d_exact,
+    "manufactured-quartic": manufactured_quartic_exact,
+    "manufactured-strong": manufactured_strong_exact,
+}
 
 
 def _preset_constant() -> ProblemSpec:
@@ -323,9 +303,13 @@ _PRESETS = {
     "porous-cascade": _preset_porous_cascade,
     "ortho-plaplace": _preset_ortho_plaplace,
     "strong-source": _preset_strong_source,
-    "manufactured-1d": _preset_manufactured_1d,
-    "manufactured-quartic": _preset_manufactured_quartic,
-    "manufactured-strong": _preset_manufactured_strong,
+    "manufactured-1d": lambda: _manufactured(
+        lambda x, t: x[0] * (1.0 - x[0]) + 2.0 * t),
+    "manufactured-quartic": lambda: _manufactured(
+        lambda x, t: (2.0 * t * x[0] ** 2 * (1.0 - x[0]) ** 2
+                      - t * t * (2.0 - 12.0 * x[0] + 12.0 * x[0] ** 2))),
+    "manufactured-strong": lambda: _manufactured(
+        lambda x, t: 40.0 * x[0] * (1.0 - x[0]) + 80.0 * t),
     "constant": _preset_constant,
     "varcoeff": _preset_varcoeff,
 }

@@ -18,8 +18,9 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretization import Grid, ScalarField, TimeSeries, face_mean
-from .model import ProblemSpec, truncate
+from .discretization import (Grid, ScalarField, TimeSeries, axis_slices,
+                             face_mean, integrate_power)
+from .model import ProblemSpec, flux, flux_coefficient
 from .analysis import vpm_distance
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "implicit_step",
     "solve_problem",
     "manufactured_rhs",
+    "refinement_errors",
     "CascadeResult",
     "regularization_cascade",
     "ordering_tolerance",
@@ -52,6 +54,8 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
+        if self.newton_max < 0:
+            raise ValueError("newton_max must be nonnegative")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.k != "direct" and (not isinstance(self.k, int) or self.k < 1):
@@ -120,11 +124,6 @@ def _boundary_values(spec: ProblemSpec, grid: Grid, t: float,
     return g + shift
 
 
-def _axis_slices(dim: int, axis: int, sl: slice) -> tuple[slice, ...]:
-    """Index that applies ``sl`` along one axis and keeps the others whole."""
-    return tuple(sl if i == axis else slice(None) for i in range(dim))
-
-
 class _StepProblem:
     """Residual and Newton update for one implicit step.
 
@@ -159,9 +158,9 @@ class _StepProblem:
         self.m = spec.exponents.m
         # per axis: the lo and hi node of every face, and the nodes between
         # two faces of the axis
-        self.lo = [_axis_slices(dim, j, slice(0, -1)) for j in range(dim)]
-        self.hi = [_axis_slices(dim, j, slice(1, None)) for j in range(dim)]
-        self.core = [_axis_slices(dim, j, slice(1, -1)) for j in range(dim)]
+        self.lo = [axis_slices(dim, j, slice(0, -1)) for j in range(dim)]
+        self.hi = [axis_slices(dim, j, slice(1, None)) for j in range(dim)]
+        self.core = [axis_slices(dim, j, slice(1, -1)) for j in range(dim)]
         self._faces = (None, None)
         if self.k is not None:
             # band layout of the interior unknowns, longest axis outermost
@@ -181,31 +180,21 @@ class _StepProblem:
         """Per-face coefficient c, diff D of the working power, and the
         derivative of the working power at both adjacent nodes."""
         mj = self.m[j]
-        uf = face_mean(u, j)
-        a = np.broadcast_to(
-            np.asarray(self.spec.coeffs.funcs[j](self.x_face[j], self.t, uf),
-                       dtype=float), uf.shape)
+        c = flux_coefficient(self.spec, self.k, j, self.x_face[j], self.t,
+                             face_mean(u, j))
         lo = u[self.lo[j]]
         hi = u[self.hi[j]]
-        if self.k is None:
-            if mj == 1.0:
-                wlo, whi = lo, hi
-                dlo = dhi = 1.0
-            else:
-                safe_lo = np.maximum(lo, 0.0)
-                safe_hi = np.maximum(hi, 0.0)
-                wlo = safe_lo ** mj
-                whi = safe_hi ** mj
-                dlo = mj * safe_lo ** (mj - 1.0)
-                dhi = mj * safe_hi ** (mj - 1.0)
-            c = a
+        if self.k is None and mj != 1.0:
+            # direct mode works on u^(m_j)
+            safe_lo = np.maximum(lo, 0.0)
+            safe_hi = np.maximum(hi, 0.0)
+            lo = safe_lo ** mj
+            hi = safe_hi ** mj
+            dlo = mj * safe_lo ** (mj - 1.0)
+            dhi = mj * safe_hi ** (mj - 1.0)
         else:
-            pj = self.p[j]
-            c = a * mj ** (pj - 1.0) * truncate(self.k, uf) \
-                ** ((mj - 1.0) * (pj - 1.0))
-            wlo, whi = lo, hi
             dlo = dhi = 1.0
-        D = (whi - wlo) / self.h[j]
+        D = (hi - lo) / self.h[j]
         return c, D, dlo, dhi
 
     def _face_pass(self, u: np.ndarray) -> list:
@@ -221,9 +210,7 @@ class _StepProblem:
     def residual(self, u: np.ndarray) -> np.ndarray:
         R = (u - self.u_prev) / self.config.dt - self.f_vals
         for j, (c, D, _, _) in enumerate(self._face_pass(u)):
-            pj = self.p[j]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                F = np.where(D == 0.0, 0.0, c * np.abs(D) ** (pj - 2.0) * D)
+            F = flux(c, D, self.p[j])
             R[self.core[j]] -= (F[self.hi[j]] - F[self.lo[j]]) / self.h[j]
         R[self.boundary] = u[self.boundary] - self.bc_boundary
         return R
@@ -361,13 +348,15 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     secant = False
     stall_ref = None
     R = prob.residual(u)
-    for it in range(config.newton_max):
+    for it in range(config.newton_max + 1):
         res = float(np.max(np.abs(R)))
         hist.append(res)
         if res <= config.newton_tol:
             return (ScalarField(grid, u, t_next),
                     StepReport(iterations=it, residual=res, fallback=secant,
                                clamped=clamped, residual_history=hist))
+        if it == config.newton_max:
+            break
         if (config.picard_fallback and not secant and it >= 5
                 and stall_ref is not None and res > 0.9 * stall_ref):
             secant = True
@@ -378,33 +367,19 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
         except np.linalg.LinAlgError as exc:
             raise StepFailure(-1, hist) from exc
         lam = config.damping if not secant else 1.0
-        accepted = False
-        for _ in range(10):
+        # up to ten halvings; the eleventh trial is taken as it is
+        for trial_no in range(11):
             trial = u - lam * delta
             if direct and np.any(trial < 0.0):
                 trial = np.maximum(trial, 0.0)
                 clamped = True
             R_trial = prob.residual(trial)
-            r_trial = float(np.max(np.abs(R_trial)))
-            if r_trial < res or secant:
+            if (secant or trial_no == 10
+                    or float(np.max(np.abs(R_trial))) < res):
                 # the accepted trial's residual is the next iteration's R
                 u, R = trial, R_trial
-                accepted = True
                 break
             lam /= 2.0
-        if not accepted:
-            u = u - lam * delta
-            if direct and np.any(u < 0.0):
-                u = np.maximum(u, 0.0)
-                clamped = True
-            R = prob.residual(u)
-    res = float(np.max(np.abs(R)))
-    hist.append(res)
-    if res <= config.newton_tol:
-        return (ScalarField(grid, u, t_next),
-                StepReport(iterations=config.newton_max, residual=res,
-                           fallback=secant, clamped=clamped,
-                           residual_history=hist))
     raise StepFailure(-1, hist)
 
 
@@ -425,12 +400,17 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
     fields = [ScalarField(grid, u0, 0.0)]
     report = SolveReport()
     n_steps = int(round(spec.T / config.dt))
+    last = config
     if abs(n_steps * config.dt - spec.T) > 1e-9 * spec.T:
+        # dt does not divide T: the last step is shortened to end at T
         n_steps = int(np.ceil(spec.T / config.dt))
+        last = replace(config, dt=spec.T - (n_steps - 1) * config.dt)
     for n in range(n_steps):
         t_next = min((n + 1) * config.dt, spec.T)
+        step_config = last if n == n_steps - 1 else config
         try:
-            f_next, step = implicit_step(fields[-1], t_next, spec, config)
+            f_next, step = implicit_step(fields[-1], t_next, spec,
+                                         step_config)
         except StepFailure as exc:
             exc.step_index = n
             report.wall_time = time.perf_counter() - t0
@@ -469,25 +449,17 @@ def manufactured_rhs(u_exact: Callable, spec: ProblemSpec,
     def shift_x(x, j, ds):
         return tuple(c + ds if i == j else c for i, c in enumerate(x))
 
+    k = None if mode == "direct" else int(mode)
+
     def flux_j(x, t, j):
-        pj = spec.exponents.p[j]
         mj = spec.exponents.m[j]
-        u = ue(x, t)
 
         def w_at(ds):
             uu = ue(shift_x(x, j, ds), t)
-            return uu if (mode != "direct" or mj == 1.0) else uu ** mj
+            return uu if (k is not None or mj == 1.0) else uu ** mj
 
-        D = d4(w_at, fd_step)
-        a = spec.coeffs.funcs[j](x, t, u)
-        if mode == "direct":
-            c = a
-        else:
-            c = (a * mj ** (pj - 1.0)
-                 * truncate(int(mode), u) ** ((mj - 1.0) * (pj - 1.0)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Dsafe = np.where(D == 0.0, 0.0, np.abs(D) ** (pj - 2.0) * D)
-        return c * Dsafe
+        c = flux_coefficient(spec, k, j, x, t, ue(x, t))
+        return flux(c, d4(w_at, fd_step), spec.exponents.p[j])
 
     def f(x, t):
         x = tuple(np.asarray(c, dtype=float) for c in x)
@@ -499,6 +471,22 @@ def manufactured_rhs(u_exact: Callable, spec: ProblemSpec,
         return out
 
     return f
+
+
+def refinement_errors(spec: ProblemSpec, exact: Callable, grid: Grid,
+                      config: SolverConfig, levels: int = 3) -> list[float]:
+    """L2 errors of direct-mode solves against an exact solution at the
+    final time, on ``levels`` grids that halve the spacing and dt of
+    ``grid`` and ``config`` one level after another."""
+    errors = []
+    for lev in range(levels):
+        g = Grid(spec.box, tuple((c - 1) * 2 ** lev + 1 for c in grid.counts))
+        ts, _ = solve_problem(
+            spec, g, replace(config, dt=config.dt / 2 ** lev, k="direct"))
+        fin = ts.fields[-1]
+        err = ScalarField(g, fin.values - exact(g.meshgrid(), fin.t))
+        errors.append(float(np.sqrt(integrate_power(err, 2.0))))
+    return errors
 
 
 @dataclass

@@ -30,21 +30,21 @@ from anisodnl.discretization import (
     Grid,
     ScalarField,
     TimeSeries,
-    integrate_power,
     sobolev_troisi_gap,
 )
 from anisodnl.model import CoefficientSpec, Exponents, ProblemSpec
 from anisodnl.presets import (
     PRESET_NAMES,
     get_preset,
-    make_bump,
     manufactured_1d_exact,
     manufactured_quartic_exact,
     preset_defaults,
+    shifted_problem,
 )
 from anisodnl.solver import (
     SolverConfig,
     ordering_tolerance,
+    refinement_errors,
     regularization_cascade,
     solve_problem,
 )
@@ -142,17 +142,8 @@ def test_criterion_3_constant_exactness():
 
 def _refinement_errors(name, exact, base_counts, levels=3):
     spec = get_preset(name)
-    errs = []
-    for lev in range(levels):
-        counts = tuple((c - 1) * 2 ** lev + 1 for c in base_counts)
-        grid = Grid(spec.box, counts)
-        cfg = SolverConfig(dt=spec.T / (32 * 2 ** lev))
-        ts, _ = solve_problem(spec, grid, cfg)
-        x = grid.meshgrid()
-        fin = ts.fields[-1]
-        e = ScalarField(grid, fin.values - exact(x, fin.t))
-        errs.append(float(np.sqrt(integrate_power(e, 2.0))))
-    return errs
+    return refinement_errors(spec, exact, Grid(spec.box, base_counts),
+                             SolverConfig(dt=spec.T / 32), levels)
 
 
 def test_criterion_4_manufactured():
@@ -176,23 +167,6 @@ def test_criterion_4_manufactured():
             f"{elapsed:.1f}s")
 
 
-def _shifted_problem(spec, rng):
-    amp = float(rng.uniform(0.1, 0.5))
-    shift = float(rng.uniform(0.05, 0.2))
-    bump = make_bump(spec.box, amp)
-
-    def f_v(x, t):
-        return np.asarray(spec.f(x, t), dtype=float) + bump(x, t)
-
-    hi = ProblemSpec(
-        box=spec.box, T=spec.T, exponents=spec.exponents,
-        coeffs=spec.coeffs, f=f_v,
-        g=lambda x, t: np.asarray(spec.g(x, t), dtype=float) + shift,
-        u0=lambda x: np.asarray(spec.u0(x), dtype=float) + shift,
-        sigma=spec.sigma, eps0=spec.eps0)
-    return hi, f_v
-
-
 def test_criterion_5_comparison_uniqueness():
     rng = np.random.default_rng(19)
     worst = -np.inf
@@ -204,9 +178,10 @@ def test_criterion_5_comparison_uniqueness():
         tol = ordering_tolerance(cfg, spec.T)
         u_ts, _ = solve_problem(spec, grid, cfg)
         for _ in range(5):
-            hi, f_v = _shifted_problem(spec, rng)
+            hi = shifted_problem(spec, rng.uniform(0.1, 0.5),
+                                 rng.uniform(0.05, 0.2))
             v_ts, _ = solve_problem(hi, grid, cfg)
-            rep = comparison_check(u_ts, v_ts, spec.f, f_v,
+            rep = comparison_check(u_ts, v_ts, spec.f, hi.f,
                                    zero_tol=10 * cfg.newton_tol)
             pointwise = max(float(np.max(a.values - b.values))
                             for a, b in zip(u_ts.fields, v_ts.fields))

@@ -87,6 +87,14 @@ class TestRun:
             main(["run", "--config", str(path),
                   "--out", str(tmp_path / "o")])
 
+    def test_manufactured_rejects_inline_problem(self, tmp_path):
+        # an inline problem has no exact solution to grade against
+        cfg = write_config(tmp_path, "inline.json", {
+            "scenario": "manufactured", "grid": [9], "n_steps": 4,
+            "levels": 1, "problem": INLINE_PROBLEM})
+        with pytest.raises(SystemExit, match="needs a manufactured preset"):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+
     def test_missing_problem_key(self, tmp_path):
         problem = dict(INLINE_PROBLEM)
         del problem["coeffs"]

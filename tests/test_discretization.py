@@ -4,7 +4,6 @@ import pytest
 from anisodnl.discretization import (
     Grid,
     ScalarField,
-    TimeSeries,
     calibrate_troisi_constant,
     divergence,
     face_diff_power,
@@ -12,8 +11,6 @@ from anisodnl.discretization import (
     field_to_csv,
     integrate_power,
     sobolev_troisi_gap,
-    series_from_binary,
-    series_to_binary,
 )
 
 # Frozen by the calibration sweep (anisodnl calibrate / calibrate_troisi_constant,
@@ -184,25 +181,6 @@ class TestSobolevTroisi:
 
 
 class TestSerialization:
-    def _series(self):
-        g = Grid((1.0, 2.0), (5, 7))
-        rng = np.random.default_rng(3)
-        fields = [ScalarField(g, rng.standard_normal(g.counts), t)
-                  for t in (0.0, 0.5, 1.0)]
-        return TimeSeries(fields)
-
-    def test_binary_round_trip(self):
-        s = self._series()
-        back = series_from_binary(series_to_binary(s))
-        assert np.allclose(back.times, s.times)
-        assert back.grid == s.grid
-        for a, b in zip(s.fields, back.fields):
-            assert np.array_equal(a.values, b.values)
-
-    def test_binary_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            series_from_binary(b"nope" + b"\x00" * 16)
-
     def test_csv_header_and_rows(self):
         g = Grid((1.0,), (3,))
         f = ScalarField(g, np.array([1.0, 2.0, 3.0]))

@@ -153,3 +153,37 @@ class TestExponentialMollifier:
         s = scalar_series(times, times)
         with pytest.raises(ValueError):
             exp_mollify(s, 0.0)
+
+
+class TestEvaluatorsMatchSeries:
+    """The pointwise evaluators agree with the series forms at every
+    valid sample time."""
+
+    @staticmethod
+    def _series():
+        # nonuniform times, a field that varies in space and time
+        times = np.cumsum(np.r_[0.0, np.linspace(0.02, 0.06, 24)])
+        g = Grid((1.0,), (4,))
+        x = g.axis_coords(0)
+        return TimeSeries([
+            ScalarField(g, 2.0 + np.sin(3.0 * t + x) + t * x, float(t))
+            for t in times])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_steklov_eval(self, reverse):
+        s = self._series()
+        h = 0.17
+        out = steklov(s, h, reverse=reverse)
+        assert len(out) >= 10
+        for f in out.fields:
+            np.testing.assert_allclose(
+                steklov_eval(s, h, f.t, reverse=reverse), f.values,
+                rtol=1e-14, atol=0.0)
+
+    def test_exp_mollify_eval(self):
+        s = self._series()
+        h = 0.13
+        out = exp_mollify(s, h)
+        for f in out.fields:
+            np.testing.assert_allclose(exp_mollify_eval(s, h, f.t),
+                                       f.values, rtol=1e-14, atol=0.0)

@@ -26,6 +26,7 @@ from anisodnl.presets import (
     make_bump,
     manufactured_1d_exact,
     manufactured_quartic_exact,
+    shifted_problem,
 )
 from anisodnl.solver import (
     SolverConfig,
@@ -296,6 +297,51 @@ class TestManufactured:
         err = np.max(np.abs(fin.values - manufactured_quartic_exact(x, fin.t)))
         assert err < 5e-3
 
+    @pytest.mark.parametrize("dt, n_full, n_steps",
+                             [(0.25, 4, 4), (0.3, 3, 4), (0.4, 2, 3)])
+    def test_shortened_last_step(self, dt, n_full, n_steps, monkeypatch):
+        # the scheme reproduces u = 1 + t x (1 - x) to rounding, so a
+        # last step shortened to end at T must use its own length
+        spec = get_preset("manufactured-1d")
+        grid = Grid(spec.box, (33,))
+        step_dts = []
+        step = implicit_step
+
+        def recorded_step(u_n, t_next, spec, config):
+            step_dts.append(config.dt)
+            return step(u_n, t_next, spec, config)
+
+        monkeypatch.setattr("anisodnl.solver.implicit_step", recorded_step)
+        ts, _ = solve_problem(spec, grid, SolverConfig(dt=dt))
+        fin = ts.fields[-1]
+        assert fin.t == spec.T
+        err = np.max(np.abs(fin.values
+                            - manufactured_1d_exact(grid.meshgrid(), fin.t)))
+        assert err < 1e-12
+        # every full step keeps the configured dt bit for bit, and a
+        # shortened last step spans the rest of [0, T]
+        assert len(step_dts) == n_steps
+        assert step_dts[:n_full] == [dt] * n_full
+        assert step_dts[-1] == pytest.approx(spec.T - ts.fields[-2].t,
+                                             rel=1e-14)
+
+    def test_k_mode_source(self):
+        # p = 2, m = 2, a = 1: the k-mode flux is 2 T_k(u) d_x u
+        spec = constant_problem(p=(2.0,), m=(2.0,))
+        x = (np.linspace(0.1, 0.9, 9),)
+        t = 0.4
+        exact = manufactured_1d_exact
+        u = exact(x, t)
+        # k = 4: u stays inside [1/4, 4], so T_k(u) = u
+        got = manufactured_rhs(exact, spec, mode=4)(x, t)
+        expect = (x[0] * (1.0 - x[0])
+                  - 2.0 * (t * t * (1.0 - 2.0 * x[0]) ** 2 - 2.0 * t * u))
+        assert np.allclose(got, expect, rtol=0.0, atol=1e-8)
+        # k = 1: T_1 is identically 1
+        got = manufactured_rhs(exact, spec, mode=1)(x, t)
+        assert np.allclose(got, x[0] * (1.0 - x[0]) + 4.0 * t,
+                           rtol=0.0, atol=1e-8)
+
     def test_dt_refinement_monotone(self):
         spec = get_preset("manufactured-quartic")
         grid = Grid(spec.box, (65,))
@@ -317,15 +363,7 @@ class TestComparison:
         grid = Grid(spec.box, (17, 17))
         cfg = SolverConfig(dt=spec.T / 8, k=4)
         lo_ts, _ = solve_problem(spec, grid, cfg)
-        bump = make_bump(spec.box, 0.3)
-        hi = ProblemSpec(
-            box=spec.box, T=spec.T, exponents=spec.exponents,
-            coeffs=spec.coeffs,
-            f=lambda x, t: np.asarray(spec.f(x, t), dtype=float)
-            + bump(x, t),
-            g=lambda x, t: np.asarray(spec.g(x, t), dtype=float) + 0.1,
-            u0=lambda x: np.asarray(spec.u0(x), dtype=float) + 0.1,
-            sigma=spec.sigma, eps0=spec.eps0)
+        hi = shifted_problem(spec, 0.3, 0.1)
         hi_ts, _ = solve_problem(hi, grid, cfg)
         tol = ordering_tolerance(cfg, spec.T)
         worst = max(float(np.max(a.values - b.values))
@@ -418,3 +456,5 @@ class TestRobustness:
             SolverConfig(dt=0.1, damping=1.5)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, k=0)
+        with pytest.raises(ValueError):
+            SolverConfig(dt=0.1, newton_max=-1)
