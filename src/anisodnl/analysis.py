@@ -371,24 +371,6 @@ class DeGiorgiReport:
     Y: list[float] = field(default_factory=list)
     E: list[float] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "M_star": self.M_star,
-            "K0": self.K0,
-            "q": list(self.q),
-            "q_bar": self.q_bar,
-            "dg_delta": self.dg_delta,
-            "Q": self.Q,
-            "b": self.b,
-            "K": self.K,
-            "M": self.M,
-            "L": self.L,
-            "c_struct": self.c_struct,
-            "levels": list(self.levels),
-            "Y": list(self.Y),
-            "E": list(self.E),
-        }
-
 
 def level_sequence(M: float, m: float, j_max: int) -> np.ndarray:
     """Increasing levels M_j = M (2 - 2^-j)^(2/(m+1)) with limit
@@ -495,14 +477,6 @@ class EnergyReport:
     source_integral: float
     ratio: float
 
-    def as_dict(self) -> dict:
-        return {
-            "sup_level_energy": self.sup_level_energy,
-            "gradient_terms": list(self.gradient_terms),
-            "source_integral": self.source_integral,
-            "ratio": self.ratio,
-        }
-
 
 def energy_check(series: TimeSeries, spec: ProblemSpec, M: float,
                  M_star: float) -> EnergyReport:
@@ -564,14 +538,6 @@ class ComparisonReport:
     lhs: list[float]
     rhs: list[float]
     violation: float
-
-    def as_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-            "violation": self.violation,
-        }
 
 
 def comparison_check(u: TimeSeries, v: TimeSeries, f_u: Callable,

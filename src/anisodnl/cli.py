@@ -24,7 +24,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +51,6 @@ REPORT_SCHEMA = {
     },
 }
 
-SCENARIOS = ("constant", "manufactured", "cascade", "comparison",
-             "degiorgi-report", "mollifier-demo", "calibrate")
-
 
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
@@ -76,6 +73,14 @@ class OutputWriter:
         (self.outdir / name).write_bytes(data)
         self.files[name] = hashlib.sha256(data).hexdigest()
 
+    def write_table(self, name: str, columns, rows):
+        """CSV table: a header line of column names, then one line per
+        row; numbers as .17g, None as an empty cell."""
+        lines = [",".join(columns)]
+        lines += [",".join("" if v is None else f"{v:.17g}" for v in row)
+                  for row in rows]
+        self.write_text(name, "\n".join(lines) + "\n")
+
     def write_report(self, name: str, report: dict):
         jsonschema.validate(report, REPORT_SCHEMA)
         self.write_text(name, json.dumps(report, indent=2, sort_keys=True,
@@ -88,18 +93,6 @@ class OutputWriter:
         }
         (self.outdir / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _make_report(scenario: str, seed: int, settings: dict, results: dict,
-                 violations: list[str]) -> dict:
-    return {
-        "schema": REPORT_SCHEMA_ID,
-        "scenario": scenario,
-        "seed": seed,
-        "settings": settings,
-        "results": results,
-        "violations": violations,
-    }
 
 
 def _load_config(path: str) -> dict:
@@ -142,28 +135,45 @@ def _resolve_problem(cfg: dict) -> tuple[ProblemSpec, dict]:
     return spec, defaults
 
 
+# config "solver" key -> conversion of its JSON value; the defaults live
+# in SolverConfig
+_SOLVER_KEYS = {"newton_tol": float, "newton_max": int, "damping": float,
+                "eps_reg": float, "picard_fallback": bool, "k": lambda v: v}
+
+# run flag -> the config key it overrides
+_FLAG_KEYS = {"grid": "grid", "dt": "dt", "k": "ks"}
+
+
+def _grid(box, counts) -> Grid:
+    try:
+        return Grid(box, counts)
+    except ValueError as exc:
+        raise SystemExit(f"invalid grid {list(counts)}: {exc}")
+
+
 def _resolve_run(cfg: dict, args) -> tuple[ProblemSpec, Grid, SolverConfig, list[int]]:
     spec, defaults = _resolve_problem(cfg)
-    grid_counts = (tuple(args.grid) if args.grid
-                   else tuple(cfg.get("grid", defaults["grid"])))
-    grid = Grid(spec.box, grid_counts)
+    grid = _grid(spec.box, args.grid or cfg.get("grid", defaults["grid"]))
     n_steps = int(cfg.get("n_steps", defaults["n_steps"]))
-    dt = args.dt if args.dt else float(cfg.get("dt", spec.T / n_steps))
+    dt = (args.dt if args.dt is not None
+          else float(cfg.get("dt", spec.T / n_steps)))
     sc = cfg.get("solver", {})
-    config = SolverConfig(
-        dt=dt,
-        newton_tol=float(sc.get("newton_tol", 1e-9)),
-        newton_max=int(sc.get("newton_max", 40)),
-        damping=float(sc.get("damping", 1.0)),
-        eps_reg=float(sc.get("eps_reg", 1e-8)),
-        picard_fallback=bool(sc.get("picard_fallback", True)),
-        k=sc.get("k", "direct"))
-    ks = list(args.k) if args.k else list(cfg.get("ks", [1, 2, 4, 8]))
+    if not isinstance(sc, dict):
+        raise SystemExit("config \"solver\" must be a JSON object")
+    unknown = sorted(set(sc) - set(_SOLVER_KEYS))
+    if unknown:
+        raise SystemExit(f"unknown solver keys {unknown}; "
+                         f"known: {sorted(_SOLVER_KEYS)}")
+    try:
+        config = SolverConfig(
+            dt=dt, **{key: _SOLVER_KEYS[key](v) for key, v in sc.items()})
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"invalid run settings: {exc}")
+    ks = list(args.k or cfg.get("ks", [1, 2, 4, 8]))
+    if any(k < 1 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise SystemExit(f"ks must be strictly increasing positive "
+                         f"integers, got {ks}")
     return spec, grid, config, ks
-
-
-def _series_csv(writer: OutputWriter, name: str, series: TimeSeries):
-    writer.write_text(name, field_to_csv(series.fields[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +201,7 @@ def _scenario_constant(cfg, args, writer):
     results["k_report"] = rep_k.as_dict()
     if dev_k > config.newton_tol:
         violations.append(f"k-mode constant deviation {dev_k:.3e}")
-    _series_csv(writer, "final_field.csv", ts)
+    writer.write_text("final_field.csv", field_to_csv(ts.fields[-1]))
     return results, violations
 
 
@@ -223,11 +233,9 @@ def _scenario_cascade(cfg, args, writer):
                 f"ordering excess {excess:.3e} for pair {pair}")
     results = res.as_dict()
     results["ordering_tol"] = tol
-    lines = ["k_low,k_high,distance"]
-    for (a, b), d in zip(zip(ks, ks[1:]), res.distances):
-        lines.append(f"{a},{b},{d:.17g}")
-    writer.write_text("distances.csv", "\n".join(lines) + "\n")
-    _series_csv(writer, "limit_field.csv", res.limit)
+    writer.write_table("distances.csv", ("k_low", "k_high", "distance"),
+                       zip(ks, ks[1:], res.distances))
+    writer.write_text("limit_field.csv", field_to_csv(res.limit.fields[-1]))
     return results, violations
 
 
@@ -251,11 +259,9 @@ def _scenario_comparison(cfg, args, writer):
                 for a, b in zip(u_ts.fields, v_ts.fields))
     if worst > tol:
         violations.append(f"pointwise ordering excess {worst:.3e}")
-    lines = ["t,lhs,rhs"]
-    for t, l, r in zip(rep.times, rep.lhs, rep.rhs):
-        lines.append(f"{t:.17g},{l:.17g},{r:.17g}")
-    writer.write_text("comparison_trace.csv", "\n".join(lines) + "\n")
-    results = rep.as_dict()
+    writer.write_table("comparison_trace.csv", ("t", "lhs", "rhs"),
+                       zip(rep.times, rep.lhs, rep.rhs))
+    results = asdict(rep)
     results["pointwise_excess"] = worst
     results["ordering_tol"] = tol
     return results, violations
@@ -274,16 +280,14 @@ def _scenario_degiorgi(cfg, args, writer):
     rep.levels = list(analysis.level_sequence(level_M, m, j_max))
     rep.Y = Y
     rep.E = E
-    lines = ["j,M_j,Y_j,E_j"]
-    for j, (Mj, y, e) in enumerate(zip(rep.levels, Y, E)):
-        lines.append(f"{j},{Mj:.17g},{y:.17g},{e:.17g}")
-    writer.write_text("levels.csv", "\n".join(lines) + "\n")
+    writer.write_table("levels.csv", ("j", "M_j", "Y_j", "E_j"),
+                       zip(range(j_max + 1), rep.levels, Y, E))
     violations = []
     for a, b in zip(Y, Y[1:]):
         if b > a + 1e-14:
             violations.append("level quantities not decreasing")
             break
-    return {"degiorgi": rep.as_dict(), "k": k}, violations
+    return {"degiorgi": asdict(rep), "k": k}, violations
 
 
 def _scenario_mollifier(cfg, args, writer):
@@ -308,17 +312,12 @@ def _scenario_mollifier(cfg, args, writer):
                                  "exponential": n_ex}
         if n_ex > n_in * (1 + 1e-10):
             violations.append(f"exponential mollifier grew the L{p} norm")
-    lines = ["t,input,window,exponential"]
-    ex_by_t = {f.t: f for f in expo.fields}
-    st_by_t = {f.t: f for f in stek.fields}
-    for f in series.fields:
-        st = st_by_t.get(f.t)
-        ex = ex_by_t.get(f.t)
-        lines.append(",".join([
-            f"{f.t:.17g}", f"{f.values.flat[0]:.17g}",
-            "" if st is None else f"{st.values.flat[0]:.17g}",
-            "" if ex is None else f"{ex.values.flat[0]:.17g}"]))
-    writer.write_text("mollifier_trace.csv", "\n".join(lines) + "\n")
+    st_by_t = {f.t: f.values.flat[0] for f in stek.fields}
+    ex_by_t = {f.t: f.values.flat[0] for f in expo.fields}
+    writer.write_table(
+        "mollifier_trace.csv", ("t", "input", "window", "exponential"),
+        [(f.t, f.values.flat[0], st_by_t.get(f.t), ex_by_t.get(f.t))
+         for f in series.fields])
     return results, violations
 
 
@@ -331,7 +330,7 @@ def _scenario_calibrate(cfg, args, writer):
                              for g in (1.5, 2.0, 3.0)},
     }
     from .discretization import calibrate_troisi_constant
-    grid = Grid(tuple([1.0] * len(grid_counts)), grid_counts)
+    grid = _grid(tuple([1.0] * len(grid_counts)), grid_counts)
     for p in ((2.0, 2.0), (3.0, 2.0)):
         if len(p) == len(grid_counts):
             key = "troisi_p" + "_".join(str(v) for v in p)
@@ -349,6 +348,27 @@ _SCENARIO_FUNCS = {
     "mollifier-demo": _scenario_mollifier,
     "calibrate": _scenario_calibrate,
 }
+SCENARIOS = tuple(_SCENARIO_FUNCS)
+
+
+def _write_run(scenario: str, cfg: dict, args,
+               report_name: str) -> tuple[int, list[str]]:
+    """Run a scenario, write its report and the manifest, and print its
+    violations; return the number of files written and the violations.
+    The report's settings are the config's, plus each run flag given."""
+    writer = OutputWriter(Path(args.out))
+    results, violations = _SCENARIO_FUNCS[scenario](cfg, args, writer)
+    settings = {k: v for k, v in cfg.items() if k != "scenario"}
+    flags = vars(args)
+    settings.update({key: flags[flag] for flag, key in _FLAG_KEYS.items()
+                     if flags.get(flag) is not None})
+    writer.write_report(report_name, {
+        "schema": REPORT_SCHEMA_ID, "scenario": scenario, "seed": args.seed,
+        "settings": settings, "results": results, "violations": violations})
+    writer.finish()
+    for v in violations:
+        print(f"VIOLATION: {v}", file=sys.stderr)
+    return len(writer.files) + 1, violations
 
 
 def _cmd_run(args) -> int:
@@ -357,15 +377,8 @@ def _cmd_run(args) -> int:
     if scenario not in SCENARIOS:
         raise SystemExit(
             f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-    writer = OutputWriter(Path(args.out))
-    results, violations = _SCENARIO_FUNCS[scenario](cfg, args, writer)
-    settings = {k: v for k, v in cfg.items() if k != "scenario"}
-    report = _make_report(scenario, args.seed, settings, results, violations)
-    writer.write_report("report.json", report)
-    writer.finish()
-    for v in violations:
-        print(f"VIOLATION: {v}", file=sys.stderr)
-    print(f"wrote {len(writer.files) + 1} files to {args.out}")
+    n_files, violations = _write_run(scenario, cfg, args, "report.json")
+    print(f"wrote {n_files} files to {args.out}")
     return 1 if violations else 0
 
 
@@ -380,7 +393,7 @@ def _cmd_validate(args) -> int:
         status = "PASS" if c.passed else "FAIL"
         print(f"  {status}  {c.name:<18} {c.detail}")
     print(f"cascade: {'enabled' if rep.cascade_capable else 'disabled'}")
-    sig_margin = spec.sigma - spec.sigma_lower_bound()
+    sig_margin = rep["sigma"].margin
     if sig_margin <= 0:
         print("sup-bound report: disabled (integrability exponent at or "
               "below the threshold)")
@@ -390,17 +403,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    writer = OutputWriter(Path(args.out))
-    results, violations = _scenario_calibrate({}, args, writer)
-    report = _make_report("calibrate", args.seed, {}, results, violations)
-    writer.write_report("calibration.json", report)
-    writer.finish()
+    _write_run("calibrate", {}, args, "calibration.json")
     print(f"wrote calibration fixtures to {args.out}")
     return 0
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
+    return [int(v) for v in text.split(",")]
 
 
 def main(argv=None) -> int:

@@ -310,11 +310,9 @@ def check_admissibility(spec: ProblemSpec, samples: int = 2000,
     rep.add("closeness", exps.closeness_ok,
             f"m_j < p_j' * m; tightest axis {worst}", min(margins))
 
-    bar = spec.bar()
-    sig_margin = spec.sigma - (1.0 + spec.dim / bar.p_bar)
-    rep.add("sigma", sig_margin > 0.0,
-            f"sigma > 1 + N/p_bar = {1.0 + spec.dim / bar.p_bar:.6g}",
-            sig_margin)
+    sig_bound = spec.sigma_lower_bound()
+    rep.add("sigma", spec.sigma > sig_bound,
+            f"sigma > 1 + N/p_bar = {sig_bound:.6g}", spec.sigma - sig_bound)
 
     x, t = _sample_points(spec, samples, rng)
     # ellipticity band and Lipschitz continuity in u, audited pointwise
@@ -348,7 +346,8 @@ def check_admissibility(spec: ProblemSpec, samples: int = 2000,
     rep.add("f_nonneg", bool(np.all(fvals >= 0.0)), "f >= 0 on samples",
             float(np.min(fvals)))
     # integrability is automatic for bounded sampled data; report the moment
-    moment = float(np.mean(np.abs(fvals) ** (spec.sigma * bar.p_bar_conj)))
+    moment = float(np.mean(
+        np.abs(fvals) ** (spec.sigma * spec.bar().p_bar_conj)))
     rep.add("f_integrable", math.isfinite(moment),
             f"sampled mean |f|^(sigma p_bar') = {moment:.6g}", moment)
 

@@ -9,7 +9,6 @@ used as given.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -74,7 +73,6 @@ class StepReport:
 @dataclass
 class SolveReport:
     steps: list[StepReport] = field(default_factory=list)
-    wall_time: float = 0.0
 
     @property
     def total_iterations(self) -> int:
@@ -390,7 +388,6 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
     In k-mode the initial field is u0 + 1/k and boundary data g + 1/k; in
     direct mode the data are used as given.
     """
-    t0 = time.perf_counter()
     shift = 0.0 if config.k == "direct" else 1.0 / int(config.k)
     x = grid.meshgrid()
     u0 = np.broadcast_to(np.asarray(spec.u0(x), dtype=float),
@@ -413,11 +410,9 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
                                          step_config)
         except StepFailure as exc:
             exc.step_index = n
-            report.wall_time = time.perf_counter() - t0
             raise
         fields.append(f_next)
         report.steps.append(step)
-    report.wall_time = time.perf_counter() - t0
     return TimeSeries(fields), report
 
 

@@ -103,6 +103,48 @@ class TestRun:
         with pytest.raises(SystemExit, match="coeffs"):
             main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--dt", "0"], "dt must be positive"),
+        (["--dt", "-0.1"], "dt must be positive"),
+        (["--grid", "2,2"], "at least 3 nodes"),
+        (["--grid", "9"], "same length"),
+        (["--k", "4,2"], "strictly increasing"),
+        (["--k", "0,2"], "positive"),
+    ])
+    def test_invalid_flag_diagnostic(self, tmp_path, flags, message):
+        cfg = constant_config(tmp_path)
+        with pytest.raises(SystemExit, match=message):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o")]
+                 + flags)
+
+    def test_empty_list_flag_rejected(self, tmp_path):
+        cfg = constant_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                  "--grid", ""])
+        assert exc.value.code == 2
+
+    def test_settings_record_flag_overrides(self, tmp_path):
+        # config: grid [9, 9], 4 steps on T = 0.25
+        cfg = constant_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--grid", "5,5", "--dt", "0.125", "--k", "2,4"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["settings"] == {
+            "preset": "constant", "grid": [5, 5], "n_steps": 4,
+            "dt": 0.125, "ks": [2, 4]}
+        assert len(report["results"]["direct_report"]["steps"]) == 2
+        rows = (out / "final_field.csv").read_text().splitlines()
+        assert len(rows) == 1 + 25
+
+    def test_unknown_solver_key(self, tmp_path):
+        cfg = write_config(tmp_path, "typo.json", {
+            "scenario": "constant", "preset": "constant",
+            "grid": [9, 9], "n_steps": 4, "solver": {"newton_tl": 1e-6}})
+        with pytest.raises(SystemExit, match="newton_tl"):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+
 
 class TestValidate:
     def test_admissible_preset(self, tmp_path, capsys):
