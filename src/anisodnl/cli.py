@@ -137,8 +137,7 @@ def _resolve_problem(cfg: dict) -> tuple[ProblemSpec, dict]:
 
 # config "solver" key -> conversion of its JSON value; the defaults live
 # in SolverConfig
-_SOLVER_KEYS = {"newton_tol": float, "newton_max": int, "damping": float,
-                "eps_reg": float, "picard_fallback": bool, "k": lambda v: v}
+_SOLVER_KEYS = {"newton_tol": float, "newton_max": int, "k": lambda v: v}
 
 # run flag -> the config key it overrides
 _FLAG_KEYS = {"grid": "grid", "dt": "dt", "k": "ks"}
@@ -154,7 +153,10 @@ def _grid(box, counts) -> Grid:
 def _resolve_run(cfg: dict, args) -> tuple[ProblemSpec, Grid, SolverConfig, list[int]]:
     spec, defaults = _resolve_problem(cfg)
     grid = _grid(spec.box, args.grid or cfg.get("grid", defaults["grid"]))
-    n_steps = int(cfg.get("n_steps", defaults["n_steps"]))
+    n_steps = cfg.get("n_steps", defaults["n_steps"])
+    if type(n_steps) is not int or n_steps < 1:
+        raise SystemExit(f"n_steps must be a positive integer, "
+                         f"got {n_steps!r}")
     dt = (args.dt if args.dt is not None
           else float(cfg.get("dt", spec.T / n_steps)))
     sc = cfg.get("solver", {})
@@ -224,6 +226,9 @@ def _scenario_manufactured(cfg, args, writer):
 
 def _scenario_cascade(cfg, args, writer):
     spec, grid, config, ks = _resolve_run(cfg, args)
+    if not spec.exponents.closeness_ok:
+        raise SystemExit("cascade: disabled, the problem fails the "
+                         "exponent closeness condition m_j < p_j' * m")
     res = solver.regularization_cascade(spec, grid, config, ks)
     tol = solver.ordering_tolerance(config, spec.T)
     violations = []

@@ -93,9 +93,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), self.t)
-
 
 @dataclass
 class TimeSeries:

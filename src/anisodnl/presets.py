@@ -124,8 +124,6 @@ def _data_from_config(entry: dict, box):
 
 def problem_from_config(cfg: dict) -> ProblemSpec:
     """Build a ProblemSpec from a plain dictionary (parsed JSON)."""
-    if "preset" in cfg:
-        return get_preset(cfg["preset"])
     box = tuple(float(b) for b in cfg["box"])
     exps = Exponents(tuple(cfg["p"]), tuple(cfg["m"]))
     funcs, lams, lips = [], [], []

@@ -36,15 +36,16 @@ __all__ = [
     "ordering_tolerance",
 ]
 
+# regularization of the face slope (D^2 + EPS_REG^2)^((p-2)/2) in the
+# Newton matrix
+EPS_REG = 1e-8
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
     newton_tol: float = 1e-9
     newton_max: int = 40
-    damping: float = 1.0
-    eps_reg: float = 1e-8
-    picard_fallback: bool = True
     k: int | str = "direct"
     guess_offset: float = 0.0
 
@@ -55,8 +56,6 @@ class SolverConfig:
             raise ValueError("newton_tol must be positive")
         if self.newton_max < 0:
             raise ValueError("newton_max must be nonnegative")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.k != "direct" and (not isinstance(self.k, int) or self.k < 1):
             raise ValueError("k must be a positive integer or 'direct'")
 
@@ -115,13 +114,6 @@ def ordering_tolerance(config: SolverConfig, T: float) -> float:
     return config.newton_tol * (1.0 + T / config.dt)
 
 
-def _boundary_values(spec: ProblemSpec, grid: Grid, t: float,
-                     shift: float) -> np.ndarray:
-    x = grid.meshgrid()
-    g = np.broadcast_to(np.asarray(spec.g(x, t), dtype=float), grid.counts)
-    return g + shift
-
-
 class _StepProblem:
     """Residual and Newton update for one implicit step.
 
@@ -147,8 +139,9 @@ class _StepProblem:
             np.asarray(spec.f(x, t_next), dtype=float), grid.counts)
         self.x_face = [tuple(face_mean(c, j) for c in x)
                        for j in range(grid.dim)]
-        self.bc = _boundary_values(
-            spec, grid, t_next, 0.0 if self.k is None else 1.0 / self.k)
+        self.bc = np.broadcast_to(
+            np.asarray(spec.g(x, t_next), dtype=float),
+            grid.counts) + (0.0 if self.k is None else 1.0 / self.k)
         self.bc_boundary = self.bc[self.boundary]
         dim = grid.dim
         self.h = grid.spacings
@@ -217,19 +210,18 @@ class _StepProblem:
         """Per axis, the Jacobian weights (g_lo, g_hi) of every face on its
         lo and hi node.
 
-        Face slopes use the regularized power (D^2 + eps^2)^((p-2)/2); the
-        coefficient dependence on u through the face mean is lagged.  With
+        Face slopes use the regularized power (D^2 + EPS_REG^2)^((p-2)/2);
+        the coefficient dependence on u through the face mean is lagged.  With
         secant=True the slope drops the factor (p-1), which yields the
         lagged-diffusivity fixed-point matrix.  The face between node i (lo)
         and i+1 (hi) on axis j contributes +g_lo, +g_hi to the diagonal of
         lo, hi and -g_hi, -g_lo to the entries (lo, hi), (hi, lo).
         """
-        eps = self.config.eps_reg
         out = []
         for j, (c, D, dlo, dhi) in enumerate(self._faces_at(u)):
             pj = self.p[j]
             h = self.h[j]
-            slope = c * (D * D + eps * eps) ** ((pj - 2.0) / 2.0)
+            slope = c * (D * D + EPS_REG * EPS_REG) ** ((pj - 2.0) / 2.0)
             if not secant:
                 slope = slope * (pj - 1.0)
             out.append((slope * dlo / (h * h), slope * dhi / (h * h)))
@@ -238,11 +230,10 @@ class _StepProblem:
     def jacobian(self, u: np.ndarray, secant: bool = False) -> sp.csr_matrix:
         """Sparse Jacobian of the residual (see ``_face_slopes``), with
         identity rows at the boundary nodes."""
-        grid, cfg = self.grid, self.config
         n = self.n_nodes
-        idx = np.arange(n).reshape(grid.counts)
+        idx = np.arange(n).reshape(self.grid.counts)
         rows, cols, vals = [], [], []
-        diag = np.full(grid.counts, 1.0 / cfg.dt)
+        diag = np.full(self.grid.counts, 1.0 / self.config.dt)
         for j, (g_lo, g_hi) in enumerate(self._face_slopes(u, secant)):
             i_lo = idx[self.lo[j]]
             i_hi = idx[self.hi[j]]
@@ -254,19 +245,18 @@ class _StepProblem:
             rows.append(i_hi.ravel())
             cols.append(i_lo.ravel())
             vals.append((-g_lo).ravel())
+        diag[self.boundary] = 1.0
         rows.append(idx.ravel())
         cols.append(idx.ravel())
         vals.append(diag.ravel())
-        J = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n)).tocsr()
-        # boundary rows are identity
-        bmask = self.boundary.ravel()
-        bidx = np.where(bmask)[0]
-        keep = sp.diags((~bmask).astype(float))
-        J = keep @ J
-        J = J + sp.coo_matrix(
-            (np.ones(len(bidx)), (bidx, bidx)), shape=(n, n)).tocsr()
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        # a boundary row keeps only its diagonal
+        keep = (rows == cols) | self.interior.ravel()[rows]
+        J = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                          shape=(n, n))
+        # stored zeros (e.g. -g_lo at a clamped zero when m_j > 1) would
+        # change the sparsity pattern and with it the LU ordering
+        J.eliminate_zeros()
         return J
 
     def update(self, u: np.ndarray, R: np.ndarray,
@@ -327,9 +317,9 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
 
     Solves (u - u_n)/dt = div F + f(., t_next) with boundary nodes pinned
     to g(., t_next) (plus 1/k in k-mode) by damped Newton with an exact
-    residual.  If Newton stalls and the fallback is enabled, the step
-    switches to the lagged-diffusivity iteration.  A Newton system that
-    cannot be solved ends the step in ``StepFailure``.
+    residual.  If Newton stalls, the step switches to the
+    lagged-diffusivity iteration.  A Newton system that cannot be solved
+    ends the step in ``StepFailure``.
     """
     grid = u_n.grid
     prob = _StepProblem(spec, grid, config, u_n.values, t_next)
@@ -339,7 +329,6 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
         # depend on it beyond the residual tolerance
         u[prob.interior] += config.guess_offset
     u[prob.boundary] = prob.bc_boundary
-    direct = config.k == "direct"
     clamped = False
 
     hist = []
@@ -355,8 +344,8 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
                                clamped=clamped, residual_history=hist))
         if it == config.newton_max:
             break
-        if (config.picard_fallback and not secant and it >= 5
-                and stall_ref is not None and res > 0.9 * stall_ref):
+        if (not secant and it >= 5 and stall_ref is not None
+                and res > 0.9 * stall_ref):
             secant = True
         if it % 5 == 0:
             stall_ref = res
@@ -364,11 +353,11 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
             delta = prob.update(u, R, secant=secant)
         except np.linalg.LinAlgError as exc:
             raise StepFailure(-1, hist) from exc
-        lam = config.damping if not secant else 1.0
+        lam = 1.0
         # up to ten halvings; the eleventh trial is taken as it is
         for trial_no in range(11):
             trial = u - lam * delta
-            if direct and np.any(trial < 0.0):
+            if prob.k is None and np.any(trial < 0.0):
                 trial = np.maximum(trial, 0.0)
                 clamped = True
             R_trial = prob.residual(trial)
@@ -392,7 +381,8 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
     x = grid.meshgrid()
     u0 = np.broadcast_to(np.asarray(spec.u0(x), dtype=float),
                          grid.counts).copy() + shift
-    bc0 = _boundary_values(spec, grid, 0.0, shift)
+    bc0 = np.broadcast_to(np.asarray(spec.g(x, 0.0), dtype=float),
+                          grid.counts) + shift
     u0[grid.boundary_mask()] = bc0[grid.boundary_mask()]
     fields = [ScalarField(grid, u0, 0.0)]
     report = SolveReport()

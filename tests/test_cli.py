@@ -26,6 +26,16 @@ INLINE_PROBLEM = {
     "u0": {"kind": "bump", "amplitude": 0.3},
 }
 
+# admissible except for closeness: m_2 = 2 is not below p_2' * m_min = 2
+CLOSENESS_VIOLATION = {
+    "box": [1.0, 1.0], "T": 0.2, "p": [3.0, 2.0],
+    "m": [1.0, 2.0], "sigma": 3.0,
+    "coeffs": [{"kind": "constant", "value": 1.0},
+               {"kind": "constant", "value": 1.0}],
+    "f": {"kind": "constant", "value": 0.0},
+    "g": {"kind": "constant", "value": 0.0},
+    "u0": {"kind": "constant", "value": 0.5}}
+
 
 class TestRun:
     def test_constant_scenario_artifacts(self, tmp_path):
@@ -138,11 +148,36 @@ class TestRun:
         rows = (out / "final_field.csv").read_text().splitlines()
         assert len(rows) == 1 + 25
 
-    def test_unknown_solver_key(self, tmp_path):
+    # a typo, and the settings that became constants of the solver
+    @pytest.mark.parametrize("key", ["newton_tl", "damping", "eps_reg",
+                                     "picard_fallback"])
+    def test_unknown_solver_key(self, tmp_path, key):
         cfg = write_config(tmp_path, "typo.json", {
             "scenario": "constant", "preset": "constant",
-            "grid": [9, 9], "n_steps": 4, "solver": {"newton_tl": 1e-6}})
-        with pytest.raises(SystemExit, match="newton_tl"):
+            "grid": [9, 9], "n_steps": 4, "solver": {key: 0.5}})
+        with pytest.raises(SystemExit, match=f"unknown solver keys.*{key}"):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("n_steps", [0, 2.5])
+    def test_n_steps_must_be_positive_integer(self, tmp_path, n_steps):
+        cfg = write_config(tmp_path, "steps.json", {
+            "scenario": "constant", "preset": "constant",
+            "grid": [9, 9], "n_steps": n_steps})
+        with pytest.raises(SystemExit, match="n_steps must be a positive"):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    def test_cascade_needs_closeness(self, tmp_path):
+        cfg = write_config(tmp_path, "casc.json", {
+            "scenario": "cascade", "ks": [2, 4], "grid": [5, 5],
+            "n_steps": 2, "problem": CLOSENESS_VIOLATION})
+        with pytest.raises(SystemExit, match="closeness"):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    def test_preset_inside_problem_rejected(self, tmp_path):
+        # presets are named at the top level, with their own grid and steps
+        cfg = write_config(tmp_path, "alias.json", {
+            "scenario": "constant", "problem": {"preset": "constant"}})
+        with pytest.raises(SystemExit, match="bad problem description"):
             main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
 
 
@@ -155,16 +190,8 @@ class TestValidate:
         assert "cascade: enabled" in text
 
     def test_closeness_violation_disables_cascade(self, tmp_path, capsys):
-        problem = {
-            "box": [1.0, 1.0], "T": 0.2, "p": [3.0, 2.0],
-            "m": [1.0, 2.0], "sigma": 3.0,
-            "coeffs": [{"kind": "constant", "value": 1.0},
-                       {"kind": "constant", "value": 1.0}],
-            "f": {"kind": "constant", "value": 0.0},
-            "g": {"kind": "constant", "value": 0.0},
-            "u0": {"kind": "constant", "value": 0.5}}
         cfg = write_config(tmp_path, "v.json", {
-            "scenario": "cascade", "problem": problem})
+            "scenario": "cascade", "problem": CLOSENESS_VIOLATION})
         assert main(["validate", "--config", cfg]) == 1
         text = capsys.readouterr().out
         assert "FAIL  closeness" in text
