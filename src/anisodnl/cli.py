@@ -135,10 +135,6 @@ def _resolve_problem(cfg: dict) -> tuple[ProblemSpec, dict]:
     return spec, defaults
 
 
-# config "solver" key -> conversion of its JSON value; the defaults live
-# in SolverConfig
-_SOLVER_KEYS = {"newton_tol": float, "newton_max": int, "k": lambda v: v}
-
 # run flag -> the config key it overrides
 _FLAG_KEYS = {"grid": "grid", "dt": "dt", "k": "ks"}
 
@@ -150,15 +146,39 @@ def _grid(box, counts) -> Grid:
         raise SystemExit(f"invalid grid {list(counts)}: {exc}")
 
 
+def _config_int(cfg: dict, key: str, default=None, least: int = 1) -> int:
+    """The config's ``key`` (or ``default``), a JSON integer >= least."""
+    value = cfg.get(key, default)
+    if type(value) is not int or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise SystemExit(f"{key} must be a {kind} integer, got {value!r}")
+    return value
+
+
+def _config_number(cfg: dict, key: str, default=None) -> float:
+    """The config's ``key`` (or ``default``), a JSON number, as a float."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SystemExit(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+# config "solver" key -> reader of its JSON value; the defaults live in
+# SolverConfig
+_SOLVER_KEYS = {"newton_tol": _config_number,
+                "newton_max": lambda sc, key: _config_int(sc, key, least=0)}
+
+
 def _resolve_run(cfg: dict, args) -> tuple[ProblemSpec, Grid, SolverConfig, list[int]]:
     spec, defaults = _resolve_problem(cfg)
-    grid = _grid(spec.box, args.grid or cfg.get("grid", defaults["grid"]))
-    n_steps = cfg.get("n_steps", defaults["n_steps"])
-    if type(n_steps) is not int or n_steps < 1:
-        raise SystemExit(f"n_steps must be a positive integer, "
-                         f"got {n_steps!r}")
+    counts = args.grid or cfg.get("grid", defaults["grid"])
+    if (not isinstance(counts, (list, tuple))
+            or any(type(n) is not int for n in counts)):
+        raise SystemExit(f"grid must be a list of integers, got {counts!r}")
+    grid = _grid(spec.box, counts)
+    n_steps = _config_int(cfg, "n_steps", defaults["n_steps"])
     dt = (args.dt if args.dt is not None
-          else float(cfg.get("dt", spec.T / n_steps)))
+          else _config_number(cfg, "dt", spec.T / n_steps))
     sc = cfg.get("solver", {})
     if not isinstance(sc, dict):
         raise SystemExit("config \"solver\" must be a JSON object")
@@ -168,13 +188,15 @@ def _resolve_run(cfg: dict, args) -> tuple[ProblemSpec, Grid, SolverConfig, list
                          f"known: {sorted(_SOLVER_KEYS)}")
     try:
         config = SolverConfig(
-            dt=dt, **{key: _SOLVER_KEYS[key](v) for key, v in sc.items()})
+            dt=dt, **{key: _SOLVER_KEYS[key](sc, key) for key in sc})
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"invalid run settings: {exc}")
-    ks = list(args.k or cfg.get("ks", [1, 2, 4, 8]))
-    if any(k < 1 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise SystemExit(f"ks must be strictly increasing positive "
-                         f"integers, got {ks}")
+    ks = args.k or cfg.get("ks", [1, 2, 4, 8])
+    if (not isinstance(ks, list) or not ks
+            or any(type(k) is not int or k < 1 for k in ks)
+            or any(b <= a for a, b in zip(ks, ks[1:]))):
+        raise SystemExit(f"ks must be a nonempty list of strictly increasing "
+                         f"positive integers, got {ks!r}")
     return spec, grid, config, ks
 
 
@@ -215,7 +237,7 @@ def _scenario_manufactured(cfg, args, writer):
         raise SystemExit(f"scenario manufactured needs a manufactured preset,"
                          f" got {name!r}")
     errors = solver.refinement_errors(spec, exact, grid, config,
-                                      int(cfg.get("levels", 3)))
+                                      _config_int(cfg, "levels", 3))
     violations = []
     floor = 1e-10
     if not (all(e < floor for e in errors)
@@ -240,14 +262,15 @@ def _scenario_cascade(cfg, args, writer):
     results["ordering_tol"] = tol
     writer.write_table("distances.csv", ("k_low", "k_high", "distance"),
                        zip(ks, ks[1:], res.distances))
-    writer.write_text("limit_field.csv", field_to_csv(res.limit.fields[-1]))
+    writer.write_text("limit_field.csv",
+                      field_to_csv(res.series[-1].fields[-1]))
     return results, violations
 
 
 def _scenario_comparison(cfg, args, writer):
     spec, grid, config, _ = _resolve_run(cfg, args)
     rng = np.random.default_rng(args.seed)
-    k = int(cfg.get("k", 4))
+    k = _config_int(cfg, "k", 4)
     base_cfg = replace(config, k=k)
     # amplitude first, then shift: the seed fixes both draws
     hi = presets.shifted_problem(spec, rng.uniform(0.1, 0.5),
@@ -274,13 +297,13 @@ def _scenario_comparison(cfg, args, writer):
 
 def _scenario_degiorgi(cfg, args, writer):
     spec, grid, config, ks = _resolve_run(cfg, args)
-    k = int(cfg.get("k", ks[-1] if ks else 8))
+    k = _config_int(cfg, "k", ks[-1])
     run_cfg = replace(config, k=k)
     ts, _ = solver.solve_problem(spec, grid, run_cfg)
     rep = analysis.degiorgi_constants(spec, grid, c_struct=1.0)
     m = spec.exponents.m_min
-    j_max = int(cfg.get("j_max", 8))
-    level_M = float(cfg.get("level_M", rep.M))
+    j_max = _config_int(cfg, "j_max", 8, least=0)
+    level_M = _config_number(cfg, "level_M", rep.M)
     Y, E = analysis.measure_levels(ts, level_M, m, rep.q_bar, j_max)
     rep.levels = list(analysis.level_sequence(level_M, m, j_max))
     rep.Y = Y
@@ -296,7 +319,6 @@ def _scenario_degiorgi(cfg, args, writer):
 
 
 def _scenario_mollifier(cfg, args, writer):
-    spec, grid, config, _ = _resolve_run(cfg, args)
     nt = 65
     times = np.linspace(0.0, 1.0, nt)
     g1 = Grid((1.0,), (5,))

@@ -271,17 +271,6 @@ class AdmissibilityReport:
     def cascade_capable(self) -> bool:
         return self["closeness"].passed and self.all_passed
 
-    def as_dict(self) -> dict:
-        return {
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail,
-                 "margin": None if math.isnan(c.margin) else c.margin}
-                for c in self.checks
-            ],
-            "all_passed": self.all_passed,
-            "cascade_capable": self.cascade_capable,
-        }
-
 
 def _sample_points(spec: ProblemSpec, samples: int, rng: np.random.Generator):
     x = tuple(rng.uniform(0.0, b, size=samples) for b in spec.box)

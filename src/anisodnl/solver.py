@@ -50,9 +50,9 @@ class SolverConfig:
     guess_offset: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.newton_tol <= 0:
+        if not (self.dt > 0 and np.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
+        if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
         if self.newton_max < 0:
             raise ValueError("newton_max must be nonnegative")
@@ -81,10 +81,6 @@ class SolveReport:
     def max_residual(self) -> float:
         return max((s.residual for s in self.steps), default=0.0)
 
-    @property
-    def fallback_events(self) -> int:
-        return sum(1 for s in self.steps if s.fallback)
-
     def as_dict(self) -> dict:
         return {
             "steps": [
@@ -94,7 +90,7 @@ class SolveReport:
             ],
             "total_iterations": self.total_iterations,
             "max_residual": self.max_residual,
-            "fallback_events": self.fallback_events,
+            "fallback_events": sum(1 for s in self.steps if s.fallback),
         }
 
 
@@ -117,10 +113,9 @@ def ordering_tolerance(config: SolverConfig, T: float) -> float:
 class _StepProblem:
     """Residual and Newton update for one implicit step.
 
-    ``residual(u)`` computes the face data of every axis at u (one face
-    pass) and keeps them for that iterate only; ``update`` and ``jacobian``
-    at the same array reuse them.  An iterate must therefore not be
-    modified in place after its residual was evaluated.
+    ``residual(u)`` returns the residual together with the face data of
+    every axis at u (one face pass); ``jacobian`` and ``update`` at that
+    iterate take those face data.
     """
 
     def __init__(self, spec: ProblemSpec, grid: Grid, config: SolverConfig,
@@ -152,7 +147,6 @@ class _StepProblem:
         self.lo = [axis_slices(dim, j, slice(0, -1)) for j in range(dim)]
         self.hi = [axis_slices(dim, j, slice(1, None)) for j in range(dim)]
         self.core = [axis_slices(dim, j, slice(1, -1)) for j in range(dim)]
-        self._faces = (None, None)
         if self.k is not None:
             # band layout of the interior unknowns, longest axis outermost
             self.inner = (slice(1, -1),) * dim
@@ -188,25 +182,17 @@ class _StepProblem:
         D = (hi - lo) / self.h[j]
         return c, D, dlo, dhi
 
-    def _face_pass(self, u: np.ndarray) -> list:
-        """Face data of every axis at u, kept as the last iterate's."""
-        faces = [self._face_data(u, j) for j in range(self.grid.dim)]
-        self._faces = (u, faces)
-        return faces
-
-    def _faces_at(self, u: np.ndarray) -> list:
-        """Face data at u, reused when u is the iterate last evaluated."""
-        return self._faces[1] if self._faces[0] is u else self._face_pass(u)
-
-    def residual(self, u: np.ndarray) -> np.ndarray:
+    def residual(self, u: np.ndarray) -> tuple[np.ndarray, list]:
+        """Residual at u, and the face data of every axis at u."""
         R = (u - self.u_prev) / self.config.dt - self.f_vals
-        for j, (c, D, _, _) in enumerate(self._face_pass(u)):
+        faces = [self._face_data(u, j) for j in range(self.grid.dim)]
+        for j, (c, D, _, _) in enumerate(faces):
             F = flux(c, D, self.p[j])
             R[self.core[j]] -= (F[self.hi[j]] - F[self.lo[j]]) / self.h[j]
         R[self.boundary] = u[self.boundary] - self.bc_boundary
-        return R
+        return R, faces
 
-    def _face_slopes(self, u: np.ndarray, secant: bool):
+    def _face_slopes(self, faces: list, secant: bool):
         """Per axis, the Jacobian weights (g_lo, g_hi) of every face on its
         lo and hi node.
 
@@ -218,7 +204,7 @@ class _StepProblem:
         lo, hi and -g_hi, -g_lo to the entries (lo, hi), (hi, lo).
         """
         out = []
-        for j, (c, D, dlo, dhi) in enumerate(self._faces_at(u)):
+        for j, (c, D, dlo, dhi) in enumerate(faces):
             pj = self.p[j]
             h = self.h[j]
             slope = c * (D * D + EPS_REG * EPS_REG) ** ((pj - 2.0) / 2.0)
@@ -227,14 +213,14 @@ class _StepProblem:
             out.append((slope * dlo / (h * h), slope * dhi / (h * h)))
         return out
 
-    def jacobian(self, u: np.ndarray, secant: bool = False) -> sp.csr_matrix:
+    def jacobian(self, faces: list, secant: bool = False) -> sp.csr_matrix:
         """Sparse Jacobian of the residual (see ``_face_slopes``), with
         identity rows at the boundary nodes."""
         n = self.n_nodes
         idx = np.arange(n).reshape(self.grid.counts)
         rows, cols, vals = [], [], []
         diag = np.full(self.grid.counts, 1.0 / self.config.dt)
-        for j, (g_lo, g_hi) in enumerate(self._face_slopes(u, secant)):
+        for j, (g_lo, g_hi) in enumerate(self._face_slopes(faces, secant)):
             i_lo = idx[self.lo[j]]
             i_hi = idx[self.hi[j]]
             diag[self.lo[j]] += g_lo
@@ -259,9 +245,10 @@ class _StepProblem:
         J.eliminate_zeros()
         return J
 
-    def update(self, u: np.ndarray, R: np.ndarray,
+    def update(self, faces: list, R: np.ndarray,
                secant: bool = False) -> np.ndarray:
-        """Solve J(u) delta = R for the Newton (or secant) update.
+        """Solve J delta = R for the Newton (or secant) update at the iterate
+        whose face data are ``faces``.
 
         Direct mode solves the full sparse system by LU: its Jacobian is
         nonsymmetric, because each axis scales its columns by
@@ -276,7 +263,7 @@ class _StepProblem:
         positive definite.
         """
         if self.k is None:
-            J = self.jacobian(u, secant=secant)
+            J = self.jacobian(faces, secant=secant)
             if not (np.all(np.isfinite(J.data)) and np.all(np.isfinite(R))):
                 raise np.linalg.LinAlgError("Newton system is not finite")
             delta = spla.spsolve(J, R.ravel())
@@ -289,7 +276,7 @@ class _StepProblem:
         ab = np.zeros((self.stride[self.order[0]] + 1, int(np.prod(shape))))
         diag = ab[0].reshape(shape).transpose(back)
         diag[...] = 1.0 / self.config.dt
-        for j, (g, _) in enumerate(self._face_slopes(u, secant)):
+        for j, (g, _) in enumerate(self._face_slopes(faces, secant)):
             # g_lo == g_hi in k-mode; keep the faces of interior cross lines
             g = g[self.cross[j]]
             diag += g[self.lo[j]]
@@ -334,7 +321,7 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     hist = []
     secant = False
     stall_ref = None
-    R = prob.residual(u)
+    R, faces = prob.residual(u)
     for it in range(config.newton_max + 1):
         res = float(np.max(np.abs(R)))
         hist.append(res)
@@ -350,7 +337,7 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
         if it % 5 == 0:
             stall_ref = res
         try:
-            delta = prob.update(u, R, secant=secant)
+            delta = prob.update(faces, R, secant=secant)
         except np.linalg.LinAlgError as exc:
             raise StepFailure(-1, hist) from exc
         lam = 1.0
@@ -360,11 +347,12 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
             if prob.k is None and np.any(trial < 0.0):
                 trial = np.maximum(trial, 0.0)
                 clamped = True
-            R_trial = prob.residual(trial)
+            R_trial, faces_trial = prob.residual(trial)
             if (secant or trial_no == 10
                     or float(np.max(np.abs(R_trial))) < res):
-                # the accepted trial's residual is the next iteration's R
-                u, R = trial, R_trial
+                # the accepted trial's residual and face data are the next
+                # iteration's
+                u, R, faces = trial, R_trial, faces_trial
                 break
             lam /= 2.0
     raise StepFailure(-1, hist)
@@ -481,7 +469,6 @@ class CascadeResult:
     reports: list[SolveReport]
     ordering_excess: dict[tuple[int, int], float]
     distances: list[float]
-    limit: TimeSeries
 
     def as_dict(self) -> dict:
         return {
@@ -498,13 +485,15 @@ def regularization_cascade(spec: ProblemSpec, grid: Grid,
                            ks: Sequence[int]) -> CascadeResult:
     """Solve the truncated problems for an increasing list of k.
 
-    Returns every trajectory, the worst positive part of u_l - u_k over
-    space-time for each consecutive pair k < l (expected below the
-    ordering tolerance since the family decreases in k), the successive
-    trajectory distances in the solution-space metric, and the final
-    trajectory as the limit proxy.
+    Returns every trajectory (the last one is the limit proxy), the worst
+    positive part of u_l - u_k over space-time for each consecutive pair
+    k < l (expected below the ordering tolerance since the family
+    decreases in k), and the successive trajectory distances in the
+    solution-space metric.
     """
     ks = [int(k) for k in ks]
+    if not ks:
+        raise ValueError("ks must not be empty")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("ks must be strictly increasing")
     if not spec.exponents.closeness_ok:
@@ -525,5 +514,4 @@ def regularization_cascade(spec: ProblemSpec, grid: Grid,
     distances = [vpm_distance(sa, sb, m, p)
                  for sa, sb in zip(series, series[1:])]
     return CascadeResult(ks=ks, series=series, reports=reports,
-                         ordering_excess=excess, distances=distances,
-                         limit=series[-1])
+                         ordering_excess=excess, distances=distances)

@@ -148,9 +148,10 @@ class TestRun:
         rows = (out / "final_field.csv").read_text().splitlines()
         assert len(rows) == 1 + 25
 
-    # a typo, and the settings that became constants of the solver
+    # a typo, the settings that became constants of the solver, and the
+    # mode, which each scenario sets itself
     @pytest.mark.parametrize("key", ["newton_tl", "damping", "eps_reg",
-                                     "picard_fallback"])
+                                     "picard_fallback", "k"])
     def test_unknown_solver_key(self, tmp_path, key):
         cfg = write_config(tmp_path, "typo.json", {
             "scenario": "constant", "preset": "constant",
@@ -165,6 +166,49 @@ class TestRun:
             "grid": [9, 9], "n_steps": n_steps})
         with pytest.raises(SystemExit, match="n_steps must be a positive"):
             main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("ks", [4, [2.5, 4], [True, 2], []])
+    def test_ks_must_be_increasing_positive_integers(self, tmp_path, ks):
+        cfg = write_config(tmp_path, "ks.json", {
+            "scenario": "cascade", "preset": "porous-cascade",
+            "grid": [9], "n_steps": 2, "ks": ks})
+        with pytest.raises(SystemExit, match="ks must be a nonempty list"):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("scenario, key, value, message", [
+        ("comparison", "k", 2.5, "k must be a positive integer"),
+        ("comparison", "k", 0, "k must be a positive integer"),
+        ("manufactured", "levels", 0, "levels must be a positive integer"),
+        ("degiorgi-report", "j_max", -1,
+         "j_max must be a nonnegative integer"),
+        ("degiorgi-report", "k", True, "k must be a positive integer"),
+        ("constant", "grid", [9.5], "grid must be a list of integers"),
+        ("constant", "grid", 9, "grid must be a list of integers"),
+        ("constant", "dt", "0.1", "dt must be a number"),
+        ("constant", "dt", float("nan"), "dt must be positive and finite"),
+        ("constant", "dt", float("inf"), "dt must be positive and finite"),
+        ("degiorgi-report", "level_M", "2", "level_M must be a number"),
+        ("constant", "solver", {"newton_max": 2.5},
+         "newton_max must be a nonnegative integer"),
+        ("constant", "solver", {"newton_tol": "1e-9"},
+         "newton_tol must be a number"),
+        ("constant", "solver", {"newton_tol": float("nan")},
+         "newton_tol must be positive"),
+    ])
+    def test_run_settings_need_json_types(self, tmp_path, scenario, key,
+                                          value, message):
+        cfg = write_config(tmp_path, "bad.json", {
+            "scenario": scenario, "preset": "manufactured-1d",
+            "grid": [9], "n_steps": 2, key: value})
+        with pytest.raises(SystemExit, match=message):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    def test_mollifier_demo_needs_no_problem(self, tmp_path):
+        cfg = write_config(tmp_path, "moll.json",
+                           {"scenario": "mollifier-demo"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "mollifier_trace.csv").exists()
 
     def test_cascade_needs_closeness(self, tmp_path):
         cfg = write_config(tmp_path, "casc.json", {

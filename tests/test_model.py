@@ -235,10 +235,6 @@ class TestAdmissibility:
                                               sigma=1.9))
         assert not rep["sigma"].passed
 
-    def test_report_dict(self):
-        d = check_admissibility(simple_spec((2.0,), (1.0,))).as_dict()
-        assert {"checks", "all_passed", "cascade_capable"} <= set(d)
-
     @pytest.mark.parametrize("check, data", [
         # g = 0.5 = eps0 up to t = 0.1, below it afterwards
         ("g_condition", {"g": lambda x, t: np.full(np.shape(x[0]), 0.5)

@@ -107,9 +107,9 @@ class TestNewtonUpdate:
         prob = _StepProblem(spec, grid, cfg, np.full(counts, 0.6), 0.01)
         u = rng.uniform(0.3, 1.5, counts)
         u[~prob.interior] = prob.bc[~prob.interior]
-        R = prob.residual(u)
-        ref = spla.spsolve(prob.jacobian(u, secant=secant), R.ravel())
-        got = prob.update(u, R, secant=secant)
+        R, faces = prob.residual(u)
+        ref = spla.spsolve(prob.jacobian(faces, secant=secant), R.ravel())
+        got = prob.update(faces, R, secant=secant)
         assert np.max(np.abs(got.ravel() - ref)) \
             <= 1e-12 * np.max(np.abs(ref))
         assert np.all(got[~prob.interior] == 0.0)
@@ -125,15 +125,15 @@ class TestNewtonUpdate:
         u_prev = np.full(counts, 0.6)
         prob = _StepProblem(spec, grid, SolverConfig(dt=0.01), u_prev, 0.01)
         u = np.random.default_rng(dim).uniform(0.3, 1.5, counts)
-        prob.residual(u)
-        J = prob.jacobian(u).toarray()
+        _, faces = prob.residual(u)
+        J = prob.jacobian(faces).toarray()
         fd = np.empty_like(J)
         step = 1e-6
         for i in range(u.size):
             e = np.zeros(u.size)
             e[i] = step
             e = e.reshape(counts)
-            fd[:, i] = ((prob.residual(u + e) - prob.residual(u - e))
+            fd[:, i] = ((prob.residual(u + e)[0] - prob.residual(u - e)[0])
                         / (2 * step)).ravel()
         np.testing.assert_allclose(J, fd, rtol=1e-6,
                                    atol=1e-9 * np.max(np.abs(fd)))
@@ -152,8 +152,8 @@ class TestNewtonUpdate:
         u = np.random.default_rng(dim).uniform(0.3, 1.5, counts)
         u[prob.boundary] = 0.0
         u[(slice(1, 4),) * dim] = 0.0
-        prob.residual(u)
-        J = prob.jacobian(u, secant=secant)
+        _, faces = prob.residual(u)
+        J = prob.jacobian(faces, secant=secant)
         n = u.size
         assert J.nnz == np.count_nonzero(J.data)
         # row-major keys strictly increase: sorted, no duplicates
@@ -271,7 +271,7 @@ class TestStepProblem:
             u[(slice(1, 4),) * len(counts)] = 0.0
         ref = reference_residual(spec, grid, prob.k, np.full(counts, 0.6),
                                  u, dt, t)
-        got = prob.residual(u)
+        got, _ = prob.residual(u)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("k", [4, "direct"])
@@ -451,6 +451,13 @@ class TestCascade:
         cfg = SolverConfig(dt=spec.T / 4)
         with pytest.raises(ValueError):
             regularization_cascade(spec, grid, cfg, [4, 2])
+
+    def test_rejects_empty_ks(self):
+        spec = constant_problem()
+        grid = Grid(spec.box, (9, 9))
+        cfg = SolverConfig(dt=spec.T / 4)
+        with pytest.raises(ValueError, match="empty"):
+            regularization_cascade(spec, grid, cfg, [])
 
     def test_rejects_closeness_violation(self):
         spec = constant_problem(m=(1.0, 2.0))
