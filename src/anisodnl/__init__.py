@@ -10,7 +10,6 @@ from .model import (
     check_admissibility,
     truncate,
     eval_flux,
-    eval_flux_truncated,
 )
 from .discretization import Grid, ScalarField, TimeSeries
 from .solver import (

@@ -53,6 +53,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # algebraic quantities
 
+# points per axis of the calibration sweeps
+SWEEP_POINTS = 400
+
 
 def b_quantity(u, v, m: float):
     """Gap of the convex function s -> s^(m+1)/(m+1) between u and v.
@@ -68,7 +71,7 @@ def b_quantity(u, v, m: float):
     return (u ** (m + 1.0) - v ** (m + 1.0)) / (m + 1.0) - v ** m * (u - v)
 
 
-def b_sandwich_constant(m: float, pad: float = 0.1, n: int = 400) -> float:
+def b_sandwich_constant(m: float, pad: float = 0.1) -> float:
     """Constant c(m) comparing b[u, v] with |v^((m+1)/2) - u^((m+1)/2)|^2.
 
     Calibrated by a dense sweep over (u, v) in [0, 10]^2: the supremum of
@@ -82,7 +85,7 @@ def b_sandwich_constant(m: float, pad: float = 0.1, n: int = 400) -> float:
         # closed form: b = (u - v)^2 / 2, so the ratio is identically 1/2
         # and the sharp constant is 2; the sweep agrees to rounding
         return 2.0 * (1.0 + pad)
-    s = np.linspace(0.0, 10.0, n)
+    s = np.linspace(0.0, 10.0, SWEEP_POINTS)
     u, v = np.meshgrid(s, s, indexing="ij")
     mask = u != v
     u = u[mask]
@@ -94,8 +97,7 @@ def b_sandwich_constant(m: float, pad: float = 0.1, n: int = 400) -> float:
     return c * (1.0 + pad)
 
 
-def power_inequality_constant(gamma: float, pad: float = 0.1,
-                              n: int = 400) -> float:
+def power_inequality_constant(gamma: float, pad: float = 0.1) -> float:
     """Constant c(gamma) in |a - b|^gamma <= c ||a|^(gamma-1)a - |b|^(gamma-1)b|.
 
     Calibrated by a sweep over (a, b) in [-10, 10]^2, padded by the given
@@ -103,7 +105,7 @@ def power_inequality_constant(gamma: float, pad: float = 0.1,
     """
     if gamma <= 1:
         raise ValueError("gamma must exceed 1")
-    s = np.linspace(-10.0, 10.0, n)
+    s = np.linspace(-10.0, 10.0, SWEEP_POINTS)
     a, b = np.meshgrid(s, s, indexing="ij")
     mask = a != b
     a = a[mask]
@@ -379,13 +381,18 @@ def level_sequence(M: float, m: float, j_max: int) -> np.ndarray:
     return M * (2.0 - 2.0 ** (-j.astype(float))) ** (2.0 / (m + 1.0))
 
 
-def degiorgi_constants(spec: ProblemSpec, grid: Grid, n_time: int = 33,
-                       c_struct: float = 1.0) -> DeGiorgiReport:
+# sample times of the data norms in degiorgi_constants
+DEGIORGI_TIMES = 33
+# the one value that stands for every anonymous structure constant
+C_STRUCT = 1.0
+
+
+def degiorgi_constants(spec: ProblemSpec, grid: Grid) -> DeGiorgiReport:
     """Constant bookkeeping for the sup-bound of the truncated solutions.
 
     Data norms are measured on the supplied grid with trapezoid quadrature
-    in space and time.  All anonymous structure constants are represented
-    by the single calibration parameter c_struct.
+    in space and at DEGIORGI_TIMES times.  All anonymous structure
+    constants are represented by the single calibration value C_STRUCT.
     """
     bar = spec.bar()
     n = spec.dim
@@ -403,7 +410,7 @@ def degiorgi_constants(spec: ProblemSpec, grid: Grid, n_time: int = 33,
     Q = (q_bar / (sigma * (n + mu))) * (1.0 + n / bar.p_bar)
     b = 2.0 ** (2.0 * m * q_bar * (1.0 + dg_delta) / (m + 1.0))
 
-    ts = np.linspace(0.0, spec.T, n_time)
+    ts = np.linspace(0.0, spec.T, DEGIORGI_TIMES)
     x = grid.meshgrid()
     g_max = 0.0
     f_sig = []
@@ -424,17 +431,16 @@ def degiorgi_constants(spec: ProblemSpec, grid: Grid, n_time: int = 33,
     int_f_pb = float(np.trapezoid(f_pb, ts))
     omega_T = spec.volume * spec.T
 
-    K = c_struct * int_f_sig ** Q
-    K0 = (c_struct * int_f_pb ** (1.0 / bar.p_bar)
-          + c_struct * M_star ** m * omega_T ** (1.0 / bar.p_bar))
-    gamma = c_struct
+    K = C_STRUCT * int_f_sig ** Q
+    K0 = (C_STRUCT * int_f_pb ** (1.0 / bar.p_bar)
+          + C_STRUCT * M_star ** m * omega_T ** (1.0 / bar.p_bar))
     M = max(M_star,
-            gamma * (K0 ** (q_bar * dg_delta) * K)
+            C_STRUCT * (K0 ** (q_bar * dg_delta) * K)
             ** (1.0 / (m * q_bar * (1.0 + dg_delta))))
     L = 2.0 ** (2.0 / (m + 1.0)) * M
     return DeGiorgiReport(M_star=M_star, K0=K0, q=q, q_bar=q_bar,
                           dg_delta=dg_delta, Q=Q, b=b, K=K, M=M, L=L,
-                          c_struct=c_struct)
+                          c_struct=C_STRUCT)
 
 
 def measure_levels(series: TimeSeries, M: float, m: float, q_bar: float,
@@ -541,17 +547,16 @@ class ComparisonReport:
 
 
 def comparison_check(u: TimeSeries, v: TimeSeries, f_u: Callable,
-                     f_v: Callable, t1: float = 0.0, t2: float | None = None,
-                     zero_tol: float = 1e-7) -> ComparisonReport:
+                     f_v: Callable, zero_tol: float = 1e-7) -> ComparisonReport:
     """Check the ordering inequality between a subsolution and a
     supersolution trajectory.
 
-    For every sample time s in (t1, t2] the inequality reads
+    For every sample time s after the first one, t0, the inequality reads
 
       integral (u - v)_+ (s)
-        <= int_{t1}^{s} integral_{ {v < u} union {u = v = 0} }
+        <= int_{t0}^{s} integral_{ {v < u} union {u = v = 0} }
              (f_u 1_{u > 0} - f_v) dx dt
-         + integral (u - v)_+ (t1).
+         + integral (u - v)_+ (t0).
 
     The indicator of {u = v = 0} uses the zero threshold zero_tol, since
     exact zeros do not occur in floating point.  Returns the two traces and
@@ -562,45 +567,31 @@ def comparison_check(u: TimeSeries, v: TimeSeries, f_u: Callable,
     tu = u.times
     if len(u) != len(v) or not np.allclose(tu, v.times):
         raise ValueError("trajectories must share the time axis")
-    if t2 is None:
-        t2 = float(tu[-1])
+    if len(u) < 2:
+        raise ValueError("need at least two sample times")
     grid = u.grid
     w = grid.cell_weights()
     x = grid.meshgrid()
 
-    idx = [i for i, t in enumerate(tu) if t1 <= t <= t2]
-    if len(idx) < 2:
-        raise ValueError("need at least two sample times in [t1, t2]")
-    sub = [(i, float(tu[i])) for i in idx]
-
-    def plus_mass(i):
-        return float(np.sum(np.maximum(u[i].values - v[i].values, 0.0) * w))
-
-    def source_term(i, t):
-        uu = u[i].values
-        vv = v[i].values
+    src = []
+    report = ComparisonReport(times=[], lhs=[], rhs=[], violation=0.0)
+    for n, (fld_u, fld_v) in enumerate(zip(u.fields, v.fields)):
+        uu, vv, t = fld_u.values, fld_v.values, float(tu[n])
         fu = np.broadcast_to(np.asarray(f_u(x, t), dtype=float), grid.counts)
         fv = np.broadcast_to(np.asarray(f_v(x, t), dtype=float), grid.counts)
         region = (vv < uu) | ((np.abs(uu) <= zero_tol)
                               & (np.abs(vv) <= zero_tol))
-        integrand = (fu * (uu > zero_tol) - fv) * region
-        return float(np.sum(integrand * w))
-
-    base = plus_mass(sub[0][0])
-    src = [source_term(i, t) for i, t in sub]
-    times_out, lhs_out, rhs_out = [], [], []
-    violation = 0.0
-    for n in range(1, len(sub)):
-        i, t = sub[n]
-        seg_t = [tt for _, tt in sub[:n + 1]]
-        rhs = base + float(np.trapezoid(src[:n + 1], seg_t))
-        lhs = plus_mass(i)
-        times_out.append(t)
-        lhs_out.append(lhs)
-        rhs_out.append(rhs)
-        violation = max(violation, lhs - rhs)
-    return ComparisonReport(times=times_out, lhs=lhs_out, rhs=rhs_out,
-                            violation=max(violation, 0.0))
+        src.append(float(np.sum((fu * (uu > zero_tol) - fv) * region * w)))
+        lhs = float(np.sum(np.maximum(uu - vv, 0.0) * w))
+        if n == 0:
+            base = lhs
+            continue
+        rhs = base + float(np.trapezoid(src, tu[:n + 1]))
+        report.times.append(t)
+        report.lhs.append(lhs)
+        report.rhs.append(rhs)
+        report.violation = max(report.violation, lhs - rhs)
+    return report
 
 
 # ---------------------------------------------------------------------------

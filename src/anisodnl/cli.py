@@ -31,7 +31,8 @@ import numpy as np
 import jsonschema
 
 from . import analysis, presets, solver
-from .discretization import Grid, ScalarField, TimeSeries, field_to_csv
+from .discretization import (Grid, ScalarField, TimeSeries, csv_text,
+                             field_to_csv)
 from .model import ProblemSpec, check_admissibility
 from .solver import SolverConfig
 
@@ -74,12 +75,7 @@ class OutputWriter:
         self.files[name] = hashlib.sha256(data).hexdigest()
 
     def write_table(self, name: str, columns, rows):
-        """CSV table: a header line of column names, then one line per
-        row; numbers as .17g, None as an empty cell."""
-        lines = [",".join(columns)]
-        lines += [",".join("" if v is None else f"{v:.17g}" for v in row)
-                  for row in rows]
-        self.write_text(name, "\n".join(lines) + "\n")
+        self.write_text(name, csv_text(columns, rows))
 
     def write_report(self, name: str, report: dict):
         jsonschema.validate(report, REPORT_SCHEMA)
@@ -300,7 +296,7 @@ def _scenario_degiorgi(cfg, args, writer):
     k = _config_int(cfg, "k", ks[-1])
     run_cfg = replace(config, k=k)
     ts, _ = solver.solve_problem(spec, grid, run_cfg)
-    rep = analysis.degiorgi_constants(spec, grid, c_struct=1.0)
+    rep = analysis.degiorgi_constants(spec, grid)
     m = spec.exponents.m_min
     j_max = _config_int(cfg, "j_max", 8, least=0)
     level_M = _config_number(cfg, "level_M", rep.M)
@@ -382,9 +378,13 @@ def _write_run(scenario: str, cfg: dict, args,
                report_name: str) -> tuple[int, list[str]]:
     """Run a scenario, write its report and the manifest, and print its
     violations; return the number of files written and the violations.
-    The report's settings are the config's, plus each run flag given."""
+    The report's settings are the config's, plus each run flag given.  A
+    time step that fails ends the run with a one-line diagnostic."""
     writer = OutputWriter(Path(args.out))
-    results, violations = _SCENARIO_FUNCS[scenario](cfg, args, writer)
+    try:
+        results, violations = _SCENARIO_FUNCS[scenario](cfg, args, writer)
+    except solver.StepFailure as exc:
+        raise SystemExit(f"{scenario}: {exc}")
     settings = {k: v for k, v in cfg.items() if k != "scenario"}
     flags = vars(args)
     settings.update({key: flags[flag] for flag, key in _FLAG_KEYS.items()

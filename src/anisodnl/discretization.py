@@ -8,7 +8,6 @@ d_j u^m = (u_{i+1}^m - u_i^m)/h holds exactly.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -26,6 +25,7 @@ __all__ = [
     "integrate_power",
     "sobolev_troisi_gap",
     "calibrate_troisi_constant",
+    "csv_text",
     "field_to_csv",
 ]
 
@@ -238,12 +238,12 @@ def sobolev_troisi_gap(fld: ScalarField, p: Sequence[float]) -> tuple[float, flo
 
 
 def calibrate_troisi_constant(grid: Grid, p: Sequence[float], trials: int = 200,
-                              seed: int = 0, pad: float = 0.1) -> float:
+                              seed: int = 0) -> float:
     """Empirical embedding constant for one grid and exponent vector.
 
     Maximizes lhs/rhs over a family of random smoothed zero-boundary
     fields at several amplitudes (the ratio is not scale invariant, so
-    the amplitude sweep matters).
+    the amplitude sweep matters), padded by 10%.
     """
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -277,17 +277,21 @@ def calibrate_troisi_constant(grid: Grid, p: Sequence[float], trials: int = 200,
         base = bump * (1.0 + rng.uniform(0.0, 1.0) * raw)
         base[grid.boundary_mask()] = 0.0
         probe(base)
-    return best * (1.0 + pad)
+    return best * 1.1
+
+
+def csv_text(columns: Sequence[str], rows) -> str:
+    """CSV table: a header line of column names, then one line per row;
+    numbers as .17g, None as an empty cell."""
+    lines = [",".join(columns)]
+    lines += [",".join("" if v is None else f"{v:.17g}" for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def field_to_csv(fld: ScalarField) -> str:
     """CSV dump: one row per node, axis coordinates then the value."""
     grid = fld.grid
-    buf = io.StringIO()
-    header = ",".join(f"x{j + 1}" for j in range(grid.dim)) + ",value\n"
-    buf.write(header)
-    coords = grid.meshgrid()
-    flat = [c.ravel() for c in coords] + [fld.values.ravel()]
-    for row in zip(*flat):
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()
+    columns = [f"x{j + 1}" for j in range(grid.dim)] + ["value"]
+    flat = [c.ravel() for c in grid.meshgrid()] + [fld.values.ravel()]
+    return csv_text(columns, zip(*flat))

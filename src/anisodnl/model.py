@@ -28,7 +28,6 @@ __all__ = [
     "flux_coefficient",
     "flux",
     "eval_flux",
-    "eval_flux_truncated",
     "truncated_growth_constant",
     "truncated_coercivity_constant",
     "truncated_lipschitz_bound",
@@ -196,14 +195,11 @@ def flux(c, xi, p: float):
         return np.where(xi == 0.0, 0.0, c * np.abs(xi) ** (p - 2.0) * xi)
 
 
-def eval_flux(spec: ProblemSpec, j: int, x, t: float, u, xi):
-    """Axis-j flux a_j(x,t,u) |xi|^(p_j - 2) xi."""
-    return flux(flux_coefficient(spec, None, j, x, t, u), xi,
-                spec.exponents.p[j])
-
-
-def eval_flux_truncated(spec: ProblemSpec, k: int, j: int, x, t: float, u, xi):
-    """Axis-j truncated flux a_j m_j^(p_j-1) T_k(u)^((m_j-1)(p_j-1)) |xi|^(p_j-2) xi."""
+def eval_flux(spec: ProblemSpec, j: int, x, t: float, u, xi,
+              k: int | None = None):
+    """Axis-j flux c |xi|^(p_j - 2) xi with the coefficient c of
+    ``flux_coefficient``: a_j(x,t,u) for k None, the truncated
+    a_j m_j^(p_j-1) T_k(u)^((m_j-1)(p_j-1)) for integer k."""
     return flux(flux_coefficient(spec, k, j, x, t, u), xi,
                 spec.exponents.p[j])
 
@@ -278,9 +274,14 @@ def _sample_points(spec: ProblemSpec, samples: int, rng: np.random.Generator):
     return x, t
 
 
-def check_admissibility(spec: ProblemSpec, samples: int = 2000,
+# random points per audit of the sampled conditions
+ADMISSIBILITY_SAMPLES = 2000
+
+
+def check_admissibility(spec: ProblemSpec,
                         seed: int = 0) -> AdmissibilityReport:
-    """Audit the data conditions by dense random sampling.
+    """Audit the data conditions by dense random sampling at
+    ADMISSIBILITY_SAMPLES points.
 
     Closeness failure downgrades cascade capability but single-k solves
     remain possible; this is a reporting operation and never raises.
@@ -303,6 +304,7 @@ def check_admissibility(spec: ProblemSpec, samples: int = 2000,
     rep.add("sigma", spec.sigma > sig_bound,
             f"sigma > 1 + N/p_bar = {sig_bound:.6g}", spec.sigma - sig_bound)
 
+    samples = ADMISSIBILITY_SAMPLES
     x, t = _sample_points(spec, samples, rng)
     # ellipticity band and Lipschitz continuity in u, audited pointwise
     uvals = rng.uniform(0.0, 10.0, size=samples)

@@ -133,22 +133,21 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
         lams.append(lam)
         lips.append(lip)
     coeffs = CoefficientSpec(tuple(funcs), max(lams), max(lips))
-    f = _data_from_config(cfg["f"], box)
-    g = _data_from_config(cfg["g"], box)
-    u0_entry = cfg["u0"]
-    u0_fun = _data_from_config(u0_entry, box)
+    # every data evaluator's t defaults to 0, so it serves as u0(x)
     return ProblemSpec(
         box=box, T=float(cfg["T"]), exponents=exps, coeffs=coeffs,
-        f=f, g=lambda x, t: g(x, t),
-        u0=lambda x: u0_fun(x, 0.0),
+        f=_data_from_config(cfg["f"], box),
+        g=_data_from_config(cfg["g"], box),
+        u0=_data_from_config(cfg["u0"], box),
         sigma=float(cfg["sigma"]), eps0=float(cfg.get("eps0", 0.0)))
 
 
-def _const_coeffs(n: int, value: float = 1.0) -> CoefficientSpec:
+def _const_coeffs(n: int) -> CoefficientSpec:
+    """Unit coefficients a_j = 1 on n axes."""
     def a(x, t, u):
-        return np.full(np.shape(u), value)
+        return np.full(np.shape(u), 1.0)
 
-    return CoefficientSpec(tuple([a] * n), max(value, 1.0 / value), 0.0)
+    return CoefficientSpec(tuple([a] * n), 1.0, 0.0)
 
 
 def _preset_aniso_cascade() -> ProblemSpec:
@@ -164,8 +163,8 @@ def _preset_aniso_cascade() -> ProblemSpec:
     return ProblemSpec(
         box=box, T=0.25, exponents=exps, coeffs=_const_coeffs(2),
         f=make_constant(0.0),
-        g=lambda x, t: g(x, t),
-        u0=lambda x: g(x, 0.0) + bump(x, 0.0),
+        g=g,
+        u0=lambda x: g(x) + bump(x),
         sigma=3.0, eps0=0.4)
 
 
@@ -177,12 +176,11 @@ def _preset_porous_cascade() -> ProblemSpec:
     """
     box = (1.0,)
     exps = Exponents((2.0,), (2.0,))
-    u0 = make_bump(box, 0.5)
     return ProblemSpec(
         box=box, T=0.25, exponents=exps, coeffs=_const_coeffs(1),
         f=make_constant(0.0),
         g=make_constant(0.0),
-        u0=lambda x: u0(x, 0.0),
+        u0=make_bump(box, 0.5),
         sigma=4.0, eps0=0.0)
 
 
@@ -195,12 +193,11 @@ def _preset_ortho_plaplace() -> ProblemSpec:
     """
     box = (1.0, 1.0)
     exps = Exponents((3.0, 2.0), (1.0, 1.0))
-    u0 = make_bump(box, 10.0)
     return ProblemSpec(
         box=box, T=0.1, exponents=exps, coeffs=_const_coeffs(2),
         f=make_constant(0.0),
         g=make_constant(0.0),
-        u0=lambda x: u0(x, 0.0),
+        u0=make_bump(box, 10.0),
         sigma=3.0, eps0=0.0)
 
 
@@ -213,12 +210,11 @@ def _preset_strong_source() -> ProblemSpec:
     """
     box = (1.0,)
     exps = Exponents((2.0,), (1.0,))
-    f = make_bump(box, 1000.0)
     return ProblemSpec(
         box=box, T=0.5, exponents=exps, coeffs=_const_coeffs(1),
-        f=f,
+        f=make_bump(box, 1000.0),
         g=make_constant(0.0),
-        u0=lambda x: np.zeros(np.shape(x[0])),
+        u0=make_constant(0.0),
         sigma=3.0, eps0=0.0)
 
 
@@ -230,7 +226,7 @@ def _manufactured(f) -> ProblemSpec:
         coeffs=_const_coeffs(1),
         f=f,
         g=make_constant(1.0),
-        u0=lambda x: np.ones(np.shape(x[0])),
+        u0=make_constant(1.0),
         sigma=3.0, eps0=1.0)
 
 
@@ -270,7 +266,7 @@ def _preset_constant() -> ProblemSpec:
         box=box, T=0.25, exponents=exps, coeffs=_const_coeffs(2),
         f=make_constant(0.0),
         g=make_constant(0.7),
-        u0=lambda x: np.full(np.shape(x[0]), 0.7),
+        u0=make_constant(0.7),
         sigma=3.0, eps0=0.7)
 
 
@@ -291,50 +287,39 @@ def _preset_varcoeff() -> ProblemSpec:
     return ProblemSpec(
         box=box, T=0.25, exponents=exps, coeffs=coeffs,
         f=make_constant(0.0),
-        g=lambda x, t: g(x, t),
-        u0=lambda x: g(x, 0.0),
+        g=g,
+        u0=g,
         sigma=3.0, eps0=0.5)
 
 
+# preset name -> (builder, default grid); every preset runs 32 steps
 _PRESETS = {
-    "aniso-cascade": _preset_aniso_cascade,
-    "porous-cascade": _preset_porous_cascade,
-    "ortho-plaplace": _preset_ortho_plaplace,
-    "strong-source": _preset_strong_source,
-    "manufactured-1d": lambda: _manufactured(
-        lambda x, t: x[0] * (1.0 - x[0]) + 2.0 * t),
-    "manufactured-quartic": lambda: _manufactured(
+    "aniso-cascade": (_preset_aniso_cascade, (33, 33)),
+    "porous-cascade": (_preset_porous_cascade, (65,)),
+    "ortho-plaplace": (_preset_ortho_plaplace, (33, 33)),
+    "strong-source": (_preset_strong_source, (65,)),
+    "manufactured-1d": (lambda: _manufactured(
+        lambda x, t: x[0] * (1.0 - x[0]) + 2.0 * t), (65,)),
+    "manufactured-quartic": (lambda: _manufactured(
         lambda x, t: (2.0 * t * x[0] ** 2 * (1.0 - x[0]) ** 2
                       - t * t * (2.0 - 12.0 * x[0] + 12.0 * x[0] ** 2))),
-    "manufactured-strong": lambda: _manufactured(
-        lambda x, t: 40.0 * x[0] * (1.0 - x[0]) + 80.0 * t),
-    "constant": _preset_constant,
-    "varcoeff": _preset_varcoeff,
+        (65,)),
+    "manufactured-strong": (lambda: _manufactured(
+        lambda x, t: 40.0 * x[0] * (1.0 - x[0]) + 80.0 * t), (65,)),
+    "constant": (_preset_constant, (33, 33)),
+    "varcoeff": (_preset_varcoeff, (33, 33)),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))
 
-_DEFAULTS = {
-    "aniso-cascade": {"grid": (33, 33), "n_steps": 32},
-    "porous-cascade": {"grid": (65,), "n_steps": 32},
-    "ortho-plaplace": {"grid": (33, 33), "n_steps": 32},
-    "strong-source": {"grid": (65,), "n_steps": 32},
-    "manufactured-1d": {"grid": (65,), "n_steps": 32},
-    "manufactured-quartic": {"grid": (65,), "n_steps": 32},
-    "manufactured-strong": {"grid": (65,), "n_steps": 32},
-    "constant": {"grid": (33, 33), "n_steps": 32},
-    "varcoeff": {"grid": (33, 33), "n_steps": 32},
-}
-
 
 def get_preset(name: str) -> ProblemSpec:
-    try:
-        return _PRESETS[name]()
-    except KeyError:
+    if name not in _PRESETS:
         raise ValueError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    return _PRESETS[name][0]()
 
 
 def preset_defaults(name: str) -> dict:
     """Suggested grid resolution and step count for a preset."""
-    return dict(_DEFAULTS[name])
+    return {"grid": _PRESETS[name][1], "n_steps": 32}

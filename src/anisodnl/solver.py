@@ -39,6 +39,14 @@ __all__ = [
 # regularization of the face slope (D^2 + EPS_REG^2)^((p-2)/2) in the
 # Newton matrix
 EPS_REG = 1e-8
+# step of the central differences in manufactured_rhs
+FD_STEP = 1e-3
+
+
+def _valid_k(k) -> bool:
+    """A truncation level: a positive int, or None for the untruncated
+    (direct-mode) problem."""
+    return k is None or (type(k) is int and k >= 1)
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,8 @@ class SolverConfig:
     dt: float
     newton_tol: float = 1e-9
     newton_max: int = 40
-    k: int | str = "direct"
+    # truncation level; None solves the untruncated problem (direct mode)
+    k: int | None = None
     guess_offset: float = 0.0
 
     def __post_init__(self):
@@ -56,8 +65,8 @@ class SolverConfig:
             raise ValueError("newton_tol must be positive")
         if self.newton_max < 0:
             raise ValueError("newton_max must be nonnegative")
-        if self.k != "direct" and (not isinstance(self.k, int) or self.k < 1):
-            raise ValueError("k must be a positive integer or 'direct'")
+        if not _valid_k(self.k):
+            raise ValueError("k must be a positive integer or None")
 
 
 @dataclass
@@ -66,7 +75,6 @@ class StepReport:
     residual: float
     fallback: bool = False
     clamped: bool = False
-    residual_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -95,14 +103,20 @@ class SolveReport:
 
 
 class StepFailure(RuntimeError):
-    """Nonlinear solve failed to converge at one time step."""
+    """Nonlinear solve failed to converge at one time step.
+
+    ``implicit_step`` raises it with step -1; ``solve_problem`` sets the
+    index of the failed step, which the message reads.
+    """
 
     def __init__(self, step_index: int, residual_history: list[float]):
+        super().__init__(step_index, residual_history)
         self.step_index = step_index
         self.residual_history = residual_history
-        super().__init__(
-            f"step {step_index} failed, final residual "
-            f"{residual_history[-1]:.3e}")
+
+    def __str__(self) -> str:
+        return (f"step {self.step_index} failed, final residual "
+                f"{self.residual_history[-1]:.3e}")
 
 
 def ordering_tolerance(config: SolverConfig, T: float) -> float:
@@ -125,7 +139,7 @@ class _StepProblem:
         self.config = config
         self.u_prev = u_prev
         self.t = t_next
-        self.k = None if config.k == "direct" else int(config.k)
+        self.k = config.k
         self.n_nodes = int(np.prod(grid.counts))
         self.interior = grid.interior_mask()
         self.boundary = ~self.interior
@@ -328,7 +342,7 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
         if res <= config.newton_tol:
             return (ScalarField(grid, u, t_next),
                     StepReport(iterations=it, residual=res, fallback=secant,
-                               clamped=clamped, residual_history=hist))
+                               clamped=clamped))
         if it == config.newton_max:
             break
         if (not secant and it >= 5 and stall_ref is not None
@@ -365,7 +379,7 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
     In k-mode the initial field is u0 + 1/k and boundary data g + 1/k; in
     direct mode the data are used as given.
     """
-    shift = 0.0 if config.k == "direct" else 1.0 / int(config.k)
+    shift = 0.0 if config.k is None else 1.0 / config.k
     x = grid.meshgrid()
     u0 = np.broadcast_to(np.asarray(spec.u0(x), dtype=float),
                          grid.counts).copy() + shift
@@ -395,19 +409,18 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
 
 
 def manufactured_rhs(u_exact: Callable, spec: ProblemSpec,
-                     mode: int | str = "direct",
-                     fd_step: float = 1e-3) -> Callable:
+                     k: int | None = None) -> Callable:
     """Source evaluator that makes u_exact solve the equation.
 
     f(x, t) = dt u - sum_j d_j(a_j |d_j w_j|^{p_j - 2} d_j w_j) with
-    w_j = u^{m_j} in direct mode, or w_j = u with the truncated coefficient
-    for integer mode k.  Derivatives are fourth-order central differences
-    with step fd_step, so u_exact must be smooth and evaluable slightly
-    outside the box and horizon.  Raises if u_exact is not strictly
-    positive at any probed point.
+    w_j = u^{m_j} for k None (direct mode), or w_j = u with the truncated
+    coefficient for integer k.  Derivatives are fourth-order central
+    differences with step FD_STEP, so u_exact must be smooth and evaluable
+    slightly outside the box and horizon.  Raises if u_exact is not
+    strictly positive at any probed point.
     """
-    if mode != "direct" and (not isinstance(mode, int) or mode < 1):
-        raise ValueError("mode must be 'direct' or a positive integer k")
+    if not _valid_k(k):
+        raise ValueError("k must be a positive integer or None")
 
     def ue(x, t):
         v = np.asarray(u_exact(x, t), dtype=float)
@@ -422,8 +435,6 @@ def manufactured_rhs(u_exact: Callable, spec: ProblemSpec,
     def shift_x(x, j, ds):
         return tuple(c + ds if i == j else c for i, c in enumerate(x))
 
-    k = None if mode == "direct" else int(mode)
-
     def flux_j(x, t, j):
         mj = spec.exponents.m[j]
 
@@ -432,14 +443,14 @@ def manufactured_rhs(u_exact: Callable, spec: ProblemSpec,
             return uu if (k is not None or mj == 1.0) else uu ** mj
 
         c = flux_coefficient(spec, k, j, x, t, ue(x, t))
-        return flux(c, d4(w_at, fd_step), spec.exponents.p[j])
+        return flux(c, d4(w_at, FD_STEP), spec.exponents.p[j])
 
     def f(x, t):
         x = tuple(np.asarray(c, dtype=float) for c in x)
-        dt_u = d4(lambda ds: ue(x, t + ds), fd_step)
+        dt_u = d4(lambda ds: ue(x, t + ds), FD_STEP)
         out = dt_u
         for j in range(spec.dim):
-            div_j = d4(lambda ds: flux_j(shift_x(x, j, ds), t, j), fd_step)
+            div_j = d4(lambda ds: flux_j(shift_x(x, j, ds), t, j), FD_STEP)
             out = out - div_j
         return out
 
@@ -455,7 +466,7 @@ def refinement_errors(spec: ProblemSpec, exact: Callable, grid: Grid,
     for lev in range(levels):
         g = Grid(spec.box, tuple((c - 1) * 2 ** lev + 1 for c in grid.counts))
         ts, _ = solve_problem(
-            spec, g, replace(config, dt=config.dt / 2 ** lev, k="direct"))
+            spec, g, replace(config, dt=config.dt / 2 ** lev, k=None))
         fin = ts.fields[-1]
         err = ScalarField(g, fin.values - exact(g.meshgrid(), fin.t))
         errors.append(float(np.sqrt(integrate_power(err, 2.0))))
@@ -491,9 +502,11 @@ def regularization_cascade(spec: ProblemSpec, grid: Grid,
     decreases in k), and the successive trajectory distances in the
     solution-space metric.
     """
-    ks = [int(k) for k in ks]
+    ks = list(ks)
     if not ks:
         raise ValueError("ks must not be empty")
+    if not all(k is not None and _valid_k(k) for k in ks):
+        raise ValueError(f"ks must be positive integers, got {ks!r}")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("ks must be strictly increasing")
     if not spec.exponents.closeness_ok:

@@ -203,6 +203,16 @@ class TestRun:
         with pytest.raises(SystemExit, match=message):
             main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
 
+    def test_step_failure_one_line_exit(self, tmp_path):
+        # no Newton iteration is allowed, so the first step cannot converge
+        cfg = write_config(tmp_path, "fail.json", {
+            "scenario": "constant", "preset": "porous-cascade",
+            "grid": [9], "n_steps": 2, "solver": {"newton_max": 0}})
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert exc.value.code == ("constant: step 0 failed, "
+                                  "final residual 4.686e+00")
+
     def test_mollifier_demo_needs_no_problem(self, tmp_path):
         cfg = write_config(tmp_path, "moll.json",
                            {"scenario": "mollifier-demo"})

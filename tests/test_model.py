@@ -11,7 +11,6 @@ from anisodnl.model import (
     check_admissibility,
     compute_bar_exponents,
     eval_flux,
-    eval_flux_truncated,
     truncate,
     truncated_growth_constant,
     truncated_coercivity_constant,
@@ -162,22 +161,22 @@ class TestTruncatedFlux:
         u = np.array([7.0])
         xi = np.array([1.3])
         for k in (1, 2, 8):
-            assert eval_flux_truncated(spec, k, 0, x, 0.0, u, xi) \
+            assert eval_flux(spec, 0, x, 0.0, u, xi, k=k) \
                 == pytest.approx(eval_flux(spec, 0, x, 0.0, u, xi))
 
     def test_plug_in(self):
         # k=2, m=2, p=2, a=1, u=5, xi=1: 2 * T_2(5)^1 * 1 = 4
         spec = simple_spec((2.0,), (2.0,))
-        out = eval_flux_truncated(spec, 2, 0, (np.array([0.5]),), 0.0,
-                                  np.array([5.0]), np.array([1.0]))
+        out = eval_flux(spec, 0, (np.array([0.5]),), 0.0,
+                        np.array([5.0]), np.array([1.0]), k=2)
         assert out[0] == pytest.approx(4.0)
 
     def test_constant_below_band(self):
         spec = simple_spec((2.0,), (2.0,))
         x = (np.array([0.5]),)
         xi = np.array([1.0])
-        a = eval_flux_truncated(spec, 4, 0, x, 0.0, np.array([0.1]), xi)
-        b = eval_flux_truncated(spec, 4, 0, x, 0.0, np.array([0.2]), xi)
+        a = eval_flux(spec, 0, x, 0.0, np.array([0.1]), xi, k=4)
+        b = eval_flux(spec, 0, x, 0.0, np.array([0.2]), xi, k=4)
         assert a[0] == pytest.approx(b[0])
 
     def test_growth_and_coercivity(self):
@@ -189,7 +188,7 @@ class TestTruncatedFlux:
         u = rng.uniform(0.0, 10.0, size=500)
         xi = rng.uniform(-3.0, 3.0, size=500)
         x = (np.zeros(500),)
-        F = eval_flux_truncated(spec, k, 0, x, 0.0, u, xi)
+        F = eval_flux(spec, 0, x, 0.0, u, xi, k=k)
         p = spec.exponents.p[0]
         assert np.all(np.abs(F) <= bk * np.abs(xi) ** (p - 1.0) + 1e-12)
         assert np.all(F * xi >= ck * np.abs(xi) ** p - 1e-12)
@@ -208,8 +207,8 @@ class TestTruncatedFlux:
         v = rng.uniform(0.0, 10.0, size=500)
         xi = np.ones(500)
         x = (np.zeros(500),)
-        Fu = eval_flux_truncated(spec, k, 0, x, 0.0, u, xi)
-        Fv = eval_flux_truncated(spec, k, 0, x, 0.0, v, xi)
+        Fu = eval_flux(spec, 0, x, 0.0, u, xi, k=k)
+        Fv = eval_flux(spec, 0, x, 0.0, v, xi, k=k)
         assert np.all(np.abs(Fu - Fv) <= c * np.abs(u - v) + 1e-12)
 
 

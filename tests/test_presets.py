@@ -1,0 +1,46 @@
+import numpy as np
+import pytest
+
+from anisodnl.presets import (PRESET_NAMES, get_preset, preset_defaults,
+                              problem_from_config)
+
+DEFAULT_GRIDS = {
+    "aniso-cascade": (33, 33),
+    "constant": (33, 33),
+    "manufactured-1d": (65,),
+    "manufactured-quartic": (65,),
+    "manufactured-strong": (65,),
+    "ortho-plaplace": (33, 33),
+    "porous-cascade": (65,),
+    "strong-source": (65,),
+    "varcoeff": (33, 33),
+}
+
+
+def test_preset_defaults():
+    assert {name: preset_defaults(name) for name in PRESET_NAMES} == {
+        name: {"grid": grid, "n_steps": 32}
+        for name, grid in DEFAULT_GRIDS.items()}
+    for name, grid in DEFAULT_GRIDS.items():
+        assert len(grid) == get_preset(name).dim
+
+
+def test_unknown_preset():
+    with pytest.raises(ValueError, match="unknown preset 'nope'"):
+        get_preset("nope")
+
+
+def inline_problem(u0):
+    return {"box": [1.0, 2.0], "T": 0.5, "p": [2.0, 2.0], "m": [1.0, 1.0],
+            "sigma": 3.0, "coeffs": [{"kind": "constant", "value": 1.0}] * 2,
+            "f": {"kind": "constant", "value": 0.0},
+            "g": {"kind": "constant", "value": 0.0}, "u0": u0}
+
+
+def test_inline_u0_is_evaluated_at_time_zero():
+    affine = {"kind": "affine", "const": 0.3, "x": [0.5, 0.25]}
+    steady = problem_from_config(inline_problem(affine))
+    moving = problem_from_config(inline_problem(dict(affine, t=7.0)))
+    x = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5))
+    assert np.array_equal(moving.u0(x), steady.u0(x))
+    assert np.array_equal(steady.u0(x), 0.3 + 0.5 * x[0] + 0.25 * x[1])

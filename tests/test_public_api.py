@@ -30,3 +30,9 @@ def test_package_imports_resolve():
     missing = [f"{mod}.{n}" for mod, n in imported
                if not hasattr(anisodnl, n)]
     assert missing == []
+    # a name dropped from its module's __all__ must leave the package too
+    unexported = [
+        f"{mod}.{n}" for mod, n in imported
+        if n not in importlib.import_module(f"anisodnl.{mod}").__all__]
+    assert unexported == []
+

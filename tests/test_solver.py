@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import anisodnl.solver
 from anisodnl.analysis import comparison_check, gradient_power_norms
 from anisodnl.discretization import (
     Grid,
@@ -19,7 +20,6 @@ from anisodnl.model import (
     Exponents,
     ProblemSpec,
     eval_flux,
-    eval_flux_truncated,
 )
 from anisodnl.presets import (
     get_preset,
@@ -232,6 +232,10 @@ def counted_coefficients(spec):
     return replace(spec, coeffs=replace(spec.coeffs, funcs=funcs)), calls
 
 
+# k None is direct mode; the id keeps the test names readable
+DIRECT = pytest.param(None, id="direct")
+
+
 def reference_residual(spec, grid, k, u_prev, u, dt, t):
     """Step residual from the model's flux and the conservative divergence,
     with the rows of boundary nodes u - g (shifted by 1/k in k-mode)."""
@@ -246,7 +250,7 @@ def reference_residual(spec, grid, k, u_prev, u, dt, t):
             fluxes.append(eval_flux(spec, j, x_face, t, uf, xi))
         else:
             xi = face_diff_power(fld, 1.0, j)
-            fluxes.append(eval_flux_truncated(spec, k, j, x_face, t, uf, xi))
+            fluxes.append(eval_flux(spec, j, x_face, t, uf, xi, k=k))
     R = (u - u_prev) / dt - spec.f(x, t) - divergence(grid, fluxes).values
     bc = spec.g(x, t) + (0.0 if k is None else 1.0 / k)
     boundary = grid.boundary_mask()
@@ -256,7 +260,7 @@ def reference_residual(spec, grid, k, u_prev, u, dt, t):
 
 class TestStepProblem:
     @pytest.mark.parametrize("clamped", [False, True])
-    @pytest.mark.parametrize("k", [4, "direct"])
+    @pytest.mark.parametrize("k", [4, DIRECT])
     @pytest.mark.parametrize("counts", [(9,), (7, 9), (5, 6, 7)])
     def test_residual_matches_model_flux(self, counts, k, clamped):
         # m = (1.2, 1.0, 1.4) and p = (3, 1.7, 2.5) per axis; a clamped
@@ -274,7 +278,7 @@ class TestStepProblem:
         got, _ = prob.residual(u)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("k", [4, "direct"])
+    @pytest.mark.parametrize("k", [4, DIRECT])
     @pytest.mark.parametrize("counts", [(65,), (9, 13)])
     def test_one_face_pass_per_iterate(self, counts, k, monkeypatch):
         # the update at an iterate reuses the face data of its residual, so
@@ -383,12 +387,12 @@ class TestManufactured:
         exact = manufactured_1d_exact
         u = exact(x, t)
         # k = 4: u stays inside [1/4, 4], so T_k(u) = u
-        got = manufactured_rhs(exact, spec, mode=4)(x, t)
+        got = manufactured_rhs(exact, spec, k=4)(x, t)
         expect = (x[0] * (1.0 - x[0])
                   - 2.0 * (t * t * (1.0 - 2.0 * x[0]) ** 2 - 2.0 * t * u))
         assert np.allclose(got, expect, rtol=0.0, atol=1e-8)
         # k = 1: T_1 is identically 1
-        got = manufactured_rhs(exact, spec, mode=1)(x, t)
+        got = manufactured_rhs(exact, spec, k=1)(x, t)
         assert np.allclose(got, x[0] * (1.0 - x[0]) + 4.0 * t,
                            rtol=0.0, atol=1e-8)
 
@@ -459,6 +463,20 @@ class TestCascade:
         with pytest.raises(ValueError, match="empty"):
             regularization_cascade(spec, grid, cfg, [])
 
+    @pytest.mark.parametrize("ks", [[2.5, 4], [True, 2], [2, None],
+                                    [2, 4.5]])
+    def test_rejects_non_integer_ks_before_solving(self, ks, monkeypatch):
+        # int() used to truncate 2.5 to 2 and True to 1 and run the result
+        def no_member(*args):
+            raise AssertionError("a member was solved")
+
+        monkeypatch.setattr(anisodnl.solver, "solve_problem", no_member)
+        spec = get_preset("porous-cascade")
+        grid = Grid(spec.box, (9,))
+        cfg = SolverConfig(dt=spec.T / 2)
+        with pytest.raises(ValueError, match="ks must be positive integers"):
+            regularization_cascade(spec, grid, cfg, ks)
+
     def test_rejects_closeness_violation(self):
         spec = constant_problem(m=(1.0, 2.0))
         grid = Grid(spec.box, (9, 9))
@@ -504,11 +522,23 @@ class TestRobustness:
             solve_problem(spec, grid, cfg)
         assert exc.value.step_index >= 0
         assert len(exc.value.residual_history) >= 1
+        # the message names the step that solve_problem records
+        assert str(exc.value).startswith(
+            f"step {exc.value.step_index} failed, final residual ")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(dt=0.0)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, k=0)
+        assert SolverConfig(dt=0.1).k is None
+
+    @pytest.mark.parametrize("k", [True, 2.0, "direct", 0])
+    def test_k_must_be_positive_int_or_none(self, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            SolverConfig(dt=0.1, k=k)
+        spec = get_preset("manufactured-1d")
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            manufactured_rhs(manufactured_1d_exact, spec, k=k)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, newton_max=-1)
