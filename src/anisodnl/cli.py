@@ -379,8 +379,12 @@ def _write_run(scenario: str, cfg: dict, args,
     """Run a scenario, write its report and the manifest, and print its
     violations; return the number of files written and the violations.
     The report's settings are the config's, plus each run flag given.  A
-    time step that fails ends the run with a one-line diagnostic."""
+    time step that fails ends the run with a one-line diagnostic.  The
+    report and manifest of an earlier run into the same directory are
+    removed first, so a run that ends early leaves neither behind."""
     writer = OutputWriter(Path(args.out))
+    for name in (report_name, "manifest.json"):
+        (writer.outdir / name).unlink(missing_ok=True)
     try:
         results, violations = _SCENARIO_FUNCS[scenario](cfg, args, writer)
     except solver.StepFailure as exc:

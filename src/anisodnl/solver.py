@@ -5,6 +5,13 @@ truncated problem: the face flux acts on differences of u itself, scaled
 by the truncated coefficient, and the data f, g, u0 are shifted by 1/k.
 In direct mode the flux acts on differences of u^{m_j} and the data are
 used as given.
+
+The Newton matrix lags the dependence of the flux coefficient on u,
+except in 1D k-mode: there it also differentiates the truncation factor
+T_k(u)^((m_j-1)(p_j-1)) through the face mean, which makes it the exact
+Jacobian when a_j does not depend on u, and stays tridiagonal (banded
+LU).  In 2D/3D k-mode the lagged matrix keeps the system symmetric for a
+banded Cholesky solve; direct mode solves by sparse LU.
 """
 
 from __future__ import annotations
@@ -161,8 +168,12 @@ class _StepProblem:
         self.lo = [axis_slices(dim, j, slice(0, -1)) for j in range(dim)]
         self.hi = [axis_slices(dim, j, slice(1, None)) for j in range(dim)]
         self.core = [axis_slices(dim, j, slice(1, -1)) for j in range(dim)]
-        if self.k is not None:
-            # band layout of the interior unknowns, longest axis outermost
+        # 1D k-mode differentiates the truncated coefficient too (see
+        # ``_face_slopes``)
+        self.exact = self.k is not None and dim == 1
+        if self.k is not None and not self.exact:
+            # Cholesky band layout of the interior unknowns, longest axis
+            # outermost
             self.inner = (slice(1, -1),) * dim
             ext = [n - 2 for n in grid.counts]
             self.order = sorted(range(dim), key=lambda j: -ext[j])
@@ -176,11 +187,13 @@ class _StepProblem:
                                 for i in range(dim)) for j in range(dim)]
 
     def _face_data(self, u: np.ndarray, j: int):
-        """Per-face coefficient c, diff D of the working power, and the
-        derivative of the working power at both adjacent nodes."""
+        """Per-face coefficient c, diff D of the working power, the
+        derivative of the working power at both adjacent nodes, the face
+        mean of u and the face flux F."""
         mj = self.m[j]
+        ubar = face_mean(u, j)
         c = flux_coefficient(self.spec, self.k, j, self.x_face[j], self.t,
-                             face_mean(u, j))
+                             ubar)
         lo = u[self.lo[j]]
         hi = u[self.hi[j]]
         if self.k is None and mj != 1.0:
@@ -194,14 +207,13 @@ class _StepProblem:
         else:
             dlo = dhi = 1.0
         D = (hi - lo) / self.h[j]
-        return c, D, dlo, dhi
+        return c, D, dlo, dhi, ubar, flux(c, D, self.p[j])
 
     def residual(self, u: np.ndarray) -> tuple[np.ndarray, list]:
         """Residual at u, and the face data of every axis at u."""
         R = (u - self.u_prev) / self.config.dt - self.f_vals
         faces = [self._face_data(u, j) for j in range(self.grid.dim)]
-        for j, (c, D, _, _) in enumerate(faces):
-            F = flux(c, D, self.p[j])
+        for j, (*_, F) in enumerate(faces):
             R[self.core[j]] -= (F[self.hi[j]] - F[self.lo[j]]) / self.h[j]
         R[self.boundary] = u[self.boundary] - self.bc_boundary
         return R, faces
@@ -210,21 +222,40 @@ class _StepProblem:
         """Per axis, the Jacobian weights (g_lo, g_hi) of every face on its
         lo and hi node.
 
-        Face slopes use the regularized power (D^2 + EPS_REG^2)^((p-2)/2);
-        the coefficient dependence on u through the face mean is lagged.  With
-        secant=True the slope drops the factor (p-1), which yields the
-        lagged-diffusivity fixed-point matrix.  The face between node i (lo)
-        and i+1 (hi) on axis j contributes +g_lo, +g_hi to the diagonal of
-        lo, hi and -g_hi, -g_lo to the entries (lo, hi), (hi, lo).
+        Face slopes use the regularized power (D^2 + EPS_REG^2)^((p-2)/2).
+        In 1D k-mode the truncated coefficient
+        c = a_j m_j^(p_j-1) T_k(ubar)^((m_j-1)(p_j-1)) is differentiated
+        through the face mean ubar as well: the face flux F gains
+        dc/dubar * 1/2 * |D|^(p-2) D per adjacent node, that is
+        e = F (m_j-1)(p_j-1) / (2 h ubar) in the weights where
+        1/k < ubar < k (T_k' vanishes outside), and the weights become
+        (g_lo - e, g_hi + e): the exact Jacobian, tridiagonal but
+        nonsymmetric.  a_j's own dependence on u stays lagged everywhere, and
+        so does the whole coefficient in direct mode and in 2D/3D k-mode,
+        where the lagged matrix keeps the system symmetric for the banded
+        Cholesky solve (see ``update``).  With secant=True the slope drops
+        the factor (p-1) and the coefficient term is left out, which yields
+        the lagged-diffusivity fixed-point matrix.  The face between node i
+        (lo) and i+1 (hi) on axis j contributes +g_lo, +g_hi to the diagonal
+        of lo, hi and -g_hi, -g_lo to the entries (lo, hi), (hi, lo).
         """
         out = []
-        for j, (c, D, dlo, dhi) in enumerate(faces):
+        for j, (c, D, dlo, dhi, ubar, F) in enumerate(faces):
             pj = self.p[j]
             h = self.h[j]
             slope = c * (D * D + EPS_REG * EPS_REG) ** ((pj - 2.0) / 2.0)
             if not secant:
                 slope = slope * (pj - 1.0)
-            out.append((slope * dlo / (h * h), slope * dhi / (h * h)))
+            g_lo = slope * dlo / (h * h)
+            g_hi = slope * dhi / (h * h)
+            if self.exact and not secant:
+                # T_k(ubar) = ubar, and so dc/dubar = c (m_j-1)(p_j-1)/ubar,
+                # only on (1/k, k)
+                inside = (ubar > 1.0 / self.k) & (ubar < self.k)
+                e = (F * inside * ((self.m[j] - 1.0) * (pj - 1.0) / (2.0 * h))
+                     / np.where(inside, ubar, 1.0))
+                g_lo, g_hi = g_lo - e, g_hi + e
+            out.append((g_lo, g_hi))
         return out
 
     def jacobian(self, faces: list, secant: bool = False) -> sp.csr_matrix:
@@ -266,14 +297,19 @@ class _StepProblem:
 
         Direct mode solves the full sparse system by LU: its Jacobian is
         nonsymmetric, because each axis scales its columns by
-        m_j u^(m_j - 1).  In k-mode the working power is u itself, so the
-        interior Jacobian is symmetric with a positive, dominating diagonal,
-        and the boundary rows are identity rows whose residual is 0 once u
-        carries the boundary data.  The update then comes from a banded
-        Cholesky solve on the interior unknowns, ordered with the longest
-        interior axis outermost so the half-bandwidth is the product of the
-        other interior extents.  Raises ``LinAlgError`` when the system or
-        the direct-mode update is not finite, or the k-mode system is not
+        m_j u^(m_j - 1).  In k-mode the working power is u itself and the
+        boundary rows are identity rows whose residual is 0 once u carries
+        the boundary data, so only the interior unknowns are solved for.  In
+        1D the matrix, with the coefficient term of ``_face_slopes``, is
+        tridiagonal but nonsymmetric, and a banded LU solves it.  In 2D/3D
+        the lagged interior matrix is symmetric with a positive, dominating
+        diagonal, and the update comes from a banded Cholesky solve, ordered
+        with the longest interior axis outermost so the half-bandwidth is
+        the product of the other interior extents; the coefficient term
+        there would need a banded LU with twice that band, 2 to 4 times
+        slower per solve at 65x65 for about 10% fewer iterations.  Raises
+        ``LinAlgError`` when the system or the direct-mode update is not
+        finite, the 1D system is singular, or the 2D/3D k-mode system is not
         positive definite.
         """
         if self.k is None:
@@ -284,6 +320,8 @@ class _StepProblem:
             if not np.all(np.isfinite(delta)):
                 raise np.linalg.LinAlgError("Newton update is not finite")
             return delta.reshape(self.grid.counts)
+        if self.exact:
+            return self._update_tridiagonal(faces, R, secant)
         shape, back = self.shape, self.back
         # lower band storage: ab[s, i] holds entry (i + s, i); each row of
         # ab is viewed as an interior field with the natural axis order
@@ -311,6 +349,24 @@ class _StepProblem:
         delta[self.inner] = x.reshape(shape).transpose(back)
         return delta
 
+    def _update_tridiagonal(self, faces: list, R: np.ndarray,
+                            secant: bool) -> np.ndarray:
+        """1D k-mode update: banded LU on the interior unknowns."""
+        (g_lo, g_hi), = self._face_slopes(faces, secant)
+        # general band storage: ab[1 + i - j, j] holds entry (i, j); face i
+        # joins node i (lo) and i + 1 (hi), interior unknown q is node q + 1
+        ab = np.zeros((3, R.size - 2))
+        ab[0, 1:] = -g_hi[1:-1]
+        ab[1] = 1.0 / self.config.dt + g_lo[1:] + g_hi[:-1]
+        ab[2, :-1] = -g_lo[1:-1]
+        b = R[1:-1]
+        if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(b))):
+            raise np.linalg.LinAlgError("Newton system is not finite")
+        delta = np.zeros(R.size)
+        delta[1:-1] = scipy.linalg.solve_banded(
+            (1, 1), ab, b, overwrite_ab=True, check_finite=False)
+        return delta
+
 
 def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
                   config: SolverConfig) -> tuple[ScalarField, StepReport]:
@@ -318,9 +374,11 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
 
     Solves (u - u_n)/dt = div F + f(., t_next) with boundary nodes pinned
     to g(., t_next) (plus 1/k in k-mode) by damped Newton with an exact
-    residual.  If Newton stalls, the step switches to the
-    lagged-diffusivity iteration.  A Newton system that cannot be solved
-    ends the step in ``StepFailure``.
+    residual.  The Newton matrix differentiates the truncation factor of
+    the coefficient in 1D k-mode and lags the coefficient's dependence on
+    u elsewhere (see ``_StepProblem.update``).  If Newton stalls, the step
+    switches to the lagged-diffusivity iteration.  A Newton system that
+    cannot be solved ends the step in ``StepFailure``.
     """
     grid = u_n.grid
     prob = _StepProblem(spec, grid, config, u_n.values, t_next)

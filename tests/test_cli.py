@@ -213,6 +213,22 @@ class TestRun:
         assert exc.value.code == ("constant: step 0 failed, "
                                   "final residual 4.686e+00")
 
+    def test_failed_run_removes_earlier_report(self, tmp_path):
+        payload = {"scenario": "constant", "preset": "porous-cascade",
+                   "grid": [9], "n_steps": 2}
+        out = tmp_path / "o"
+        ok = write_config(tmp_path, "ok.json", payload)
+        # the constant scenario on a nonconstant preset reports violations
+        assert main(["run", "--config", ok, "--out", str(out)]) == 1
+        others = set(json.loads((out / "manifest.json").read_text())["files"])
+        others.discard("report.json")
+        fail = write_config(tmp_path, "fail.json",
+                            {**payload, "solver": {"newton_max": 0}})
+        with pytest.raises(SystemExit, match="step 0 failed"):
+            main(["run", "--config", fail, "--out", str(out)])
+        # only the report and the manifest are removed
+        assert {f.name for f in out.iterdir()} == others
+
     def test_mollifier_demo_needs_no_problem(self, tmp_path):
         cfg = write_config(tmp_path, "moll.json",
                            {"scenario": "mollifier-demo"})
