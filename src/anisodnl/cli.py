@@ -379,12 +379,16 @@ def _write_run(scenario: str, cfg: dict, args,
     """Run a scenario, write its report and the manifest, and print its
     violations; return the number of files written and the violations.
     The report's settings are the config's, plus each run flag given.  A
-    time step that fails ends the run with a one-line diagnostic.  The
-    report and manifest of an earlier run into the same directory are
-    removed first, so a run that ends early leaves neither behind."""
+    time step that fails ends the run with a one-line diagnostic, and so
+    does an unknown scenario.  The report and manifest of an earlier run
+    into the same directory are removed first, so a run that ends early
+    leaves neither behind."""
     writer = OutputWriter(Path(args.out))
     for name in (report_name, "manifest.json"):
         (writer.outdir / name).unlink(missing_ok=True)
+    if scenario not in SCENARIOS:
+        raise SystemExit(
+            f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
     try:
         results, violations = _SCENARIO_FUNCS[scenario](cfg, args, writer)
     except solver.StepFailure as exc:
@@ -404,11 +408,8 @@ def _write_run(scenario: str, cfg: dict, args,
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    scenario = cfg.get("scenario")
-    if scenario not in SCENARIOS:
-        raise SystemExit(
-            f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-    n_files, violations = _write_run(scenario, cfg, args, "report.json")
+    n_files, violations = _write_run(cfg.get("scenario"), cfg, args,
+                                     "report.json")
     print(f"wrote {n_files} files to {args.out}")
     return 1 if violations else 0
 

@@ -9,9 +9,10 @@ used as given.
 The Newton matrix lags the dependence of the flux coefficient on u,
 except in 1D k-mode: there it also differentiates the truncation factor
 T_k(u)^((m_j-1)(p_j-1)) through the face mean, which makes it the exact
-Jacobian when a_j does not depend on u, and stays tridiagonal (banded
-LU).  In 2D/3D k-mode the lagged matrix keeps the system symmetric for a
-banded Cholesky solve; direct mode solves by sparse LU.
+Jacobian when a_j does not depend on u.  k-mode fills one band of the
+interior unknowns: the lower band of the symmetric lagged matrix in
+2D/3D (banded Cholesky), the full band of the nonsymmetric matrix in 1D
+(banded LU).  Direct mode solves by sparse LU.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ class SolverConfig:
 class StepReport:
     iterations: int
     residual: float
+    # no step falls back from Newton; the field stays in the report format
     fallback: bool = False
     clamped: bool = False
 
@@ -168,12 +170,12 @@ class _StepProblem:
         self.lo = [axis_slices(dim, j, slice(0, -1)) for j in range(dim)]
         self.hi = [axis_slices(dim, j, slice(1, None)) for j in range(dim)]
         self.core = [axis_slices(dim, j, slice(1, -1)) for j in range(dim)]
-        # 1D k-mode differentiates the truncated coefficient too (see
-        # ``_face_slopes``)
-        self.exact = self.k is not None and dim == 1
-        if self.k is not None and not self.exact:
-            # Cholesky band layout of the interior unknowns, longest axis
-            # outermost
+        if self.k is not None:
+            # the lagged matrix of 2D/3D k-mode is symmetric; 1D k-mode
+            # differentiates the truncated coefficient too (see
+            # ``_face_slopes``)
+            self.symmetric = dim > 1
+            # band layout of the interior unknowns, longest axis outermost
             self.inner = (slice(1, -1),) * dim
             ext = [n - 2 for n in grid.counts]
             self.order = sorted(range(dim), key=lambda j: -ext[j])
@@ -181,7 +183,7 @@ class _StepProblem:
             self.stride = [0] * dim
             for q, j in enumerate(self.order):
                 self.stride[j] = int(np.prod(self.shape[q + 1:]))
-            self.back = np.argsort(self.order)
+            self.back = tuple(np.argsort(self.order).tolist())
             # the faces of axis j that lie on interior lines of the others
             self.cross = [tuple(slice(None) if i == j else slice(1, -1)
                                 for i in range(dim)) for j in range(dim)]
@@ -218,7 +220,7 @@ class _StepProblem:
         R[self.boundary] = u[self.boundary] - self.bc_boundary
         return R, faces
 
-    def _face_slopes(self, faces: list, secant: bool):
+    def _face_slopes(self, faces: list):
         """Per axis, the Jacobian weights (g_lo, g_hi) of every face on its
         lo and hi node.
 
@@ -229,26 +231,22 @@ class _StepProblem:
         dc/dubar * 1/2 * |D|^(p-2) D per adjacent node, that is
         e = F (m_j-1)(p_j-1) / (2 h ubar) in the weights where
         1/k < ubar < k (T_k' vanishes outside), and the weights become
-        (g_lo - e, g_hi + e): the exact Jacobian, tridiagonal but
-        nonsymmetric.  a_j's own dependence on u stays lagged everywhere, and
-        so does the whole coefficient in direct mode and in 2D/3D k-mode,
-        where the lagged matrix keeps the system symmetric for the banded
-        Cholesky solve (see ``update``).  With secant=True the slope drops
-        the factor (p-1) and the coefficient term is left out, which yields
-        the lagged-diffusivity fixed-point matrix.  The face between node i
-        (lo) and i+1 (hi) on axis j contributes +g_lo, +g_hi to the diagonal
-        of lo, hi and -g_hi, -g_lo to the entries (lo, hi), (hi, lo).
+        (g_lo - e, g_hi + e): the exact Jacobian, nonsymmetric.  a_j's own
+        dependence on u stays lagged everywhere, and so does the whole
+        coefficient in direct mode and in 2D/3D k-mode, where the lagged
+        matrix is symmetric (see ``update``).  The face between node i (lo)
+        and i+1 (hi) on axis j contributes +g_lo, +g_hi to the diagonal of
+        lo, hi and -g_hi, -g_lo to the entries (lo, hi), (hi, lo).
         """
         out = []
         for j, (c, D, dlo, dhi, ubar, F) in enumerate(faces):
             pj = self.p[j]
             h = self.h[j]
-            slope = c * (D * D + EPS_REG * EPS_REG) ** ((pj - 2.0) / 2.0)
-            if not secant:
-                slope = slope * (pj - 1.0)
+            slope = (c * (D * D + EPS_REG * EPS_REG) ** ((pj - 2.0) / 2.0)
+                     * (pj - 1.0))
             g_lo = slope * dlo / (h * h)
             g_hi = slope * dhi / (h * h)
-            if self.exact and not secant:
+            if self.k is not None and not self.symmetric:
                 # T_k(ubar) = ubar, and so dc/dubar = c (m_j-1)(p_j-1)/ubar,
                 # only on (1/k, k)
                 inside = (ubar > 1.0 / self.k) & (ubar < self.k)
@@ -258,14 +256,14 @@ class _StepProblem:
             out.append((g_lo, g_hi))
         return out
 
-    def jacobian(self, faces: list, secant: bool = False) -> sp.csr_matrix:
+    def jacobian(self, faces: list) -> sp.csr_matrix:
         """Sparse Jacobian of the residual (see ``_face_slopes``), with
         identity rows at the boundary nodes."""
         n = self.n_nodes
         idx = np.arange(n).reshape(self.grid.counts)
         rows, cols, vals = [], [], []
         diag = np.full(self.grid.counts, 1.0 / self.config.dt)
-        for j, (g_lo, g_hi) in enumerate(self._face_slopes(faces, secant)):
+        for j, (g_lo, g_hi) in enumerate(self._face_slopes(faces)):
             i_lo = idx[self.lo[j]]
             i_hi = idx[self.hi[j]]
             diag[self.lo[j]] += g_lo
@@ -290,81 +288,76 @@ class _StepProblem:
         J.eliminate_zeros()
         return J
 
-    def update(self, faces: list, R: np.ndarray,
-               secant: bool = False) -> np.ndarray:
-        """Solve J delta = R for the Newton (or secant) update at the iterate
-        whose face data are ``faces``.
+    def update(self, faces: list, R: np.ndarray) -> np.ndarray:
+        """Solve J delta = R for the Newton update at the iterate whose face
+        data are ``faces``.
 
         Direct mode solves the full sparse system by LU: its Jacobian is
         nonsymmetric, because each axis scales its columns by
         m_j u^(m_j - 1).  In k-mode the working power is u itself and the
         boundary rows are identity rows whose residual is 0 once u carries
-        the boundary data, so only the interior unknowns are solved for.  In
-        1D the matrix, with the coefficient term of ``_face_slopes``, is
-        tridiagonal but nonsymmetric, and a banded LU solves it.  In 2D/3D
-        the lagged interior matrix is symmetric with a positive, dominating
-        diagonal, and the update comes from a banded Cholesky solve, ordered
-        with the longest interior axis outermost so the half-bandwidth is
-        the product of the other interior extents; the coefficient term
-        there would need a banded LU with twice that band, 2 to 4 times
-        slower per solve at 65x65 for about 10% fewer iterations.  Raises
-        ``LinAlgError`` when the system or the direct-mode update is not
-        finite, the 1D system is singular, or the 2D/3D k-mode system is not
-        positive definite.
+        the boundary data, so only the interior unknowns are solved for, in
+        band storage ordered with the longest interior axis outermost: the
+        half-bandwidth is the product of the other interior extents.  In
+        2D/3D the lagged interior matrix is symmetric with a positive,
+        dominating diagonal; its lower band is filled and solved by banded
+        Cholesky.  The coefficient term there would need a banded LU with
+        twice that band, 2 to 4 times slower per solve at 65x65 for about
+        10% fewer iterations.  In 1D the matrix, with the coefficient term
+        of ``_face_slopes``, is nonsymmetric; its full (tridiagonal) band is
+        filled and solved by banded LU.  Raises ``LinAlgError`` when the
+        system or the direct-mode update is not finite, the 1D system is
+        singular, or the 2D/3D k-mode system is not positive definite.
         """
         if self.k is None:
-            J = self.jacobian(faces, secant=secant)
+            J = self.jacobian(faces)
             if not (np.all(np.isfinite(J.data)) and np.all(np.isfinite(R))):
                 raise np.linalg.LinAlgError("Newton system is not finite")
             delta = spla.spsolve(J, R.ravel())
             if not np.all(np.isfinite(delta)):
                 raise np.linalg.LinAlgError("Newton update is not finite")
             return delta.reshape(self.grid.counts)
-        if self.exact:
-            return self._update_tridiagonal(faces, R, secant)
         shape, back = self.shape, self.back
-        # lower band storage: ab[s, i] holds entry (i + s, i); each row of
-        # ab is viewed as an interior field with the natural axis order
-        ab = np.zeros((self.stride[self.order[0]] + 1, int(np.prod(shape))))
-        diag = ab[0].reshape(shape).transpose(back)
-        diag[...] = 1.0 / self.config.dt
-        for j, (g, _) in enumerate(self._face_slopes(faces, secant)):
-            # g_lo == g_hi in k-mode; keep the faces of interior cross lines
-            g = g[self.cross[j]]
-            diag += g[self.lo[j]]
-            diag += g[self.hi[j]]
-            # coupling of interior nodes i and i+1, stored at column i
-            off = ab[self.stride[j]].reshape(shape).transpose(back)
-            off[self.lo[j]] -= g[self.core[j]]
+        w = self.stride[self.order[0]]
+        # band storage, each row of ab viewed as an interior field with the
+        # natural axis order: band(s) holds entry (i + s, i) at column i.
+        # Symmetric: the lower band only, ab[s, i]; else the full band,
+        # ab[w + s, i] (``solve_banded`` layout)
+        mid = 0 if self.symmetric else w
         b = R[self.inner].transpose(self.order).ravel()
+        ab = np.zeros((mid + w + 1, b.size))
+
+        def band(s):
+            return ab[mid + s].reshape(shape).transpose(back)
+
+        diag = band(0)
+        diag[...] = 1.0 / self.config.dt
+        for j, (g_lo, g_hi) in enumerate(self._face_slopes(faces)):
+            # keep the faces of interior cross lines
+            g_lo = g_lo[self.cross[j]]
+            g_hi = g_hi[self.cross[j]]
+            diag += g_hi[self.lo[j]]
+            diag += g_lo[self.hi[j]]
+            # coupling of interior nodes i and i+1: entry (i+1, i) at
+            # column i, entry (i, i+1) at column i+1
+            band(self.stride[j])[self.lo[j]] -= g_lo[self.core[j]]
+            if not self.symmetric:
+                band(-self.stride[j])[self.hi[j]] -= g_hi[self.core[j]]
         if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(b))):
             raise np.linalg.LinAlgError("Newton system is not finite")
-        if b.size == 1:
-            # the tridiagonal path of solveh_banded needs two unknowns; a
-            # zero band sends a lone unknown through the banded Cholesky
-            ab = np.vstack([ab, np.zeros((1, 1))])
-        x = scipy.linalg.solveh_banded(ab, b, overwrite_ab=True, lower=True,
-                                       check_finite=False)
+        if not self.symmetric:
+            x = scipy.linalg.solve_banded((w, w), ab, b, overwrite_ab=True,
+                                          check_finite=False)
+        else:
+            if b.size == 1:
+                # the tridiagonal path of solveh_banded needs two unknowns;
+                # a zero band sends a lone unknown through the banded
+                # Cholesky
+                ab = np.vstack([ab, np.zeros((1, 1))])
+            x = scipy.linalg.solveh_banded(ab, b, overwrite_ab=True,
+                                           lower=True, check_finite=False)
         delta = np.zeros(self.grid.counts)
         delta[self.inner] = x.reshape(shape).transpose(back)
-        return delta
-
-    def _update_tridiagonal(self, faces: list, R: np.ndarray,
-                            secant: bool) -> np.ndarray:
-        """1D k-mode update: banded LU on the interior unknowns."""
-        (g_lo, g_hi), = self._face_slopes(faces, secant)
-        # general band storage: ab[1 + i - j, j] holds entry (i, j); face i
-        # joins node i (lo) and i + 1 (hi), interior unknown q is node q + 1
-        ab = np.zeros((3, R.size - 2))
-        ab[0, 1:] = -g_hi[1:-1]
-        ab[1] = 1.0 / self.config.dt + g_lo[1:] + g_hi[:-1]
-        ab[2, :-1] = -g_lo[1:-1]
-        b = R[1:-1]
-        if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(b))):
-            raise np.linalg.LinAlgError("Newton system is not finite")
-        delta = np.zeros(R.size)
-        delta[1:-1] = scipy.linalg.solve_banded(
-            (1, 1), ab, b, overwrite_ab=True, check_finite=False)
         return delta
 
 
@@ -376,9 +369,9 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     to g(., t_next) (plus 1/k in k-mode) by damped Newton with an exact
     residual.  The Newton matrix differentiates the truncation factor of
     the coefficient in 1D k-mode and lags the coefficient's dependence on
-    u elsewhere (see ``_StepProblem.update``).  If Newton stalls, the step
-    switches to the lagged-diffusivity iteration.  A Newton system that
-    cannot be solved ends the step in ``StepFailure``.
+    u elsewhere (see ``_StepProblem.update``).  A step that does not reach
+    ``newton_tol`` within ``newton_max`` iterations, or whose Newton system
+    cannot be solved, ends in ``StepFailure``.
     """
     grid = u_n.grid
     prob = _StepProblem(spec, grid, config, u_n.values, t_next)
@@ -391,25 +384,17 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     clamped = False
 
     hist = []
-    secant = False
-    stall_ref = None
     R, faces = prob.residual(u)
     for it in range(config.newton_max + 1):
         res = float(np.max(np.abs(R)))
         hist.append(res)
         if res <= config.newton_tol:
             return (ScalarField(grid, u, t_next),
-                    StepReport(iterations=it, residual=res, fallback=secant,
-                               clamped=clamped))
+                    StepReport(iterations=it, residual=res, clamped=clamped))
         if it == config.newton_max:
             break
-        if (not secant and it >= 5 and stall_ref is not None
-                and res > 0.9 * stall_ref):
-            secant = True
-        if it % 5 == 0:
-            stall_ref = res
         try:
-            delta = prob.update(faces, R, secant=secant)
+            delta = prob.update(faces, R)
         except np.linalg.LinAlgError as exc:
             raise StepFailure(-1, hist) from exc
         lam = 1.0
@@ -420,8 +405,7 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
                 trial = np.maximum(trial, 0.0)
                 clamped = True
             R_trial, faces_trial = prob.residual(trial)
-            if (secant or trial_no == 10
-                    or float(np.max(np.abs(R_trial))) < res):
+            if trial_no == 10 or float(np.max(np.abs(R_trial))) < res:
                 # the accepted trial's residual and face data are the next
                 # iteration's
                 u, R, faces = trial, R_trial, faces_trial

@@ -229,6 +229,20 @@ class TestRun:
         # only the report and the manifest are removed
         assert {f.name for f in out.iterdir()} == others
 
+    def test_unknown_scenario_removes_earlier_report(self, tmp_path):
+        payload = {"scenario": "constant", "preset": "porous-cascade",
+                   "grid": [9], "n_steps": 2}
+        out = tmp_path / "o"
+        main(["run", "--config", write_config(tmp_path, "ok.json", payload),
+              "--out", str(out)])
+        assert (out / "report.json").exists()
+        typo = write_config(tmp_path, "typo.json",
+                            {**payload, "scenario": "constnt"})
+        with pytest.raises(SystemExit, match="unknown scenario 'constnt'"):
+            main(["run", "--config", typo, "--out", str(out)])
+        assert not (out / "report.json").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_mollifier_demo_needs_no_problem(self, tmp_path):
         cfg = write_config(tmp_path, "moll.json",
                            {"scenario": "mollifier-demo"})
