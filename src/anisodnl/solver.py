@@ -11,8 +11,18 @@ except in 1D k-mode: there it also differentiates the truncation factor
 T_k(u)^((m_j-1)(p_j-1)) through the face mean, which makes it the exact
 Jacobian when a_j does not depend on u.  k-mode fills one band of the
 interior unknowns: the lower band of the symmetric lagged matrix in
-2D/3D (banded Cholesky), the full band of the nonsymmetric matrix in 1D
-(banded LU).  Direct mode solves by sparse LU.
+2D/3D, the full band of the nonsymmetric matrix in 1D (banded LU).
+Direct mode solves by sparse LU.
+
+A solve keeps state from one time step to the next (``_Carry``).  In
+2D/3D k-mode each Newton system is solved by preconditioned conjugate
+gradients to the relative residual CG_RTOL (an inexact Newton step,
+Eisenstat & Walker 1996), preconditioned by the banded Cholesky factor
+of an earlier Newton matrix of the same solve; the matrix is factored
+again only when CG does not converge within CG_MAX iterations
+(Newton-Krylov with a reused preconditioner, Knoll & Keyes 2004).  In
+k-mode Newton starts from the linear extrapolation of the last two
+fields instead of from u_n.
 """
 
 from __future__ import annotations
@@ -49,6 +59,10 @@ __all__ = [
 EPS_REG = 1e-8
 # step of the central differences in manufactured_rhs
 FD_STEP = 1e-3
+# relative residual and iteration limit of the conjugate-gradient solve of
+# a 2D/3D k-mode Newton system; a looser tolerance costs Newton iterations
+CG_RTOL = 1e-4
+CG_MAX = 8
 
 
 def _valid_k(k) -> bool:
@@ -128,6 +142,17 @@ class StepFailure(RuntimeError):
                 f"{self.residual_history[-1]:.3e}")
 
 
+@dataclass
+class _Carry:
+    """What one solve keeps from one implicit step to the next: the
+    banded Cholesky factor (lower form) of the last 2D/3D k-mode Newton
+    matrix that was factored, and the field before u_n.  ``solve_problem``
+    makes one per call, so no state passes between solves."""
+
+    factor: np.ndarray | None = None
+    prev: ScalarField | None = None
+
+
 def ordering_tolerance(config: SolverConfig, T: float) -> float:
     """Accumulated residual tolerance for pointwise ordering checks."""
     return config.newton_tol * (1.0 + T / config.dt)
@@ -184,6 +209,12 @@ class _StepProblem:
             for q, j in enumerate(self.order):
                 self.stride[j] = int(np.prod(self.shape[q + 1:]))
             self.back = tuple(np.argsort(self.order).tolist())
+            # the band offsets that hold nonzeros: the diagonal and the
+            # per-axis strides, on the lower side only when the matrix is
+            # symmetric; in 1D the whole tridiagonal band
+            signs = (1,) if self.symmetric else (-1, 1)
+            self.offsets = sorted({0} | {sign * s for sign in signs
+                                         for s in self.stride})
             # the faces of axis j that lie on interior lines of the others
             self.cross = [tuple(slice(None) if i == j else slice(1, -1)
                                 for i in range(dim)) for j in range(dim)]
@@ -288,7 +319,8 @@ class _StepProblem:
         J.eliminate_zeros()
         return J
 
-    def update(self, faces: list, R: np.ndarray) -> np.ndarray:
+    def update(self, faces: list, R: np.ndarray,
+               carry: _Carry) -> np.ndarray:
         """Solve J delta = R for the Newton update at the iterate whose face
         data are ``faces``.
 
@@ -298,16 +330,23 @@ class _StepProblem:
         boundary rows are identity rows whose residual is 0 once u carries
         the boundary data, so only the interior unknowns are solved for, in
         band storage ordered with the longest interior axis outermost: the
-        half-bandwidth is the product of the other interior extents.  In
-        2D/3D the lagged interior matrix is symmetric with a positive,
-        dominating diagonal; its lower band is filled and solved by banded
-        Cholesky.  The coefficient term there would need a banded LU with
-        twice that band, 2 to 4 times slower per solve at 65x65 for about
-        10% fewer iterations.  In 1D the matrix, with the coefficient term
-        of ``_face_slopes``, is nonsymmetric; its full (tridiagonal) band is
-        filled and solved by banded LU.  Raises ``LinAlgError`` when the
+        half-bandwidth is the product of the other interior extents.  Only
+        the band rows that hold nonzeros are filled: the diagonal and the
+        per-axis strides.  In 1D the matrix, with the coefficient term of
+        ``_face_slopes``, is nonsymmetric; its full (tridiagonal) band is
+        solved by banded LU.  In 2D/3D the lagged interior matrix is
+        symmetric with a positive, dominating diagonal (the coefficient
+        term would need a banded LU with twice the band, 2 to 4 times
+        slower per solve at 65x65 for about 10% fewer iterations).  Its
+        lower band rows are solved by one conjugate-gradient call to the
+        relative residual CG_RTOL, preconditioned by ``carry.factor``, the
+        banded Cholesky factor of an earlier Newton matrix of the same
+        solve.  When no factor is kept, or CG does not converge within
+        CG_MAX iterations, the current matrix is factored and kept, and the
+        system is solved with its factor.  Raises ``LinAlgError`` when the
         system or the direct-mode update is not finite, the 1D system is
-        singular, or the 2D/3D k-mode system is not positive definite.
+        singular, or a 2D/3D k-mode matrix that is factored is not positive
+        definite.
         """
         if self.k is None:
             J = self.jacobian(faces)
@@ -317,18 +356,15 @@ class _StepProblem:
             if not np.all(np.isfinite(delta)):
                 raise np.linalg.LinAlgError("Newton update is not finite")
             return delta.reshape(self.grid.counts)
-        shape, back = self.shape, self.back
-        w = self.stride[self.order[0]]
-        # band storage, each row of ab viewed as an interior field with the
-        # natural axis order: band(s) holds entry (i + s, i) at column i.
-        # Symmetric: the lower band only, ab[s, i]; else the full band,
-        # ab[w + s, i] (``solve_banded`` layout)
-        mid = 0 if self.symmetric else w
+        shape, back, offsets = self.shape, self.back, self.offsets
+        # one row of ab per offset, each viewed as an interior field with
+        # the natural axis order: band(s) holds entry (i + s, i) at column
+        # i.  In 1D the rows are the full band in ``solve_banded`` layout
         b = R[self.inner].transpose(self.order).ravel()
-        ab = np.zeros((mid + w + 1, b.size))
+        ab = np.zeros((len(offsets), b.size))
 
         def band(s):
-            return ab[mid + s].reshape(shape).transpose(back)
+            return ab[offsets.index(s)].reshape(shape).transpose(back)
 
         diag = band(0)
         diag[...] = 1.0 / self.config.dt
@@ -346,36 +382,83 @@ class _StepProblem:
         if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(b))):
             raise np.linalg.LinAlgError("Newton system is not finite")
         if not self.symmetric:
-            x = scipy.linalg.solve_banded((w, w), ab, b, overwrite_ab=True,
+            x = scipy.linalg.solve_banded((1, 1), ab, b, overwrite_ab=True,
                                           check_finite=False)
         else:
-            if b.size == 1:
-                # the tridiagonal path of solveh_banded needs two unknowns;
-                # a zero band sends a lone unknown through the banded
-                # Cholesky
-                ab = np.vstack([ab, np.zeros((1, 1))])
-            x = scipy.linalg.solveh_banded(ab, b, overwrite_ab=True,
-                                           lower=True, check_finite=False)
+            x = self._pcg(ab, b, carry)
         delta = np.zeros(self.grid.counts)
         delta[self.inner] = x.reshape(shape).transpose(back)
         return delta
 
+    def _pcg(self, ab: np.ndarray, b: np.ndarray,
+             carry: _Carry) -> np.ndarray:
+        """Solve the symmetric system whose nonzero lower band rows are
+        ``ab`` by CG, preconditioned by the kept factor (see ``update``)."""
+        n = b.size
+        offsets = self.offsets
+        full_shape = (offsets[-1] + 1, n)
+
+        def matvec(x):
+            y = ab[0] * x
+            for row, s in zip(ab[1:], offsets[1:]):
+                y[s:] += row[:n - s] * x[:n - s]
+                y[:n - s] += row[:n - s] * x[s:]
+            return y
+
+        def precondition(r):
+            return scipy.linalg.cho_solve_banded((carry.factor, True), r,
+                                                 check_finite=False)
+
+        def factor():
+            # the whole lower band, factored in place once the stale
+            # factor is released
+            carry.factor = None
+            full = np.zeros(full_shape, order="F")
+            full[offsets] = ab
+            carry.factor = scipy.linalg.cholesky_banded(
+                full, lower=True, overwrite_ab=True, check_finite=False)
+
+        if carry.factor is None or carry.factor.shape != full_shape:
+            factor()
+        x, info = spla.cg(spla.LinearOperator((n, n), matvec, dtype=float),
+                          b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX,
+                          M=spla.LinearOperator((n, n), precondition,
+                                                dtype=float))
+        if info != 0:
+            factor()
+            x = precondition(b)
+        return x
+
 
 def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
-                  config: SolverConfig) -> tuple[ScalarField, StepReport]:
+                  config: SolverConfig, carry: _Carry | None = None
+                  ) -> tuple[ScalarField, StepReport]:
     """Advance one backward-Euler step.
 
     Solves (u - u_n)/dt = div F + f(., t_next) with boundary nodes pinned
     to g(., t_next) (plus 1/k in k-mode) by damped Newton with an exact
     residual.  The Newton matrix differentiates the truncation factor of
     the coefficient in 1D k-mode and lags the coefficient's dependence on
-    u elsewhere (see ``_StepProblem.update``).  A step that does not reach
-    ``newton_tol`` within ``newton_max`` iterations, or whose Newton system
-    cannot be solved, ends in ``StepFailure``.
+    u elsewhere (see ``_StepProblem.update``).  ``carry`` holds what the
+    previous steps of the same solve left: the kept Cholesky factor that
+    preconditions the 2D/3D k-mode solves, and the field before u_n.  With
+    it, k-mode Newton starts from u_n + r (u_n - u_{n-1}),
+    r = (t_next - t_n) / (t_n - t_{n-1}), clamped below at 1/k; without a
+    previous field (and always in direct mode) it starts from u_n.  The
+    step records u_n in ``carry``; None starts a fresh one.  A step that
+    does not reach ``newton_tol`` within ``newton_max`` iterations, or
+    whose Newton system cannot be solved, ends in ``StepFailure``.
     """
+    if carry is None:
+        carry = _Carry()
     grid = u_n.grid
     prob = _StepProblem(spec, grid, config, u_n.values, t_next)
     u = u_n.values.copy()
+    if prob.k is not None and carry.prev is not None:
+        # the local time derivative carries over to the next step
+        r = (t_next - u_n.t) / (u_n.t - carry.prev.t)
+        u += r * (u - carry.prev.values)
+        np.maximum(u, 1.0 / prob.k, out=u)
     if config.guess_offset != 0.0:
         # perturb the initial Newton iterate; the converged state must not
         # depend on it beyond the residual tolerance
@@ -389,12 +472,13 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
         res = float(np.max(np.abs(R)))
         hist.append(res)
         if res <= config.newton_tol:
+            carry.prev = u_n
             return (ScalarField(grid, u, t_next),
                     StepReport(iterations=it, residual=res, clamped=clamped))
         if it == config.newton_max:
             break
         try:
-            delta = prob.update(faces, R)
+            delta = prob.update(faces, R, carry)
         except np.linalg.LinAlgError as exc:
             raise StepFailure(-1, hist) from exc
         lam = 1.0
@@ -419,7 +503,8 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
     """March the implicit scheme from 0 to T.
 
     In k-mode the initial field is u0 + 1/k and boundary data g + 1/k; in
-    direct mode the data are used as given.
+    direct mode the data are used as given.  One ``_Carry`` passes the
+    kept factor and the previous field from each step to the next.
     """
     shift = 0.0 if config.k is None else 1.0 / config.k
     x = grid.meshgrid()
@@ -430,6 +515,7 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
     u0[grid.boundary_mask()] = bc0[grid.boundary_mask()]
     fields = [ScalarField(grid, u0, 0.0)]
     report = SolveReport()
+    carry = _Carry()
     n_steps = int(round(spec.T / config.dt))
     last = config
     if abs(n_steps * config.dt - spec.T) > 1e-9 * spec.T:
@@ -441,7 +527,7 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
         step_config = last if n == n_steps - 1 else config
         try:
             f_next, step = implicit_step(fields[-1], t_next, spec,
-                                         step_config)
+                                         step_config, carry=carry)
         except StepFailure as exc:
             exc.step_index = n
             raise

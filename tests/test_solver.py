@@ -33,6 +33,7 @@ from anisodnl.presets import (
 from anisodnl.solver import (
     SolverConfig,
     StepFailure,
+    _Carry,
     _StepProblem,
     implicit_step,
     manufactured_rhs,
@@ -138,10 +139,45 @@ class TestNewtonUpdate:
         u[~prob.interior] = prob.bc[~prob.interior]
         R, faces = prob.residual(u)
         ref = spla.spsolve(prob.jacobian(faces), R.ravel())
-        got = prob.update(faces, R)
+        carry = _Carry()
+        got = prob.update(faces, R, carry)
         assert np.max(np.abs(got.ravel() - ref)) \
             <= 1e-12 * np.max(np.abs(ref))
         assert np.all(got[~prob.interior] == 0.0)
+        # a fresh carry is filled with the factor of this matrix in 2D/3D
+        assert (carry.factor is not None) == (len(counts) > 1)
+
+    @pytest.mark.parametrize("counts", [(9, 13), (5, 6, 7)])
+    @pytest.mark.parametrize("stale_dt", [1.0, 1e-4])
+    def test_k_mode_stale_factor(self, counts, stale_dt):
+        # the kept factor comes from the same faces at 100 times or 1/100
+        # of the dt: CG reaches the relative residual CG_RTOL with it, or
+        # the matrix is factored again and the update is the exact solve
+        spec = varcoeff_problem(len(counts))
+        grid = Grid(spec.box, counts)
+        rng = np.random.default_rng(len(counts))
+        u_prev = np.full(counts, 0.6)
+        prob = _StepProblem(spec, grid, SolverConfig(dt=0.01, k=4), u_prev,
+                            0.01)
+        u = rng.uniform(0.3, 1.5, counts)
+        u[~prob.interior] = prob.bc[~prob.interior]
+        R, faces = prob.residual(u)
+        carry = _Carry()
+        _StepProblem(spec, grid, SolverConfig(dt=stale_dt, k=4), u_prev,
+                     0.01).update(faces, R, carry)
+        stale = carry.factor
+        got = prob.update(faces, R, carry)
+        J = prob.jacobian(faces)
+        if carry.factor is stale:
+            assert np.linalg.norm(J @ got.ravel() - R.ravel()) \
+                <= anisodnl.solver.CG_RTOL * np.linalg.norm(R)
+        else:
+            ref = spla.spsolve(J, R.ravel())
+            assert np.max(np.abs(got.ravel() - ref)) \
+                <= 1e-12 * np.max(np.abs(ref))
+        # which branch runs: the factor at the larger dt preconditions
+        # well enough, the one dominated by its diagonal 1/dt does not
+        assert (carry.factor is stale) == (stale_dt > 0.01)
 
     @pytest.mark.parametrize("k", [4, 16])
     def test_k_mode_1d_jacobian_matches_central_differences(self, k):
@@ -222,14 +258,14 @@ class TestNewtonUpdate:
         assert np.all(J.data[J.indptr[bidx]] == 1.0)
 
     @pytest.mark.parametrize("name, counts, ks, n_steps, iters", [
-        ("aniso-cascade", (17, 17), [2, 4, 8, 16], 8, [29, 30, 31, 31]),
+        ("aniso-cascade", (17, 17), [2, 4, 8, 16], 8, [29, 29, 29, 30]),
         ("porous-cascade", (65,), [1, 2, 4, 8, 16], 16,
-         [16, 48, 48, 49, 49]),
+         [16, 39, 37, 38, 39]),
     ])
     def test_k_mode_newton_counts(self, name, counts, ks, n_steps, iters):
-        # 2D counts recorded with the sparse LU update on the full system;
-        # 1D counts with the exact Jacobian (k = 1 is unchanged: T_1 is
-        # constant)
+        # counts recorded with Newton started from the extrapolation of the
+        # last two fields; 2D with the CG solve on the kept Cholesky factor
+        # to CG_RTOL, 1D with the exact Jacobian by banded LU
         spec = get_preset(name)
         grid = Grid(spec.box, counts)
         res = regularization_cascade(
@@ -422,9 +458,9 @@ class TestManufactured:
         step_dts = []
         step = implicit_step
 
-        def recorded_step(u_n, t_next, spec, config):
+        def recorded_step(u_n, t_next, spec, config, **kwargs):
             step_dts.append(config.dt)
-            return step(u_n, t_next, spec, config)
+            return step(u_n, t_next, spec, config, **kwargs)
 
         monkeypatch.setattr("anisodnl.solver.implicit_step", recorded_step)
         ts, _ = solve_problem(spec, grid, SolverConfig(dt=dt))
@@ -509,6 +545,48 @@ class TestCascade:
             for f in ts.fields:
                 assert np.max(np.abs(f.values - (0.9 + 1.0 / k))) \
                     <= cfg.newton_tol
+
+    def test_repeated_cascade_is_bit_identical(self):
+        # each solve keeps its own factor and previous field: nothing
+        # passes from one cascade to the next
+        spec = get_preset("aniso-cascade")
+        grid = Grid(spec.box, (17, 17))
+        cfg = SolverConfig(dt=spec.T / 8)
+        a, b = (regularization_cascade(spec, grid, cfg, [2, 4])
+                for _ in range(2))
+        for sa, sb in zip(a.series, b.series):
+            assert np.array_equal(sa.values_array(), sb.values_array())
+        assert a.as_dict() == b.as_dict()
+
+    @pytest.mark.parametrize("name, counts, ks, dt_steps", [
+        ("aniso-cascade", (17, 17), [2, 4, 8, 16], 8),
+        # dt does not divide T: the last step is shortened
+        ("porous-cascade", (65,), [1, 2, 4, 8, 16], 15.5),
+    ])
+    def test_carried_state_matches_fresh_steps(self, name, counts, ks,
+                                               dt_steps, monkeypatch):
+        # the kept factor and the extrapolated first iterate change how
+        # Newton gets there, not where it ends: every field agrees with
+        # steps that start from u_n with no factor kept
+        spec = get_preset(name)
+        grid = Grid(spec.box, counts)
+        cfg = SolverConfig(dt=spec.T / dt_steps)
+        warm = regularization_cascade(spec, grid, cfg, ks)
+        step = implicit_step
+
+        def fresh_step(u_n, t_next, spec, config, carry):
+            return step(u_n, t_next, spec, config, carry=None)
+
+        monkeypatch.setattr(anisodnl.solver, "implicit_step", fresh_step)
+        cold = regularization_cascade(spec, grid, cfg, ks)
+        tol = ordering_tolerance(cfg, spec.T)
+        for sw, sc in zip(warm.series, cold.series):
+            assert [f.t for f in sw.fields] == [f.t for f in sc.fields]
+            assert np.max(np.abs(sw.values_array() - sc.values_array())) \
+                <= tol
+        assert warm.distances == pytest.approx(cold.distances, rel=1e-6)
+        assert (sum(r.total_iterations for r in warm.reports)
+                < sum(r.total_iterations for r in cold.reports))
 
     def test_rejects_unsorted_ks(self):
         spec = constant_problem()
