@@ -9,10 +9,10 @@ used as given.
 The Newton matrix lags the dependence of the flux coefficient on u,
 except in 1D k-mode: there it also differentiates the truncation factor
 T_k(u)^((m_j-1)(p_j-1)) through the face mean, which makes it the exact
-Jacobian when a_j does not depend on u.  k-mode fills one band of the
-interior unknowns: the lower band of the symmetric lagged matrix in
-2D/3D, the full band of the nonsymmetric matrix in 1D (banded LU).
-Direct mode solves by sparse LU.
+Jacobian when a_j does not depend on u.  k-mode fills the nonzero rows
+of one band of the interior unknowns: the lower band of the symmetric
+lagged matrix in 2D/3D, the full band of the nonsymmetric matrix in 1D
+(banded LU).  Direct mode solves by sparse LU.
 
 A solve keeps state from one time step to the next (``_Carry``).  In
 2D/3D k-mode each Newton system is solved by preconditioned conjugate

@@ -588,6 +588,22 @@ class TestCascade:
         assert (sum(r.total_iterations for r in warm.reports)
                 < sum(r.total_iterations for r in cold.reports))
 
+    @pytest.mark.parametrize("counts", [(9,), (9, 9)])
+    def test_extrapolated_start_exact_for_linear_growth(self, counts):
+        # u = 0.7 + 1/k + 0.5 t is flat in space and linear in time, so
+        # backward Euler reproduces it and the extrapolated first iterate
+        # is already the step's solution, the shortened last step included
+        spec = replace(constant_problem(p=(3.0, 2.0)[:len(counts)],
+                                        m=(1.0, 1.5)[:len(counts)]),
+                       f=make_constant(0.5),
+                       g=lambda x, t: np.full(np.shape(x[0]), 0.7 + 0.5 * t))
+        cfg = SolverConfig(dt=spec.T / 3.5, k=2)
+        ts, rep = solve_problem(spec, Grid(spec.box, counts), cfg)
+        assert ts.fields[-1].t == spec.T
+        assert [s.iterations for s in rep.steps][1:] == [0, 0, 0]
+        exact = 0.7 + 1.0 / cfg.k + 0.5 * spec.T
+        assert np.max(np.abs(ts.fields[-1].values - exact)) <= cfg.newton_tol
+
     def test_rejects_unsorted_ks(self):
         spec = constant_problem()
         grid = Grid(spec.box, (9, 9))
