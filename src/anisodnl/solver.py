@@ -14,24 +14,31 @@ of one band of the interior unknowns: the lower band of the symmetric
 lagged matrix in 2D/3D, the full band of the nonsymmetric matrix in 1D
 (banded LU).  Direct mode solves by sparse LU.
 
-A solve keeps state from one time step to the next (``_Carry``).  In
+A solve keeps state from one time step to the next (``_Carry``): the
+grid data of its steps, a preconditioner and the previous field.  In
 2D/3D k-mode each Newton system is solved by preconditioned conjugate
 gradients to the relative residual CG_RTOL (an inexact Newton step,
-Eisenstat & Walker 1996), preconditioned by the banded Cholesky factor
-of an earlier Newton matrix of the same solve; the matrix is factored
-again only when CG does not converge within CG_MAX iterations
-(Newton-Krylov with a reused preconditioner, Knoll & Keyes 2004).  In
-k-mode Newton starts from the linear extrapolation of the last two
-fields instead of from u_n.
+Eisenstat & Walker 1996), preconditioned by the exact inverse of an
+earlier Newton matrix of the same solve; the matrix is factored again
+only when CG does not converge within CG_MAX iterations (Newton-Krylov
+with a reused preconditioner, Knoll & Keyes 2004).  That inverse is
+applied through the matrix's red-black block elimination: eliminating
+the red nodes, whose block is diagonal, leaves a Schur complement on
+the black half of the unknowns with the same half-bandwidth, and only
+that is factored by banded Cholesky (Saad, Iterative Methods for Sparse
+Linear Systems, 2nd ed., 2003).  In k-mode Newton starts from the linear
+extrapolation of the last two fields instead of from u_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -83,10 +90,12 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError("dt must be positive and finite")
-        if not self.newton_tol > 0:
-            raise ValueError("newton_tol must be positive")
-        if self.newton_max < 0:
-            raise ValueError("newton_max must be nonnegative")
+        if not (self.newton_tol > 0 and np.isfinite(self.newton_tol)):
+            raise ValueError("newton_tol must be positive and finite")
+        if type(self.newton_max) is not int or self.newton_max < 0:
+            raise ValueError("newton_max must be a nonnegative integer")
+        if not np.isfinite(self.guess_offset):
+            raise ValueError("guess_offset must be finite")
         if not _valid_k(self.k):
             raise ValueError("k must be a positive integer or None")
 
@@ -142,14 +151,178 @@ class StepFailure(RuntimeError):
                 f"{self.residual_history[-1]:.3e}")
 
 
+class _RedBlack:
+    """The red-black split of the interior unknowns of a 2D/3D band layout
+    and the fixed patterns of its block elimination.
+
+    A node is red when the sum of its interior indices is even, black
+    otherwise; each colour is numbered in the band order.  The lagged
+    Newton matrix couples only nodes of different colours, so it reads
+    A = [[D_r, B], [B^T, D_b]] with D_r, D_b diagonal, and eliminating the
+    red nodes leaves the Schur complement S = D_b - B^T D_r^-1 B on the
+    black ones.  S couples black nodes that share a red neighbour: offsets
+    2e_i and e_i - e_j, e_i + e_j of the grid.
+    """
+
+    def __init__(self, shape: tuple[int, ...], offsets: list[int]):
+        n = int(np.prod(shape))
+        coords = np.indices(shape).reshape(len(shape), n)
+        black = coords.sum(axis=0) % 2 == 1
+        self.red = np.flatnonzero(~black)
+        self.black = np.flatnonzero(black)
+        num = np.empty(n, dtype=np.intp)
+        num[self.red] = np.arange(self.red.size)
+        num[self.black] = np.arange(self.black.size)
+        # every coupling of node i and node i + s along a band axis of
+        # stride s: its value is the lower band entry at column i, at flat
+        # position src of the band rows
+        lo, hi, src = [], [], []
+        for q in range(len(shape)):
+            s = int(np.prod(shape[q + 1:]))
+            i = np.flatnonzero(coords[q] < shape[q] - 1)
+            lo.append(i)
+            hi.append(i + s)
+            src.append(offsets.index(s) * n + i)
+        lo, hi, src = (np.concatenate(a) for a in (lo, hi, src))
+        lo_black = black[lo]
+        r = num[np.where(lo_black, hi, lo)]
+        b = num[np.where(lo_black, lo, hi)]
+        # B in CSR order: by red row, then black column
+        sort = np.lexsort((b, r))
+        self.src = src[sort]
+        self.indices = b[sort]
+        deg = np.bincount(r, minlength=self.red.size)
+        self.indptr = np.concatenate(([0], np.cumsum(deg)))
+        # every pair of entries (a, b) of one red row, a at or after b: it
+        # adds -B[r, a] B[r, b] / d_r to S at black row indices[a] and
+        # column indices[b] (lower triangle)
+        pa = [np.zeros(0, dtype=np.intp)]
+        pb = [np.zeros(0, dtype=np.intp)]
+        for u in range(int(deg.max(initial=0))):
+            start = self.indptr[:-1][deg > u]
+            for v in range(u + 1):
+                pa.append(start + u)
+                pb.append(start + v)
+        self.pair_a = np.concatenate(pa)
+        self.pair_b = np.concatenate(pb)
+        self.pair_red = np.repeat(np.arange(self.red.size), deg)[self.pair_a]
+        row, col = self.indices[self.pair_a], self.indices[self.pair_b]
+        # half-bandwidth of S, and each pair's position in its lower band
+        # storage of shape (kd + 1, n_black) in Fortran order
+        self.kd = int(np.max(row - col, initial=0))
+        self.pair_pos = col * (self.kd + 1) + (row - col)
+
+    def factor(self, ab: np.ndarray) -> _SchurFactor:
+        """The block elimination of the matrix whose nonzero lower band
+        rows are ``ab`` (the diagonal, then the strides in increasing
+        order).  Raises ``LinAlgError`` when the matrix is not positive
+        definite."""
+        d = ab[0]
+        d_r = d[self.red]
+        if not np.all(d_r > 0.0):
+            raise np.linalg.LinAlgError(
+                "Newton matrix is not positive definite")
+        inv_dr = 1.0 / d_r
+        data = ab.take(self.src)
+        n_b = self.black.size
+        # (a float band also when there are no pairs: a single red node)
+        s = np.bincount(self.pair_pos,
+                        weights=-(data[self.pair_a] * data[self.pair_b]
+                                  * inv_dr[self.pair_red]),
+                        minlength=(self.kd + 1) * n_b
+                        ).astype(float, copy=False)
+        s[::self.kd + 1] += d[self.black]
+        chol, info = lapack.dpbtrf(s.reshape((self.kd + 1, n_b), order="F"),
+                                   lower=1, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                "Newton matrix is not positive definite")
+        B = sp.csr_matrix((data, self.indices, self.indptr),
+                          shape=(self.red.size, n_b))
+        return _SchurFactor(self, chol, inv_dr, B, B.T)
+
+
+class _SchurFactor(NamedTuple):
+    """The exact inverse of a 2D/3D k-mode Newton matrix A through its
+    red-black block elimination (see ``_RedBlack``): the banded Cholesky
+    factor of S (lower form), 1/D_r and B."""
+
+    red_black: _RedBlack
+    chol: np.ndarray
+    inv_dr: np.ndarray
+    B: sp.csr_matrix
+    Bt: sp.csc_matrix
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """A^-1 r: x_b = S^-1 (r_b - B^T D_r^-1 r_r), then
+        x_r = D_r^-1 (r_r - B x_b)."""
+        rb = self.red_black
+        y = self.inv_dr * r[rb.red]
+        x_b, _ = lapack.dpbtrs(self.chol, r[rb.black] - self.Bt @ y,
+                               lower=1)
+        x = np.empty(r.size)
+        x[rb.red] = y - self.inv_dr * (self.B @ x_b)
+        x[rb.black] = x_b
+        return x
+
+
+class _Layout:
+    """The grid-only data of the steps of one solve: node and face
+    coordinates, masks, per-axis slices, and the k-mode band layout of the
+    interior unknowns with, in 2D/3D, their red-black split."""
+
+    def __init__(self, grid: Grid):
+        dim = grid.dim
+        self.grid = grid
+        self.n_nodes = int(np.prod(grid.counts))
+        self.interior = grid.interior_mask()
+        self.boundary = ~self.interior
+        self.x = grid.meshgrid()
+        self.x_face = [tuple(face_mean(c, j) for c in self.x)
+                       for j in range(dim)]
+        # per axis: the lo and hi node of every face, and the nodes between
+        # two faces of the axis
+        self.lo = [axis_slices(dim, j, slice(0, -1)) for j in range(dim)]
+        self.hi = [axis_slices(dim, j, slice(1, None)) for j in range(dim)]
+        self.core = [axis_slices(dim, j, slice(1, -1)) for j in range(dim)]
+        # the lagged matrix of 2D/3D k-mode is symmetric; 1D k-mode
+        # differentiates the truncated coefficient too (see
+        # ``_StepProblem._face_slopes``)
+        self.symmetric = dim > 1
+        # band layout of the interior unknowns, longest axis outermost
+        self.inner = (slice(1, -1),) * dim
+        ext = [n - 2 for n in grid.counts]
+        self.order = sorted(range(dim), key=lambda j: -ext[j])
+        self.shape = tuple(ext[j] for j in self.order)
+        self.stride = [0] * dim
+        for q, j in enumerate(self.order):
+            self.stride[j] = int(np.prod(self.shape[q + 1:]))
+        self.back = tuple(np.argsort(self.order).tolist())
+        # the band offsets that hold nonzeros: the diagonal and the
+        # per-axis strides, on the lower side only when the matrix is
+        # symmetric; in 1D the whole tridiagonal band
+        signs = (1,) if self.symmetric else (-1, 1)
+        self.offsets = sorted({0} | {sign * s for sign in signs
+                                     for s in self.stride})
+        # the faces of axis j that lie on interior lines of the others
+        self.cross = [tuple(slice(None) if i == j else slice(1, -1)
+                            for i in range(dim)) for j in range(dim)]
+
+    @cached_property
+    def red_black(self) -> _RedBlack:
+        return _RedBlack(self.shape, self.offsets)
+
+
 @dataclass
 class _Carry:
-    """What one solve keeps from one implicit step to the next: the
-    banded Cholesky factor (lower form) of the last 2D/3D k-mode Newton
-    matrix that was factored, and the field before u_n.  ``solve_problem``
-    makes one per call, so no state passes between solves."""
+    """What one solve keeps from one implicit step to the next: the grid
+    data of its steps, the preconditioner made from the last 2D/3D k-mode
+    Newton matrix that was factored (its red-black block elimination), and
+    the field before u_n.  ``solve_problem`` makes one per call, so no
+    state passes between solves."""
 
-    factor: np.ndarray | None = None
+    layout: _Layout | None = None
+    factor: _SchurFactor | None = None
     prev: ScalarField | None = None
 
 
@@ -163,61 +336,31 @@ class _StepProblem:
 
     ``residual(u)`` returns the residual together with the face data of
     every axis at u (one face pass); ``jacobian`` and ``update`` at that
-    iterate take those face data.
+    iterate take those face data.  The grid data come from ``layout``, or
+    are built when it is None.
     """
 
     def __init__(self, spec: ProblemSpec, grid: Grid, config: SolverConfig,
-                 u_prev: np.ndarray, t_next: float):
+                 u_prev: np.ndarray, t_next: float,
+                 layout: _Layout | None = None):
         self.spec = spec
         self.grid = grid
         self.config = config
         self.u_prev = u_prev
         self.t = t_next
         self.k = config.k
-        self.n_nodes = int(np.prod(grid.counts))
-        self.interior = grid.interior_mask()
-        self.boundary = ~self.interior
-        x = grid.meshgrid()
+        self.layout = lay = _Layout(grid) if layout is None else layout
+        self.interior = lay.interior
+        self.boundary = lay.boundary
         self.f_vals = np.broadcast_to(
-            np.asarray(spec.f(x, t_next), dtype=float), grid.counts)
-        self.x_face = [tuple(face_mean(c, j) for c in x)
-                       for j in range(grid.dim)]
+            np.asarray(spec.f(lay.x, t_next), dtype=float), grid.counts)
         self.bc = np.broadcast_to(
-            np.asarray(spec.g(x, t_next), dtype=float),
+            np.asarray(spec.g(lay.x, t_next), dtype=float),
             grid.counts) + (0.0 if self.k is None else 1.0 / self.k)
         self.bc_boundary = self.bc[self.boundary]
-        dim = grid.dim
         self.h = grid.spacings
         self.p = spec.exponents.p
         self.m = spec.exponents.m
-        # per axis: the lo and hi node of every face, and the nodes between
-        # two faces of the axis
-        self.lo = [axis_slices(dim, j, slice(0, -1)) for j in range(dim)]
-        self.hi = [axis_slices(dim, j, slice(1, None)) for j in range(dim)]
-        self.core = [axis_slices(dim, j, slice(1, -1)) for j in range(dim)]
-        if self.k is not None:
-            # the lagged matrix of 2D/3D k-mode is symmetric; 1D k-mode
-            # differentiates the truncated coefficient too (see
-            # ``_face_slopes``)
-            self.symmetric = dim > 1
-            # band layout of the interior unknowns, longest axis outermost
-            self.inner = (slice(1, -1),) * dim
-            ext = [n - 2 for n in grid.counts]
-            self.order = sorted(range(dim), key=lambda j: -ext[j])
-            self.shape = tuple(ext[j] for j in self.order)
-            self.stride = [0] * dim
-            for q, j in enumerate(self.order):
-                self.stride[j] = int(np.prod(self.shape[q + 1:]))
-            self.back = tuple(np.argsort(self.order).tolist())
-            # the band offsets that hold nonzeros: the diagonal and the
-            # per-axis strides, on the lower side only when the matrix is
-            # symmetric; in 1D the whole tridiagonal band
-            signs = (1,) if self.symmetric else (-1, 1)
-            self.offsets = sorted({0} | {sign * s for sign in signs
-                                         for s in self.stride})
-            # the faces of axis j that lie on interior lines of the others
-            self.cross = [tuple(slice(None) if i == j else slice(1, -1)
-                                for i in range(dim)) for j in range(dim)]
 
     def _face_data(self, u: np.ndarray, j: int):
         """Per-face coefficient c, diff D of the working power, the
@@ -225,10 +368,10 @@ class _StepProblem:
         mean of u and the face flux F."""
         mj = self.m[j]
         ubar = face_mean(u, j)
-        c = flux_coefficient(self.spec, self.k, j, self.x_face[j], self.t,
-                             ubar)
-        lo = u[self.lo[j]]
-        hi = u[self.hi[j]]
+        c = flux_coefficient(self.spec, self.k, j, self.layout.x_face[j],
+                             self.t, ubar)
+        lo = u[self.layout.lo[j]]
+        hi = u[self.layout.hi[j]]
         if self.k is None and mj != 1.0:
             # direct mode works on u^(m_j)
             safe_lo = np.maximum(lo, 0.0)
@@ -244,10 +387,11 @@ class _StepProblem:
 
     def residual(self, u: np.ndarray) -> tuple[np.ndarray, list]:
         """Residual at u, and the face data of every axis at u."""
+        lay = self.layout
         R = (u - self.u_prev) / self.config.dt - self.f_vals
         faces = [self._face_data(u, j) for j in range(self.grid.dim)]
         for j, (*_, F) in enumerate(faces):
-            R[self.core[j]] -= (F[self.hi[j]] - F[self.lo[j]]) / self.h[j]
+            R[lay.core[j]] -= (F[lay.hi[j]] - F[lay.lo[j]]) / self.h[j]
         R[self.boundary] = u[self.boundary] - self.bc_boundary
         return R, faces
 
@@ -277,7 +421,7 @@ class _StepProblem:
                      * (pj - 1.0))
             g_lo = slope * dlo / (h * h)
             g_hi = slope * dhi / (h * h)
-            if self.k is not None and not self.symmetric:
+            if self.k is not None and not self.layout.symmetric:
                 # T_k(ubar) = ubar, and so dc/dubar = c (m_j-1)(p_j-1)/ubar,
                 # only on (1/k, k)
                 inside = (ubar > 1.0 / self.k) & (ubar < self.k)
@@ -290,15 +434,16 @@ class _StepProblem:
     def jacobian(self, faces: list) -> sp.csr_matrix:
         """Sparse Jacobian of the residual (see ``_face_slopes``), with
         identity rows at the boundary nodes."""
-        n = self.n_nodes
+        lay = self.layout
+        n = lay.n_nodes
         idx = np.arange(n).reshape(self.grid.counts)
         rows, cols, vals = [], [], []
         diag = np.full(self.grid.counts, 1.0 / self.config.dt)
         for j, (g_lo, g_hi) in enumerate(self._face_slopes(faces)):
-            i_lo = idx[self.lo[j]]
-            i_hi = idx[self.hi[j]]
-            diag[self.lo[j]] += g_lo
-            diag[self.hi[j]] += g_hi
+            i_lo = idx[lay.lo[j]]
+            i_hi = idx[lay.hi[j]]
+            diag[lay.lo[j]] += g_lo
+            diag[lay.hi[j]] += g_hi
             rows.append(i_lo.ravel())
             cols.append(i_hi.ravel())
             vals.append((-g_hi).ravel())
@@ -339,14 +484,17 @@ class _StepProblem:
         term would need a banded LU with twice the band, 2 to 4 times
         slower per solve at 65x65 for about 10% fewer iterations).  Its
         lower band rows are solved by one conjugate-gradient call to the
-        relative residual CG_RTOL, preconditioned by ``carry.factor``, the
-        banded Cholesky factor of an earlier Newton matrix of the same
-        solve.  When no factor is kept, or CG does not converge within
-        CG_MAX iterations, the current matrix is factored and kept, and the
-        system is solved with its factor.  Raises ``LinAlgError`` when the
-        system or the direct-mode update is not finite, the 1D system is
-        singular, or a 2D/3D k-mode matrix that is factored is not positive
-        definite.
+        relative residual CG_RTOL, preconditioned by the exact inverse of
+        an earlier Newton matrix A of the same solve, ``carry.factor``.
+        That inverse is applied through A's red-black block elimination
+        (see ``_RedBlack``): the banded Cholesky factor of the Schur
+        complement S on the black nodes, which has half the unknowns of A
+        and the same half-bandwidth.  When no factor is kept, or CG does
+        not converge within CG_MAX iterations, the current matrix is
+        factored and kept, and the system is solved with its factor.
+        Raises ``LinAlgError`` when the system or the direct-mode update is
+        not finite, the 1D system is singular, or a 2D/3D k-mode matrix
+        that is factored is not positive definite.
         """
         if self.k is None:
             J = self.jacobian(faces)
@@ -356,11 +504,12 @@ class _StepProblem:
             if not np.all(np.isfinite(delta)):
                 raise np.linalg.LinAlgError("Newton update is not finite")
             return delta.reshape(self.grid.counts)
-        shape, back, offsets = self.shape, self.back, self.offsets
+        lay = self.layout
+        shape, back, offsets = lay.shape, lay.back, lay.offsets
         # one row of ab per offset, each viewed as an interior field with
         # the natural axis order: band(s) holds entry (i + s, i) at column
         # i.  In 1D the rows are the full band in ``solve_banded`` layout
-        b = R[self.inner].transpose(self.order).ravel()
+        b = R[lay.inner].transpose(lay.order).ravel()
         ab = np.zeros((len(offsets), b.size))
 
         def band(s):
@@ -370,33 +519,32 @@ class _StepProblem:
         diag[...] = 1.0 / self.config.dt
         for j, (g_lo, g_hi) in enumerate(self._face_slopes(faces)):
             # keep the faces of interior cross lines
-            g_lo = g_lo[self.cross[j]]
-            g_hi = g_hi[self.cross[j]]
-            diag += g_hi[self.lo[j]]
-            diag += g_lo[self.hi[j]]
+            g_lo = g_lo[lay.cross[j]]
+            g_hi = g_hi[lay.cross[j]]
+            diag += g_hi[lay.lo[j]]
+            diag += g_lo[lay.hi[j]]
             # coupling of interior nodes i and i+1: entry (i+1, i) at
             # column i, entry (i, i+1) at column i+1
-            band(self.stride[j])[self.lo[j]] -= g_lo[self.core[j]]
-            if not self.symmetric:
-                band(-self.stride[j])[self.hi[j]] -= g_hi[self.core[j]]
+            band(lay.stride[j])[lay.lo[j]] -= g_lo[lay.core[j]]
+            if not lay.symmetric:
+                band(-lay.stride[j])[lay.hi[j]] -= g_hi[lay.core[j]]
         if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(b))):
             raise np.linalg.LinAlgError("Newton system is not finite")
-        if not self.symmetric:
+        if not lay.symmetric:
             x = scipy.linalg.solve_banded((1, 1), ab, b, overwrite_ab=True,
                                           check_finite=False)
         else:
             x = self._pcg(ab, b, carry)
         delta = np.zeros(self.grid.counts)
-        delta[self.inner] = x.reshape(shape).transpose(back)
+        delta[lay.inner] = x.reshape(shape).transpose(back)
         return delta
 
     def _pcg(self, ab: np.ndarray, b: np.ndarray,
              carry: _Carry) -> np.ndarray:
         """Solve the symmetric system whose nonzero lower band rows are
-        ``ab`` by CG, preconditioned by the kept factor (see ``update``)."""
+        ``ab`` by CG, preconditioned by ``carry.factor`` (see ``update``)."""
         n = b.size
-        offsets = self.offsets
-        full_shape = (offsets[-1] + 1, n)
+        offsets = self.layout.offsets
 
         def matvec(x):
             y = ab[0] * x
@@ -405,28 +553,20 @@ class _StepProblem:
                 y[:n - s] += row[:n - s] * x[s:]
             return y
 
-        def precondition(r):
-            return scipy.linalg.cho_solve_banded((carry.factor, True), r,
-                                                 check_finite=False)
-
         def factor():
-            # the whole lower band, factored in place once the stale
-            # factor is released
+            # the stale factor is released before the new one is made
             carry.factor = None
-            full = np.zeros(full_shape, order="F")
-            full[offsets] = ab
-            carry.factor = scipy.linalg.cholesky_banded(
-                full, lower=True, overwrite_ab=True, check_finite=False)
+            carry.factor = self.layout.red_black.factor(ab)
 
-        if carry.factor is None or carry.factor.shape != full_shape:
+        if carry.factor is None:
             factor()
         x, info = spla.cg(spla.LinearOperator((n, n), matvec, dtype=float),
                           b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX,
-                          M=spla.LinearOperator((n, n), precondition,
+                          M=spla.LinearOperator((n, n), carry.factor.solve,
                                                 dtype=float))
         if info != 0:
             factor()
-            x = precondition(b)
+            x = carry.factor.solve(b)
         return x
 
 
@@ -440,8 +580,10 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     residual.  The Newton matrix differentiates the truncation factor of
     the coefficient in 1D k-mode and lags the coefficient's dependence on
     u elsewhere (see ``_StepProblem.update``).  ``carry`` holds what the
-    previous steps of the same solve left: the kept Cholesky factor that
-    preconditions the 2D/3D k-mode solves, and the field before u_n.  With
+    previous steps of the same solve left: the grid data of the steps, the
+    kept factor that preconditions the 2D/3D k-mode solves, and the field
+    before u_n; grid data made for another grid are made again, and the
+    factor is dropped with them.  With
     it, k-mode Newton starts from u_n + r (u_n - u_{n-1}),
     r = (t_next - t_n) / (t_n - t_{n-1}), clamped below at 1/k; without a
     previous field (and always in direct mode) it starts from u_n.  The
@@ -452,7 +594,11 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     if carry is None:
         carry = _Carry()
     grid = u_n.grid
-    prob = _StepProblem(spec, grid, config, u_n.values, t_next)
+    if carry.layout is None or carry.layout.grid != grid:
+        carry.layout = _Layout(grid)
+        carry.factor = None
+    prob = _StepProblem(spec, grid, config, u_n.values, t_next,
+                        carry.layout)
     u = u_n.values.copy()
     if prob.k is not None and carry.prev is not None:
         # the local time derivative carries over to the next step
@@ -503,19 +649,21 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
     """March the implicit scheme from 0 to T.
 
     In k-mode the initial field is u0 + 1/k and boundary data g + 1/k; in
-    direct mode the data are used as given.  One ``_Carry`` passes the
-    kept factor and the previous field from each step to the next.
+    direct mode the data are used as given.  One ``_Carry``, made with the
+    grid data, passes them, the kept factor and the previous field from
+    each step to the next.
     """
     shift = 0.0 if config.k is None else 1.0 / config.k
-    x = grid.meshgrid()
+    carry = _Carry(layout=_Layout(grid))
+    x = carry.layout.x
+    boundary = carry.layout.boundary
     u0 = np.broadcast_to(np.asarray(spec.u0(x), dtype=float),
                          grid.counts).copy() + shift
     bc0 = np.broadcast_to(np.asarray(spec.g(x, 0.0), dtype=float),
                           grid.counts) + shift
-    u0[grid.boundary_mask()] = bc0[grid.boundary_mask()]
+    u0[boundary] = bc0[boundary]
     fields = [ScalarField(grid, u0, 0.0)]
     report = SolveReport()
-    carry = _Carry()
     n_steps = int(round(spec.T / config.dt))
     last = config
     if abs(n_steps * config.dt - spec.T) > 1e-9 * spec.T:

@@ -1,8 +1,10 @@
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +36,7 @@ from anisodnl.solver import (
     SolverConfig,
     StepFailure,
     _Carry,
+    _Layout,
     _StepProblem,
     implicit_step,
     manufactured_rhs,
@@ -125,6 +128,25 @@ def varcoeff_problem(dim):
         sigma=3.0, eps0=0.4)
 
 
+class FullBandFactor:
+    """The kept preconditioner as it was before the red-black elimination:
+    the banded Cholesky factor of the whole lower band of a 2D/3D k-mode
+    Newton matrix.  Stands in for ``_Layout.red_black`` in the reference
+    runs."""
+
+    def __init__(self, offsets):
+        self.offsets = offsets
+
+    def factor(self, ab):
+        full = np.zeros((self.offsets[-1] + 1, ab.shape[1]), order="F")
+        full[self.offsets] = ab
+        chol = scipy.linalg.cholesky_banded(full, lower=True,
+                                            overwrite_ab=True,
+                                            check_finite=False)
+        return SimpleNamespace(solve=lambda r: scipy.linalg.cho_solve_banded(
+            (chol, True), r, check_finite=False))
+
+
 class TestNewtonUpdate:
     # (3,) and (3, 3) have a single interior unknown
     @pytest.mark.parametrize("counts", [(33,), (9, 13), (5, 6, 7), (3,),
@@ -178,6 +200,50 @@ class TestNewtonUpdate:
         # which branch runs: the factor at the larger dt preconditions
         # well enough, the one dominated by its diagonal 1/dt does not
         assert (carry.factor is stale) == (stale_dt > 0.01)
+
+    # (9, 13) has odd interior extents, (4, 4) even ones, (3, 3) a single
+    # interior node and so no black node, (3, 9) a single interior line
+    @pytest.mark.parametrize("counts", [(9, 13), (4, 4), (3, 3), (3, 9),
+                                        (5, 6, 7)])
+    def test_red_black_factor_is_exact_inverse(self, counts):
+        spec = varcoeff_problem(len(counts))
+        grid = Grid(spec.box, counts)
+        prob = _StepProblem(spec, grid, SolverConfig(dt=0.01, k=4),
+                            np.full(counts, 0.6), 0.01)
+        rng = np.random.default_rng(sum(counts))
+        u = rng.uniform(0.3, 1.5, counts)
+        u[prob.boundary] = prob.bc[prob.boundary]
+        R, faces = prob.residual(u)
+        carry = _Carry()
+        prob.update(faces, R, carry)
+        # the kept matrix on the interior unknowns, in the band order
+        lay = prob.layout
+        idx = (np.arange(u.size).reshape(counts)[lay.inner]
+               .transpose(lay.order).ravel())
+        A = prob.jacobian(faces)[idx][:, idx].tocsc()
+        n = idx.size
+        rb = carry.factor.red_black
+        assert (rb.red.size, rb.black.size) == ((n + 1) // 2, n // 2)
+        # S keeps A's half-bandwidth, the largest stride
+        assert rb.kd <= lay.offsets[-1]
+        r = rng.standard_normal(n)
+        ref = np.atleast_1d(spla.spsolve(A, r))
+        got = carry.factor.solve(r)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the same factor made from the band rows of A; an indefinite
+        # D_r or S is reported
+        ab = np.zeros((len(lay.offsets), n))
+        for q, s in enumerate(lay.offsets):
+            ab[q, :n - s] = A.diagonal(-s)
+        fac = rb.factor(ab)
+        assert np.max(np.abs(fac.solve(r) - ref)) \
+            <= 1e-12 * np.max(np.abs(ref))
+        with pytest.raises(np.linalg.LinAlgError):
+            rb.factor(-ab)
+        if rb.black.size:
+            ab[0][rb.black] = -1.0
+            with pytest.raises(np.linalg.LinAlgError):
+                rb.factor(ab)
 
     @pytest.mark.parametrize("k", [4, 16])
     def test_k_mode_1d_jacobian_matches_central_differences(self, k):
@@ -588,6 +654,25 @@ class TestCascade:
         assert (sum(r.total_iterations for r in warm.reports)
                 < sum(r.total_iterations for r in cold.reports))
 
+    def test_red_black_matches_full_band_preconditioner(self, monkeypatch):
+        # the same preconditioner, applied through the block elimination
+        # instead of the full-band factor: CG makes the same iterates up to
+        # rounding, so the Newton counts and the fields agree
+        spec = get_preset("aniso-cascade")
+        grid = Grid(spec.box, (17, 17))
+        cfg = SolverConfig(dt=spec.T / 8)
+        ks = [2, 4, 8]
+        got = regularization_cascade(spec, grid, cfg, ks)
+        monkeypatch.setattr(_Layout, "red_black", property(
+            lambda lay: FullBandFactor(lay.offsets)))
+        ref = regularization_cascade(spec, grid, cfg, ks)
+        assert ([r.total_iterations for r in got.reports]
+                == [r.total_iterations for r in ref.reports])
+        for sg, sr in zip(got.series, ref.series):
+            assert np.max(np.abs(sg.values_array() - sr.values_array())) \
+                <= 1e-12
+        assert got.distances == pytest.approx(ref.distances, rel=1e-12)
+
     @pytest.mark.parametrize("counts", [(9,), (9, 9)])
     def test_extrapolated_start_exact_for_linear_growth(self, counts):
         # u = 0.7 + 1/k + 0.5 t is flat in space and linear in time, so
@@ -697,6 +782,23 @@ class TestRobustness:
             manufactured_rhs(manufactured_1d_exact, spec, k=k)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, newton_max=-1)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("newton_max", 2.5, "newton_max must be a nonnegative integer"),
+        ("newton_max", True, "newton_max must be a nonnegative integer"),
+        ("newton_max", -1, "newton_max must be a nonnegative integer"),
+        ("newton_tol", float("inf"), "newton_tol must be positive and finite"),
+        ("newton_tol", float("nan"), "newton_tol must be positive and finite"),
+        ("newton_tol", 0.0, "newton_tol must be positive and finite"),
+        ("guess_offset", float("nan"), "guess_offset must be finite"),
+        ("guess_offset", float("-inf"), "guess_offset must be finite"),
+    ])
+    def test_config_rejects_invalid_newton_settings(self, key, value,
+                                                    message):
+        # newton_max 2.5 used to fail inside the Newton loop and True to
+        # run as 1; newton_tol inf accepted every step unverified
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(dt=0.1, **{key: value})
 
     def test_direct_mode_step_converges_where_the_fallback_froze(self):
         # a direct-2d benchmark draw that the lagged-diffusivity fallback
