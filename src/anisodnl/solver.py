@@ -6,13 +6,17 @@ by the truncated coefficient, and the data f, g, u0 are shifted by 1/k.
 In direct mode the flux acts on differences of u^{m_j} and the data are
 used as given.
 
-The Newton matrix lags the dependence of the flux coefficient on u,
-except in 1D k-mode: there it also differentiates the truncation factor
+Both modes assemble their Newton matrix in one way: the nonzero rows of
+a band over the interior unknowns, ordered with the longest interior
+axis outermost (the boundary rows are identity rows whose residual is
+0).  The matrix lags the dependence of the flux coefficient on u, except
+in 1D k-mode: there it also differentiates the truncation factor
 T_k(u)^((m_j-1)(p_j-1)) through the face mean, which makes it the exact
-Jacobian when a_j does not depend on u.  k-mode fills the nonzero rows
-of one band of the interior unknowns: the lower band of the symmetric
-lagged matrix in 2D/3D, the full band of the nonsymmetric matrix in 1D
-(banded LU).  Direct mode solves by sparse LU.
+Jacobian when a_j does not depend on u.  Direct mode scales the columns
+of axis j by m_j u^(m_j-1).  The solve follows from the band: a
+tridiagonal band (1D) by banded LU, the symmetric lower band of 2D/3D
+k-mode by preconditioned conjugate gradients, and the nonsymmetric band
+of 2D/3D direct mode by sparse LU.
 
 A solve keeps state from one time step to the next (``_Carry``): the
 grid data of its steps, a preconditioner and the previous field.  In
@@ -88,6 +92,10 @@ class SolverConfig:
     guess_offset: float = 0.0
 
     def __post_init__(self):
+        for name in ("dt", "newton_tol", "guess_offset"):
+            # True and False would pass the checks below as 1 and 0
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError("dt must be positive and finite")
         if not (self.newton_tol > 0 and np.isfinite(self.newton_tol)):
@@ -268,13 +276,12 @@ class _SchurFactor(NamedTuple):
 
 class _Layout:
     """The grid-only data of the steps of one solve: node and face
-    coordinates, masks, per-axis slices, and the k-mode band layout of the
+    coordinates, masks, per-axis slices, and the band layout of the
     interior unknowns with, in 2D/3D, their red-black split."""
 
     def __init__(self, grid: Grid):
         dim = grid.dim
         self.grid = grid
-        self.n_nodes = int(np.prod(grid.counts))
         self.interior = grid.interior_mask()
         self.boundary = ~self.interior
         self.x = grid.meshgrid()
@@ -285,10 +292,6 @@ class _Layout:
         self.lo = [axis_slices(dim, j, slice(0, -1)) for j in range(dim)]
         self.hi = [axis_slices(dim, j, slice(1, None)) for j in range(dim)]
         self.core = [axis_slices(dim, j, slice(1, -1)) for j in range(dim)]
-        # the lagged matrix of 2D/3D k-mode is symmetric; 1D k-mode
-        # differentiates the truncated coefficient too (see
-        # ``_StepProblem._face_slopes``)
-        self.symmetric = dim > 1
         # band layout of the interior unknowns, longest axis outermost
         self.inner = (slice(1, -1),) * dim
         ext = [n - 2 for n in grid.counts]
@@ -299,18 +302,18 @@ class _Layout:
             self.stride[j] = int(np.prod(self.shape[q + 1:]))
         self.back = tuple(np.argsort(self.order).tolist())
         # the band offsets that hold nonzeros: the diagonal and the
-        # per-axis strides, on the lower side only when the matrix is
-        # symmetric; in 1D the whole tridiagonal band
-        signs = (1,) if self.symmetric else (-1, 1)
-        self.offsets = sorted({0} | {sign * s for sign in signs
-                                     for s in self.stride})
+        # per-axis strides on both sides, or on the lower side only for a
+        # symmetric matrix; in 1D ``full`` is the tridiagonal band
+        self.full = sorted({0} | {sign * s for sign in (-1, 1)
+                                  for s in self.stride})
+        self.lower = sorted({0, *self.stride})
         # the faces of axis j that lie on interior lines of the others
         self.cross = [tuple(slice(None) if i == j else slice(1, -1)
                             for i in range(dim)) for j in range(dim)]
 
     @cached_property
     def red_black(self) -> _RedBlack:
-        return _RedBlack(self.shape, self.offsets)
+        return _RedBlack(self.shape, self.lower)
 
 
 @dataclass
@@ -335,9 +338,12 @@ class _StepProblem:
     """Residual and Newton update for one implicit step.
 
     ``residual(u)`` returns the residual together with the face data of
-    every axis at u (one face pass); ``jacobian`` and ``update`` at that
-    iterate take those face data.  The grid data come from ``layout``, or
-    are built when it is None.
+    every axis at u (one face pass); ``update`` at that iterate takes
+    those face data.  The grid data come from ``layout``, or are built
+    when it is None.  The Newton matrix is symmetric in 2D/3D k-mode only:
+    1D k-mode differentiates the truncated coefficient too, and direct
+    mode scales the columns of each axis by m_j u^(m_j-1) (see
+    ``_face_slopes``).
     """
 
     def __init__(self, spec: ProblemSpec, grid: Grid, config: SolverConfig,
@@ -361,6 +367,7 @@ class _StepProblem:
         self.h = grid.spacings
         self.p = spec.exponents.p
         self.m = spec.exponents.m
+        self.symmetric = self.k is not None and grid.dim > 1
 
     def _face_data(self, u: np.ndarray, j: int):
         """Per-face coefficient c, diff D of the working power, the
@@ -421,7 +428,7 @@ class _StepProblem:
                      * (pj - 1.0))
             g_lo = slope * dlo / (h * h)
             g_hi = slope * dhi / (h * h)
-            if self.k is not None and not self.layout.symmetric:
+            if self.k is not None and not self.symmetric:
                 # T_k(ubar) = ubar, and so dc/dubar = c (m_j-1)(p_j-1)/ubar,
                 # only on (1/k, k)
                 inside = (ubar > 1.0 / self.k) & (ubar < self.k)
@@ -431,84 +438,47 @@ class _StepProblem:
             out.append((g_lo, g_hi))
         return out
 
-    def jacobian(self, faces: list) -> sp.csr_matrix:
-        """Sparse Jacobian of the residual (see ``_face_slopes``), with
-        identity rows at the boundary nodes."""
-        lay = self.layout
-        n = lay.n_nodes
-        idx = np.arange(n).reshape(self.grid.counts)
-        rows, cols, vals = [], [], []
-        diag = np.full(self.grid.counts, 1.0 / self.config.dt)
-        for j, (g_lo, g_hi) in enumerate(self._face_slopes(faces)):
-            i_lo = idx[lay.lo[j]]
-            i_hi = idx[lay.hi[j]]
-            diag[lay.lo[j]] += g_lo
-            diag[lay.hi[j]] += g_hi
-            rows.append(i_lo.ravel())
-            cols.append(i_hi.ravel())
-            vals.append((-g_hi).ravel())
-            rows.append(i_hi.ravel())
-            cols.append(i_lo.ravel())
-            vals.append((-g_lo).ravel())
-        diag[self.boundary] = 1.0
-        rows.append(idx.ravel())
-        cols.append(idx.ravel())
-        vals.append(diag.ravel())
-        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-        # a boundary row keeps only its diagonal
-        keep = (rows == cols) | self.interior.ravel()[rows]
-        J = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                          shape=(n, n))
-        # stored zeros (e.g. -g_lo at a clamped zero when m_j > 1) would
-        # change the sparsity pattern and with it the LU ordering
-        J.eliminate_zeros()
-        return J
-
     def update(self, faces: list, R: np.ndarray,
                carry: _Carry) -> np.ndarray:
         """Solve J delta = R for the Newton update at the iterate whose face
         data are ``faces``.
 
-        Direct mode solves the full sparse system by LU: its Jacobian is
-        nonsymmetric, because each axis scales its columns by
-        m_j u^(m_j - 1).  In k-mode the working power is u itself and the
-        boundary rows are identity rows whose residual is 0 once u carries
-        the boundary data, so only the interior unknowns are solved for, in
-        band storage ordered with the longest interior axis outermost: the
-        half-bandwidth is the product of the other interior extents.  Only
-        the band rows that hold nonzeros are filled: the diagonal and the
-        per-axis strides.  In 1D the matrix, with the coefficient term of
-        ``_face_slopes``, is nonsymmetric; its full (tridiagonal) band is
-        solved by banded LU.  In 2D/3D the lagged interior matrix is
-        symmetric with a positive, dominating diagonal (the coefficient
-        term would need a banded LU with twice the band, 2 to 4 times
-        slower per solve at 65x65 for about 10% fewer iterations).  Its
-        lower band rows are solved by one conjugate-gradient call to the
-        relative residual CG_RTOL, preconditioned by the exact inverse of
-        an earlier Newton matrix A of the same solve, ``carry.factor``.
-        That inverse is applied through A's red-black block elimination
-        (see ``_RedBlack``): the banded Cholesky factor of the Schur
-        complement S on the black nodes, which has half the unknowns of A
-        and the same half-bandwidth.  When no factor is kept, or CG does
-        not converge within CG_MAX iterations, the current matrix is
-        factored and kept, and the system is solved with its factor.
-        Raises ``LinAlgError`` when the system or the direct-mode update is
-        not finite, the 1D system is singular, or a 2D/3D k-mode matrix
-        that is factored is not positive definite.
+        The boundary rows of J are identity rows whose residual is 0 once
+        u carries the boundary data, so only the interior unknowns are
+        solved for, in band storage ordered with the longest interior axis
+        outermost: the half-bandwidth is the product of the other interior
+        extents.  Only the band rows that hold nonzeros are filled: the
+        diagonal and the per-axis strides, on both sides of the diagonal,
+        or on the lower side only when the matrix is symmetric.  The solve
+        follows from the band:
+
+        - a tridiagonal band (1D, both modes) is solved by banded LU;
+        - the symmetric band of 2D/3D k-mode, the lagged matrix with a
+          positive, dominating diagonal (the coefficient term would need a
+          banded LU with twice the band, 2 to 4 times slower per solve at
+          65x65 for about 10% fewer iterations), by one conjugate-gradient
+          call to the relative residual CG_RTOL, preconditioned by the
+          exact inverse of an earlier Newton matrix A of the same solve,
+          ``carry.factor``.  That inverse is applied through A's red-black
+          block elimination (see ``_RedBlack``): the banded Cholesky factor
+          of the Schur complement S on the black nodes, which has half the
+          unknowns of A and the same half-bandwidth.  When no factor is
+          kept, or CG does not converge within CG_MAX iterations, the
+          current matrix is factored and kept, and the system is solved
+          with its factor;
+        - the nonsymmetric band of 2D/3D direct mode by sparse LU of the
+          band as a CSC matrix, which stores no zero entries.
+
+        Raises ``LinAlgError`` when the system or the sparse-LU update is
+        not finite, a tridiagonal system is singular, or a 2D/3D k-mode
+        matrix that is factored is not positive definite.
         """
-        if self.k is None:
-            J = self.jacobian(faces)
-            if not (np.all(np.isfinite(J.data)) and np.all(np.isfinite(R))):
-                raise np.linalg.LinAlgError("Newton system is not finite")
-            delta = spla.spsolve(J, R.ravel())
-            if not np.all(np.isfinite(delta)):
-                raise np.linalg.LinAlgError("Newton update is not finite")
-            return delta.reshape(self.grid.counts)
         lay = self.layout
-        shape, back, offsets = lay.shape, lay.back, lay.offsets
+        shape, back = lay.shape, lay.back
+        offsets = lay.lower if self.symmetric else lay.full
         # one row of ab per offset, each viewed as an interior field with
         # the natural axis order: band(s) holds entry (i + s, i) at column
-        # i.  In 1D the rows are the full band in ``solve_banded`` layout
+        # i.  A tridiagonal band is in ``solve_banded`` layout
         b = R[lay.inner].transpose(lay.order).ravel()
         ab = np.zeros((len(offsets), b.size))
 
@@ -526,15 +496,23 @@ class _StepProblem:
             # coupling of interior nodes i and i+1: entry (i+1, i) at
             # column i, entry (i, i+1) at column i+1
             band(lay.stride[j])[lay.lo[j]] -= g_lo[lay.core[j]]
-            if not lay.symmetric:
+            if not self.symmetric:
                 band(-lay.stride[j])[lay.hi[j]] -= g_hi[lay.core[j]]
         if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(b))):
             raise np.linalg.LinAlgError("Newton system is not finite")
-        if not lay.symmetric:
+        if self.symmetric:
+            x = self._pcg(ab, b, carry)
+        elif offsets == [-1, 0, 1]:
             x = scipy.linalg.solve_banded((1, 1), ab, b, overwrite_ab=True,
                                           check_finite=False)
         else:
-            x = self._pcg(ab, b, carry)
+            # DIA offset d holds entry (i - d, i) at column i
+            n = b.size
+            J = sp.dia_matrix((ab, [-s for s in offsets]), shape=(n, n))
+            x = spla.spsolve(J.tocsc(), b)
+            # a singular matrix gives NaN, with a warning
+            if not np.all(np.isfinite(x)):
+                raise np.linalg.LinAlgError("Newton update is not finite")
         delta = np.zeros(self.grid.counts)
         delta[lay.inner] = x.reshape(shape).transpose(back)
         return delta
@@ -544,7 +522,7 @@ class _StepProblem:
         """Solve the symmetric system whose nonzero lower band rows are
         ``ab`` by CG, preconditioned by ``carry.factor`` (see ``update``)."""
         n = b.size
-        offsets = self.layout.offsets
+        offsets = self.layout.lower
 
         def matvec(x):
             y = ab[0] * x

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -147,27 +148,99 @@ class FullBandFactor:
             (chol, True), r, check_finite=False))
 
 
+# k None is direct mode; the id keeps the test names readable
+DIRECT = pytest.param(None, id="direct")
+
+
+def jacobian(prob, faces) -> sp.csr_matrix:
+    """Sparse Jacobian of the residual (see ``_StepProblem._face_slopes``),
+    with identity rows at the boundary nodes: the reference for the band
+    that ``_StepProblem.update`` solves."""
+    lay = prob.layout
+    n = prob.u_prev.size
+    idx = np.arange(n).reshape(prob.grid.counts)
+    rows, cols, vals = [], [], []
+    diag = np.full(prob.grid.counts, 1.0 / prob.config.dt)
+    for j, (g_lo, g_hi) in enumerate(prob._face_slopes(faces)):
+        i_lo = idx[lay.lo[j]]
+        i_hi = idx[lay.hi[j]]
+        diag[lay.lo[j]] += g_lo
+        diag[lay.hi[j]] += g_hi
+        rows.append(i_lo.ravel())
+        cols.append(i_hi.ravel())
+        vals.append((-g_hi).ravel())
+        rows.append(i_hi.ravel())
+        cols.append(i_lo.ravel())
+        vals.append((-g_lo).ravel())
+    diag[prob.boundary] = 1.0
+    rows.append(idx.ravel())
+    cols.append(idx.ravel())
+    vals.append(diag.ravel())
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    # a boundary row keeps only its diagonal
+    keep = (rows == cols) | prob.interior.ravel()[rows]
+    J = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                      shape=(n, n))
+    # stored zeros (e.g. -g_lo at a clamped zero when m_j > 1) would
+    # change the sparsity pattern and with it the LU ordering
+    J.eliminate_zeros()
+    return J
+
+
+def band_order(prob):
+    """The flat node indices of the interior unknowns in band order."""
+    lay = prob.layout
+    return (np.arange(prob.u_prev.size).reshape(prob.grid.counts)[lay.inner]
+            .transpose(lay.order).ravel())
+
+
+def solved_matrix(prob, faces, R):
+    """The nonsymmetric interior matrix that ``prob.update`` solves at
+    ``faces``, dense in band order, and the CSC matrix it passes to
+    ``spsolve`` (None when it solves a tridiagonal band)."""
+    seen = {"csc": None}
+    solve_banded, spsolve = scipy.linalg.solve_banded, spla.spsolve
+
+    def banded(l_and_u, ab, b, **kwargs):
+        seen["dense"] = sp.dia_matrix((ab.copy(), [1, 0, -1]),
+                                      shape=(b.size, b.size)).toarray()
+        return solve_banded(l_and_u, ab, b, **kwargs)
+
+    def sparse(A, b):
+        seen["dense"], seen["csc"] = A.toarray(), A
+        return spsolve(A, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "solve_banded", banded)
+        mp.setattr(spla, "spsolve", sparse)
+        prob.update(faces, R, _Carry())
+    return seen["dense"], seen["csc"]
+
+
 class TestNewtonUpdate:
     # (3,) and (3, 3) have a single interior unknown
+    @pytest.mark.parametrize("k", [4, DIRECT])
     @pytest.mark.parametrize("counts", [(33,), (9, 13), (5, 6, 7), (3,),
                                         (3, 3)])
-    def test_k_mode_banded_matches_sparse_lu(self, counts):
+    def test_banded_matches_sparse_lu(self, counts, k):
         spec = varcoeff_problem(len(counts))
         grid = Grid(spec.box, counts)
-        cfg = SolverConfig(dt=0.01, k=4)
+        cfg = SolverConfig(dt=0.01, k=k)
         rng = np.random.default_rng(len(counts))
         prob = _StepProblem(spec, grid, cfg, np.full(counts, 0.6), 0.01)
         u = rng.uniform(0.3, 1.5, counts)
         u[~prob.interior] = prob.bc[~prob.interior]
         R, faces = prob.residual(u)
-        ref = spla.spsolve(prob.jacobian(faces), R.ravel())
+        ref = spla.spsolve(jacobian(prob, faces), R.ravel())
         carry = _Carry()
         got = prob.update(faces, R, carry)
         assert np.max(np.abs(got.ravel() - ref)) \
             <= 1e-12 * np.max(np.abs(ref))
         assert np.all(got[~prob.interior] == 0.0)
         # a fresh carry is filled with the factor of this matrix in 2D/3D
-        assert (carry.factor is not None) == (len(counts) > 1)
+        # k-mode
+        assert (carry.factor is not None) == prob.symmetric
+        assert prob.symmetric == (k is not None and len(counts) > 1)
 
     @pytest.mark.parametrize("counts", [(9, 13), (5, 6, 7)])
     @pytest.mark.parametrize("stale_dt", [1.0, 1e-4])
@@ -189,7 +262,7 @@ class TestNewtonUpdate:
                      0.01).update(faces, R, carry)
         stale = carry.factor
         got = prob.update(faces, R, carry)
-        J = prob.jacobian(faces)
+        J = jacobian(prob, faces)
         if carry.factor is stale:
             assert np.linalg.norm(J @ got.ravel() - R.ravel()) \
                 <= anisodnl.solver.CG_RTOL * np.linalg.norm(R)
@@ -218,22 +291,21 @@ class TestNewtonUpdate:
         prob.update(faces, R, carry)
         # the kept matrix on the interior unknowns, in the band order
         lay = prob.layout
-        idx = (np.arange(u.size).reshape(counts)[lay.inner]
-               .transpose(lay.order).ravel())
-        A = prob.jacobian(faces)[idx][:, idx].tocsc()
+        idx = band_order(prob)
+        A = jacobian(prob, faces)[idx][:, idx].tocsc()
         n = idx.size
         rb = carry.factor.red_black
         assert (rb.red.size, rb.black.size) == ((n + 1) // 2, n // 2)
         # S keeps A's half-bandwidth, the largest stride
-        assert rb.kd <= lay.offsets[-1]
+        assert rb.kd <= lay.lower[-1]
         r = rng.standard_normal(n)
         ref = np.atleast_1d(spla.spsolve(A, r))
         got = carry.factor.solve(r)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         # the same factor made from the band rows of A; an indefinite
         # D_r or S is reported
-        ab = np.zeros((len(lay.offsets), n))
-        for q, s in enumerate(lay.offsets):
+        ab = np.zeros((len(lay.lower), n))
+        for q, s in enumerate(lay.lower):
             ab[q, :n - s] = A.diagonal(-s)
         fac = rb.factor(ab)
         assert np.max(np.abs(fac.solve(r) - ref)) \
@@ -263,7 +335,7 @@ class TestNewtonUpdate:
         ubar = face_mean(u, 0)
         assert np.any(ubar < 1.0 / k) and np.any(ubar > k)
         _, faces = prob.residual(u)
-        J = prob.jacobian(faces).toarray()
+        J = jacobian(prob, faces).toarray()
         fd = np.empty_like(J)
         step = 1e-7
         for i in range(u.size):
@@ -278,6 +350,8 @@ class TestNewtonUpdate:
     def test_direct_jacobian_matches_central_differences(self, counts):
         # constant coefficients, p_j >= 2, m_j >= 1 and u away from 0: the
         # Newton matrix is the exact Jacobian up to the slope regularization
+        # (its interior rows and columns; the boundary rows are identity
+        # rows and the boundary residual is 0)
         dim = len(counts)
         spec = constant_problem(0.7, (3.0, 2.0, 2.5)[:dim],
                                 (1.5, 1.0, 2.0)[:dim])
@@ -285,23 +359,26 @@ class TestNewtonUpdate:
         u_prev = np.full(counts, 0.6)
         prob = _StepProblem(spec, grid, SolverConfig(dt=0.01), u_prev, 0.01)
         u = np.random.default_rng(dim).uniform(0.3, 1.5, counts)
-        _, faces = prob.residual(u)
-        J = prob.jacobian(faces).toarray()
+        u[prob.boundary] = prob.bc[prob.boundary]
+        R, faces = prob.residual(u)
+        J, _ = solved_matrix(prob, faces, R)
+        idx = band_order(prob)
         fd = np.empty_like(J)
         step = 1e-6
-        for i in range(u.size):
+        for q, i in enumerate(idx):
             e = np.zeros(u.size)
             e[i] = step
             e = e.reshape(counts)
-            fd[:, i] = ((prob.residual(u + e)[0] - prob.residual(u - e)[0])
-                        / (2 * step)).ravel()
+            fd[:, q] = ((prob.residual(u + e)[0] - prob.residual(u - e)[0])
+                        / (2 * step)).ravel()[idx]
         np.testing.assert_allclose(J, fd, rtol=1e-6,
                                    atol=1e-9 * np.max(np.abs(fd)))
 
     @pytest.mark.parametrize("counts", [(9,), (7, 9), (5, 6, 7)])
     def test_direct_jacobian_structure(self, counts):
         # g = 0 and a clamped block of zeros: with m_j > 1 the faces at
-        # zero nodes give zero entries, which must not be stored
+        # zero nodes give zero entries, which the CSC matrix passed to
+        # spsolve must not store
         dim = len(counts)
         spec = constant_problem(0.0, (3.0, 2.0, 2.5)[:dim],
                                 (1.5, 1.2, 2.0)[:dim])
@@ -311,17 +388,25 @@ class TestNewtonUpdate:
         u = np.random.default_rng(dim).uniform(0.3, 1.5, counts)
         u[prob.boundary] = 0.0
         u[(slice(1, 4),) * dim] = 0.0
-        _, faces = prob.residual(u)
-        J = prob.jacobian(faces)
-        n = u.size
-        assert J.nnz == np.count_nonzero(J.data)
-        # row-major keys strictly increase: sorted, no duplicates
-        row = np.repeat(np.arange(n), np.diff(J.indptr))
-        assert np.all(np.diff(row * n + J.indices) > 0)
-        bidx = np.flatnonzero(prob.boundary)
-        assert np.all(np.diff(J.indptr)[bidx] == 1)
-        assert np.array_equal(J.indices[J.indptr[bidx]], bidx)
-        assert np.all(J.data[J.indptr[bidx]] == 1.0)
+        R, faces = prob.residual(u)
+        J, csc = solved_matrix(prob, faces, R)
+        idx = band_order(prob)
+        ref = jacobian(prob, faces)[idx][:, idx].toarray()
+        np.testing.assert_allclose(J, ref, rtol=1e-14, atol=0.0)
+        # the clamped zeros take couplings out of the 3-, 5- or 7-point
+        # pattern
+        ext = [c - 2 for c in counts]
+        pairs = sum(int(np.prod(ext)) // e * (e - 1) for e in ext)
+        assert np.count_nonzero(ref) < idx.size + 2 * pairs
+        assert (csc is None) == (dim == 1)
+        if csc is not None:
+            assert csc.format == "csc"
+            assert csc.nnz == np.count_nonzero(csc.data) \
+                == np.count_nonzero(ref)
+            # column-major keys strictly increase: sorted, no duplicates
+            n = idx.size
+            col = np.repeat(np.arange(n), np.diff(csc.indptr))
+            assert np.all(np.diff(col * n + csc.indices) > 0)
 
     @pytest.mark.parametrize("name, counts, ks, n_steps, iters", [
         ("aniso-cascade", (17, 17), [2, 4, 8, 16], 8, [29, 29, 29, 30]),
@@ -339,6 +424,22 @@ class TestNewtonUpdate:
         assert [r.total_iterations for r in res.reports] == iters
         if len(counts) == 1:
             assert not any(s.fallback for r in res.reports for s in r.steps)
+
+    @pytest.mark.parametrize("name, counts, iters", [
+        ("varcoeff", (17, 17), 22),
+        ("aniso-cascade", (17, 17), 26),
+        ("varcoeff-3d", (5, 6, 7), 32),
+        ("manufactured-quartic", (65,), 8),
+    ])
+    def test_direct_mode_newton_counts(self, name, counts, iters):
+        # counts recorded with the CSR Newton matrix on every node solved
+        # by spsolve; the interior band gives the same counts
+        spec = varcoeff_problem(3) if name == "varcoeff-3d" \
+            else get_preset(name)
+        grid = Grid(spec.box, counts)
+        _, rep = solve_problem(spec, grid, SolverConfig(dt=spec.T / 8))
+        assert rep.total_iterations == iters
+        assert rep.max_residual <= SolverConfig(dt=spec.T / 8).newton_tol
 
     @pytest.mark.parametrize("u0", [0.5, "bump"])
     def test_nan_coefficient_ends_in_step_failure(self, u0):
@@ -393,10 +494,6 @@ def counted_coefficients(spec):
 
     funcs = tuple(counted(j, a) for j, a in enumerate(spec.coeffs.funcs))
     return replace(spec, coeffs=replace(spec.coeffs, funcs=funcs)), calls
-
-
-# k None is direct mode; the id keeps the test names readable
-DIRECT = pytest.param(None, id="direct")
 
 
 def reference_residual(spec, grid, k, u_prev, u, dt, t):
@@ -664,7 +761,7 @@ class TestCascade:
         ks = [2, 4, 8]
         got = regularization_cascade(spec, grid, cfg, ks)
         monkeypatch.setattr(_Layout, "red_black", property(
-            lambda lay: FullBandFactor(lay.offsets)))
+            lambda lay: FullBandFactor(lay.lower)))
         ref = regularization_cascade(spec, grid, cfg, ks)
         assert ([r.total_iterations for r in got.reports]
                 == [r.total_iterations for r in ref.reports])
@@ -784,6 +881,12 @@ class TestRobustness:
             SolverConfig(dt=0.1, newton_max=-1)
 
     @pytest.mark.parametrize("key, value, message", [
+        ("dt", True, "dt must be a number, not a bool"),
+        ("newton_tol", True, "newton_tol must be a number, not a bool"),
+        ("guess_offset", False, "guess_offset must be a number, not a bool"),
+        pytest.param("guess_offset", np.True_,
+                     "guess_offset must be a number, not a bool",
+                     id="guess_offset-numpy-True"),
         ("newton_max", 2.5, "newton_max must be a nonnegative integer"),
         ("newton_max", True, "newton_max must be a nonnegative integer"),
         ("newton_max", -1, "newton_max must be a nonnegative integer"),
@@ -796,9 +899,10 @@ class TestRobustness:
     def test_config_rejects_invalid_newton_settings(self, key, value,
                                                     message):
         # newton_max 2.5 used to fail inside the Newton loop and True to
-        # run as 1; newton_tol inf accepted every step unverified
+        # run as 1; newton_tol inf accepted every step unverified; dt True
+        # ran as 1
         with pytest.raises(ValueError, match=message):
-            SolverConfig(dt=0.1, **{key: value})
+            SolverConfig(**{"dt": 0.1, key: value})
 
     def test_direct_mode_step_converges_where_the_fallback_froze(self):
         # a direct-2d benchmark draw that the lagged-diffusivity fallback
