@@ -20,25 +20,26 @@ of 2D/3D direct mode by sparse LU.
 
 A solve keeps state from one time step to the next (``_Carry``): the
 grid data of its steps, a preconditioner and the previous field.  In
-2D/3D k-mode each Newton system is solved by preconditioned conjugate
-gradients to the relative residual CG_RTOL (an inexact Newton step,
-Eisenstat & Walker 1996), preconditioned by the exact inverse of an
-earlier Newton matrix of the same solve; the matrix is factored again
-only when CG does not converge within CG_MAX iterations (Newton-Krylov
-with a reused preconditioner, Knoll & Keyes 2004).  That inverse is
-applied through the matrix's red-black block elimination: eliminating
-the red nodes, whose block is diagonal, leaves a Schur complement on
-the black half of the unknowns with the same half-bandwidth, and only
-that is factored by banded Cholesky (Saad, Iterative Methods for Sparse
-Linear Systems, 2nd ed., 2003).  In k-mode Newton starts from the linear
-extrapolation of the last two fields instead of from u_n.
+2D/3D k-mode each Newton system is reduced by its red-black block
+elimination: eliminating the red nodes, whose block is diagonal, is
+exact and leaves the Schur complement S on the black half of the
+unknowns, with the same half-bandwidth (Saad, Iterative Methods for
+Sparse Linear Systems, 2nd ed., 2003).  S is applied matrix-free and
+solved by conjugate gradients until the residual is below CG_RTOL times
+that of the whole system (an inexact Newton step, Eisenstat & Walker
+1996), preconditioned by the banded Cholesky factor of an earlier S of
+the same solve; the current S is factored only when no factor is kept
+or CG does not converge within CG_MAX iterations (Newton-Krylov with a
+reused preconditioner, Knoll & Keyes 2004).  In k-mode Newton starts
+from the linear extrapolation of the last two fields instead of from
+u_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -146,17 +147,26 @@ class StepFailure(RuntimeError):
     """Nonlinear solve failed to converge at one time step.
 
     ``implicit_step`` raises it with step -1; ``solve_problem`` sets the
-    index of the failed step, which the message reads.
+    index of the failed step, which the message reads.  ``cause`` is one
+    of CAUSES, or None when not known: the Newton system or update was
+    not finite, its matrix not positive definite or singular, or Newton
+    reached ``newton_max`` iterations.
     """
 
-    def __init__(self, step_index: int, residual_history: list[float]):
-        super().__init__(step_index, residual_history)
+    CAUSES = ("not finite", "not positive definite", "singular",
+              "iteration limit")
+
+    def __init__(self, step_index: int, residual_history: list[float],
+                 cause: str | None = None):
+        super().__init__(step_index, residual_history, cause)
         self.step_index = step_index
         self.residual_history = residual_history
+        self.cause = cause
 
     def __str__(self) -> str:
-        return (f"step {self.step_index} failed, final residual "
+        text = (f"step {self.step_index} failed, final residual "
                 f"{self.residual_history[-1]:.3e}")
+        return text if self.cause is None else f"{text} ({self.cause})"
 
 
 class _RedBlack:
@@ -169,7 +179,9 @@ class _RedBlack:
     A = [[D_r, B], [B^T, D_b]] with D_r, D_b diagonal, and eliminating the
     red nodes leaves the Schur complement S = D_b - B^T D_r^-1 B on the
     black ones.  S couples black nodes that share a red neighbour: offsets
-    2e_i and e_i - e_j, e_i + e_j of the grid.
+    2e_i and e_i - e_j, e_i + e_j of the grid.  ``B`` is the CSR block of
+    the matrix filled last (see ``fill``); ``Bt`` is its transpose and
+    shares its data.
     """
 
     def __init__(self, shape: tuple[int, ...], offsets: list[int]):
@@ -198,40 +210,48 @@ class _RedBlack:
         # B in CSR order: by red row, then black column
         sort = np.lexsort((b, r))
         self.src = src[sort]
-        self.indices = b[sort]
+        indices = b[sort]
         deg = np.bincount(r, minlength=self.red.size)
-        self.indptr = np.concatenate(([0], np.cumsum(deg)))
+        indptr = np.concatenate(([0], np.cumsum(deg)))
+        self.B = sp.csr_matrix((np.zeros(sort.size), indices, indptr),
+                               shape=(self.red.size, self.black.size))
+        self.Bt = self.B.T
         # every pair of entries (a, b) of one red row, a at or after b: it
         # adds -B[r, a] B[r, b] / d_r to S at black row indices[a] and
         # column indices[b] (lower triangle)
         pa = [np.zeros(0, dtype=np.intp)]
         pb = [np.zeros(0, dtype=np.intp)]
         for u in range(int(deg.max(initial=0))):
-            start = self.indptr[:-1][deg > u]
+            start = indptr[:-1][deg > u]
             for v in range(u + 1):
                 pa.append(start + u)
                 pb.append(start + v)
         self.pair_a = np.concatenate(pa)
         self.pair_b = np.concatenate(pb)
         self.pair_red = np.repeat(np.arange(self.red.size), deg)[self.pair_a]
-        row, col = self.indices[self.pair_a], self.indices[self.pair_b]
+        row, col = indices[self.pair_a], indices[self.pair_b]
         # half-bandwidth of S, and each pair's position in its lower band
         # storage of shape (kd + 1, n_black) in Fortran order
         self.kd = int(np.max(row - col, initial=0))
         self.pair_pos = col * (self.kd + 1) + (row - col)
 
-    def factor(self, ab: np.ndarray) -> _SchurFactor:
-        """The block elimination of the matrix whose nonzero lower band
-        rows are ``ab`` (the diagonal, then the strides in increasing
-        order).  Raises ``LinAlgError`` when the matrix is not positive
-        definite."""
+    def fill(self, ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fill ``B`` from the matrix whose nonzero lower band rows are
+        ``ab`` (the diagonal, then the strides in increasing order); return
+        1/D_r and D_b.  Raises ``LinAlgError`` when D_r is not positive."""
         d = ab[0]
         d_r = d[self.red]
         if not np.all(d_r > 0.0):
             raise np.linalg.LinAlgError(
                 "Newton matrix is not positive definite")
-        inv_dr = 1.0 / d_r
-        data = ab.take(self.src)
+        np.take(ab, self.src, out=self.B.data)
+        return 1.0 / d_r, d[self.black]
+
+    def factor(self, inv_dr: np.ndarray, d_b: np.ndarray) -> np.ndarray:
+        """The banded Cholesky factor (lower form) of S for the matrix
+        filled last.  Raises ``LinAlgError`` when S is not positive
+        definite."""
+        data = self.B.data
         n_b = self.black.size
         # (a float band also when there are no pairs: a single red node)
         s = np.bincount(self.pair_pos,
@@ -239,39 +259,13 @@ class _RedBlack:
                                   * inv_dr[self.pair_red]),
                         minlength=(self.kd + 1) * n_b
                         ).astype(float, copy=False)
-        s[::self.kd + 1] += d[self.black]
+        s[::self.kd + 1] += d_b
         chol, info = lapack.dpbtrf(s.reshape((self.kd + 1, n_b), order="F"),
                                    lower=1, overwrite_ab=1)
         if info != 0:
             raise np.linalg.LinAlgError(
                 "Newton matrix is not positive definite")
-        B = sp.csr_matrix((data, self.indices, self.indptr),
-                          shape=(self.red.size, n_b))
-        return _SchurFactor(self, chol, inv_dr, B, B.T)
-
-
-class _SchurFactor(NamedTuple):
-    """The exact inverse of a 2D/3D k-mode Newton matrix A through its
-    red-black block elimination (see ``_RedBlack``): the banded Cholesky
-    factor of S (lower form), 1/D_r and B."""
-
-    red_black: _RedBlack
-    chol: np.ndarray
-    inv_dr: np.ndarray
-    B: sp.csr_matrix
-    Bt: sp.csc_matrix
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """A^-1 r: x_b = S^-1 (r_b - B^T D_r^-1 r_r), then
-        x_r = D_r^-1 (r_r - B x_b)."""
-        rb = self.red_black
-        y = self.inv_dr * r[rb.red]
-        x_b, _ = lapack.dpbtrs(self.chol, r[rb.black] - self.Bt @ y,
-                               lower=1)
-        x = np.empty(r.size)
-        x[rb.red] = y - self.inv_dr * (self.B @ x_b)
-        x[rb.black] = x_b
-        return x
+        return chol
 
 
 class _Layout:
@@ -319,13 +313,13 @@ class _Layout:
 @dataclass
 class _Carry:
     """What one solve keeps from one implicit step to the next: the grid
-    data of its steps, the preconditioner made from the last 2D/3D k-mode
-    Newton matrix that was factored (its red-black block elimination), and
-    the field before u_n.  ``solve_problem`` makes one per call, so no
-    state passes between solves."""
+    data of its steps, the banded Cholesky factor of the last Schur
+    complement S of a 2D/3D k-mode Newton matrix that was factored (see
+    ``_RedBlack``), and the field before u_n.  ``solve_problem`` makes one
+    per call, so no state passes between solves."""
 
     layout: _Layout | None = None
-    factor: _SchurFactor | None = None
+    factor: np.ndarray | None = None
     prev: ScalarField | None = None
 
 
@@ -453,25 +447,28 @@ class _StepProblem:
         follows from the band:
 
         - a tridiagonal band (1D, both modes) is solved by banded LU;
-        - the symmetric band of 2D/3D k-mode, the lagged matrix with a
-          positive, dominating diagonal (the coefficient term would need a
-          banded LU with twice the band, 2 to 4 times slower per solve at
-          65x65 for about 10% fewer iterations), by one conjugate-gradient
-          call to the relative residual CG_RTOL, preconditioned by the
-          exact inverse of an earlier Newton matrix A of the same solve,
-          ``carry.factor``.  That inverse is applied through A's red-black
-          block elimination (see ``_RedBlack``): the banded Cholesky factor
-          of the Schur complement S on the black nodes, which has half the
-          unknowns of A and the same half-bandwidth.  When no factor is
-          kept, or CG does not converge within CG_MAX iterations, the
-          current matrix is factored and kept, and the system is solved
+        - the symmetric band of 2D/3D k-mode, the lagged matrix
+          A = [[D_r, B], [B^T, D_b]] with a positive, dominating diagonal
+          (the coefficient term would need a banded LU with twice the
+          band, 2 to 4 times slower per solve at 65x65 for about 10% fewer
+          iterations), on its red-black reduced system (see ``_RedBlack``):
+          S x_b = r_b - B^T D_r^-1 r_r with S = D_b - B^T D_r^-1 B, applied
+          matrix-free, by one conjugate-gradient call until the residual is
+          below CG_RTOL ||r||, preconditioned by the banded Cholesky factor
+          of an earlier S of the same solve, ``carry.factor``; then
+          x_r = D_r^-1 (r_r - B x_b).  The red rows are solved exactly, so
+          this bounds the residual of the whole system.  When no factor is
+          kept, the current S is factored and kept first (CG then
+          converges at its first iterate); when CG does not converge
+          within CG_MAX iterations, it is factored and kept, and solved
           with its factor;
         - the nonsymmetric band of 2D/3D direct mode by sparse LU of the
           band as a CSC matrix, which stores no zero entries.
 
-        Raises ``LinAlgError`` when the system or the sparse-LU update is
-        not finite, a tridiagonal system is singular, or a 2D/3D k-mode
-        matrix that is factored is not positive definite.
+        Raises ``LinAlgError`` when the system is not finite, a
+        tridiagonal or sparse-LU system is singular, or a 2D/3D k-mode
+        matrix has a red diagonal entry that is not positive or an S that
+        is factored and not positive definite.
         """
         lay = self.layout
         shape, back = lay.shape, lay.back
@@ -512,7 +509,7 @@ class _StepProblem:
             x = spla.spsolve(J.tocsc(), b)
             # a singular matrix gives NaN, with a warning
             if not np.all(np.isfinite(x)):
-                raise np.linalg.LinAlgError("Newton update is not finite")
+                raise np.linalg.LinAlgError("Newton matrix is singular")
         delta = np.zeros(self.grid.counts)
         delta[lay.inner] = x.reshape(shape).transpose(back)
         return delta
@@ -520,31 +517,43 @@ class _StepProblem:
     def _pcg(self, ab: np.ndarray, b: np.ndarray,
              carry: _Carry) -> np.ndarray:
         """Solve the symmetric system whose nonzero lower band rows are
-        ``ab`` by CG, preconditioned by ``carry.factor`` (see ``update``)."""
-        n = b.size
-        offsets = self.layout.lower
-
-        def matvec(x):
-            y = ab[0] * x
-            for row, s in zip(ab[1:], offsets[1:]):
-                y[s:] += row[:n - s] * x[:n - s]
-                y[:n - s] += row[:n - s] * x[s:]
-            return y
+        ``ab`` on its red-black reduced system by CG, preconditioned by
+        ``carry.factor`` (see ``update``)."""
+        rb = self.layout.red_black
+        inv_dr, d_b = rb.fill(ab)
+        B, Bt = rb.B, rb.Bt
+        y = inv_dr * b[rb.red]
+        rhs = b[rb.black] - Bt @ y
 
         def factor():
             # the stale factor is released before the new one is made
             carry.factor = None
-            carry.factor = self.layout.red_black.factor(ab)
+            carry.factor = rb.factor(inv_dr, d_b)
 
         if carry.factor is None:
             factor()
-        x, info = spla.cg(spla.LinearOperator((n, n), matvec, dtype=float),
-                          b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAX,
-                          M=spla.LinearOperator((n, n), carry.factor.solve,
-                                                dtype=float))
+        x_b, info = rhs, 0
+        if rhs.size:
+            n = rhs.size
+            S = spla.LinearOperator(
+                (n, n), lambda x: d_b * x - Bt @ (inv_dr * (B @ x)),
+                dtype=float)
+            # M reads the factor from carry, so a refactor releases the
+            # stale one
+            M = spla.LinearOperator(
+                (n, n), lambda r: lapack.dpbtrs(carry.factor, r, lower=1)[0],
+                dtype=float)
+            # the red rows come out exact, so the black residual is the
+            # whole residual of the system
+            x_b, info = spla.cg(S, rhs, rtol=0.0,
+                                atol=CG_RTOL * np.linalg.norm(b),
+                                maxiter=CG_MAX, M=M)
         if info != 0:
             factor()
-            x = carry.factor.solve(b)
+            x_b, _ = lapack.dpbtrs(carry.factor, rhs, lower=1)
+        x = np.empty(b.size)
+        x[rb.red] = y - inv_dr * (B @ x_b)
+        x[rb.black] = x_b
         return x
 
 
@@ -561,13 +570,14 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     previous steps of the same solve left: the grid data of the steps, the
     kept factor that preconditions the 2D/3D k-mode solves, and the field
     before u_n; grid data made for another grid are made again, and the
-    factor is dropped with them.  With
-    it, k-mode Newton starts from u_n + r (u_n - u_{n-1}),
+    factor is dropped with them.  With the previous field, k-mode Newton
+    starts from u_n + r (u_n - u_{n-1}),
     r = (t_next - t_n) / (t_n - t_{n-1}), clamped below at 1/k; without a
     previous field (and always in direct mode) it starts from u_n.  The
     step records u_n in ``carry``; None starts a fresh one.  A step that
     does not reach ``newton_tol`` within ``newton_max`` iterations, or
-    whose Newton system cannot be solved, ends in ``StepFailure``.
+    whose Newton system cannot be solved, ends in ``StepFailure``, whose
+    ``cause`` says which.
     """
     if carry is None:
         carry = _Carry()
@@ -604,7 +614,11 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
         try:
             delta = prob.update(faces, R, carry)
         except np.linalg.LinAlgError as exc:
-            raise StepFailure(-1, hist) from exc
+            # each message names its cause ("singular matrix" from the
+            # banded LU)
+            cause = next((c for c in StepFailure.CAUSES if c in str(exc)),
+                         None)
+            raise StepFailure(-1, hist, cause) from exc
         lam = 1.0
         # up to ten halvings; the eleventh trial is taken as it is
         for trial_no in range(11):
@@ -619,7 +633,7 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
                 u, R, faces = trial, R_trial, faces_trial
                 break
             lam /= 2.0
-    raise StepFailure(-1, hist)
+    raise StepFailure(-1, hist, "iteration limit")
 
 
 def solve_problem(spec: ProblemSpec, grid: Grid,

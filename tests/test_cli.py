@@ -211,7 +211,8 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert exc.value.code == ("constant: step 0 failed, "
-                                  "final residual 4.686e+00")
+                                  "final residual 4.686e+00 "
+                                  "(iteration limit)")
 
     def test_failed_run_removes_earlier_report(self, tmp_path):
         payload = {"scenario": "constant", "preset": "porous-cascade",

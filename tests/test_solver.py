@@ -130,10 +130,8 @@ def varcoeff_problem(dim):
 
 
 class FullBandFactor:
-    """The kept preconditioner as it was before the red-black elimination:
-    the banded Cholesky factor of the whole lower band of a 2D/3D k-mode
-    Newton matrix.  Stands in for ``_Layout.red_black`` in the reference
-    runs."""
+    """The banded Cholesky factor of the whole lower band of a 2D/3D k-mode
+    Newton matrix: the preconditioner of ``full_system_pcg``."""
 
     def __init__(self, offsets):
         self.offsets = offsets
@@ -146,6 +144,34 @@ class FullBandFactor:
                                             check_finite=False)
         return SimpleNamespace(solve=lambda r: scipy.linalg.cho_solve_banded(
             (chol, True), r, check_finite=False))
+
+
+def full_system_pcg(prob, ab, b, carry):
+    """The reference for ``_StepProblem._pcg``: CG on the whole interior
+    system to the relative residual CG_RTOL, preconditioned by the
+    full-band factor of an earlier matrix, refactored when no factor is
+    kept or CG needs more than CG_MAX iterations."""
+    n = b.size
+    offsets = prob.layout.lower
+
+    def matvec(x):
+        y = ab[0] * x
+        for row, s in zip(ab[1:], offsets[1:]):
+            y[s:] += row[:n - s] * x[:n - s]
+            y[:n - s] += row[:n - s] * x[s:]
+        return y
+
+    if carry.factor is None:
+        carry.factor = FullBandFactor(offsets).factor(ab)
+    x, info = spla.cg(spla.LinearOperator((n, n), matvec, dtype=float), b,
+                      rtol=anisodnl.solver.CG_RTOL, atol=0.0,
+                      maxiter=anisodnl.solver.CG_MAX,
+                      M=spla.LinearOperator((n, n), carry.factor.solve,
+                                            dtype=float))
+    if info != 0:
+        carry.factor = FullBandFactor(offsets).factor(ab)
+        x = carry.factor.solve(b)
+    return x
 
 
 # k None is direct mode; the id keeps the test names readable
@@ -243,10 +269,11 @@ class TestNewtonUpdate:
         assert prob.symmetric == (k is not None and len(counts) > 1)
 
     @pytest.mark.parametrize("counts", [(9, 13), (5, 6, 7)])
-    @pytest.mark.parametrize("stale_dt", [1.0, 1e-4])
-    def test_k_mode_stale_factor(self, counts, stale_dt):
+    @pytest.mark.parametrize("stale", [1.0, 1e-4, "other-iterate"])
+    def test_k_mode_stale_factor(self, counts, stale):
         # the kept factor comes from the same faces at 100 times or 1/100
-        # of the dt: CG reaches the relative residual CG_RTOL with it, or
+        # of the dt, or from the faces of another random iterate at the
+        # same dt: CG reaches ||J delta - R|| <= CG_RTOL ||R|| with it, or
         # the matrix is factored again and the update is the exact solve
         spec = varcoeff_problem(len(counts))
         grid = Grid(spec.box, counts)
@@ -258,12 +285,18 @@ class TestNewtonUpdate:
         u[~prob.interior] = prob.bc[~prob.interior]
         R, faces = prob.residual(u)
         carry = _Carry()
-        _StepProblem(spec, grid, SolverConfig(dt=stale_dt, k=4), u_prev,
-                     0.01).update(faces, R, carry)
-        stale = carry.factor
+        if stale == "other-iterate":
+            v = rng.uniform(0.3, 1.5, counts)
+            v[~prob.interior] = prob.bc[~prob.interior]
+            R_v, faces_v = prob.residual(v)
+            prob.update(faces_v, R_v, carry)
+        else:
+            _StepProblem(spec, grid, SolverConfig(dt=stale, k=4), u_prev,
+                         0.01).update(faces, R, carry)
+        stale_factor = carry.factor
         got = prob.update(faces, R, carry)
         J = jacobian(prob, faces)
-        if carry.factor is stale:
+        if carry.factor is stale_factor:
             assert np.linalg.norm(J @ got.ravel() - R.ravel()) \
                 <= anisodnl.solver.CG_RTOL * np.linalg.norm(R)
         else:
@@ -271,14 +304,18 @@ class TestNewtonUpdate:
             assert np.max(np.abs(got.ravel() - ref)) \
                 <= 1e-12 * np.max(np.abs(ref))
         # which branch runs: the factor at the larger dt preconditions
-        # well enough, the one dominated by its diagonal 1/dt does not
-        assert (carry.factor is stale) == (stale_dt > 0.01)
+        # well enough, the one of unrelated random slopes does not; the
+        # one dominated by its diagonal 1/dt does not in 2D, but the
+        # reduced system of (5, 6, 7) has only 30 unknowns, and CG_MAX
+        # iterations reach CG_RTOL there
+        keeps = {1.0: True, 1e-4: len(counts) == 3, "other-iterate": False}
+        assert (carry.factor is stale_factor) == keeps[stale]
 
     # (9, 13) has odd interior extents, (4, 4) even ones, (3, 3) a single
     # interior node and so no black node, (3, 9) a single interior line
     @pytest.mark.parametrize("counts", [(9, 13), (4, 4), (3, 3), (3, 9),
                                         (5, 6, 7)])
-    def test_red_black_factor_is_exact_inverse(self, counts):
+    def test_red_black_factor_is_exact_inverse(self, counts, monkeypatch):
         spec = varcoeff_problem(len(counts))
         grid = Grid(spec.box, counts)
         prob = _StepProblem(spec, grid, SolverConfig(dt=0.01, k=4),
@@ -286,36 +323,45 @@ class TestNewtonUpdate:
         rng = np.random.default_rng(sum(counts))
         u = rng.uniform(0.3, 1.5, counts)
         u[prob.boundary] = prob.bc[prob.boundary]
-        R, faces = prob.residual(u)
-        carry = _Carry()
-        prob.update(faces, R, carry)
-        # the kept matrix on the interior unknowns, in the band order
+        _, faces = prob.residual(u)
+        # the matrix on the interior unknowns, in the band order
         lay = prob.layout
         idx = band_order(prob)
         A = jacobian(prob, faces)[idx][:, idx].tocsc()
         n = idx.size
-        rb = carry.factor.red_black
+        rb = lay.red_black
         assert (rb.red.size, rb.black.size) == ((n + 1) // 2, n // 2)
-        # S keeps A's half-bandwidth, the largest stride
+        # S keeps A's half-bandwidth, the largest stride; B's transpose
+        # is a view
         assert rb.kd <= lay.lower[-1]
+        assert rb.B.nnz == 0 or np.shares_memory(rb.B.data, rb.Bt.data)
         r = rng.standard_normal(n)
         ref = np.atleast_1d(spla.spsolve(A, r))
-        got = carry.factor.solve(r)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        # the same factor made from the band rows of A; an indefinite
-        # D_r or S is reported
         ab = np.zeros((len(lay.lower), n))
         for q, s in enumerate(lay.lower):
             ab[q, :n - s] = A.diagonal(-s)
-        fac = rb.factor(ab)
-        assert np.max(np.abs(fac.solve(r) - ref)) \
-            <= 1e-12 * np.max(np.abs(ref))
-        with pytest.raises(np.linalg.LinAlgError):
-            rb.factor(-ab)
+        cg_calls = []
+        cg = spla.cg
+        monkeypatch.setattr(spla, "cg", lambda *a, **kw: (
+            cg_calls.append(1), cg(*a, **kw))[1])
+        # with no factor kept S is factored first, and with that factor
+        # (A's own) CG converges at its first iterate, also when it is
+        # kept for the next system.  With no black node there is no CG
+        # and x_r = b_r / d_r
+        carry = _Carry()
+        for calls in (1, 2) if rb.black.size else (0, 0):
+            got = prob._pcg(ab, r, carry)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert len(cg_calls) == calls
+            assert carry.factor is not None
+        # a non-positive D_r or an indefinite S is reported
+        for kept in (None, carry.factor):
+            with pytest.raises(np.linalg.LinAlgError):
+                prob._pcg(-ab, r, _Carry(factor=kept))
         if rb.black.size:
             ab[0][rb.black] = -1.0
             with pytest.raises(np.linalg.LinAlgError):
-                rb.factor(ab)
+                prob._pcg(ab, r, _Carry())
 
     @pytest.mark.parametrize("k", [4, 16])
     def test_k_mode_1d_jacobian_matches_central_differences(self, k):
@@ -424,6 +470,34 @@ class TestNewtonUpdate:
         assert [r.total_iterations for r in res.reports] == iters
         if len(counts) == 1:
             assert not any(s.fallback for r in res.reports for s in r.steps)
+
+    @pytest.mark.parametrize("name, counts, ks, parent", [
+        pytest.param("aniso-cascade", (17, 17), [2, 4, 8], [29, 29, 29],
+                     id="aniso-cascade"),
+        pytest.param("varcoeff-3d", (5, 7, 9), [4], [33], id="varcoeff-3d"),
+        pytest.param("varcoeff-3d", (5, 6, 7), [4], [33], marks=(
+            pytest.mark.xfail(strict=True, reason=(
+                "ROADMAP item 1: p_2 = 1.7 < 2 and the data are symmetric "
+                "in x_2, whose interior extent 4 is even; the reflection "
+                "swaps the red and black nodes, so the reduced CG breaks "
+                "the symmetry that kept the middle faces at D = 0, where "
+                "the unregularized residual flux has a kink (163 "
+                "iterations)"))), id="varcoeff-3d-even-extent"),
+    ])
+    def test_k_mode_newton_counts_2d_3d(self, name, counts, ks, parent):
+        # 2D/3D k-mode: CG on the red-black reduced system takes no more
+        # Newton iterations than CG on the whole system did (the counts
+        # recorded before the reduction)
+        spec = varcoeff_problem(3) if name == "varcoeff-3d" \
+            else get_preset(name)
+        grid = Grid(spec.box, counts)
+        cfg = SolverConfig(dt=spec.T / 8)
+        totals = []
+        for k in ks:
+            _, rep = solve_problem(spec, grid, replace(cfg, k=k))
+            assert rep.max_residual <= cfg.newton_tol
+            totals.append(rep.total_iterations)
+        assert all(t <= p for t, p in zip(totals, parent))
 
     @pytest.mark.parametrize("name, counts, iters", [
         ("varcoeff", (17, 17), 22),
@@ -752,23 +826,25 @@ class TestCascade:
                 < sum(r.total_iterations for r in cold.reports))
 
     def test_red_black_matches_full_band_preconditioner(self, monkeypatch):
-        # the same preconditioner, applied through the block elimination
-        # instead of the full-band factor: CG makes the same iterates up to
-        # rounding, so the Newton counts and the fields agree
+        # CG on the red-black reduced system, preconditioned by the kept
+        # Schur factor, against CG on the whole system with the kept
+        # full-band factor: the same bound on ||J delta - R||, so the
+        # fields agree within the ordering tolerance, and the reduced
+        # system takes no more Newton iterations
         spec = get_preset("aniso-cascade")
         grid = Grid(spec.box, (17, 17))
         cfg = SolverConfig(dt=spec.T / 8)
         ks = [2, 4, 8]
         got = regularization_cascade(spec, grid, cfg, ks)
-        monkeypatch.setattr(_Layout, "red_black", property(
-            lambda lay: FullBandFactor(lay.lower)))
+        monkeypatch.setattr(_StepProblem, "_pcg", full_system_pcg)
         ref = regularization_cascade(spec, grid, cfg, ks)
-        assert ([r.total_iterations for r in got.reports]
-                == [r.total_iterations for r in ref.reports])
+        tol = ordering_tolerance(cfg, spec.T)
         for sg, sr in zip(got.series, ref.series):
             assert np.max(np.abs(sg.values_array() - sr.values_array())) \
-                <= 1e-12
-        assert got.distances == pytest.approx(ref.distances, rel=1e-12)
+                <= tol
+        assert got.distances == pytest.approx(ref.distances, rel=1e-9)
+        for rg, rr in zip(got.reports, ref.reports):
+            assert rg.total_iterations <= rr.total_iterations
 
     @pytest.mark.parametrize("counts", [(9,), (9, 9)])
     def test_extrapolated_start_exact_for_linear_growth(self, counts):
@@ -862,6 +938,31 @@ class TestRobustness:
         # the message names the step that solve_problem records
         assert str(exc.value).startswith(
             f"step {exc.value.step_index} failed, final residual ")
+
+    @pytest.mark.parametrize("cause", ["not finite",
+                                       "not positive definite",
+                                       "iteration limit"])
+    def test_step_failure_names_its_cause(self, cause):
+        # a NaN coefficient makes the Newton system NaN; a negative one
+        # makes the 2D k-mode matrix indefinite (a red diagonal entry
+        # below 0); no Newton iteration leaves the first step unconverged
+        a = {"not finite": np.nan, "not positive definite": -1.0,
+             "iteration limit": 1.0}[cause]
+        spec = replace(
+            varcoeff_problem(2), exponents=Exponents((2.0, 2.0), (1.0, 1.0)),
+            coeffs=CoefficientSpec(
+                (lambda x, t, u: np.full(np.shape(u), a),) * 2, 1.0, 0.0))
+        cfg = SolverConfig(dt=spec.T / 4, k=2,
+                           newton_max=0 if cause == "iteration limit" else 40)
+        with pytest.raises(StepFailure) as exc:
+            solve_problem(spec, Grid(spec.box, (9, 9)), cfg)
+        assert exc.value.cause == cause
+        assert exc.value.step_index == 0
+        assert str(exc.value).endswith(f" ({cause})")
+        # a failure made without a cause keeps the message it had
+        bare = StepFailure(3, [2.5e-3])
+        assert bare.cause is None
+        assert str(bare) == "step 3 failed, final residual 2.500e-03"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
