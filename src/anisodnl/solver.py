@@ -20,26 +20,30 @@ of 2D/3D direct mode by sparse LU.
 
 A solve keeps state from one time step to the next (``_Carry``): the
 grid data of its steps, a preconditioner and the previous field.  In
-2D/3D k-mode each Newton system is reduced by its red-black block
-elimination: eliminating the red nodes, whose block is diagonal, is
-exact and leaves the Schur complement S on the black half of the
-unknowns, with the same half-bandwidth (Saad, Iterative Methods for
-Sparse Linear Systems, 2nd ed., 2003).  S is applied matrix-free and
-solved by conjugate gradients until the residual is below CG_RTOL times
-that of the whole system (an inexact Newton step, Eisenstat & Walker
-1996), preconditioned by the banded Cholesky factor of an earlier S of
-the same solve; the current S is factored only when no factor is kept
-or CG does not converge within CG_MAX iterations (Newton-Krylov with a
-reused preconditioner, Knoll & Keyes 2004).  In k-mode Newton starts
-from the linear extrapolation of the last two fields instead of from
-u_n.
+2D/3D k-mode each Newton system is solved by conjugate gradients until
+its residual is below CG_RTOL times its right-hand side (an inexact
+Newton step, Eisenstat & Walker 1996), preconditioned by the exact
+inverse of an earlier Newton matrix of the same solve, which is factored
+again only when no factor is kept or CG does not converge within CG_MAX
+iterations (Newton-Krylov with a reused preconditioner, Knoll & Keyes
+2004).  That inverse is the matrix's red-black block elimination:
+eliminating the red nodes, whose block is diagonal, is exact and leaves
+the Schur complement S on the black half of the unknowns, with the same
+half-bandwidth, and only S is factored, by banded Cholesky (Saad,
+Iterative Methods for Sparse Linear Systems, 2nd ed., 2003).  When every
+interior extent is odd, CG runs on S x_b = r_b - B^T D_r^-1 r_r itself,
+applied matrix-free, with the kept factor of an earlier S; on an even
+extent, where a reflection of the grid swaps the colours and an inexact
+solve on one colour would break the symmetry of the data, it runs on the
+whole system.  In k-mode Newton starts from the linear extrapolation of
+the last two fields instead of from u_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -181,11 +185,15 @@ class _RedBlack:
     black ones.  S couples black nodes that share a red neighbour: offsets
     2e_i and e_i - e_j, e_i + e_j of the grid.  ``B`` is the CSR block of
     the matrix filled last (see ``fill``); ``Bt`` is its transpose and
-    shares its data.
+    shares its data.  ``reduce`` is True when every interior extent is
+    odd: a reflection of the grid then maps each colour onto itself, and
+    an inexact solve of the reduced system keeps the symmetry of the data;
+    on an even extent it swaps the colours.
     """
 
     def __init__(self, shape: tuple[int, ...], offsets: list[int]):
         n = int(np.prod(shape))
+        self.reduce = all(e % 2 == 1 for e in shape)
         coords = np.indices(shape).reshape(len(shape), n)
         black = coords.sum(axis=0) % 2 == 1
         self.red = np.flatnonzero(~black)
@@ -247,11 +255,11 @@ class _RedBlack:
         np.take(ab, self.src, out=self.B.data)
         return 1.0 / d_r, d[self.black]
 
-    def factor(self, inv_dr: np.ndarray, d_b: np.ndarray) -> np.ndarray:
-        """The banded Cholesky factor (lower form) of S for the matrix
-        filled last.  Raises ``LinAlgError`` when S is not positive
-        definite."""
-        data = self.B.data
+    def factor(self, inv_dr: np.ndarray, d_b: np.ndarray,
+               data: np.ndarray) -> _SchurFactor:
+        """The block elimination of the matrix with 1/D_r, D_b and the
+        entries ``data`` of B (see ``fill``).  Raises ``LinAlgError`` when
+        its S is not positive definite."""
         n_b = self.black.size
         # (a float band also when there are no pairs: a single red node)
         s = np.bincount(self.pair_pos,
@@ -265,7 +273,40 @@ class _RedBlack:
         if info != 0:
             raise np.linalg.LinAlgError(
                 "Newton matrix is not positive definite")
-        return chol
+        B = sp.csr_matrix((data.copy(), self.B.indices, self.B.indptr),
+                          shape=self.B.shape)
+        return _SchurFactor(self, chol, inv_dr, B, B.T)
+
+    def join(self, x_r: np.ndarray, x_b: np.ndarray) -> np.ndarray:
+        """The vector with red part x_r and black part x_b."""
+        x = np.empty(self.red.size + self.black.size)
+        x[self.red] = x_r
+        x[self.black] = x_b
+        return x
+
+
+class _SchurFactor(NamedTuple):
+    """The exact inverse of a 2D/3D k-mode Newton matrix A through its
+    red-black block elimination (see ``_RedBlack``): the banded Cholesky
+    factor of S (lower form), 1/D_r and B."""
+
+    red_black: _RedBlack
+    chol: np.ndarray
+    inv_dr: np.ndarray
+    B: sp.csr_matrix
+    Bt: sp.csc_matrix
+
+    def solve_black(self, r: np.ndarray) -> np.ndarray:
+        """S^-1 r."""
+        return lapack.dpbtrs(self.chol, r, lower=1)[0]
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """A^-1 r: x_b = S^-1 (r_b - B^T D_r^-1 r_r), then
+        x_r = D_r^-1 (r_r - B x_b)."""
+        rb = self.red_black
+        y = self.inv_dr * r[rb.red]
+        x_b = self.solve_black(r[rb.black] - self.Bt @ y)
+        return rb.join(y - self.inv_dr * (self.B @ x_b), x_b)
 
 
 class _Layout:
@@ -313,13 +354,13 @@ class _Layout:
 @dataclass
 class _Carry:
     """What one solve keeps from one implicit step to the next: the grid
-    data of its steps, the banded Cholesky factor of the last Schur
-    complement S of a 2D/3D k-mode Newton matrix that was factored (see
-    ``_RedBlack``), and the field before u_n.  ``solve_problem`` makes one
-    per call, so no state passes between solves."""
+    data of its steps, the block elimination of the last 2D/3D k-mode
+    Newton matrix that was factored (see ``_RedBlack``), and the field
+    before u_n.  ``solve_problem`` makes one per call, so no state passes
+    between solves."""
 
     layout: _Layout | None = None
-    factor: np.ndarray | None = None
+    factor: _SchurFactor | None = None
     prev: ScalarField | None = None
 
 
@@ -451,17 +492,23 @@ class _StepProblem:
           A = [[D_r, B], [B^T, D_b]] with a positive, dominating diagonal
           (the coefficient term would need a banded LU with twice the
           band, 2 to 4 times slower per solve at 65x65 for about 10% fewer
-          iterations), on its red-black reduced system (see ``_RedBlack``):
+          iterations), by one conjugate-gradient call until the residual
+          is below CG_RTOL ||r||, preconditioned by the exact inverse of an
+          earlier A of the same solve, ``carry.factor``, its red-black
+          block elimination (see ``_RedBlack``).  When every interior
+          extent is odd, CG runs on the reduced system
           S x_b = r_b - B^T D_r^-1 r_r with S = D_b - B^T D_r^-1 B, applied
-          matrix-free, by one conjugate-gradient call until the residual is
-          below CG_RTOL ||r||, preconditioned by the banded Cholesky factor
-          of an earlier S of the same solve, ``carry.factor``; then
-          x_r = D_r^-1 (r_r - B x_b).  The red rows are solved exactly, so
-          this bounds the residual of the whole system.  When no factor is
-          kept, the current S is factored and kept first (CG then
-          converges at its first iterate); when CG does not converge
-          within CG_MAX iterations, it is factored and kept, and solved
-          with its factor;
+          matrix-free and preconditioned by the kept factor of S, and
+          then x_r = D_r^-1 (r_r - B x_b); the red rows are solved
+          exactly, so this bounds the residual of the whole system.  On
+          an even extent, whose reflection swaps the colours, CG runs on
+          the whole system, so that the update keeps the reflection
+          symmetry of the data: for p_j < 2 a symmetric solution sits at
+          the kink of the flux at D = 0, where Newton crawls once that
+          symmetry is broken.  When no factor is kept, the current matrix
+          is factored and kept first (CG then converges at its first
+          iterate); when CG does not converge within CG_MAX iterations, it
+          is factored and kept, and solved with its factor;
         - the nonsymmetric band of 2D/3D direct mode by sparse LU of the
           band as a CSC matrix, which stores no zero entries.
 
@@ -500,8 +547,13 @@ class _StepProblem:
         if self.symmetric:
             x = self._pcg(ab, b, carry)
         elif offsets == [-1, 0, 1]:
-            x = scipy.linalg.solve_banded((1, 1), ab, b, overwrite_ab=True,
-                                          check_finite=False)
+            try:
+                x = scipy.linalg.solve_banded((1, 1), ab, b,
+                                              overwrite_ab=True,
+                                              check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    "Newton matrix is singular") from exc
         else:
             # DIA offset d holds entry (i - d, i) at column i
             n = b.size
@@ -517,43 +569,47 @@ class _StepProblem:
     def _pcg(self, ab: np.ndarray, b: np.ndarray,
              carry: _Carry) -> np.ndarray:
         """Solve the symmetric system whose nonzero lower band rows are
-        ``ab`` on its red-black reduced system by CG, preconditioned by
-        ``carry.factor`` (see ``update``)."""
+        ``ab`` by CG, preconditioned by ``carry.factor``: on its red-black
+        reduced system when every interior extent is odd, else on the
+        whole system (see ``update``)."""
         rb = self.layout.red_black
         inv_dr, d_b = rb.fill(ab)
         B, Bt = rb.B, rb.Bt
-        y = inv_dr * b[rb.red]
-        rhs = b[rb.black] - Bt @ y
+        n, offsets = b.size, self.layout.lower
 
-        def factor():
-            # the stale factor is released before the new one is made
-            carry.factor = None
-            carry.factor = rb.factor(inv_dr, d_b)
+        def cg(matvec, rhs, precondition):
+            # None when CG does not converge within CG_MAX iterations
+            m = rhs.size
+            x, info = spla.cg(
+                spla.LinearOperator((m, m), matvec, dtype=float), rhs,
+                rtol=0.0, atol=CG_RTOL * np.linalg.norm(b), maxiter=CG_MAX,
+                M=spla.LinearOperator((m, m), precondition, dtype=float))
+            return None if info else x
+
+        def matvec(x):
+            y = ab[0] * x
+            for row, s in zip(ab[1:], offsets[1:]):
+                y[s:] += row[:n - s] * x[:n - s]
+                y[:n - s] += row[:n - s] * x[s:]
+            return y
 
         if carry.factor is None:
-            factor()
-        x_b, info = rhs, 0
-        if rhs.size:
-            n = rhs.size
-            S = spla.LinearOperator(
-                (n, n), lambda x: d_b * x - Bt @ (inv_dr * (B @ x)),
-                dtype=float)
-            # M reads the factor from carry, so a refactor releases the
-            # stale one
-            M = spla.LinearOperator(
-                (n, n), lambda r: lapack.dpbtrs(carry.factor, r, lower=1)[0],
-                dtype=float)
+            carry.factor = rb.factor(inv_dr, d_b, B.data)
+        if rb.reduce:
             # the red rows come out exact, so the black residual is the
             # whole residual of the system
-            x_b, info = spla.cg(S, rhs, rtol=0.0,
-                                atol=CG_RTOL * np.linalg.norm(b),
-                                maxiter=CG_MAX, M=M)
-        if info != 0:
-            factor()
-            x_b, _ = lapack.dpbtrs(carry.factor, rhs, lower=1)
-        x = np.empty(b.size)
-        x[rb.red] = y - inv_dr * (B @ x_b)
-        x[rb.black] = x_b
+            y = inv_dr * b[rb.red]
+            rhs = b[rb.black] - Bt @ y
+            x_b = cg(lambda x: d_b * x - Bt @ (inv_dr * (B @ x)), rhs,
+                     carry.factor.solve_black) if rhs.size else rhs
+            x = None if x_b is None else rb.join(y - inv_dr * (B @ x_b), x_b)
+        else:
+            x = cg(matvec, b, carry.factor.solve)
+        if x is None:
+            # the stale factor is released before the new one is made
+            carry.factor = None
+            carry.factor = rb.factor(inv_dr, d_b, B.data)
+            x = carry.factor.solve(b)
         return x
 
 
@@ -614,8 +670,7 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
         try:
             delta = prob.update(faces, R, carry)
         except np.linalg.LinAlgError as exc:
-            # each message names its cause ("singular matrix" from the
-            # banded LU)
+            # each message of ``update`` names its cause
             cause = next((c for c in StepFailure.CAUSES if c in str(exc)),
                          None)
             raise StepFailure(-1, hist, cause) from exc

@@ -268,7 +268,7 @@ class TestNewtonUpdate:
         assert (carry.factor is not None) == prob.symmetric
         assert prob.symmetric == (k is not None and len(counts) > 1)
 
-    @pytest.mark.parametrize("counts", [(9, 13), (5, 6, 7)])
+    @pytest.mark.parametrize("counts", [(9, 13), (5, 6, 7), (5, 7, 9)])
     @pytest.mark.parametrize("stale", [1.0, 1e-4, "other-iterate"])
     def test_k_mode_stale_factor(self, counts, stale):
         # the kept factor comes from the same faces at 100 times or 1/100
@@ -305,14 +305,19 @@ class TestNewtonUpdate:
                 <= 1e-12 * np.max(np.abs(ref))
         # which branch runs: the factor at the larger dt preconditions
         # well enough, the one of unrelated random slopes does not; the
-        # one dominated by its diagonal 1/dt does not in 2D, but the
-        # reduced system of (5, 6, 7) has only 30 unknowns, and CG_MAX
+        # one dominated by its diagonal 1/dt does not in 2D or on the whole
+        # system of (5, 6, 7), whose interior extent 4 is even, but the
+        # reduced system of (5, 7, 9) has only 52 unknowns, and CG_MAX
         # iterations reach CG_RTOL there
-        keeps = {1.0: True, 1e-4: len(counts) == 3, "other-iterate": False}
+        reduce = prob.layout.red_black.reduce
+        assert reduce == (counts != (5, 6, 7))
+        keeps = {1.0: True, 1e-4: len(counts) == 3 and reduce,
+                 "other-iterate": False}
         assert (carry.factor is stale_factor) == keeps[stale]
 
     # (9, 13) has odd interior extents, (4, 4) even ones, (3, 3) a single
-    # interior node and so no black node, (3, 9) a single interior line
+    # interior node and so no black node, (3, 9) a single interior line,
+    # (5, 6, 7) one even extent
     @pytest.mark.parametrize("counts", [(9, 13), (4, 4), (3, 3), (3, 9),
                                         (5, 6, 7)])
     def test_red_black_factor_is_exact_inverse(self, counts, monkeypatch):
@@ -340,19 +345,23 @@ class TestNewtonUpdate:
         ab = np.zeros((len(lay.lower), n))
         for q, s in enumerate(lay.lower):
             ab[q, :n - s] = A.diagonal(-s)
-        cg_calls = []
+        cg_sizes = []
         cg = spla.cg
-        monkeypatch.setattr(spla, "cg", lambda *a, **kw: (
-            cg_calls.append(1), cg(*a, **kw))[1])
+        monkeypatch.setattr(spla, "cg", lambda A, b, **kw: (
+            cg_sizes.append(b.size), cg(A, b, **kw))[1])
         # with no factor kept S is factored first, and with that factor
         # (A's own) CG converges at its first iterate, also when it is
-        # kept for the next system.  With no black node there is no CG
-        # and x_r = b_r / d_r
+        # kept for the next system.  CG runs on the black half when every
+        # interior extent is odd, else on the whole system.  With no black
+        # node there is no CG and x_r = b_r / d_r
+        ext = [c - 2 for c in counts]
+        assert rb.reduce == all(e % 2 == 1 for e in ext)
+        size = rb.black.size if rb.reduce else n
         carry = _Carry()
         for calls in (1, 2) if rb.black.size else (0, 0):
             got = prob._pcg(ab, r, carry)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert len(cg_calls) == calls
+            assert cg_sizes == [size] * calls
             assert carry.factor is not None
         # a non-positive D_r or an indefinite S is reported
         for kept in (None, carry.factor):
@@ -475,21 +484,22 @@ class TestNewtonUpdate:
         pytest.param("aniso-cascade", (17, 17), [2, 4, 8], [29, 29, 29],
                      id="aniso-cascade"),
         pytest.param("varcoeff-3d", (5, 7, 9), [4], [33], id="varcoeff-3d"),
-        pytest.param("varcoeff-3d", (5, 6, 7), [4], [33], marks=(
-            pytest.mark.xfail(strict=True, reason=(
-                "ROADMAP item 1: p_2 = 1.7 < 2 and the data are symmetric "
-                "in x_2, whose interior extent 4 is even; the reflection "
-                "swaps the red and black nodes, so the reduced CG breaks "
-                "the symmetry that kept the middle faces at D = 0, where "
-                "the unregularized residual flux has a kink (163 "
-                "iterations)"))), id="varcoeff-3d-even-extent"),
+        # an even interior extent, on an axis with p_j = 1.7 < 2 where the
+        # data are symmetric: CG on the reduced system broke that symmetry
+        # and Newton crawled at the kink of the flux at D = 0 (163
+        # iterations on (5, 6, 7); StepFailure at k = 2 and 4 on (18, 18))
+        pytest.param("varcoeff-3d", (5, 6, 7), [4], [33],
+                     id="varcoeff-3d-even-extent"),
+        pytest.param("varcoeff", (18, 18), [2, 4], [43, 69],
+                     id="varcoeff-even-extent"),
     ])
     def test_k_mode_newton_counts_2d_3d(self, name, counts, ks, parent):
-        # 2D/3D k-mode: CG on the red-black reduced system takes no more
-        # Newton iterations than CG on the whole system did (the counts
-        # recorded before the reduction)
-        spec = varcoeff_problem(3) if name == "varcoeff-3d" \
-            else get_preset(name)
+        # 2D/3D k-mode: CG on the red-black reduced system (odd interior
+        # extents) takes no more Newton iterations than CG on the whole
+        # system did, which even extents keep (the counts recorded with
+        # CG on the whole system everywhere)
+        spec = get_preset(name) if name == "aniso-cascade" \
+            else varcoeff_problem(3 if name == "varcoeff-3d" else 2)
         grid = Grid(spec.box, counts)
         cfg = SolverConfig(dt=spec.T / 8)
         totals = []
@@ -826,25 +836,28 @@ class TestCascade:
                 < sum(r.total_iterations for r in cold.reports))
 
     def test_red_black_matches_full_band_preconditioner(self, monkeypatch):
-        # CG on the red-black reduced system, preconditioned by the kept
-        # Schur factor, against CG on the whole system with the kept
-        # full-band factor: the same bound on ||J delta - R||, so the
-        # fields agree within the ordering tolerance, and the reduced
-        # system takes no more Newton iterations
+        # CG preconditioned by the kept red-black elimination, on the
+        # reduced system (17x17, odd interior extents) or on the whole
+        # system (18x18, even ones), against CG on the whole system with
+        # the kept full-band factor: the same bound on ||J delta - R||, so
+        # the fields agree within the ordering tolerance, and it takes no
+        # more Newton iterations
         spec = get_preset("aniso-cascade")
-        grid = Grid(spec.box, (17, 17))
         cfg = SolverConfig(dt=spec.T / 8)
         ks = [2, 4, 8]
-        got = regularization_cascade(spec, grid, cfg, ks)
-        monkeypatch.setattr(_StepProblem, "_pcg", full_system_pcg)
-        ref = regularization_cascade(spec, grid, cfg, ks)
         tol = ordering_tolerance(cfg, spec.T)
-        for sg, sr in zip(got.series, ref.series):
-            assert np.max(np.abs(sg.values_array() - sr.values_array())) \
-                <= tol
-        assert got.distances == pytest.approx(ref.distances, rel=1e-9)
-        for rg, rr in zip(got.reports, ref.reports):
-            assert rg.total_iterations <= rr.total_iterations
+        for counts in [(17, 17), (18, 18)]:
+            grid = Grid(spec.box, counts)
+            got = regularization_cascade(spec, grid, cfg, ks)
+            with monkeypatch.context() as mp:
+                mp.setattr(_StepProblem, "_pcg", full_system_pcg)
+                ref = regularization_cascade(spec, grid, cfg, ks)
+            for sg, sr in zip(got.series, ref.series):
+                assert np.max(np.abs(sg.values_array()
+                                     - sr.values_array())) <= tol
+            assert got.distances == pytest.approx(ref.distances, rel=1e-9)
+            for rg, rr in zip(got.reports, ref.reports):
+                assert rg.total_iterations <= rr.total_iterations
 
     @pytest.mark.parametrize("counts", [(9,), (9, 9)])
     def test_extrapolated_start_exact_for_linear_growth(self, counts):
@@ -941,21 +954,30 @@ class TestRobustness:
 
     @pytest.mark.parametrize("cause", ["not finite",
                                        "not positive definite",
+                                       "singular",
                                        "iteration limit"])
     def test_step_failure_names_its_cause(self, cause):
         # a NaN coefficient makes the Newton system NaN; a negative one
         # makes the 2D k-mode matrix indefinite (a red diagonal entry
-        # below 0); no Newton iteration leaves the first step unconverged
+        # below 0), and in 1D, on two interior nodes at h = dt = 1, the
+        # tridiagonal matrix [[-1, 1], [1, -1]]; no Newton iteration leaves
+        # the first step unconverged
         a = {"not finite": np.nan, "not positive definite": -1.0,
-             "iteration limit": 1.0}[cause]
+             "singular": -1.0, "iteration limit": 1.0}[cause]
+        dim = 1 if cause == "singular" else 2
         spec = replace(
-            varcoeff_problem(2), exponents=Exponents((2.0, 2.0), (1.0, 1.0)),
+            varcoeff_problem(dim),
+            exponents=Exponents((2.0,) * dim, (1.0,) * dim),
             coeffs=CoefficientSpec(
-                (lambda x, t, u: np.full(np.shape(u), a),) * 2, 1.0, 0.0))
-        cfg = SolverConfig(dt=spec.T / 4, k=2,
+                (lambda x, t, u: np.full(np.shape(u), a),) * dim, 1.0, 0.0))
+        counts, dt = (9, 9), spec.T / 4
+        if cause == "singular":
+            spec = replace(spec, box=(3.0,), T=1.0)
+            counts, dt = (4,), 1.0
+        cfg = SolverConfig(dt=dt, k=2,
                            newton_max=0 if cause == "iteration limit" else 40)
         with pytest.raises(StepFailure) as exc:
-            solve_problem(spec, Grid(spec.box, (9, 9)), cfg)
+            solve_problem(spec, Grid(spec.box, counts), cfg)
         assert exc.value.cause == cause
         assert exc.value.step_index == 0
         assert str(exc.value).endswith(f" ({cause})")
