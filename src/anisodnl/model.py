@@ -167,6 +167,10 @@ class ProblemSpec:
         return 1.0 + self.dim / self.bar().p_bar
 
 
+# regularization of the p < 2 flux c (xi^2 + EPS_REG^2)^((p-2)/2) xi
+EPS_REG = 1e-8
+
+
 def truncate(k: int, s):
     """Truncation T_k(s) = min(k, max(s, 1/k)); identity on [1/k, k]."""
     if k < 1:
@@ -188,16 +192,20 @@ def flux_coefficient(spec: ProblemSpec, k: int | None, j: int, x, t: float,
 
 
 def flux(c, xi, p: float):
-    """Flux c |xi|^(p-2) xi, with the continuous extension 0 at xi = 0
-    for p < 2."""
+    """Flux c |xi|^(p-2) xi; for p < 2 the regularized
+    c (xi^2 + EPS_REG^2)^((p-2)/2) xi, whose slope is finite at xi = 0
+    (Barrett & Liu, Math. Comp. 61, 1993).  It is 0 at xi = 0 whatever
+    c is."""
     xi = np.asarray(xi, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(xi == 0.0, 0.0, c * np.abs(xi) ** (p - 2.0) * xi)
+        mag = ((xi * xi + EPS_REG * EPS_REG) ** ((p - 2.0) / 2.0) if p < 2.0
+               else np.abs(xi) ** (p - 2.0))
+        return np.where(xi == 0.0, 0.0, c * mag * xi)
 
 
 def eval_flux(spec: ProblemSpec, j: int, x, t: float, u, xi,
               k: int | None = None):
-    """Axis-j flux c |xi|^(p_j - 2) xi with the coefficient c of
+    """Axis-j flux c |xi|^(p_j - 2) xi (see ``flux``) with the c of
     ``flux_coefficient``: a_j(x,t,u) for k None, the truncated
     a_j m_j^(p_j-1) T_k(u)^((m_j-1)(p_j-1)) for integer k."""
     return flux(flux_coefficient(spec, k, j, x, t, u), xi,

@@ -6,17 +6,17 @@ by the truncated coefficient, and the data f, g, u0 are shifted by 1/k.
 In direct mode the flux acts on differences of u^{m_j} and the data are
 used as given.
 
-Both modes assemble their Newton matrix in one way: the nonzero rows of
-a band over the interior unknowns, ordered with the longest interior
-axis outermost (the boundary rows are identity rows whose residual is
-0).  The matrix lags the dependence of the flux coefficient on u, except
-in 1D k-mode: there it also differentiates the truncation factor
-T_k(u)^((m_j-1)(p_j-1)) through the face mean, which makes it the exact
-Jacobian when a_j does not depend on u.  Direct mode scales the columns
-of axis j by m_j u^(m_j-1).  The solve follows from the band: a
-tridiagonal band (1D) by banded LU, the symmetric lower band of 2D/3D
-k-mode by preconditioned conjugate gradients, and the nonsymmetric band
-of 2D/3D direct mode by sparse LU.
+Both modes assemble their Newton matrix in one way, as a band over the
+interior unknowns ordered with the longest interior axis outermost (the
+boundary rows are identity rows whose residual is 0).  The matrix lags
+the dependence of the flux coefficient on u, except in 1D k-mode: there
+it also differentiates the truncation factor T_k(u)^((m_j-1)(p_j-1))
+through the face mean, which makes it the exact Jacobian when a_j does
+not depend on u.  Direct mode scales the columns of axis j by
+m_j u^(m_j-1).  For p_j < 2 the face flux is regularized (``model.flux``)
+and the matrix uses its exact slope.  The symmetric band of 2D/3D k-mode
+is solved by preconditioned conjugate gradients, every nonsymmetric band
+(1D, and 2D/3D direct mode) by banded LU.
 
 A solve keeps state from one time step to the next (``_Carry``): the
 grid data of its steps, a preconditioner and the previous field.  In
@@ -53,7 +53,7 @@ import scipy.sparse.linalg as spla
 
 from .discretization import (Grid, ScalarField, TimeSeries, axis_slices,
                              face_mean, integrate_power)
-from .model import ProblemSpec, flux, flux_coefficient
+from .model import EPS_REG, ProblemSpec, flux, flux_coefficient
 from .analysis import vpm_distance
 
 __all__ = [
@@ -70,9 +70,6 @@ __all__ = [
     "ordering_tolerance",
 ]
 
-# regularization of the face slope (D^2 + EPS_REG^2)^((p-2)/2) in the
-# Newton matrix
-EPS_REG = 1e-8
 # step of the central differences in manufactured_rhs
 FD_STEP = 1e-3
 # relative residual and iteration limit of the conjugate-gradient solve of
@@ -336,11 +333,9 @@ class _Layout:
         for q, j in enumerate(self.order):
             self.stride[j] = int(np.prod(self.shape[q + 1:]))
         self.back = tuple(np.argsort(self.order).tolist())
-        # the band offsets that hold nonzeros: the diagonal and the
-        # per-axis strides on both sides, or on the lower side only for a
-        # symmetric matrix; in 1D ``full`` is the tridiagonal band
-        self.full = sorted({0} | {sign * s for sign in (-1, 1)
-                                  for s in self.stride})
+        # the band offsets that hold nonzeros on and below the diagonal:
+        # the diagonal and the per-axis strides; the largest is the
+        # half-bandwidth
         self.lower = sorted({0, *self.stride})
         # the faces of axis j that lie on interior lines of the others
         self.cross = [tuple(slice(None) if i == j else slice(1, -1)
@@ -441,11 +436,13 @@ class _StepProblem:
         """Per axis, the Jacobian weights (g_lo, g_hi) of every face on its
         lo and hi node.
 
-        Face slopes use the regularized power (D^2 + EPS_REG^2)^((p-2)/2).
-        In 1D k-mode the truncated coefficient
-        c = a_j m_j^(p_j-1) T_k(ubar)^((m_j-1)(p_j-1)) is differentiated
-        through the face mean ubar as well: the face flux F gains
-        dc/dubar * 1/2 * |D|^(p-2) D per adjacent node, that is
+        The face slope is c (p_j-1) (D^2 + EPS_REG^2)^((p_j-2)/2) for
+        p_j >= 2, and for p_j < 2 the exact derivative
+        c (D^2 + EPS_REG^2)^((p_j-4)/2) ((p_j-1) D^2 + EPS_REG^2) of the
+        regularized flux of ``model.flux``.  In 1D k-mode the truncated
+        coefficient c = a_j m_j^(p_j-1) T_k(ubar)^((m_j-1)(p_j-1)) is
+        differentiated through the face mean ubar as well: the face flux F
+        gains F / c * dc/dubar * 1/2 per adjacent node, that is
         e = F (m_j-1)(p_j-1) / (2 h ubar) in the weights where
         1/k < ubar < k (T_k' vanishes outside), and the weights become
         (g_lo - e, g_hi + e): the exact Jacobian, nonsymmetric.  a_j's own
@@ -459,8 +456,12 @@ class _StepProblem:
         for j, (c, D, dlo, dhi, ubar, F) in enumerate(faces):
             pj = self.p[j]
             h = self.h[j]
-            slope = (c * (D * D + EPS_REG * EPS_REG) ** ((pj - 2.0) / 2.0)
-                     * (pj - 1.0))
+            D2, e2 = D * D, EPS_REG * EPS_REG
+            if pj < 2.0:
+                slope = (c * (D2 + e2) ** ((pj - 4.0) / 2.0)
+                         * ((pj - 1.0) * D2 + e2))
+            else:
+                slope = c * (D2 + e2) ** ((pj - 2.0) / 2.0) * (pj - 1.0)
             g_lo = slope * dlo / (h * h)
             g_hi = slope * dhi / (h * h)
             if self.k is not None and not self.symmetric:
@@ -481,48 +482,48 @@ class _StepProblem:
         The boundary rows of J are identity rows whose residual is 0 once
         u carries the boundary data, so only the interior unknowns are
         solved for, in band storage ordered with the longest interior axis
-        outermost: the half-bandwidth is the product of the other interior
-        extents.  Only the band rows that hold nonzeros are filled: the
-        diagonal and the per-axis strides, on both sides of the diagonal,
-        or on the lower side only when the matrix is symmetric.  The solve
-        follows from the band:
+        outermost: the half-bandwidth w is the product of the other
+        interior extents.  The nonzeros are on the diagonal and the
+        per-axis strides on both sides of it.  The solve follows from the
+        band:
 
-        - a tridiagonal band (1D, both modes) is solved by banded LU;
-        - the symmetric band of 2D/3D k-mode, the lagged matrix
-          A = [[D_r, B], [B^T, D_b]] with a positive, dominating diagonal
-          (the coefficient term would need a banded LU with twice the
-          band, 2 to 4 times slower per solve at 65x65 for about 10% fewer
-          iterations), by one conjugate-gradient call until the residual
-          is below CG_RTOL ||r||, preconditioned by the exact inverse of an
-          earlier A of the same solve, ``carry.factor``, its red-black
-          block elimination (see ``_RedBlack``).  When every interior
-          extent is odd, CG runs on the reduced system
-          S x_b = r_b - B^T D_r^-1 r_r with S = D_b - B^T D_r^-1 B, applied
-          matrix-free and preconditioned by the kept factor of S, and
-          then x_r = D_r^-1 (r_r - B x_b); the red rows are solved
-          exactly, so this bounds the residual of the whole system.  On
-          an even extent, whose reflection swaps the colours, CG runs on
-          the whole system, so that the update keeps the reflection
-          symmetry of the data: for p_j < 2 a symmetric solution sits at
-          the kink of the flux at D = 0, where Newton crawls once that
-          symmetry is broken.  When no factor is kept, the current matrix
-          is factored and kept first (CG then converges at its first
-          iterate); when CG does not converge within CG_MAX iterations, it
-          is factored and kept, and solved with its factor;
-        - the nonsymmetric band of 2D/3D direct mode by sparse LU of the
-          band as a CSC matrix, which stores no zero entries.
+        - a nonsymmetric band (1D in both modes, 2D/3D direct mode) is
+          stored whole, all 2w + 1 rows, and solved by one banded LU with
+          partial pivoting, ``scipy.linalg.solve_banded``.  LAPACK takes
+          (3w + 1) n 8 bytes for it: at 25^3 nodes, about twice the
+          memory of a sparse LU for half the time (README);
+        - the symmetric band of 2D/3D k-mode stores its lower rows only.
+          It is the lagged matrix A = [[D_r, B], [B^T, D_b]] with a
+          positive, dominating diagonal (README says why the coefficient
+          stays lagged), solved by one conjugate-gradient call until the
+          residual is below CG_RTOL ||r||, preconditioned by the exact
+          inverse of an earlier A of the same solve, ``carry.factor``, its
+          red-black block elimination (see ``_RedBlack``).  When every
+          interior extent is odd, CG runs on the reduced system
+          S x_b = r_b - B^T D_r^-1 r_r with S = D_b - B^T D_r^-1 B,
+          applied matrix-free and preconditioned by the kept factor of S,
+          and then x_r = D_r^-1 (r_r - B x_b); the red rows are solved
+          exactly, so this bounds the residual of the whole system.  On an
+          even extent, whose reflection swaps the colours, CG runs on the
+          whole system, which keeps the reflection symmetry of the data
+          (with the unregularized p_j < 2 flux, Newton crawled at its kink
+          at D = 0 once that symmetry broke).  When no factor is kept, the
+          current matrix is factored and kept first; when CG does not
+          converge within CG_MAX iterations, it is factored and kept, and
+          solved with its factor.
 
         Raises ``LinAlgError`` when the system is not finite, a
-        tridiagonal or sparse-LU system is singular, or a 2D/3D k-mode
-        matrix has a red diagonal entry that is not positive or an S that
-        is factored and not positive definite.
+        nonsymmetric band is singular, or a 2D/3D k-mode matrix has a red
+        diagonal entry that is not positive or an S that is factored and
+        not positive definite.
         """
         lay = self.layout
         shape, back = lay.shape, lay.back
-        offsets = lay.lower if self.symmetric else lay.full
-        # one row of ab per offset, each viewed as an interior field with
-        # the natural axis order: band(s) holds entry (i + s, i) at column
-        # i.  A tridiagonal band is in ``solve_banded`` layout
+        # one row of ab per offset, viewed as an interior field with the
+        # natural axis order: band(s) holds entry (i + s, i) at column i; a
+        # nonsymmetric band holds every offset within w (``solve_banded``)
+        w = lay.lower[-1]
+        offsets = lay.lower if self.symmetric else range(-w, w + 1)
         b = R[lay.inner].transpose(lay.order).ravel()
         ab = np.zeros((len(offsets), b.size))
 
@@ -546,22 +547,13 @@ class _StepProblem:
             raise np.linalg.LinAlgError("Newton system is not finite")
         if self.symmetric:
             x = self._pcg(ab, b, carry)
-        elif offsets == [-1, 0, 1]:
+        else:
             try:
-                x = scipy.linalg.solve_banded((1, 1), ab, b,
-                                              overwrite_ab=True,
-                                              check_finite=False)
+                x = scipy.linalg.solve_banded(
+                    (w, w), ab, b, overwrite_ab=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(
                     "Newton matrix is singular") from exc
-        else:
-            # DIA offset d holds entry (i - d, i) at column i
-            n = b.size
-            J = sp.dia_matrix((ab, [-s for s in offsets]), shape=(n, n))
-            x = spla.spsolve(J.tocsc(), b)
-            # a singular matrix gives NaN, with a warning
-            if not np.all(np.isfinite(x)):
-                raise np.linalg.LinAlgError("Newton matrix is singular")
         delta = np.zeros(self.grid.counts)
         delta[lay.inner] = x.reshape(shape).transpose(back)
         return delta
