@@ -15,8 +15,11 @@ through the face mean, which makes it the exact Jacobian when a_j does
 not depend on u.  Direct mode scales the columns of axis j by
 m_j u^(m_j-1).  For p_j < 2 the face flux is regularized (``model.flux``)
 and the matrix uses its exact slope.  The symmetric band of 2D/3D k-mode
-is solved by preconditioned conjugate gradients, every nonsymmetric band
-(1D, and 2D/3D direct mode) by banded LU.
+is solved by preconditioned conjugate gradients, the nonsymmetric 1D
+band by banded LU, and the nonsymmetric 2D/3D direct-mode band exactly
+by its red-black block elimination: the red nodes, whose block is
+diagonal, are eliminated, and only the Schur complement on the black
+half of the unknowns is factored, by one banded LU.
 
 A solve keeps state from one time step to the next (``_Carry``): the
 grid data of its steps, a preconditioner and the previous field.  In
@@ -175,20 +178,23 @@ class _RedBlack:
     and the fixed patterns of its block elimination.
 
     A node is red when the sum of its interior indices is even, black
-    otherwise; each colour is numbered in the band order.  The lagged
-    Newton matrix couples only nodes of different colours, so it reads
-    A = [[D_r, B], [B^T, D_b]] with D_r, D_b diagonal, and eliminating the
-    red nodes leaves the Schur complement S = D_b - B^T D_r^-1 B on the
-    black ones.  S couples black nodes that share a red neighbour: offsets
-    2e_i and e_i - e_j, e_i + e_j of the grid.  ``B`` is the CSR block of
-    the matrix filled last (see ``fill``); ``Bt`` is its transpose and
-    shares its data.  ``reduce`` is True when every interior extent is
+    otherwise; each colour is numbered in the band order.  The 5- and
+    7-point Newton matrix couples only nodes of different colours, so it
+    reads A = [[D_r, B], [C^T, D_b]] with D_r, D_b diagonal, and
+    eliminating the red nodes leaves the Schur complement
+    S = D_b - C^T D_r^-1 B on the black ones; the lagged k-mode matrix is
+    symmetric, C = B.  S couples black nodes that share a red neighbour:
+    offsets 2e_i and e_i - e_j, e_i + e_j of the grid.  ``B`` and ``C`` are
+    the CSR blocks, of one pattern, of the matrix filled last (see
+    ``fill`` and ``solve``); ``Bt`` and ``Ct`` are their transposes and
+    share their data.  ``reduce`` is True when every interior extent is
     odd: a reflection of the grid then maps each colour onto itself, and
     an inexact solve of the reduced system keeps the symmetry of the data;
     on an even extent it swaps the colours.
     """
 
-    def __init__(self, shape: tuple[int, ...], offsets: list[int]):
+    def __init__(self, shape: tuple[int, ...], lower: list[int],
+                 offsets: list[int]):
         n = int(np.prod(shape))
         self.reduce = all(e % 2 == 1 for e in shape)
         coords = np.indices(shape).reshape(len(shape), n)
@@ -199,30 +205,43 @@ class _RedBlack:
         num[self.red] = np.arange(self.red.size)
         num[self.black] = np.arange(self.black.size)
         # every coupling of node i and node i + s along a band axis of
-        # stride s: its value is the lower band entry at column i, at flat
-        # position src of the band rows
-        lo, hi, src = [], [], []
+        # stride s
+        lo, hi, step = [], [], []
         for q in range(len(shape)):
             s = int(np.prod(shape[q + 1:]))
             i = np.flatnonzero(coords[q] < shape[q] - 1)
             lo.append(i)
             hi.append(i + s)
-            src.append(offsets.index(s) * n + i)
-        lo, hi, src = (np.concatenate(a) for a in (lo, hi, src))
+            step.append(np.full(i.size, s))
+        lo, hi, step = (np.concatenate(a) for a in (lo, hi, step))
         lo_black = black[lo]
         r = num[np.where(lo_black, hi, lo)]
         b = num[np.where(lo_black, lo, hi)]
         # B in CSR order: by red row, then black column
         sort = np.lexsort((b, r))
-        self.src = src[sort]
+        lo, hi, step, lo_black = lo[sort], hi[sort], step[sort], lo_black[sort]
+        # the flat position of each entry of B in the band rows: in the
+        # lower rows ``lower`` of a symmetric band, entry (i + s, i) at
+        # column i; in the rows ``offsets`` of a nonsymmetric band, entry
+        # (i + s, i) at column i of row s and (i, i + s) at column i + s of
+        # row -s, where B holds the entry in the red row and C^T the other
+        self.src = np.searchsorted(lower, step) * n + lo
+        below = np.searchsorted(offsets, step) * n + lo
+        above = np.searchsorted(offsets, -step) * n + hi
+        self.src_b = np.where(lo_black, below, above)
+        self.src_c = np.where(lo_black, above, below)
+        self.mid = offsets.index(0)
         indices = b[sort]
         deg = np.bincount(r, minlength=self.red.size)
         indptr = np.concatenate(([0], np.cumsum(deg)))
-        self.B = sp.csr_matrix((np.zeros(sort.size), indices, indptr),
-                               shape=(self.red.size, self.black.size))
+        self.B, self.C = (
+            sp.csr_matrix((np.zeros(sort.size), indices, indptr),
+                          shape=(self.red.size, self.black.size))
+            for _ in range(2))
         self.Bt = self.B.T
+        self.Ct = self.C.T
         # every pair of entries (a, b) of one red row, a at or after b: it
-        # adds -B[r, a] B[r, b] / d_r to S at black row indices[a] and
+        # adds -C[r, a] B[r, b] / d_r to S at black row indices[a] and
         # column indices[b] (lower triangle)
         pa = [np.zeros(0, dtype=np.intp)]
         pb = [np.zeros(0, dtype=np.intp)]
@@ -239,11 +258,22 @@ class _RedBlack:
         # storage of shape (kd + 1, n_black) in Fortran order
         self.kd = int(np.max(row - col, initial=0))
         self.pair_pos = col * (self.kd + 1) + (row - col)
+        # a nonsymmetric S takes the pairs in both orders (a before b:
+        # upper triangle), each at its position in LAPACK's general band
+        # storage of shape (3 kd + 1, n_black) in Fortran order, where the
+        # first kd rows are left for the fill-in of the LU factor
+        upper = self.pair_a != self.pair_b
+        self.lu_a = np.concatenate((self.pair_a, self.pair_b[upper]))
+        self.lu_b = np.concatenate((self.pair_b, self.pair_a[upper]))
+        self.lu_red = np.concatenate((self.pair_red, self.pair_red[upper]))
+        row, col = indices[self.lu_a], indices[self.lu_b]
+        self.lu_pos = col * (3 * self.kd + 1) + 2 * self.kd + (row - col)
 
     def fill(self, ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fill ``B`` from the matrix whose nonzero lower band rows are
-        ``ab`` (the diagonal, then the strides in increasing order); return
-        1/D_r and D_b.  Raises ``LinAlgError`` when D_r is not positive."""
+        """Fill ``B`` from the symmetric matrix whose nonzero lower band
+        rows are ``ab`` (the diagonal, then the strides in increasing
+        order); return 1/D_r and D_b.  Raises ``LinAlgError`` when D_r is
+        not positive."""
         d = ab[0]
         d_r = d[self.red]
         if not np.all(d_r > 0.0):
@@ -254,9 +284,9 @@ class _RedBlack:
 
     def factor(self, inv_dr: np.ndarray, d_b: np.ndarray,
                data: np.ndarray) -> _SchurFactor:
-        """The block elimination of the matrix with 1/D_r, D_b and the
-        entries ``data`` of B (see ``fill``).  Raises ``LinAlgError`` when
-        its S is not positive definite."""
+        """The block elimination of the symmetric matrix with 1/D_r, D_b
+        and the entries ``data`` of B (see ``fill``).  Raises
+        ``LinAlgError`` when its S is not positive definite."""
         n_b = self.black.size
         # (a float band also when there are no pairs: a single red node)
         s = np.bincount(self.pair_pos,
@@ -273,6 +303,39 @@ class _RedBlack:
         B = sp.csr_matrix((data.copy(), self.B.indices, self.B.indptr),
                           shape=self.B.shape)
         return _SchurFactor(self, chol, inv_dr, B, B.T)
+
+    def solve(self, ab: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """A^-1 r for the nonsymmetric matrix whose nonzero band rows are
+        ``ab`` (one per offset of ``offsets``): fill ``B`` and ``C``,
+        eliminate the red nodes, solve
+        S x_b = r_b - C^T D_r^-1 r_r by one banded LU with partial
+        pivoting (LAPACK ``dgbsv``) and set x_r = D_r^-1 (r_r - B x_b).
+        Raises ``LinAlgError`` when a red diagonal entry is 0 or not
+        finite, or S is singular."""
+        d = ab[self.mid]
+        d_r = d[self.red]
+        if not np.all(np.isfinite(d_r) & (d_r != 0.0)):
+            raise np.linalg.LinAlgError("Newton matrix is singular")
+        inv_dr = 1.0 / d_r
+        B, C = self.B.data, self.C.data
+        np.take(ab, self.src_b, out=B)
+        np.take(ab, self.src_c, out=C)
+        y = inv_dr * r[self.red]
+        n_b, kd = self.black.size, self.kd
+        if n_b == 0:
+            return y
+        ld = 3 * kd + 1
+        s = np.bincount(self.lu_pos,
+                        weights=-(C[self.lu_a] * B[self.lu_b]
+                                  * inv_dr[self.lu_red]),
+                        minlength=ld * n_b).astype(float, copy=False)
+        s[2 * kd::ld] += d[self.black]
+        *_, x_b, info = lapack.dgbsv(kd, kd, s.reshape((ld, n_b), order="F"),
+                                     r[self.black] - self.Ct @ y,
+                                     overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("Newton matrix is singular")
+        return self.join(y - inv_dr * (self.B @ x_b), x_b)
 
     def join(self, x_r: np.ndarray, x_b: np.ndarray) -> np.ndarray:
         """The vector with red part x_r and black part x_b."""
@@ -337,13 +400,15 @@ class _Layout:
         # the diagonal and the per-axis strides; the largest is the
         # half-bandwidth
         self.lower = sorted({0, *self.stride})
+        # and on both sides of it: the rows of a nonsymmetric band
+        self.offsets = sorted({*self.lower, *(-s for s in self.stride)})
         # the faces of axis j that lie on interior lines of the others
         self.cross = [tuple(slice(None) if i == j else slice(1, -1)
                             for i in range(dim)) for j in range(dim)]
 
     @cached_property
     def red_black(self) -> _RedBlack:
-        return _RedBlack(self.shape, self.lower)
+        return _RedBlack(self.shape, self.lower, self.offsets)
 
 
 @dataclass
@@ -398,6 +463,8 @@ class _StepProblem:
         self.p = spec.exponents.p
         self.m = spec.exponents.m
         self.symmetric = self.k is not None and grid.dim > 1
+        # the offsets of the band rows that ``assemble`` fills
+        self.offsets = lay.lower if self.symmetric else lay.offsets
 
     def _face_data(self, u: np.ndarray, j: int):
         """Per-face coefficient c, diff D of the working power, the
@@ -474,24 +541,68 @@ class _StepProblem:
             out.append((g_lo, g_hi))
         return out
 
+    def assemble(self, faces: list,
+                 R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The interior Newton system J delta = R at the iterate whose face
+        data are ``faces``, in band order: the nonzero band rows ab of J and
+        the interior residual b.
+
+        Row q of ab belongs to offset s = ``offsets[q]`` and holds entry
+        (i + s, i) at column i: the diagonal and the per-axis strides of
+        the layout, on both sides of the diagonal for a nonsymmetric band
+        (2 dim + 1 rows), below it only for the symmetric band of 2D/3D
+        k-mode.  The boundary rows of J are identity rows whose residual
+        is 0 once u carries the boundary data, so they are left out.
+        """
+        lay = self.layout
+        shape, back, offsets = lay.shape, lay.back, self.offsets
+        # one row of ab per offset, viewed as an interior field with the
+        # natural axis order
+        b = R[lay.inner].transpose(lay.order).ravel()
+        ab = np.zeros((len(offsets), b.size))
+
+        def band(s):
+            return ab[offsets.index(s)].reshape(shape).transpose(back)
+
+        diag = band(0)
+        diag[...] = 1.0 / self.config.dt
+        for j, (g_lo, g_hi) in enumerate(self._face_slopes(faces)):
+            # keep the faces of interior cross lines
+            g_lo = g_lo[lay.cross[j]]
+            g_hi = g_hi[lay.cross[j]]
+            diag += g_hi[lay.lo[j]]
+            diag += g_lo[lay.hi[j]]
+            # coupling of interior nodes i and i+1: entry (i+1, i) at
+            # column i, entry (i, i+1) at column i+1
+            band(lay.stride[j])[lay.lo[j]] -= g_lo[lay.core[j]]
+            if not self.symmetric:
+                band(-lay.stride[j])[lay.hi[j]] -= g_hi[lay.core[j]]
+        return ab, b
+
     def update(self, faces: list, R: np.ndarray,
                carry: _Carry) -> np.ndarray:
         """Solve J delta = R for the Newton update at the iterate whose face
         data are ``faces``.
 
-        The boundary rows of J are identity rows whose residual is 0 once
-        u carries the boundary data, so only the interior unknowns are
-        solved for, in band storage ordered with the longest interior axis
-        outermost: the half-bandwidth w is the product of the other
-        interior extents.  The nonzeros are on the diagonal and the
-        per-axis strides on both sides of it.  The solve follows from the
-        band:
+        Only the interior unknowns are solved for, on the band of
+        ``assemble``, ordered with the longest interior axis outermost.
+        The solve follows from the band:
 
-        - a nonsymmetric band (1D in both modes, 2D/3D direct mode) is
-          stored whole, all 2w + 1 rows, and solved by one banded LU with
-          partial pivoting, ``scipy.linalg.solve_banded``.  LAPACK takes
-          (3w + 1) n 8 bytes for it: at 25^3 nodes, about twice the
-          memory of a sparse LU for half the time (README);
+        - the nonsymmetric 1D band (both modes) is solved by one banded LU
+          with partial pivoting, ``scipy.linalg.solve_banded``;
+        - the nonsymmetric 2D/3D direct-mode band is solved exactly through
+          its red-black block elimination (see ``_RedBlack.solve``): the
+          red block D_r is diagonal, so eliminating it costs no pivoting,
+          and only the Schur complement S on the black half of the
+          unknowns, of half-bandwidth ``_RedBlack.kd``, is factored, by
+          one banded LU with partial pivoting (LAPACK ``dgbsv``).  On an
+          admissible problem this elimination is safe: every red diagonal
+          entry is at least 1/dt, and the matrix is column diagonally
+          dominant (each face adds its weight to one diagonal entry and
+          subtracts it below or above it in the same column), a property
+          that block elimination hands on to S.  LAPACK holds
+          (3 kd + 1) n/2 doubles for S: at 25^3 nodes, about half of what
+          the LU of the whole band took (README);
         - the symmetric band of 2D/3D k-mode stores its lower rows only.
           It is the lagged matrix A = [[D_r, B], [B^T, D_b]] with a
           positive, dominating diagonal (README says why the coefficient
@@ -513,49 +624,28 @@ class _StepProblem:
           solved with its factor.
 
         Raises ``LinAlgError`` when the system is not finite, a
-        nonsymmetric band is singular, or a 2D/3D k-mode matrix has a red
-        diagonal entry that is not positive or an S that is factored and
-        not positive definite.
+        nonsymmetric matrix is singular (in 2D/3D also: a red diagonal
+        entry is 0), or a 2D/3D k-mode matrix has a red diagonal entry
+        that is not positive or an S that is factored and not positive
+        definite.
         """
         lay = self.layout
-        shape, back = lay.shape, lay.back
-        # one row of ab per offset, viewed as an interior field with the
-        # natural axis order: band(s) holds entry (i + s, i) at column i; a
-        # nonsymmetric band holds every offset within w (``solve_banded``)
-        w = lay.lower[-1]
-        offsets = lay.lower if self.symmetric else range(-w, w + 1)
-        b = R[lay.inner].transpose(lay.order).ravel()
-        ab = np.zeros((len(offsets), b.size))
-
-        def band(s):
-            return ab[offsets.index(s)].reshape(shape).transpose(back)
-
-        diag = band(0)
-        diag[...] = 1.0 / self.config.dt
-        for j, (g_lo, g_hi) in enumerate(self._face_slopes(faces)):
-            # keep the faces of interior cross lines
-            g_lo = g_lo[lay.cross[j]]
-            g_hi = g_hi[lay.cross[j]]
-            diag += g_hi[lay.lo[j]]
-            diag += g_lo[lay.hi[j]]
-            # coupling of interior nodes i and i+1: entry (i+1, i) at
-            # column i, entry (i, i+1) at column i+1
-            band(lay.stride[j])[lay.lo[j]] -= g_lo[lay.core[j]]
-            if not self.symmetric:
-                band(-lay.stride[j])[lay.hi[j]] -= g_hi[lay.core[j]]
+        ab, b = self.assemble(faces, R)
         if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(b))):
             raise np.linalg.LinAlgError("Newton system is not finite")
         if self.symmetric:
             x = self._pcg(ab, b, carry)
+        elif self.grid.dim > 1:
+            x = lay.red_black.solve(ab, b)
         else:
             try:
                 x = scipy.linalg.solve_banded(
-                    (w, w), ab, b, overwrite_ab=True, check_finite=False)
+                    (1, 1), ab, b, overwrite_ab=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(
                     "Newton matrix is singular") from exc
         delta = np.zeros(self.grid.counts)
-        delta[lay.inner] = x.reshape(shape).transpose(back)
+        delta[lay.inner] = x.reshape(lay.shape).transpose(lay.back)
         return delta
 
     def _pcg(self, ab: np.ndarray, b: np.ndarray,

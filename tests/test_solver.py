@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
@@ -222,28 +223,19 @@ def band_order(prob):
 
 def solved_matrix(prob, faces, R):
     """The nonsymmetric interior matrix that ``prob.update`` solves at
-    ``faces``, dense in band order, rebuilt from the (w, w) band that it
-    passes to ``solve_banded``; w is the largest stride of the band
-    layout.  ``update`` must make no sparse LU."""
-    seen = {}
-    solve_banded = scipy.linalg.solve_banded
-
-    def banded(l_and_u, ab, b, **kwargs):
-        w = prob.layout.lower[-1]
-        assert l_and_u == (w, w) and ab.shape == (2 * w + 1, b.size)
-        # row w + s holds entry (i + s, i) at column i: DIA offset -s
-        seen["dense"] = sp.dia_matrix((ab.copy(), np.arange(w, -w - 1, -1)),
-                                      shape=(b.size, b.size)).toarray()
-        return solve_banded(l_and_u, ab, b, **kwargs)
-
-    def sparse(A, b):
-        raise AssertionError("update called spsolve")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.linalg, "solve_banded", banded)
-        mp.setattr(spla, "spsolve", sparse)
-        prob.update(faces, R, _Carry())
-    return seen["dense"]
+    ``faces``, dense in band order, rebuilt from the band rows of
+    ``prob.assemble``: one row per offset of the layout (the diagonal and
+    each axis stride on both sides of it), no zero row between them."""
+    ab, b = prob.assemble(faces, R)
+    offsets = prob.layout.offsets
+    strides = {s for s in prob.layout.stride}
+    assert prob.offsets == offsets
+    assert offsets == sorted({0, *strides, *(-s for s in strides)})
+    assert ab.shape == (len(offsets), b.size) and 2 * len(strides) + 1 \
+        == len(offsets) <= 2 * prob.grid.dim + 1
+    # the row of offset s holds entry (i + s, i) at column i: DIA offset -s
+    return sp.dia_matrix((ab, -np.asarray(offsets)),
+                         shape=(b.size, b.size)).toarray()
 
 
 class TestNewtonUpdate:
@@ -270,6 +262,79 @@ class TestNewtonUpdate:
         # k-mode
         assert (carry.factor is not None) == prob.symmetric
         assert prob.symmetric == (k is not None and len(counts) > 1)
+
+    # (3, 3) has a single interior node and no black one, (4, 4) and
+    # (10, 10) even interior extents, (3, 9) a single interior line,
+    # (5, 6, 7) one even extent; the clamped iterate holds a block of
+    # zeros, where m_j > 1 makes whole columns of couplings vanish
+    @pytest.mark.parametrize("clamped", [False, True])
+    @pytest.mark.parametrize("counts", [(3, 3), (4, 4), (3, 9), (9, 13),
+                                        (10, 10), (5, 6, 7)])
+    def test_direct_update_matches_sparse_lu(self, counts, clamped):
+        spec = varcoeff_problem(len(counts))
+        grid = Grid(spec.box, counts)
+        prob = _StepProblem(spec, grid, SolverConfig(dt=0.01),
+                            np.full(counts, 0.6), 0.01)
+        u = np.random.default_rng(sum(counts)).uniform(0.3, 1.5, counts)
+        if clamped:
+            u[(slice(1, 4),) * len(counts)] = 0.0
+        u[prob.boundary] = prob.bc[prob.boundary]
+        R, faces = prob.residual(u)
+        ref = np.atleast_1d(spla.spsolve(jacobian(prob, faces), R.ravel()))
+        got = prob.update(faces, R, _Carry())
+        assert np.max(np.abs(got.ravel() - ref)) \
+            <= 1e-12 * np.max(np.abs(ref))
+        assert np.all(got[prob.boundary] == 0.0)
+
+    @pytest.mark.parametrize("counts", [(33,), (3, 3), (4, 4), (9, 13),
+                                        (5, 6, 7)])
+    def test_direct_lapack_calls(self, counts, monkeypatch):
+        # 1D: one solve_banded call on the three band rows; 2D/3D: no
+        # solve_banded call, and dgbsv gets the floor(n/2) black unknowns
+        # of the red-black Schur complement, with half-bandwidth kd on both
+        # sides, in Fortran order (so no copy), unless there is no black
+        # node
+        spec = varcoeff_problem(len(counts))
+        prob = _StepProblem(spec, Grid(spec.box, counts),
+                            SolverConfig(dt=0.01), np.full(counts, 0.6),
+                            0.01)
+        u = np.random.default_rng(7).uniform(0.3, 1.5, counts)
+        u[prob.boundary] = prob.bc[prob.boundary]
+        R, faces = prob.residual(u)
+        n = int(np.prod([c - 2 for c in counts]))
+        calls = []
+        solve_banded, dgbsv = scipy.linalg.solve_banded, lapack.dgbsv
+
+        def banded(l_and_u, ab, b, **kwargs):
+            calls.append(("solve_banded", l_and_u, ab.shape, b.size))
+            return solve_banded(l_and_u, ab, b, **kwargs)
+
+        def gbsv(kl, ku, ab, b, **kwargs):
+            calls.append(("dgbsv", kl, ku, ab.shape, b.size,
+                          ab.flags.f_contiguous))
+            return dgbsv(kl, ku, ab, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", banded)
+        monkeypatch.setattr(lapack, "dgbsv", gbsv)
+        prob.update(faces, R, _Carry())
+        if len(counts) == 1:
+            assert calls == [("solve_banded", (1, 1), (3, n), n)]
+            return
+        rb = prob.layout.red_black
+        kd = rb.kd
+        assert rb.black.size == n // 2
+        assert calls == ([("dgbsv", kd, kd, (3 * kd + 1, n // 2), n // 2,
+                           True)] if n > 1 else [])
+        # S keeps the half-bandwidth of the red-black split of k-mode
+        assert kd <= prob.layout.lower[-1]
+        # a red diagonal entry that is 0 or not finite is a singular
+        # matrix, reported before any division by it
+        ab, b = prob.assemble(faces, R)
+        for bad in (0.0, np.inf, np.nan):
+            broken = ab.copy()
+            broken[prob.offsets.index(0), rb.red[-1]] = bad
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                rb.solve(broken, b)
 
     @pytest.mark.parametrize("counts", [(9, 13), (5, 6, 7), (5, 7, 9)])
     @pytest.mark.parametrize("stale", [1.0, 1e-4, "other-iterate"])
@@ -1084,6 +1149,18 @@ class TestRobustness:
         cfg = SolverConfig(dt=spec.T / 32)
         _, rep = solve_problem(spec, Grid(spec.box, (17, 17)), cfg)
         assert len(rep.steps) == 32
+        assert rep.max_residual <= cfg.newton_tol
+
+    @pytest.mark.xfail(strict=True, raises=StepFailure,
+                       reason="the eleventh line-search trial is taken "
+                              "whatever its residual, and Newton cycles")
+    def test_direct_mode_line_search_cycle_converges(self):
+        # a direct-2d benchmark draw with g = 0 and m_j > 1: from step 25
+        # Newton alternates between two iterates, residuals 1.29e-4 and
+        # 1.13e-3, until newton_max ends the step with "iteration limit"
+        spec = bump_problem((2.078, 1.563), (1.261, 1.01), 0.0, 0.466)
+        cfg = SolverConfig(dt=spec.T / 32)
+        _, rep = solve_problem(spec, Grid(spec.box, (33, 33)), cfg)
         assert rep.max_residual <= cfg.newton_tol
 
     @given(exps=st.sampled_from([1, 2]).flatmap(admissible_exponents),
