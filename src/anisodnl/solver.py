@@ -258,16 +258,23 @@ class _RedBlack:
         # storage of shape (kd + 1, n_black) in Fortran order
         self.kd = int(np.max(row - col, initial=0))
         self.pair_pos = col * (self.kd + 1) + (row - col)
-        # a nonsymmetric S takes the pairs in both orders (a before b:
-        # upper triangle), each at its position in LAPACK's general band
-        # storage of shape (3 kd + 1, n_black) in Fortran order, where the
-        # first kd rows are left for the fill-in of the LU factor
+
+    @cached_property
+    def lu_pairs(self) -> tuple[np.ndarray, ...]:
+        """The pairs of a nonsymmetric S (see ``solve``): every pair in
+        both orders (a before b: upper triangle) as (a, b, red row,
+        position), the position in LAPACK's general band storage of shape
+        (3 kd + 1, n_black) in Fortran order, whose first kd rows are left
+        for the fill-in of the LU factor.  Made on first use, so that
+        k-mode does not hold them."""
         upper = self.pair_a != self.pair_b
-        self.lu_a = np.concatenate((self.pair_a, self.pair_b[upper]))
-        self.lu_b = np.concatenate((self.pair_b, self.pair_a[upper]))
-        self.lu_red = np.concatenate((self.pair_red, self.pair_red[upper]))
-        row, col = indices[self.lu_a], indices[self.lu_b]
-        self.lu_pos = col * (3 * self.kd + 1) + 2 * self.kd + (row - col)
+        a = np.concatenate((self.pair_a, self.pair_b[upper]))
+        b = np.concatenate((self.pair_b, self.pair_a[upper]))
+        red = np.concatenate((self.pair_red, self.pair_red[upper]))
+        indices = self.B.indices.astype(np.intp)
+        row, col = indices[a], indices[b]
+        pos = col * (3 * self.kd + 1) + 2 * self.kd + (row - col)
+        return a, b, red, pos
 
     def fill(self, ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fill ``B`` from the symmetric matrix whose nonzero lower band
@@ -325,9 +332,8 @@ class _RedBlack:
         if n_b == 0:
             return y
         ld = 3 * kd + 1
-        s = np.bincount(self.lu_pos,
-                        weights=-(C[self.lu_a] * B[self.lu_b]
-                                  * inv_dr[self.lu_red]),
+        pa, pb, red, pos = self.lu_pairs
+        s = np.bincount(pos, weights=-(C[pa] * B[pb] * inv_dr[red]),
                         minlength=ld * n_b).astype(float, copy=False)
         s[2 * kd::ld] += d[self.black]
         *_, x_b, info = lapack.dgbsv(kd, kd, s.reshape((ld, n_b), order="F"),
