@@ -227,12 +227,11 @@ def solved_matrix(prob, faces, R):
     ``prob.assemble``: one row per offset of the layout (the diagonal and
     each axis stride on both sides of it), no zero row between them."""
     ab, b = prob.assemble(faces, R)
-    offsets = prob.layout.offsets
-    strides = {s for s in prob.layout.stride}
-    assert prob.offsets == offsets
+    offsets = prob.offsets
+    strides = set(prob.layout.stride)
     assert offsets == sorted({0, *strides, *(-s for s in strides)})
-    assert ab.shape == (len(offsets), b.size) and 2 * len(strides) + 1 \
-        == len(offsets) <= 2 * prob.grid.dim + 1
+    assert ab.shape == (len(offsets), b.size)
+    assert len(offsets) <= 2 * prob.grid.dim + 1
     # the row of offset s holds entry (i + s, i) at column i: DIA offset -s
     return sp.dia_matrix((ab, -np.asarray(offsets)),
                          shape=(b.size, b.size)).toarray()
