@@ -324,8 +324,6 @@ class TestNewtonUpdate:
         assert rb.black.size == n // 2
         assert calls == ([("dgbsv", kd, kd, (3 * kd + 1, n // 2), n // 2,
                            True)] if n > 1 else [])
-        # S keeps the half-bandwidth of the red-black split of k-mode
-        assert kd <= prob.layout.lower[-1]
         # a red diagonal entry that is 0 or not finite is a singular
         # matrix, reported before any division by it
         ab, b = prob.assemble(faces, R)
