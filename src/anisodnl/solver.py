@@ -14,39 +14,35 @@ it also differentiates the truncation factor T_k(u)^((m_j-1)(p_j-1))
 through the face mean, which makes it the exact Jacobian when a_j does
 not depend on u.  Direct mode scales the columns of axis j by
 m_j u^(m_j-1).  For p_j < 2 the face flux is regularized (``model.flux``)
-and the matrix uses its exact slope.  The symmetric band of 2D/3D k-mode
-is solved by preconditioned conjugate gradients, the nonsymmetric 1D
-band by banded LU, and the nonsymmetric 2D/3D direct-mode band exactly
-by its red-black block elimination: the red nodes, whose block is
-diagonal, are eliminated, and only the Schur complement on the black
-half of the unknowns is factored, by one banded LU.
+and the matrix uses its exact slope.  The nonsymmetric 1D band is solved
+by banded LU.  The 2D/3D band is solved through its red-black block
+elimination (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed.,
+2003): eliminating the red nodes, whose block is diagonal, is exact and
+leaves the Schur complement S on the black half of the unknowns, with
+the same half-bandwidth.  Direct mode solves S by one banded LU, k-mode
+its symmetric S by conjugate gradients.
 
 A solve keeps state from one time step to the next (``_Carry``): the
 grid data of its steps, a preconditioner and the previous field.  In
-2D/3D k-mode each Newton system is solved by conjugate gradients until
-its residual is below CG_RTOL times its right-hand side (an inexact
-Newton step, Eisenstat & Walker 1996), preconditioned by the exact
-inverse of an earlier Newton matrix of the same solve, which is factored
-again only when no factor is kept or CG does not converge within CG_MAX
-iterations (Newton-Krylov with a reused preconditioner, Knoll & Keyes
-2004).  That inverse is the matrix's red-black block elimination:
-eliminating the red nodes, whose block is diagonal, is exact and leaves
-the Schur complement S on the black half of the unknowns, with the same
-half-bandwidth, and only S is factored, by banded Cholesky (Saad,
-Iterative Methods for Sparse Linear Systems, 2nd ed., 2003).  When every
-interior extent is odd, CG runs on S x_b = r_b - B^T D_r^-1 r_r itself,
-applied matrix-free, with the kept factor of an earlier S; on an even
-extent, where a reflection of the grid swaps the colours and an inexact
-solve on one colour would break the symmetry of the data, it runs on the
-whole system.  In k-mode Newton starts from the linear extrapolation of
-the last two fields instead of from u_n.
+2D/3D k-mode CG runs on S, applied matrix-free, until the residual is
+below CG_RTOL times the right-hand side of the whole system (an inexact
+Newton step, Eisenstat & Walker 1996), preconditioned by the banded
+Cholesky factor of the S of an earlier Newton matrix of the same solve,
+which is factored again only when no factor is kept or CG does not
+converge within CG_MAX iterations (Newton-Krylov with a reused
+preconditioner, Knoll & Keyes 2004).  It does so on every grid: on an
+even interior extent a reflection swaps the colours, so the inexact
+solve breaks the symmetry of symmetric data, but the regularized flux
+is smooth at D = 0, and Newton does not stall there.  In k-mode Newton
+starts from the linear extrapolation of the last two fields instead of
+from u_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -187,16 +183,13 @@ class _RedBlack:
     offsets 2e_i and e_i - e_j, e_i + e_j of the grid.  ``B`` and ``C`` are
     the CSR blocks, of one pattern, of the matrix filled last (see
     ``fill`` and ``solve``); ``Bt`` and ``Ct`` are their transposes and
-    share their data.  ``reduce`` is True when every interior extent is
-    odd: a reflection of the grid then maps each colour onto itself, and
-    an inexact solve of the reduced system keeps the symmetry of the data;
-    on an even extent it swaps the colours.
+    share their data.  ``eliminate`` is the one block elimination of
+    both modes.
     """
 
     def __init__(self, shape: tuple[int, ...], lower: list[int],
                  offsets: list[int]):
         n = int(np.prod(shape))
-        self.reduce = all(e % 2 == 1 for e in shape)
         coords = np.indices(shape).reshape(len(shape), n)
         black = coords.sum(axis=0) % 2 == 1
         self.red = np.flatnonzero(~black)
@@ -289,12 +282,12 @@ class _RedBlack:
         np.take(ab, self.src, out=self.B.data)
         return 1.0 / d_r, d[self.black]
 
-    def factor(self, inv_dr: np.ndarray, d_b: np.ndarray,
-               data: np.ndarray) -> _SchurFactor:
-        """The block elimination of the symmetric matrix with 1/D_r, D_b
-        and the entries ``data`` of B (see ``fill``).  Raises
-        ``LinAlgError`` when its S is not positive definite."""
-        n_b = self.black.size
+    def factor(self, inv_dr: np.ndarray, d_b: np.ndarray) -> np.ndarray:
+        """The banded Cholesky factor (LAPACK ``dpbtrf``, lower form) of
+        the S of the symmetric matrix with 1/D_r, D_b and the B that
+        ``fill`` filled last.  Raises ``LinAlgError`` when S is not
+        positive definite."""
+        n_b, data = self.black.size, self.B.data
         # (a float band also when there are no pairs: a single red node)
         s = np.bincount(self.pair_pos,
                         weights=-(data[self.pair_a] * data[self.pair_b]
@@ -307,18 +300,30 @@ class _RedBlack:
         if info != 0:
             raise np.linalg.LinAlgError(
                 "Newton matrix is not positive definite")
-        B = sp.csr_matrix((data.copy(), self.B.indices, self.B.indptr),
-                          shape=self.B.shape)
-        return _SchurFactor(self, chol, inv_dr, B, B.T)
+        return chol
+
+    def eliminate(self, r: np.ndarray, inv_dr: np.ndarray, Ct: sp.csc_matrix,
+                  solve_black: Callable) -> np.ndarray:
+        """A^-1 r by the block elimination of A = [[D_r, B], [C^T, D_b]]
+        with 1/D_r ``inv_dr``, C^T ``Ct`` and the B filled last:
+        x_b = solve_black(r_b - C^T D_r^-1 r_r), then
+        x_r = D_r^-1 (r_r - B x_b), where ``solve_black`` solves with S."""
+        y = inv_dr * r[self.red]
+        if self.black.size == 0:
+            # a single interior node, which is red
+            return y
+        x_b = solve_black(r[self.black] - Ct @ y)
+        x = np.empty(r.size)
+        x[self.red] = y - inv_dr * (self.B @ x_b)
+        x[self.black] = x_b
+        return x
 
     def solve(self, ab: np.ndarray, r: np.ndarray) -> np.ndarray:
         """A^-1 r for the nonsymmetric matrix whose nonzero band rows are
-        ``ab`` (one per offset of ``offsets``): fill ``B`` and ``C``,
-        eliminate the red nodes, solve
-        S x_b = r_b - C^T D_r^-1 r_r by one banded LU with partial
-        pivoting (LAPACK ``dgbsv``) and set x_r = D_r^-1 (r_r - B x_b).
-        Raises ``LinAlgError`` when a red diagonal entry is 0 or not
-        finite, or S is singular."""
+        ``ab`` (one per offset of ``offsets``): fill ``B`` and ``C`` and
+        eliminate the red nodes, with S solved by one banded LU with
+        partial pivoting (LAPACK ``dgbsv``).  Raises ``LinAlgError`` when
+        a red diagonal entry is 0 or not finite, or S is singular."""
         d = ab[self.mid]
         d_r = d[self.red]
         if not np.all(np.isfinite(d_r) & (d_r != 0.0)):
@@ -327,52 +332,22 @@ class _RedBlack:
         B, C = self.B.data, self.C.data
         np.take(ab, self.src_b, out=B)
         np.take(ab, self.src_c, out=C)
-        y = inv_dr * r[self.red]
-        n_b, kd = self.black.size, self.kd
-        if n_b == 0:
-            return y
-        ld = 3 * kd + 1
-        pa, pb, red, pos = self.lu_pairs
-        s = np.bincount(pos, weights=-(C[pa] * B[pb] * inv_dr[red]),
-                        minlength=ld * n_b).astype(float, copy=False)
-        s[2 * kd::ld] += d[self.black]
-        *_, x_b, info = lapack.dgbsv(kd, kd, s.reshape((ld, n_b), order="F"),
-                                     r[self.black] - self.Ct @ y,
-                                     overwrite_ab=1, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError("Newton matrix is singular")
-        return self.join(y - inv_dr * (self.B @ x_b), x_b)
 
-    def join(self, x_r: np.ndarray, x_b: np.ndarray) -> np.ndarray:
-        """The vector with red part x_r and black part x_b."""
-        x = np.empty(self.red.size + self.black.size)
-        x[self.red] = x_r
-        x[self.black] = x_b
-        return x
+        def solve_black(rhs):
+            n_b, kd = self.black.size, self.kd
+            ld = 3 * kd + 1
+            pa, pb, red, pos = self.lu_pairs
+            s = np.bincount(pos, weights=-(C[pa] * B[pb] * inv_dr[red]),
+                            minlength=ld * n_b).astype(float, copy=False)
+            s[2 * kd::ld] += d[self.black]
+            *_, x_b, info = lapack.dgbsv(
+                kd, kd, s.reshape((ld, n_b), order="F"), rhs,
+                overwrite_ab=1, overwrite_b=1)
+            if info != 0:
+                raise np.linalg.LinAlgError("Newton matrix is singular")
+            return x_b
 
-
-class _SchurFactor(NamedTuple):
-    """The exact inverse of a 2D/3D k-mode Newton matrix A through its
-    red-black block elimination (see ``_RedBlack``): the banded Cholesky
-    factor of S (lower form), 1/D_r and B."""
-
-    red_black: _RedBlack
-    chol: np.ndarray
-    inv_dr: np.ndarray
-    B: sp.csr_matrix
-    Bt: sp.csc_matrix
-
-    def solve_black(self, r: np.ndarray) -> np.ndarray:
-        """S^-1 r."""
-        return lapack.dpbtrs(self.chol, r, lower=1)[0]
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """A^-1 r: x_b = S^-1 (r_b - B^T D_r^-1 r_r), then
-        x_r = D_r^-1 (r_r - B x_b)."""
-        rb = self.red_black
-        y = self.inv_dr * r[rb.red]
-        x_b = self.solve_black(r[rb.black] - self.Bt @ y)
-        return rb.join(y - self.inv_dr * (self.B @ x_b), x_b)
+        return self.eliminate(r, inv_dr, self.Ct, solve_black)
 
 
 class _Layout:
@@ -420,13 +395,13 @@ class _Layout:
 @dataclass
 class _Carry:
     """What one solve keeps from one implicit step to the next: the grid
-    data of its steps, the block elimination of the last 2D/3D k-mode
-    Newton matrix that was factored (see ``_RedBlack``), and the field
-    before u_n.  ``solve_problem`` makes one per call, so no state passes
-    between solves."""
+    data of its steps, the banded Cholesky factor of the S of the last
+    2D/3D k-mode Newton matrix that was factored (see ``_RedBlack``), and
+    the field before u_n.  ``solve_problem`` makes one per call, so no
+    state passes between solves."""
 
     layout: _Layout | None = None
-    factor: _SchurFactor | None = None
+    factor: np.ndarray | None = None
     prev: ScalarField | None = None
 
 
@@ -612,22 +587,15 @@ class _StepProblem:
         - the symmetric band of 2D/3D k-mode stores its lower rows only.
           It is the lagged matrix A = [[D_r, B], [B^T, D_b]] with a
           positive, dominating diagonal (README says why the coefficient
-          stays lagged), solved by one conjugate-gradient call until the
-          residual is below CG_RTOL ||r||, preconditioned by the exact
-          inverse of an earlier A of the same solve, ``carry.factor``, its
-          red-black block elimination (see ``_RedBlack``).  When every
-          interior extent is odd, CG runs on the reduced system
-          S x_b = r_b - B^T D_r^-1 r_r with S = D_b - B^T D_r^-1 B,
-          applied matrix-free and preconditioned by the kept factor of S,
-          and then x_r = D_r^-1 (r_r - B x_b); the red rows are solved
-          exactly, so this bounds the residual of the whole system.  On an
-          even extent, whose reflection swaps the colours, CG runs on the
-          whole system, which keeps the reflection symmetry of the data
-          (with the unregularized p_j < 2 flux, Newton crawled at its kink
-          at D = 0 once that symmetry broke).  When no factor is kept, the
-          current matrix is factored and kept first; when CG does not
-          converge within CG_MAX iterations, it is factored and kept, and
-          solved with its factor.
+          stays lagged), solved through the same block elimination with
+          one conjugate-gradient call on S = D_b - B^T D_r^-1 B, applied
+          matrix-free, until the residual is below CG_RTOL ||r||; the red
+          rows are solved exactly, so this bounds the residual of the
+          whole system.  CG is preconditioned by ``carry.factor``, the
+          banded Cholesky factor of the S of an earlier A of the same
+          solve.  When no factor is kept, the current S is factored and
+          kept first; when CG does not converge within CG_MAX iterations,
+          it is factored and kept, and solved with its factor.
 
         Raises ``LinAlgError`` when the system is not finite, a
         nonsymmetric matrix is singular (in 2D/3D also: a red diagonal
@@ -657,48 +625,34 @@ class _StepProblem:
     def _pcg(self, ab: np.ndarray, b: np.ndarray,
              carry: _Carry) -> np.ndarray:
         """Solve the symmetric system whose nonzero lower band rows are
-        ``ab`` by CG, preconditioned by ``carry.factor``: on its red-black
-        reduced system when every interior extent is odd, else on the
-        whole system (see ``update``)."""
+        ``ab`` through its red-black block elimination, by CG on S
+        preconditioned by ``carry.factor`` (see ``update``)."""
         rb = self.layout.red_black
         inv_dr, d_b = rb.fill(ab)
         B, Bt = rb.B, rb.Bt
-        n, offsets = b.size, self.layout.lower
-
-        def cg(matvec, rhs, precondition):
-            # None when CG does not converge within CG_MAX iterations
-            m = rhs.size
-            x, info = spla.cg(
-                spla.LinearOperator((m, m), matvec, dtype=float), rhs,
-                rtol=0.0, atol=CG_RTOL * np.linalg.norm(b), maxiter=CG_MAX,
-                M=spla.LinearOperator((m, m), precondition, dtype=float))
-            return None if info else x
-
-        def matvec(x):
-            y = ab[0] * x
-            for row, s in zip(ab[1:], offsets[1:]):
-                y[s:] += row[:n - s] * x[:n - s]
-                y[:n - s] += row[:n - s] * x[s:]
-            return y
-
         if carry.factor is None:
-            carry.factor = rb.factor(inv_dr, d_b, B.data)
-        if rb.reduce:
+            carry.factor = rb.factor(inv_dr, d_b)
+        m = rb.black.size
+        S = spla.LinearOperator(
+            (m, m), lambda x: d_b * x - Bt @ (inv_dr * (B @ x)), dtype=float)
+        M = spla.LinearOperator(
+            (m, m), lambda x: lapack.dpbtrs(carry.factor, x, lower=1)[0],
+            dtype=float)
+
+        def solve_black(rhs):
             # the red rows come out exact, so the black residual is the
             # whole residual of the system
-            y = inv_dr * b[rb.red]
-            rhs = b[rb.black] - Bt @ y
-            x_b = cg(lambda x: d_b * x - Bt @ (inv_dr * (B @ x)), rhs,
-                     carry.factor.solve_black) if rhs.size else rhs
-            x = None if x_b is None else rb.join(y - inv_dr * (B @ x_b), x_b)
-        else:
-            x = cg(matvec, b, carry.factor.solve)
-        if x is None:
-            # the stale factor is released before the new one is made
-            carry.factor = None
-            carry.factor = rb.factor(inv_dr, d_b, B.data)
-            x = carry.factor.solve(b)
-        return x
+            x_b, info = spla.cg(S, rhs, rtol=0.0,
+                                atol=CG_RTOL * np.linalg.norm(b),
+                                maxiter=CG_MAX, M=M)
+            if info:
+                # the stale factor is released before the new one is made
+                carry.factor = None
+                carry.factor = rb.factor(inv_dr, d_b)
+                x_b = lapack.dpbtrs(carry.factor, rhs, lower=1)[0]
+            return x_b
+
+        return rb.eliminate(b, inv_dr, Bt, solve_black)
 
 
 def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,

@@ -36,3 +36,23 @@ def test_package_imports_resolve():
         if n not in importlib.import_module(f"anisodnl.{mod}").__all__]
     assert unexported == []
 
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in Path(anisodnl.__file__).parent.glob("*.py")
+    if p.name != "__init__.py"), ids=lambda p: p.stem)
+def test_module_imports_are_read(path):
+    # every module-level import is read somewhere in its module (the
+    # package's __init__ only re-exports, and __future__ imports are
+    # directives), so a deletion cannot leave an orphaned import behind
+    tree = ast.parse(path.read_text())
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= set(getattr(importlib.import_module(f"anisodnl.{path.stem}"),
+                        "__all__", ()))
+    assert bound
+    assert [n for n in bound if n not in read] == []

@@ -333,7 +333,8 @@ class TestNewtonUpdate:
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
                 rb.solve(broken, b)
 
-    @pytest.mark.parametrize("counts", [(9, 13), (5, 6, 7), (5, 7, 9)])
+    @pytest.mark.parametrize("counts", [(9, 13), (5, 6, 7), (5, 7, 9),
+                                        (10, 10)])
     @pytest.mark.parametrize("stale", [1.0, 1e-4, "other-iterate"])
     def test_k_mode_stale_factor(self, counts, stale):
         # the kept factor comes from the same faces at 100 times or 1/100
@@ -370,13 +371,10 @@ class TestNewtonUpdate:
                 <= 1e-12 * np.max(np.abs(ref))
         # which branch runs: the factor at the larger dt preconditions
         # well enough, the one of unrelated random slopes does not; the
-        # one dominated by its diagonal 1/dt does not in 2D or on the whole
-        # system of (5, 6, 7), whose interior extent 4 is even, but the
-        # reduced system of (5, 7, 9) has only 52 unknowns, and CG_MAX
-        # iterations reach CG_RTOL there
-        reduce = prob.layout.red_black.reduce
-        assert reduce == (counts != (5, 6, 7))
-        keeps = {1.0: True, 1e-4: len(counts) == 3 and reduce,
+        # one dominated by its diagonal 1/dt does not in 2D, but the
+        # reduced systems of (5, 6, 7) and (5, 7, 9) have only 30 and 52
+        # unknowns, and CG_MAX iterations reach CG_RTOL there
+        keeps = {1.0: True, 1e-4: len(counts) == 3,
                  "other-iterate": False}
         assert (carry.factor is stale_factor) == keeps[stale]
 
@@ -416,17 +414,14 @@ class TestNewtonUpdate:
             cg_sizes.append(b.size), cg(A, b, **kw))[1])
         # with no factor kept S is factored first, and with that factor
         # (A's own) CG converges at its first iterate, also when it is
-        # kept for the next system.  CG runs on the black half when every
-        # interior extent is odd, else on the whole system.  With no black
-        # node there is no CG and x_r = b_r / d_r
-        ext = [c - 2 for c in counts]
-        assert rb.reduce == all(e % 2 == 1 for e in ext)
-        size = rb.black.size if rb.reduce else n
+        # kept for the next system.  CG runs on the black half on every
+        # grid, of odd or even interior extents.  With no black node there
+        # is no CG and x_r = b_r / d_r
         carry = _Carry()
         for calls in (1, 2) if rb.black.size else (0, 0):
             got = prob._pcg(ab, r, carry)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert cg_sizes == [size] * calls
+            assert cg_sizes == [rb.black.size] * calls
             assert carry.factor is not None
         # a non-positive D_r or an indefinite S is reported
         for kept in (None, carry.factor):
@@ -570,22 +565,23 @@ class TestNewtonUpdate:
         # flux, 35 with the regularized one, under which CG on the whole
         # system takes 33, so the reduced CG costs 2 iterations here
         pytest.param("varcoeff-3d", (5, 7, 9), [4], [35], id="varcoeff-3d"),
-        # an even interior extent, on an axis with p_j = 1.7 < 2 where the
-        # data are symmetric: CG on the reduced system broke that symmetry
-        # and Newton crawled at the kink of the flux at D = 0 (163
-        # iterations on (5, 6, 7); StepFailure at k = 2 and 4 on (18, 18))
-        pytest.param("varcoeff-3d", (5, 6, 7), [4], [33],
+        # even interior extents, on an axis with p_j = 1.7 < 2 where the
+        # data are symmetric.  With the unregularized p < 2 flux, CG on the
+        # reduced system broke that symmetry and Newton crawled at the
+        # kink of the flux at D = 0 (163 iterations on (5, 6, 7);
+        # StepFailure at k = 2 and 4 on (18, 18)).  With the regularized
+        # flux the reduced CG takes 35 on (5, 6, 7), as on (5, 7, 9), where
+        # CG on the whole system took 33, and [43, 46] on (18, 18), as CG
+        # on the whole system did
+        pytest.param("varcoeff-3d", (5, 6, 7), [4], [35],
                      id="varcoeff-3d-even-extent"),
-        # [43, 69] with the unregularized p < 2 flux, [43, 46] with the
-        # regularized one
         pytest.param("varcoeff", (18, 18), [2, 4], [43, 46],
                      id="varcoeff-even-extent"),
     ])
     def test_k_mode_newton_counts_2d_3d(self, name, counts, ks, parent):
-        # 2D/3D k-mode: CG on the red-black reduced system (odd interior
-        # extents) and on the whole system (even extents) stays within
-        # the recorded bounds (recorded with CG on the whole system
-        # everywhere, except where a comment says otherwise)
+        # 2D/3D k-mode: CG on the red-black reduced system stays within
+        # the recorded bounds (recorded with CG on the whole system,
+        # except where a comment says otherwise)
         spec = get_preset(name) if name == "aniso-cascade" \
             else varcoeff_problem(3 if name == "varcoeff-3d" else 2)
         grid = Grid(spec.box, counts)
@@ -924,12 +920,11 @@ class TestCascade:
                 < sum(r.total_iterations for r in cold.reports))
 
     def test_red_black_matches_full_band_preconditioner(self, monkeypatch):
-        # CG preconditioned by the kept red-black elimination, on the
-        # reduced system (17x17, odd interior extents) or on the whole
-        # system (18x18, even ones), against CG on the whole system with
-        # the kept full-band factor: the same bound on ||J delta - R||, so
-        # the fields agree within the ordering tolerance, and it takes no
-        # more Newton iterations
+        # CG on the red-black reduced system, preconditioned by the kept
+        # factor of S, on odd (17x17) and even (18x18) interior extents,
+        # against CG on the whole system with the kept full-band factor:
+        # the same bound on ||J delta - R||, so the fields agree within
+        # the ordering tolerance, and it takes no more Newton iterations
         spec = get_preset("aniso-cascade")
         cfg = SolverConfig(dt=spec.T / 8)
         ks = [2, 4, 8]
