@@ -633,23 +633,24 @@ class _StepProblem:
         if carry.factor is None:
             carry.factor = rb.factor(inv_dr, d_b)
         m = rb.black.size
-        S = spla.LinearOperator(
-            (m, m), lambda x: d_b * x - Bt @ (inv_dr * (B @ x)), dtype=float)
-        M = spla.LinearOperator(
-            (m, m), lambda x: lapack.dpbtrs(carry.factor, x, lower=1)[0],
-            dtype=float)
+
+        def precondition(x):
+            return lapack.dpbtrs(carry.factor, x, lower=1)[0]
 
         def solve_black(rhs):
             # the red rows come out exact, so the black residual is the
             # whole residual of the system
-            x_b, info = spla.cg(S, rhs, rtol=0.0,
-                                atol=CG_RTOL * np.linalg.norm(b),
-                                maxiter=CG_MAX, M=M)
+            x_b, info = spla.cg(
+                spla.LinearOperator(
+                    (m, m), lambda x: d_b * x - Bt @ (inv_dr * (B @ x)),
+                    dtype=float), rhs,
+                rtol=0.0, atol=CG_RTOL * np.linalg.norm(b), maxiter=CG_MAX,
+                M=spla.LinearOperator((m, m), precondition, dtype=float))
             if info:
                 # the stale factor is released before the new one is made
                 carry.factor = None
                 carry.factor = rb.factor(inv_dr, d_b)
-                x_b = lapack.dpbtrs(carry.factor, rhs, lower=1)[0]
+                x_b = precondition(rhs)
             return x_b
 
         return rb.eliminate(b, inv_dr, Bt, solve_black)
