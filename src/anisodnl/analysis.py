@@ -24,7 +24,7 @@ from .discretization import (
     integrate_face_power,
     integrate_power,
 )
-from .model import ProblemSpec
+from .model import ProblemSpec, evaluate
 
 __all__ = [
     "b_quantity",
@@ -45,6 +45,7 @@ __all__ = [
     "energy_check",
     "ComparisonReport",
     "comparison_check",
+    "ordering_excess",
     "gradient_power_norms",
     "vpm_distance",
 ]
@@ -229,8 +230,8 @@ def steklov_eval(series: TimeSeries, h: float, t: float,
     """
     times = series.times
     lo, hi = (t - h, t) if reverse else (t, t + h)
-    if lo < times[0] or hi > times[-1]:
-        raise ValueError("window leaves the series time span")
+    if h <= 0 or lo < times[0] or hi > times[-1]:
+        raise ValueError("window must lie inside the series time span")
     return _window_mean(series, h)(lo, hi)
 
 
@@ -245,26 +246,20 @@ def _exp_interval(w, v_end, slope, dt: float, h: float):
 def exp_mollify_eval(series: TimeSeries, h: float, t: float) -> np.ndarray:
     """Exponential mollification at an arbitrary time.
 
-    Uses the exact interval recursion up to the enclosing sample interval
-    and the closed-form partial-interval update inside it.
+    Continues exp_mollify's recursion from the sample that opens the
+    enclosing interval by the closed-form partial-interval update.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
     times = series.times
     if not times[0] <= t <= times[-1]:
         raise ValueError("t outside the series time span")
+    w = exp_mollify(series, h).values_array()
+    if len(times) == 1:
+        return w[0]
+    i = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
     vals = series.values_array()
-    w = np.zeros(vals.shape[1:])
-    for i in range(len(times) - 1):
-        dt_full = times[i + 1] - times[i]
-        c = (vals[i + 1] - vals[i]) / dt_full
-        dt = min(dt_full, t - times[i])
-        if dt <= 0:
-            break
-        w = _exp_interval(w, vals[i] + c * dt, c, dt, h)
-        if t <= times[i + 1]:
-            break
-    return w
+    c = (vals[i + 1] - vals[i]) / (times[i + 1] - times[i])
+    dt = t - times[i]
+    return _exp_interval(w[i], vals[i] + c * dt, c, dt, h)
 
 
 def exp_mollify(series: TimeSeries, h: float, reverse: bool = False) -> TimeSeries:
@@ -331,11 +326,11 @@ def select_q_vector(p: Sequence[float], n_dim: int) -> tuple[float, ...]:
 
     When the harmonic mean of p does not exceed the dimension the vector
     is p itself.  Otherwise the first entry is lowered so the harmonic
-    mean drops just below the dimension, retrying with smaller targets
-    until the lowered entry lands in (1, p_1].  If no admissible lowering
-    exists (one space dimension, where every entry exceeds the dimension)
-    the vector falls back to p; the embedding is unbounded there and any
-    exponent vector is usable.
+    mean becomes 0.99 times the dimension, which keeps it below p_1.  If
+    the lowered entry is not above 1 (always so in one space dimension,
+    where every entry exceeds the dimension) the vector falls back to p,
+    since a smaller target would only lower it further; the embedding is
+    unbounded there and any exponent vector is usable.
     """
     p = tuple(float(v) for v in p)
     p_bar = 1.0 / (sum(1.0 / pj for pj in p) / n_dim)
@@ -343,13 +338,11 @@ def select_q_vector(p: Sequence[float], n_dim: int) -> tuple[float, ...]:
         return p
     rest = sum(1.0 / pj for pj in p[1:])
     target = 0.99 * min(p_bar, float(n_dim))
-    for _ in range(200):
-        inv_q1 = n_dim / target - rest
-        if inv_q1 > 0.0:
-            q1 = 1.0 / inv_q1
-            if 1.0 < q1 <= p[0]:
-                return (q1,) + p[1:]
-        target *= 0.99
+    inv_q1 = n_dim / target - rest
+    if inv_q1 > 0.0:
+        q1 = 1.0 / inv_q1
+        if 1.0 < q1 <= p[0]:
+            return (q1,) + p[1:]
     return p
 
 
@@ -416,16 +409,13 @@ def degiorgi_constants(spec: ProblemSpec, grid: Grid) -> DeGiorgiReport:
     f_sig = []
     f_pb = []
     for t in ts:
-        fvals = np.broadcast_to(np.asarray(spec.f(x, float(t)), dtype=float),
-                                grid.counts)
-        gvals = np.broadcast_to(np.asarray(spec.g(x, float(t)), dtype=float),
-                                grid.counts)
+        fvals = evaluate(spec.f, grid.counts, x, float(t))
+        gvals = evaluate(spec.g, grid.counts, x, float(t))
         g_max = max(g_max, float(np.max(np.abs(gvals))))
         f_sig.append(integrate_power(ScalarField(grid, fvals),
                                      sigma * bar.p_bar_conj))
         f_pb.append(integrate_power(ScalarField(grid, fvals), bar.p_bar_conj))
-    u0_max = float(np.max(np.abs(
-        np.broadcast_to(np.asarray(spec.u0(x), dtype=float), grid.counts))))
+    u0_max = float(np.max(np.abs(evaluate(spec.u0, grid.counts, x))))
     M_star = max(u0_max, g_max) + 1.0
     int_f_sig = float(np.trapezoid(f_sig, ts))
     int_f_pb = float(np.trapezoid(f_pb, ts))
@@ -521,8 +511,7 @@ def energy_check(series: TimeSeries, spec: ProblemSpec, M: float,
             weight = face_mean(v, j) ** ((mj - m) * (pj - 1.0))
             grad_t[j].append(
                 integrate_face_power(grid, weight ** (1.0 / pj) * D, j, pj))
-        fvals = np.broadcast_to(
-            np.asarray(spec.f(x, float(f.t)), dtype=float), grid.counts)
+        fvals = evaluate(spec.f, grid.counts, x, float(f.t))
         rhs_t.append(float(np.sum(
             np.abs(fvals) ** bar.p_bar_conj * (v > M) * w)))
     grads = tuple(float(np.trapezoid(g, ts)) for g in grad_t)
@@ -577,8 +566,8 @@ def comparison_check(u: TimeSeries, v: TimeSeries, f_u: Callable,
     report = ComparisonReport(times=[], lhs=[], rhs=[], violation=0.0)
     for n, (fld_u, fld_v) in enumerate(zip(u.fields, v.fields)):
         uu, vv, t = fld_u.values, fld_v.values, float(tu[n])
-        fu = np.broadcast_to(np.asarray(f_u(x, t), dtype=float), grid.counts)
-        fv = np.broadcast_to(np.asarray(f_v(x, t), dtype=float), grid.counts)
+        fu = evaluate(f_u, grid.counts, x, t)
+        fv = evaluate(f_v, grid.counts, x, t)
         region = (vv < uu) | ((np.abs(uu) <= zero_tol)
                               & (np.abs(vv) <= zero_tol))
         src.append(float(np.sum((fu * (uu > zero_tol) - fv) * region * w)))
@@ -592,6 +581,13 @@ def comparison_check(u: TimeSeries, v: TimeSeries, f_u: Callable,
         report.rhs.append(rhs)
         report.violation = max(report.violation, lhs - rhs)
     return report
+
+
+def ordering_excess(lo: TimeSeries, hi: TimeSeries) -> float:
+    """Largest pointwise lo - hi over the paired sample times; at most 0
+    exactly when lo <= hi everywhere."""
+    return max(float(np.max(a.values - b.values))
+               for a, b in zip(lo.fields, hi.fields))
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +616,10 @@ def vpm_distance(a: TimeSeries, b: TimeSeries, m: Sequence[float],
     d(a, b) = || a - b ||_{L^{q*}} + sum_j || d_j a^{m_j} - d_j b^{m_j} ||_{p_j}
     with q* = max(min_j m_j + 1, max_j m_j), all norms over space-time.
     """
-    if a.grid != b.grid or len(a) != len(b):
+    ts = a.times
+    if a.grid != b.grid or len(a) != len(b) or not np.allclose(ts, b.times):
         raise ValueError("series must share grid and time axis")
     grid = a.grid
-    ts = a.times
     q_star = max(min(m) + 1.0, max(m))
     diff_t = []
     for fa, fb in zip(a.fields, b.fields):

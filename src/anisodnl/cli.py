@@ -31,9 +31,9 @@ import numpy as np
 import jsonschema
 
 from . import analysis, presets, solver
-from .discretization import (Grid, ScalarField, TimeSeries, csv_text,
-                             field_to_csv)
-from .model import ProblemSpec, check_admissibility
+from .discretization import (Grid, ScalarField, TimeSeries,
+                             calibrate_troisi_constant, csv_text, field_to_csv)
+from .model import ProblemSpec, check_admissibility, evaluate
 from .solver import SolverConfig
 
 REPORT_SCHEMA_ID = "anisodnl-report/1"
@@ -204,8 +204,7 @@ def _scenario_constant(cfg, args, writer):
     spec, grid, config, _ = _resolve_run(cfg, args)
     violations = []
     results = {}
-    c = float(np.max(np.broadcast_to(
-        np.asarray(spec.u0(grid.meshgrid()), dtype=float), grid.counts)))
+    c = float(np.max(evaluate(spec.u0, grid.counts, grid.meshgrid())))
     ts, rep = solver.solve_problem(spec, grid, config)
     dev = max(float(np.max(np.abs(f.values - c))) for f in ts.fields)
     results["direct_deviation"] = dev
@@ -279,8 +278,7 @@ def _scenario_comparison(cfg, args, writer):
     violations = []
     if rep.violation > tol:
         violations.append(f"comparison violation {rep.violation:.3e}")
-    worst = max(float(np.max(a.values - b.values))
-                for a, b in zip(u_ts.fields, v_ts.fields))
+    worst = analysis.ordering_excess(u_ts, v_ts)
     if worst > tol:
         violations.append(f"pointwise ordering excess {worst:.3e}")
     writer.write_table("comparison_trace.csv", ("t", "lhs", "rhs"),
@@ -352,7 +350,6 @@ def _scenario_calibrate(cfg, args, writer):
         "power_inequality": {str(g): analysis.power_inequality_constant(g)
                              for g in (1.5, 2.0, 3.0)},
     }
-    from .discretization import calibrate_troisi_constant
     grid = _grid(tuple([1.0] * len(grid_counts)), grid_counts)
     for p in ((2.0, 2.0), (3.0, 2.0)):
         if len(p) == len(grid_counts):

@@ -5,6 +5,8 @@ Evaluator convention used throughout the package: spatial positions are
 passed as a tuple ``x = (x1, ..., xN)`` of equally shaped numpy arrays, the
 time ``t`` is a scalar.  All evaluators must be pure and vectorized, e.g.
 ``f(x, t) -> ndarray``, ``u0(x) -> ndarray``, ``a_j(x, t, u) -> ndarray``.
+An evaluator may return a scalar or any array that broadcasts to the shape
+of its points; ``evaluate`` is the one place that makes that a float array.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "ConditionCheck",
     "compute_bar_exponents",
     "check_admissibility",
+    "evaluate",
     "truncate",
     "flux_coefficient",
     "flux",
@@ -101,6 +104,12 @@ def compute_bar_exponents(exponents: Exponents) -> BarExponents:
 
 
 Evaluator = Callable[..., np.ndarray]
+
+
+def evaluate(fn: Evaluator, shape, *args) -> np.ndarray:
+    """fn(*args) as a float array of the given shape; a read-only view, so
+    a caller that writes to it makes a copy."""
+    return np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
 
 
 @dataclass(frozen=True)
@@ -182,8 +191,7 @@ def flux_coefficient(spec: ProblemSpec, k: int | None, j: int, x, t: float,
                      u):
     """Coefficient of the axis-j flux at (x, t, u): a_j(x, t, u) in direct
     mode (k None), a_j m_j^(p_j-1) T_k(u)^((m_j-1)(p_j-1)) for integer k."""
-    a = np.broadcast_to(np.asarray(spec.coeffs.funcs[j](x, t, u), dtype=float),
-                        np.shape(u))
+    a = evaluate(spec.coeffs.funcs[j], np.shape(u), x, t, u)
     if k is None:
         return a
     pj = spec.exponents.p[j]
@@ -323,15 +331,12 @@ def check_admissibility(spec: ProblemSpec,
     lip_ok = True
     lip_margin = math.inf
     for j in range(spec.dim):
-        a_u = np.asarray(spec.coeffs.funcs[j](x, t, uvals), dtype=float)
-        a_u = np.broadcast_to(a_u, uvals.shape)
+        a_u = evaluate(spec.coeffs.funcs[j], uvals.shape, x, t, uvals)
         band_margin = min(band_margin,
                           float(np.min(a_u) - 1.0 / lam),
                           float(lam - np.max(a_u)))
         band_ok = band_ok and band_margin >= 0.0
-        a_v = np.broadcast_to(
-            np.asarray(spec.coeffs.funcs[j](x, t, vvals), dtype=float),
-            vvals.shape)
+        a_v = evaluate(spec.coeffs.funcs[j], vvals.shape, x, t, vvals)
         diff = np.abs(a_u - a_v)
         bound = spec.coeffs.lipschitz_c * np.abs(uvals - vvals)
         slack = float(np.min(bound - diff + 1e-14))
@@ -340,8 +345,7 @@ def check_admissibility(spec: ProblemSpec,
     rep.add("ellipticity", band_ok, "1/lam <= a_j <= lam on samples", band_margin)
     rep.add("lipschitz", lip_ok, "|a_j(u)-a_j(v)| <= c|u-v| on samples", lip_margin)
 
-    fvals = np.asarray(spec.f(x, t), dtype=float)
-    fvals = np.broadcast_to(fvals, uvals.shape)
+    fvals = evaluate(spec.f, uvals.shape, x, t)
     rep.add("f_nonneg", bool(np.all(fvals >= 0.0)), "f >= 0 on samples",
             float(np.min(fvals)))
     # integrability is automatic for bounded sampled data; report the moment
@@ -350,13 +354,12 @@ def check_admissibility(spec: ProblemSpec,
     rep.add("f_integrable", math.isfinite(moment),
             f"sampled mean |f|^(sigma p_bar') = {moment:.6g}", moment)
 
-    u0vals = np.broadcast_to(np.asarray(spec.u0(x), dtype=float), uvals.shape)
+    u0vals = evaluate(spec.u0, uvals.shape, x)
     rep.add("u0_nonneg_bounded",
             bool(np.all(u0vals >= 0.0) and np.all(np.isfinite(u0vals))),
             "u0 >= 0 and bounded on samples", float(np.min(u0vals)))
 
-    gvals = np.broadcast_to(np.asarray(spec.g(x, t), dtype=float),
-                            uvals.shape)
+    gvals = evaluate(spec.g, uvals.shape, x, t)
     if spec.eps0 > 0.0:
         g_ok = bool(np.all(gvals >= spec.eps0))
         g_detail = f"g >= eps0 = {spec.eps0}"

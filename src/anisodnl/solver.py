@@ -52,8 +52,8 @@ import scipy.sparse.linalg as spla
 
 from .discretization import (Grid, ScalarField, TimeSeries, axis_slices,
                              face_mean, integrate_power)
-from .model import EPS_REG, ProblemSpec, flux, flux_coefficient
-from .analysis import vpm_distance
+from .model import EPS_REG, ProblemSpec, evaluate, flux, flux_coefficient
+from .analysis import ordering_excess, vpm_distance
 
 __all__ = [
     "SolverConfig",
@@ -434,11 +434,9 @@ class _StepProblem:
         self.layout = lay = _Layout(grid) if layout is None else layout
         self.interior = lay.interior
         self.boundary = lay.boundary
-        self.f_vals = np.broadcast_to(
-            np.asarray(spec.f(lay.x, t_next), dtype=float), grid.counts)
-        self.bc = np.broadcast_to(
-            np.asarray(spec.g(lay.x, t_next), dtype=float),
-            grid.counts) + (0.0 if self.k is None else 1.0 / self.k)
+        self.f_vals = evaluate(spec.f, grid.counts, lay.x, t_next)
+        self.bc = evaluate(spec.g, grid.counts, lay.x, t_next) + (
+            0.0 if self.k is None else 1.0 / self.k)
         self.bc_boundary = self.bc[self.boundary]
         self.h = grid.spacings
         self.p = spec.exponents.p
@@ -747,10 +745,8 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
     carry = _Carry(layout=_Layout(grid))
     x = carry.layout.x
     boundary = carry.layout.boundary
-    u0 = np.broadcast_to(np.asarray(spec.u0(x), dtype=float),
-                         grid.counts).copy() + shift
-    bc0 = np.broadcast_to(np.asarray(spec.g(x, 0.0), dtype=float),
-                          grid.counts) + shift
+    u0 = evaluate(spec.u0, grid.counts, x) + shift
+    bc0 = evaluate(spec.g, grid.counts, x, 0.0) + shift
     u0[boundary] = bc0[boundary]
     fields = [ScalarField(grid, u0, 0.0)]
     report = SolveReport()
@@ -884,10 +880,7 @@ def regularization_cascade(spec: ProblemSpec, grid: Grid,
         reports.append(rep)
     excess = {}
     for (ka, sa), (kb, sb) in zip(zip(ks, series), zip(ks[1:], series[1:])):
-        worst = 0.0
-        for fa, fb in zip(sa.fields, sb.fields):
-            worst = max(worst, float(np.max(fb.values - fa.values)))
-        excess[(ka, kb)] = max(worst, 0.0)
+        excess[(ka, kb)] = max(0.0, ordering_excess(sb, sa))
     m = spec.exponents.m
     p = spec.exponents.p
     distances = [vpm_distance(sa, sb, m, p)

@@ -13,9 +13,11 @@ from anisodnl.analysis import (
     fast_geometric_iterate,
     level_sequence,
     measure_levels,
+    ordering_excess,
     power_inequality_constant,
     select_q_vector,
     trapezoid_cutoff,
+    vpm_distance,
 )
 from anisodnl.discretization import Grid, ScalarField, TimeSeries
 from anisodnl.model import CoefficientSpec, Exponents, ProblemSpec
@@ -178,6 +180,48 @@ class TestQVector:
         assert 1.0 < q[0] < 3.0
         q_bar = 2.0 / (1.0 / q[0] + 1.0 / q[1])
         assert q_bar < 2.0
+
+    def test_one_dimension_falls_back_to_p(self):
+        # the lowered entry would be 0.99, not above 1
+        assert select_q_vector((3.0,), 1) == (3.0,)
+
+    def test_lowered_vector_3d(self):
+        # harmonic mean lowered to 0.99 N = 2.97: 1/q1 = 3/2.97 - 1/2
+        q = select_q_vector((4.0, 4.0, 4.0), 3)
+        assert q[1:] == (4.0, 4.0)
+        assert q[0] == pytest.approx(1.0 / (3.0 / 2.97 - 0.5), rel=1e-14)
+
+
+def linear_series(times, fn):
+    """Series on three nodes of [0, 1] with values fn(x, t)."""
+    g = Grid((1.0,), (3,))
+    x = g.axis_coords(0)
+    return TimeSeries([ScalarField(g, fn(x, t), float(t)) for t in times])
+
+
+class TestSeriesPairs:
+    TIMES = (0.0, 0.5, 1.0)
+
+    def test_ordered_pair_has_no_excess(self):
+        lo = linear_series(self.TIMES, lambda x, t: t * x)
+        hi = linear_series(self.TIMES, lambda x, t: t * x + 0.5)
+        assert ordering_excess(lo, hi) == -0.5
+
+    def test_crossing_pair_gives_its_maximum(self):
+        # t x - 1/4 peaks at 3/4 at (x, t) = (1, 1); its negative at
+        # 1/4 at t = 0
+        a = linear_series(self.TIMES, lambda x, t: t * x)
+        b = linear_series(self.TIMES, lambda x, t: np.full_like(x, 0.25))
+        assert ordering_excess(a, b) == 0.75
+        assert ordering_excess(b, a) == 0.25
+
+    def test_vpm_distance_rejects_other_times(self):
+        # equal lengths but other sample times: integrating over a's times
+        # alone would make the distance asymmetric
+        a = linear_series(self.TIMES, lambda x, t: t * x)
+        b = linear_series((0.0, 0.1, 0.2), lambda x, t: x + t)
+        with pytest.raises(ValueError):
+            vpm_distance(a, b, (1.0,), (2.0,))
 
 
 class TestDeGiorgiConstants:

@@ -11,6 +11,7 @@ from anisodnl.model import (
     check_admissibility,
     compute_bar_exponents,
     eval_flux,
+    evaluate,
     truncate,
     truncated_growth_constant,
     truncated_coercivity_constant,
@@ -92,6 +93,19 @@ class TestCloseness:
             alt = all((mj - mm) * (pj - 1.0) - mm < 0.0
                       for mj, pj in zip(m, p))
             assert e.closeness_ok == alt
+
+
+class TestEvaluate:
+    def test_scalar_fills_shape(self):
+        x = (np.zeros((3, 4)),)
+        out = evaluate(lambda x, t: 2, (3, 4), x, 0.0)
+        assert out.shape == (3, 4) and out.dtype == np.float64
+        assert np.all(out == 2.0)
+        assert not out.flags.writeable
+
+    def test_rejects_shape_that_does_not_broadcast(self):
+        with pytest.raises(ValueError):
+            evaluate(lambda x: np.ones(3), (4,), (np.zeros(4),))
 
 
 class TestTruncate:

@@ -61,6 +61,14 @@ class TestSteklov:
         with pytest.raises(ValueError):
             steklov(s, 2.0)
 
+    @pytest.mark.parametrize("h", [0.0, -0.25])
+    def test_eval_rejects_nonpositive_window(self, h):
+        # neither the mean over [0.25, 0.5] for h = -0.25 nor NaN for h = 0
+        times = np.linspace(0, 1, 17)
+        s = scalar_series(times, times)
+        with pytest.raises(ValueError):
+            steklov_eval(s, h, 0.5)
+
     def test_derivative_identity_affine(self):
         times = np.linspace(0, 1, 17)
         s = scalar_series(times, times)
@@ -153,6 +161,13 @@ class TestExponentialMollifier:
         s = scalar_series(times, times)
         with pytest.raises(ValueError):
             exp_mollify(s, 0.0)
+        with pytest.raises(ValueError):
+            exp_mollify_eval(s, 0.0, 0.5)
+
+    def test_eval_single_sample_is_zero(self):
+        s = scalar_series([3.0], [0.0])
+        np.testing.assert_array_equal(exp_mollify_eval(s, 0.1, 0.0),
+                                      np.zeros(3))
 
 
 class TestEvaluatorsMatchSeries:
@@ -181,9 +196,15 @@ class TestEvaluatorsMatchSeries:
                 rtol=1e-14, atol=0.0)
 
     def test_exp_mollify_eval(self):
+        # exp_mollify_eval continues exp_mollify's recursion, so it returns
+        # exp_mollify's value at every sample that opens an interval; at the
+        # last sample the partial-interval update spans the whole interval
         s = self._series()
         h = 0.13
         out = exp_mollify(s, h)
-        for f in out.fields:
-            np.testing.assert_allclose(exp_mollify_eval(s, h, f.t),
-                                       f.values, rtol=1e-14, atol=0.0)
+        for f in out.fields[:-1]:
+            np.testing.assert_array_equal(exp_mollify_eval(s, h, f.t),
+                                          f.values)
+        last = out.fields[-1]
+        np.testing.assert_allclose(exp_mollify_eval(s, h, last.t),
+                                   last.values, rtol=1e-14, atol=0.0)

@@ -56,3 +56,37 @@ def test_module_imports_are_read(path):
                         "__all__", ()))
     assert bound
     assert [n for n in bound if n not in read] == []
+
+
+SOURCES = sorted(Path(anisodnl.__file__).parent.glob("*.py"))
+
+
+def test_no_function_local_imports():
+    # every import sits at module level, where a reader (and a tracer that
+    # patches module namespaces) sees all of a module's dependencies
+    local = [f"{path.stem}.{fn.name}:{node.lineno}"
+             for path in SOURCES
+             for fn in ast.walk(ast.parse(path.read_text()))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert local == []
+
+
+def _references(node, name, function=None):
+    """(innermost enclosing function, line) of each reference to name."""
+    for child in ast.iter_child_nodes(node):
+        if name in (getattr(child, "attr", None), getattr(child, "id", None)):
+            yield function, child.lineno
+        inner = (child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+        yield from _references(child, name, inner)
+
+
+def test_evaluator_broadcast_only_in_evaluate():
+    # model.evaluate is the one home of the evaluator convention, so no
+    # other code turns an evaluator's value into a grid array by hand
+    found = [(path.stem, fn) for path in SOURCES
+             for fn, _ in _references(ast.parse(path.read_text()),
+                                      "broadcast_to")]
+    assert found == [("model", "evaluate")]
