@@ -24,7 +24,7 @@ from .discretization import (
     integrate_face_power,
     integrate_power,
 )
-from .model import ProblemSpec, evaluate
+from .model import ProblemSpec, evaluate, harmonic_mean
 
 __all__ = [
     "b_quantity",
@@ -58,6 +58,14 @@ __all__ = [
 SWEEP_POINTS = 400
 
 
+def _sweep_pairs(lo: float, hi: float):
+    """The off-diagonal pairs (s, r) of the SWEEP_POINTS grid on [lo, hi]^2."""
+    s = np.linspace(lo, hi, SWEEP_POINTS)
+    u, v = np.meshgrid(s, s, indexing="ij")
+    mask = u != v
+    return u[mask], v[mask]
+
+
 def b_quantity(u, v, m: float):
     """Gap of the convex function s -> s^(m+1)/(m+1) between u and v.
 
@@ -86,11 +94,7 @@ def b_sandwich_constant(m: float, pad: float = 0.1) -> float:
         # closed form: b = (u - v)^2 / 2, so the ratio is identically 1/2
         # and the sharp constant is 2; the sweep agrees to rounding
         return 2.0 * (1.0 + pad)
-    s = np.linspace(0.0, 10.0, SWEEP_POINTS)
-    u, v = np.meshgrid(s, s, indexing="ij")
-    mask = u != v
-    u = u[mask]
-    v = v[mask]
+    u, v = _sweep_pairs(0.0, 10.0)
     gap = b_quantity(u, v, m)
     ref = (v ** ((m + 1.0) / 2.0) - u ** ((m + 1.0) / 2.0)) ** 2
     ratio = gap / ref
@@ -106,11 +110,7 @@ def power_inequality_constant(gamma: float, pad: float = 0.1) -> float:
     """
     if gamma <= 1:
         raise ValueError("gamma must exceed 1")
-    s = np.linspace(-10.0, 10.0, SWEEP_POINTS)
-    a, b = np.meshgrid(s, s, indexing="ij")
-    mask = a != b
-    a = a[mask]
-    b = b[mask]
+    a, b = _sweep_pairs(-10.0, 10.0)
     lhs = np.abs(a - b) ** gamma
     rhs = np.abs(np.abs(a) ** (gamma - 1.0) * a - np.abs(b) ** (gamma - 1.0) * b)
     return float(np.max(lhs / rhs)) * (1.0 + pad)
@@ -290,11 +290,23 @@ def exp_mollify(series: TimeSeries, h: float, reverse: bool = False) -> TimeSeri
                        for i in range(len(out_times))])
 
 
+def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
+    """Raise ValueError unless a and b share grid, length and sample times."""
+    if (a.grid != b.grid or len(a) != len(b)
+            or not np.allclose(a.times, b.times)):
+        raise ValueError("series must share grid and time axis")
+
+
+def _time_integral(fn: Callable, *series: TimeSeries) -> float:
+    """Trapezoid rule in time of fn at the paired fields of the series."""
+    return float(np.trapezoid(
+        [fn(*fields) for fields in zip(*(s.fields for s in series))],
+        series[0].times))
+
+
 def series_lp_norm(series: TimeSeries, p: float) -> float:
     """Space-time L^p norm of a series under trapezoid quadrature."""
-    ts = series.times
-    vals = [integrate_power(f, p) for f in series.fields]
-    return float(np.trapezoid(vals, ts)) ** (1.0 / p)
+    return _time_integral(lambda f: integrate_power(f, p), series) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +345,7 @@ def select_q_vector(p: Sequence[float], n_dim: int) -> tuple[float, ...]:
     unbounded there and any exponent vector is usable.
     """
     p = tuple(float(v) for v in p)
-    p_bar = 1.0 / (sum(1.0 / pj for pj in p) / n_dim)
+    p_bar = harmonic_mean(p)
     if p_bar <= n_dim:
         return p
     rest = sum(1.0 / pj for pj in p[1:])
@@ -394,7 +406,7 @@ def degiorgi_constants(spec: ProblemSpec, grid: Grid) -> DeGiorgiReport:
     sigma = spec.sigma
 
     q = select_q_vector(spec.exponents.p, n)
-    q_bar = 1.0 / (sum(1.0 / qj for qj in q) / n)
+    q_bar = harmonic_mean(q)
     dg_delta = (n * q_bar / (n + mu)) * (
         1.0 / n - (1.0 / sigma) * (1.0 / n + 1.0 / bar.p_bar))
     if dg_delta <= 0.0:
@@ -433,6 +445,11 @@ def degiorgi_constants(spec: ProblemSpec, grid: Grid) -> DeGiorgiReport:
                           c_struct=C_STRUCT)
 
 
+def _level_excess(v, M: float, m: float):
+    """(v^((m+1)/2) - M^((m+1)/2))_+, the excess of v over the level M."""
+    return np.maximum(v ** ((m + 1.0) / 2.0) - M ** ((m + 1.0) / 2.0), 0.0)
+
+
 def measure_levels(series: TimeSeries, M: float, m: float, q_bar: float,
                    j_max: int) -> tuple[list[float], list[float]]:
     """Measured level quantities of a trajectory.
@@ -444,21 +461,12 @@ def measure_levels(series: TimeSeries, M: float, m: float, q_bar: float,
     if M < 1.0:
         raise ValueError("M must be at least 1")
     levels = level_sequence(M, m, j_max)
-    ts = series.times
     expo = 2.0 * m * q_bar / (m + 1.0)
-    Ys, Es = [], []
-    grid = series.grid
-    w = grid.cell_weights()
-    for Mj in levels:
-        y_t = []
-        e_t = []
-        root = Mj ** ((m + 1.0) / 2.0)
-        for f in series.fields:
-            excess = np.maximum(f.values ** ((m + 1.0) / 2.0) - root, 0.0)
-            y_t.append(float(np.sum(excess ** expo * w)))
-            e_t.append(float(np.sum((f.values > Mj) * w)))
-        Ys.append(float(np.trapezoid(y_t, ts)))
-        Es.append(float(np.trapezoid(e_t, ts)))
+    w = series.grid.cell_weights()
+    Ys = [_time_integral(lambda f: float(np.sum(
+        _level_excess(f.values, Mj, m) ** expo * w)), series) for Mj in levels]
+    Es = [_time_integral(lambda f: float(np.sum((f.values > Mj) * w)), series)
+          for Mj in levels]
     return Ys, Es
 
 
@@ -488,34 +496,30 @@ def energy_check(series: TimeSeries, spec: ProblemSpec, M: float,
     if M < M_star:
         raise ValueError("level must not fall below the data bound")
     grid = series.grid
-    ts = series.times
     m = spec.exponents.m_min
     bar = spec.bar()
     w = grid.cell_weights()
-    root = M ** ((m + 1.0) / 2.0)
-    Mm = M ** m
-
-    sup_energy = 0.0
-    grad_t = [[] for _ in range(spec.dim)]
-    rhs_t = []
     x = grid.meshgrid()
-    for f in series.fields:
-        v = f.values
-        excess = np.maximum(v ** ((m + 1.0) / 2.0) - root, 0.0)
-        sup_energy = max(sup_energy, float(np.sum(excess ** 2 * w)))
-        trunc = ScalarField(grid, np.maximum(v ** m - Mm, 0.0))
-        for j in range(spec.dim):
-            mj = spec.exponents.m[j]
-            pj = spec.exponents.p[j]
-            D = face_diff_power(trunc, 1.0, j)
-            weight = face_mean(v, j) ** ((mj - m) * (pj - 1.0))
-            grad_t[j].append(
-                integrate_face_power(grid, weight ** (1.0 / pj) * D, j, pj))
+
+    def gradient_term(f, j):
+        mj = spec.exponents.m[j]
+        pj = spec.exponents.p[j]
+        trunc = ScalarField(grid, np.maximum(f.values ** m - M ** m, 0.0))
+        D = face_diff_power(trunc, 1.0, j)
+        weight = face_mean(f.values, j) ** ((mj - m) * (pj - 1.0))
+        return integrate_face_power(grid, weight ** (1.0 / pj) * D, j, pj)
+
+    def source_term(f):
         fvals = evaluate(spec.f, grid.counts, x, float(f.t))
-        rhs_t.append(float(np.sum(
-            np.abs(fvals) ** bar.p_bar_conj * (v > M) * w)))
-    grads = tuple(float(np.trapezoid(g, ts)) for g in grad_t)
-    rhs = float(np.trapezoid(rhs_t, ts))
+        return float(np.sum(
+            np.abs(fvals) ** bar.p_bar_conj * (f.values > M) * w))
+
+    energies = [float(np.sum(_level_excess(f.values, M, m) ** 2 * w))
+                for f in series.fields]
+    sup_energy = max([0.0] + energies)
+    grads = tuple(_time_integral(lambda f: gradient_term(f, j), series)
+                  for j in range(spec.dim))
+    rhs = _time_integral(source_term, series)
     lhs = sup_energy + sum(grads)
     ratio = 0.0 if rhs == 0.0 and lhs == 0.0 else (math.inf if rhs == 0.0
                                                    else lhs / rhs)
@@ -551,11 +555,8 @@ def comparison_check(u: TimeSeries, v: TimeSeries, f_u: Callable,
     exact zeros do not occur in floating point.  Returns the two traces and
     the worst positive excess lhs - rhs.
     """
-    if u.grid != v.grid:
-        raise ValueError("trajectories must share a grid")
+    _check_pair(u, v)
     tu = u.times
-    if len(u) != len(v) or not np.allclose(tu, v.times):
-        raise ValueError("trajectories must share the time axis")
     if len(u) < 2:
         raise ValueError("need at least two sample times")
     grid = u.grid
@@ -586,6 +587,7 @@ def comparison_check(u: TimeSeries, v: TimeSeries, f_u: Callable,
 def ordering_excess(lo: TimeSeries, hi: TimeSeries) -> float:
     """Largest pointwise lo - hi over the paired sample times; at most 0
     exactly when lo <= hi everywhere."""
+    _check_pair(lo, hi)
     return max(float(np.max(a.values - b.values))
                for a, b in zip(lo.fields, hi.fields))
 
@@ -598,15 +600,10 @@ def gradient_power_norms(series: TimeSeries, m: float,
                          p: Sequence[float]) -> tuple[float, ...]:
     """Per-axis space-time L^{p_j} norms of the face differences of u^m."""
     grid = series.grid
-    ts = series.times
-    out = []
-    for j, pj in enumerate(p):
-        vals = []
-        for f in series.fields:
-            D = face_diff_power(f, m, j)
-            vals.append(integrate_face_power(grid, D, j, pj))
-        out.append(float(np.trapezoid(vals, ts)) ** (1.0 / pj))
-    return tuple(out)
+    return tuple(
+        _time_integral(lambda f: integrate_face_power(
+            grid, face_diff_power(f, m, j), j, pj), series) ** (1.0 / pj)
+        for j, pj in enumerate(p))
 
 
 def vpm_distance(a: TimeSeries, b: TimeSeries, m: Sequence[float],
@@ -616,21 +613,14 @@ def vpm_distance(a: TimeSeries, b: TimeSeries, m: Sequence[float],
     d(a, b) = || a - b ||_{L^{q*}} + sum_j || d_j a^{m_j} - d_j b^{m_j} ||_{p_j}
     with q* = max(min_j m_j + 1, max_j m_j), all norms over space-time.
     """
-    ts = a.times
-    if a.grid != b.grid or len(a) != len(b) or not np.allclose(ts, b.times):
-        raise ValueError("series must share grid and time axis")
+    _check_pair(a, b)
     grid = a.grid
     q_star = max(min(m) + 1.0, max(m))
-    diff_t = []
-    for fa, fb in zip(a.fields, b.fields):
-        diff_t.append(integrate_power(
-            ScalarField(grid, fa.values - fb.values), q_star))
-    d = float(np.trapezoid(diff_t, ts)) ** (1.0 / q_star)
+    d = _time_integral(lambda fa, fb: integrate_power(
+        ScalarField(grid, fa.values - fb.values), q_star), a, b)
+    d **= 1.0 / q_star
     for j, (mj, pj) in enumerate(zip(m, p)):
-        vals = []
-        for fa, fb in zip(a.fields, b.fields):
-            Da = face_diff_power(fa, mj, j)
-            Db = face_diff_power(fb, mj, j)
-            vals.append(integrate_face_power(grid, Da - Db, j, pj))
-        d += float(np.trapezoid(vals, ts)) ** (1.0 / pj)
+        d += _time_integral(lambda fa, fb: integrate_face_power(
+            grid, face_diff_power(fa, mj, j) - face_diff_power(fb, mj, j),
+            j, pj), a, b) ** (1.0 / pj)
     return d

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .model import harmonic_mean
+
 __all__ = [
     "Grid",
     "ScalarField",
@@ -227,11 +229,9 @@ def sobolev_troisi_gap(fld: ScalarField, p: Sequence[float]) -> tuple[float, flo
         raise ValueError("exponent count must match grid dimension")
     if np.any(fld.values[grid.boundary_mask()] != 0.0):
         raise ValueError("field must vanish on the boundary")
-    n = grid.dim
-    p_bar = 1.0 / (sum(1.0 / pj for pj in p) / n)
-    lhs = integrate_power(fld, p_bar)
+    lhs = integrate_power(fld, harmonic_mean(p))
     rhs = 0.0
-    for j in range(n):
+    for j in range(grid.dim):
         D = face_diff_power(fld, 1.0, j)
         rhs += integrate_face_power(grid, D, j, p[j])
     return lhs, rhs

@@ -24,12 +24,14 @@ __all__ = [
     "ProblemSpec",
     "AdmissibilityReport",
     "ConditionCheck",
+    "harmonic_mean",
     "compute_bar_exponents",
     "check_admissibility",
     "evaluate",
     "truncate",
     "flux_coefficient",
     "flux",
+    "flux_slope",
     "eval_flux",
     "truncated_growth_constant",
     "truncated_coercivity_constant",
@@ -88,11 +90,16 @@ class BarExponents:
     mu: float
 
 
+def harmonic_mean(p) -> float:
+    """Harmonic mean of the exponents p_j; every caller passes one per axis."""
+    return 1.0 / (sum(1.0 / pj for pj in p) / len(p))
+
+
 def compute_bar_exponents(exponents: Exponents) -> BarExponents:
     """Harmonic mean of the p_j, its Hoelder conjugate, the Sobolev conjugate
     (infinite marker when p_bar >= N) and mu = (m+1)/m."""
     n = exponents.dim
-    p_bar = 1.0 / (sum(1.0 / pj for pj in exponents.p) / n)
+    p_bar = harmonic_mean(exponents.p)
     p_bar_conj = p_bar / (p_bar - 1.0)
     if p_bar < n:
         p_bar_star = n * p_bar / (n - p_bar)
@@ -209,6 +216,18 @@ def flux(c, xi, p: float):
         mag = ((xi * xi + EPS_REG * EPS_REG) ** ((p - 2.0) / 2.0) if p < 2.0
                else np.abs(xi) ** (p - 2.0))
         return np.where(xi == 0.0, 0.0, c * mag * xi)
+
+
+def flux_slope(c, xi, p: float):
+    """Slope in xi of ``flux``: for p < 2 the exact derivative
+    c (xi^2 + EPS_REG^2)^((p-4)/2) ((p-1) xi^2 + EPS_REG^2); for p >= 2 the
+    slope c (p-1) (xi^2 + EPS_REG^2)^((p-2)/2) of the regularized power.
+    That differs from the derivative of c |xi|^(p-2) xi only for
+    |xi| <~ EPS_REG, and at xi = 0 it is c (p-1) EPS_REG^(p-2) > 0."""
+    D2, e2 = xi * xi, EPS_REG * EPS_REG
+    if p < 2.0:
+        return c * (D2 + e2) ** ((p - 4.0) / 2.0) * ((p - 1.0) * D2 + e2)
+    return c * (D2 + e2) ** ((p - 2.0) / 2.0) * (p - 1.0)
 
 
 def eval_flux(spec: ProblemSpec, j: int, x, t: float, u, xi,

@@ -109,6 +109,13 @@ def _coeff_from_config(entry: dict):
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
 
+def _coeffs(entries) -> CoefficientSpec:
+    """Coefficients of the config entries, one per axis; lam and the
+    Lipschitz constant are the largest of the entries'."""
+    funcs, lams, lips = zip(*(_coeff_from_config(e) for e in entries))
+    return CoefficientSpec(funcs, max(lams), max(lips))
+
+
 def _data_from_config(entry: dict, box):
     kind = entry["kind"]
     if kind == "constant":
@@ -126,16 +133,10 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     """Build a ProblemSpec from a plain dictionary (parsed JSON)."""
     box = tuple(float(b) for b in cfg["box"])
     exps = Exponents(tuple(cfg["p"]), tuple(cfg["m"]))
-    funcs, lams, lips = [], [], []
-    for entry in cfg["coeffs"]:
-        a, lam, lip = _coeff_from_config(entry)
-        funcs.append(a)
-        lams.append(lam)
-        lips.append(lip)
-    coeffs = CoefficientSpec(tuple(funcs), max(lams), max(lips))
     # every data evaluator's t defaults to 0, so it serves as u0(x)
     return ProblemSpec(
-        box=box, T=float(cfg["T"]), exponents=exps, coeffs=coeffs,
+        box=box, T=float(cfg["T"]), exponents=exps,
+        coeffs=_coeffs(cfg["coeffs"]),
         f=_data_from_config(cfg["f"], box),
         g=_data_from_config(cfg["g"], box),
         u0=_data_from_config(cfg["u0"], box),
@@ -144,10 +145,7 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
 
 def _const_coeffs(n: int) -> CoefficientSpec:
     """Unit coefficients a_j = 1 on n axes."""
-    def a(x, t, u):
-        return np.full(np.shape(u), 1.0)
-
-    return CoefficientSpec(tuple([a] * n), 1.0, 0.0)
+    return _coeffs([{"kind": "constant", "value": 1.0}] * n)
 
 
 def _preset_aniso_cascade() -> ProblemSpec:
@@ -274,15 +272,8 @@ def _preset_varcoeff() -> ProblemSpec:
     """Solution-dependent coefficients exercising the Lipschitz audit."""
     box = (1.0, 1.0)
     exps = Exponents((2.0, 2.0), (1.0, 1.2))
-
-    def a1(x, t, u):
-        uu = np.maximum(np.asarray(u, dtype=float), 0.0)
-        return 1.0 + 0.5 * uu / (1.0 + uu)
-
-    def a2(x, t, u):
-        return np.full(np.shape(u), 1.0)
-
-    coeffs = CoefficientSpec((a1, a2), 1.5, 0.5)
+    coeffs = _coeffs([{"kind": "bounded_u", "base": 1.0, "slope": 0.5},
+                      {"kind": "constant", "value": 1.0}])
     g = make_affine(box, 0.5, (0.1, 0.1))
     return ProblemSpec(
         box=box, T=0.25, exponents=exps, coeffs=coeffs,

@@ -52,7 +52,7 @@ import scipy.sparse.linalg as spla
 
 from .discretization import (Grid, ScalarField, TimeSeries, axis_slices,
                              face_mean, integrate_power)
-from .model import EPS_REG, ProblemSpec, evaluate, flux, flux_coefficient
+from .model import ProblemSpec, evaluate, flux, flux_coefficient, flux_slope
 from .analysis import ordering_excess, vpm_distance
 
 __all__ = [
@@ -482,13 +482,11 @@ class _StepProblem:
         """Per axis, the Jacobian weights (g_lo, g_hi) of every face on its
         lo and hi node.
 
-        The face slope is c (p_j-1) (D^2 + EPS_REG^2)^((p_j-2)/2) for
-        p_j >= 2, and for p_j < 2 the exact derivative
-        c (D^2 + EPS_REG^2)^((p_j-4)/2) ((p_j-1) D^2 + EPS_REG^2) of the
-        regularized flux of ``model.flux``.  In 1D k-mode the truncated
-        coefficient c = a_j m_j^(p_j-1) T_k(ubar)^((m_j-1)(p_j-1)) is
-        differentiated through the face mean ubar as well: the face flux F
-        gains F / c * dc/dubar * 1/2 per adjacent node, that is
+        The face slope is ``model.flux_slope`` at the face difference D.  In
+        1D k-mode the truncated coefficient
+        c = a_j m_j^(p_j-1) T_k(ubar)^((m_j-1)(p_j-1)) is differentiated
+        through the face mean ubar as well: the face flux F gains
+        F / c * dc/dubar * 1/2 per adjacent node, that is
         e = F (m_j-1)(p_j-1) / (2 h ubar) in the weights where
         1/k < ubar < k (T_k' vanishes outside), and the weights become
         (g_lo - e, g_hi + e): the exact Jacobian, nonsymmetric.  a_j's own
@@ -502,12 +500,7 @@ class _StepProblem:
         for j, (c, D, dlo, dhi, ubar, F) in enumerate(faces):
             pj = self.p[j]
             h = self.h[j]
-            D2, e2 = D * D, EPS_REG * EPS_REG
-            if pj < 2.0:
-                slope = (c * (D2 + e2) ** ((pj - 4.0) / 2.0)
-                         * ((pj - 1.0) * D2 + e2))
-            else:
-                slope = c * (D2 + e2) ** ((pj - 2.0) / 2.0) * (pj - 1.0)
+            slope = flux_slope(c, D, pj)
             g_lo = slope * dlo / (h * h)
             g_hi = slope * dhi / (h * h)
             if self.k is not None and not self.symmetric:

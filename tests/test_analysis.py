@@ -215,6 +215,17 @@ class TestSeriesPairs:
         assert ordering_excess(a, b) == 0.75
         assert ordering_excess(b, a) == 0.25
 
+    def test_ordering_excess_rejects_other_times(self):
+        # pairing by position would compare t = 0.5 with t = 0.1 and drop
+        # t = 1, giving 2 and 1 instead of an error
+        a = linear_series(self.TIMES, lambda x, t: np.zeros_like(x))
+        b = linear_series((0.0, 0.1),
+                          lambda x, t: np.full_like(x, -2.0 if t else 1.0))
+        with pytest.raises(ValueError):
+            ordering_excess(a, b)
+        with pytest.raises(ValueError):
+            ordering_excess(b, a)
+
     def test_vpm_distance_rejects_other_times(self):
         # equal lengths but other sample times: integrating over a's times
         # alone would make the distance asymmetric

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from anisodnl.model import (
+    EPS_REG,
     CoefficientSpec,
     Exponents,
     ProblemSpec,
@@ -12,6 +13,9 @@ from anisodnl.model import (
     compute_bar_exponents,
     eval_flux,
     evaluate,
+    flux,
+    flux_slope,
+    harmonic_mean,
     truncate,
     truncated_growth_constant,
     truncated_coercivity_constant,
@@ -39,6 +43,10 @@ def simple_spec(p, m, sigma=3.0, coeffs=None):
 
 
 class TestBarExponents:
+    def test_harmonic_mean(self):
+        assert harmonic_mean((3.0, 2.0)) == pytest.approx(2.4)
+        assert harmonic_mean((1.7,)) == 1.7
+
     def test_isotropic(self):
         bar = compute_bar_exponents(Exponents((2.0, 2.0), (1.0, 1.0)))
         assert bar.p_bar == 2.0
@@ -166,6 +174,33 @@ class TestFlux:
                    - eval_flux(spec, 0, x, 0.0, u, eta)) * (xi - eta)
             assert np.all(gap >= 0.0)
             assert np.all(gap[xi != eta] > 0.0)
+
+
+class TestFluxSlope:
+    C = 1.3
+
+    def central_difference(self, xi, p):
+        h = 1e-4 * max(abs(xi), EPS_REG)
+        return (flux(self.C, xi + h, p) - flux(self.C, xi - h, p)) / (2 * h)
+
+    @pytest.mark.parametrize("p", (1.3, 1.5, 2.0))
+    @pytest.mark.parametrize("xi", (0.0, 3e-9, -3e-9, 0.3, -0.3))
+    def test_derivative_of_flux_up_to_two(self, p, xi):
+        # the regularized p < 2 flux is smooth through 0, so its slope is
+        # the derivative at every xi, the kink included
+        assert flux_slope(self.C, xi, p) == pytest.approx(
+            self.central_difference(xi, p), rel=1e-6)
+
+    @pytest.mark.parametrize("xi", (1e-3, -1e-3, 0.3, -0.3))
+    def test_derivative_of_flux_above_two(self, xi):
+        # the slope of the regularized power leaves the derivative of
+        # |xi|^(p-2) xi only for |xi| within a few EPS_REG of 0
+        assert flux_slope(self.C, xi, 3.5) == pytest.approx(
+            self.central_difference(xi, 3.5), rel=1e-6)
+
+    def test_positive_at_zero_above_two(self):
+        assert flux_slope(self.C, 0.0, 3.5) == pytest.approx(
+            self.C * 2.5 * EPS_REG ** 1.5, rel=1e-12)
 
 
 class TestTruncatedFlux:

@@ -90,3 +90,25 @@ def test_evaluator_broadcast_only_in_evaluate():
              for fn, _ in _references(ast.parse(path.read_text()),
                                       "broadcast_to")]
     assert found == [("model", "evaluate")]
+
+
+def _functions_referencing(name):
+    """(module, innermost enclosing function) of every reference to name."""
+    return {(path.stem, fn) for path in SOURCES
+            for fn, _ in _references(ast.parse(path.read_text()), name)}
+
+
+def test_flux_regularization_read_only_in_model():
+    # the solver's Jacobian takes its face slope from model.flux_slope, so
+    # the regularization lives beside the flux alone
+    assert _functions_referencing("EPS_REG") == {
+        ("model", None), ("model", "flux"), ("model", "flux_slope")}
+
+
+def test_time_quadrature_only_in_time_integral():
+    # every trajectory measure integrates in time through
+    # analysis._time_integral; comparison_check keeps its cumulative trace
+    # and degiorgi_constants integrates data sampled at DEGIORGI_TIMES
+    assert _functions_referencing("trapezoid") == {
+        ("analysis", "_time_integral"), ("analysis", "comparison_check"),
+        ("analysis", "degiorgi_constants")}
