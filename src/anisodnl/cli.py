@@ -288,12 +288,14 @@ def _scenario_comparison(cfg, args, writer):
 def _scenario_degiorgi(cfg, args, writer):
     spec, grid, config, ks = _resolve_run(cfg, args)
     k = _config_int(cfg, "k", ks[-1])
-    run_cfg = replace(config, k=k)
-    ts, _ = solver.solve_problem(spec, grid, run_cfg)
     rep = analysis.degiorgi_constants(spec, grid)
     m = spec.exponents.m_min
     j_max = _config_int(cfg, "j_max", 8, least=0)
     level_M = _config_number(cfg, "level_M", rep.M)
+    if not (np.isfinite(level_M) and level_M >= 1.0):
+        raise SystemExit(f"level_M must be finite and at least 1, "
+                         f"got {level_M!r}")
+    ts, _ = solver.solve_problem(spec, grid, replace(config, k=k))
     Y, E = analysis.measure_levels(ts, level_M, m, rep.q_bar, j_max)
     rep.levels = list(analysis.level_sequence(level_M, m, j_max))
     rep.Y = Y

@@ -112,8 +112,11 @@ def _coeff_from_config(entry: dict):
 def _coeffs(entries) -> CoefficientSpec:
     """Coefficients of the config entries, one per axis; lam and the
     Lipschitz constant are the largest of the entries'."""
-    funcs, lams, lips = zip(*(_coeff_from_config(e) for e in entries))
-    return CoefficientSpec(funcs, max(lams), max(lips))
+    parsed = [_coeff_from_config(e) for e in entries]
+    # no entries give no functions, which ProblemSpec rejects by count
+    return CoefficientSpec(tuple(a for a, _, _ in parsed),
+                           max((lam for _, lam, _ in parsed), default=1.0),
+                           max((lip for *_, lip in parsed), default=0.0))
 
 
 def _data_from_config(entry: dict, box):

@@ -6,21 +6,21 @@ by the truncated coefficient, and the data f, g, u0 are shifted by 1/k.
 In direct mode the flux acts on differences of u^{m_j} and the data are
 used as given.
 
-Both modes assemble their Newton matrix in one way, as a band over the
-interior unknowns ordered with the longest interior axis outermost (the
-boundary rows are identity rows whose residual is 0).  The matrix lags
-the dependence of the flux coefficient on u, except in 1D k-mode: there
-it also differentiates the truncation factor T_k(u)^((m_j-1)(p_j-1))
-through the face mean, which makes it the exact Jacobian when a_j does
-not depend on u.  Direct mode scales the columns of axis j by
-m_j u^(m_j-1).  For p_j < 2 the face flux is regularized (``model.flux``)
-and the matrix uses its exact slope.  The nonsymmetric 1D band is solved
-by banded LU.  The 2D/3D band is solved through its red-black block
-elimination (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed.,
-2003): eliminating the red nodes, whose block is diagonal, is exact and
-leaves the Schur complement S on the black half of the unknowns, with
-the same half-bandwidth.  Direct mode solves S by one banded LU, k-mode
-its symmetric S by conjugate gradients.
+Both modes hold their Newton matrix as one operator (d, w) over the
+interior unknowns, ordered with the longest interior axis outermost: the
+diagonal d and the couplings w of neighbouring nodes, made from the face
+weights (the boundary rows are identity rows whose residual is 0).  The
+matrix lags the dependence of the flux coefficient on u, except in 1D
+k-mode: there it also differentiates the truncation factor
+T_k(u)^((m_j-1)(p_j-1)) through the face mean, which makes it the exact
+Jacobian when a_j does not depend on u.  Direct mode scales the columns
+of axis j by m_j u^(m_j-1).  For p_j < 2 the face flux is regularized
+(``model.flux``) and the matrix uses its exact slope.  The 1D operator is
+solved by banded LU.  In 2D/3D, the red-black block elimination (Saad,
+Iterative Methods for Sparse Linear Systems, 2nd ed., 2003) of the red
+nodes, whose block is diagonal, is exact and leaves the Schur complement
+S on the black half of the unknowns.  Direct mode solves S by one banded
+LU, k-mode its symmetric S by conjugate gradients.
 
 A solve keeps state from one time step to the next (``_Carry``): the
 grid data of its steps, a preconditioner and the previous field.  In
@@ -170,25 +170,24 @@ class StepFailure(RuntimeError):
 
 
 class _RedBlack:
-    """The red-black split of the interior unknowns of a 2D/3D band layout
-    and the fixed patterns of its block elimination.
+    """The red-black split of the interior unknowns of a 2D/3D grid and
+    the fixed patterns of the block elimination of its Newton operator.
 
     A node is red when the sum of its interior indices is even, black
     otherwise; each colour is numbered in the band order.  The 5- and
-    7-point Newton matrix couples only nodes of different colours, so it
+    7-point Newton operator couples only nodes of different colours, so it
     reads A = [[D_r, B], [C^T, D_b]] with D_r, D_b diagonal, and
     eliminating the red nodes leaves the Schur complement
     S = D_b - C^T D_r^-1 B on the black ones; the lagged k-mode matrix is
     symmetric, C = B.  S couples black nodes that share a red neighbour:
     offsets 2e_i and e_i - e_j, e_i + e_j of the grid.  ``B`` and ``C`` are
-    the CSR blocks, of one pattern, of the matrix filled last (see
-    ``fill`` and ``solve``); ``Bt`` and ``Ct`` are their transposes and
-    share their data.  ``eliminate`` is the one block elimination of
-    both modes.
+    the CSR blocks, of one pattern, of the operator filled last (see
+    ``fill``); ``Bt`` and ``Ct`` are their transposes and share their
+    data.  ``schur`` is the one assembly of S, ``eliminate`` the one block
+    elimination of both modes.
     """
 
-    def __init__(self, shape: tuple[int, ...], lower: list[int],
-                 offsets: list[int]):
+    def __init__(self, shape: tuple[int, ...]):
         n = int(np.prod(shape))
         coords = np.indices(shape).reshape(len(shape), n)
         black = coords.sum(axis=0) % 2 == 1
@@ -198,37 +197,32 @@ class _RedBlack:
         num[self.red] = np.arange(self.red.size)
         num[self.black] = np.arange(self.black.size)
         # every coupling of node i and node i + s along a band axis of
-        # stride s
-        lo, hi, step = [], [], []
+        # stride s, in the order of the couplings w of the operator (see
+        # ``_StepProblem.assemble``)
+        lo, hi = [], []
         for q in range(len(shape)):
             s = int(np.prod(shape[q + 1:]))
             i = np.flatnonzero(coords[q] < shape[q] - 1)
             lo.append(i)
             hi.append(i + s)
-            step.append(np.full(i.size, s))
-        lo, hi, step = (np.concatenate(a) for a in (lo, hi, step))
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
         lo_black = black[lo]
         r = num[np.where(lo_black, hi, lo)]
         b = num[np.where(lo_black, lo, hi)]
         # B in CSR order: by red row, then black column
-        sort = np.lexsort((b, r))
-        lo, hi, step, lo_black = lo[sort], hi[sort], step[sort], lo_black[sort]
-        # the flat position of each entry of B in the band rows: in the
-        # lower rows ``lower`` of a symmetric band, entry (i + s, i) at
-        # column i; in the rows ``offsets`` of a nonsymmetric band, entry
-        # (i + s, i) at column i of row s and (i, i + s) at column i + s of
-        # row -s, where B holds the entry in the red row and C^T the other
-        self.src = np.searchsorted(lower, step) * n + lo
-        below = np.searchsorted(offsets, step) * n + lo
-        above = np.searchsorted(offsets, -step) * n + hi
-        self.src_b = np.where(lo_black, below, above)
-        self.src_c = np.where(lo_black, above, below)
-        self.mid = offsets.index(0)
-        indices = b[sort]
+        self.sort = np.lexsort((b, r))
+        # the position in w of each entry of B and C^T: w[c] is entry
+        # (i + s, i) of coupling c, w[c + lo.size] entry (i, i + s); B holds
+        # the entry in the red row and C^T the other.  A symmetric w holds
+        # the first half only, and B = C is w[sort]
+        lo_black = lo_black[self.sort]
+        self.src_b = np.where(lo_black, self.sort, self.sort + lo.size)
+        self.src_c = np.where(lo_black, self.sort + lo.size, self.sort)
+        indices = b[self.sort]
         deg = np.bincount(r, minlength=self.red.size)
         indptr = np.concatenate(([0], np.cumsum(deg)))
         self.B, self.C = (
-            sp.csr_matrix((np.zeros(sort.size), indices, indptr),
+            sp.csr_matrix((np.zeros(lo.size), indices, indptr),
                           shape=(self.red.size, self.black.size))
             for _ in range(2))
         self.Bt = self.B.T
@@ -243,14 +237,14 @@ class _RedBlack:
             for v in range(u + 1):
                 pa.append(start + u)
                 pb.append(start + v)
-        self.pair_a = np.concatenate(pa)
-        self.pair_b = np.concatenate(pb)
-        self.pair_red = np.repeat(np.arange(self.red.size), deg)[self.pair_a]
-        row, col = indices[self.pair_a], indices[self.pair_b]
-        # half-bandwidth of S, and each pair's position in its lower band
-        # storage of shape (kd + 1, n_black) in Fortran order
+        pa, pb = np.concatenate(pa), np.concatenate(pb)
+        row, col = indices[pa], indices[pb]
+        # half-bandwidth of S; the pairs as (a, b, red row, position), the
+        # position in S's lower band storage of shape (kd + 1, n_black) in
+        # Fortran order
         self.kd = int(np.max(row - col, initial=0))
-        self.pair_pos = col * (self.kd + 1) + (row - col)
+        self.pairs = (pa, pb, np.repeat(np.arange(self.red.size), deg)[pa],
+                      col * (self.kd + 1) + (row - col))
 
     @cached_property
     def lu_pairs(self) -> tuple[np.ndarray, ...]:
@@ -260,43 +254,48 @@ class _RedBlack:
         (3 kd + 1, n_black) in Fortran order, whose first kd rows are left
         for the fill-in of the LU factor.  Made on first use, so that
         k-mode does not hold them."""
-        upper = self.pair_a != self.pair_b
-        a = np.concatenate((self.pair_a, self.pair_b[upper]))
-        b = np.concatenate((self.pair_b, self.pair_a[upper]))
-        red = np.concatenate((self.pair_red, self.pair_red[upper]))
+        pa, pb, red, _ = self.pairs
+        upper = pa != pb
+        a = np.concatenate((pa, pb[upper]))
+        b = np.concatenate((pb, pa[upper]))
+        red = np.concatenate((red, red[upper]))
         indices = self.B.indices.astype(np.intp)
         row, col = indices[a], indices[b]
         pos = col * (3 * self.kd + 1) + 2 * self.kd + (row - col)
         return a, b, red, pos
 
-    def fill(self, ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fill ``B`` from the symmetric matrix whose nonzero lower band
-        rows are ``ab`` (the diagonal, then the strides in increasing
-        order); return 1/D_r and D_b.  Raises ``LinAlgError`` when D_r is
-        not positive."""
-        d = ab[0]
-        d_r = d[self.red]
-        if not np.all(d_r > 0.0):
-            raise np.linalg.LinAlgError(
-                "Newton matrix is not positive definite")
-        np.take(ab, self.src, out=self.B.data)
-        return 1.0 / d_r, d[self.black]
+    def fill(self, d: np.ndarray,
+             w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fill ``B`` from the operator (d, w) of ``_StepProblem.assemble``,
+        and ``C`` too when w holds both halves; return D_r and D_b."""
+        if w.size == self.sort.size:
+            np.take(w, self.sort, out=self.B.data)
+        else:
+            np.take(w, self.src_b, out=self.B.data)
+            np.take(w, self.src_c, out=self.C.data)
+        return d[self.red], d[self.black]
+
+    def schur(self, c: np.ndarray, pairs: tuple[np.ndarray, ...], ld: int,
+              diag: int, inv_dr: np.ndarray, d_b: np.ndarray) -> np.ndarray:
+        """S = D_b - C^T D_r^-1 B with C's data ``c``, 1/D_r ``inv_dr`` and
+        the B filled last, in a band storage of ``ld`` rows in Fortran
+        order whose row ``diag`` is the diagonal; ``pairs`` place its
+        entries (``pairs`` or ``lu_pairs``)."""
+        pa, pb, red, pos = pairs
+        n_b = self.black.size
+        # (a float band also when there are no pairs: a single red node)
+        s = np.bincount(pos, weights=-(c[pa] * self.B.data[pb] * inv_dr[red]),
+                        minlength=ld * n_b).astype(float, copy=False)
+        s[diag::ld] += d_b
+        return s.reshape((ld, n_b), order="F")
 
     def factor(self, inv_dr: np.ndarray, d_b: np.ndarray) -> np.ndarray:
         """The banded Cholesky factor (LAPACK ``dpbtrf``, lower form) of
-        the S of the symmetric matrix with 1/D_r, D_b and the B that
+        the S of the symmetric operator with 1/D_r, D_b and the B that
         ``fill`` filled last.  Raises ``LinAlgError`` when S is not
         positive definite."""
-        n_b, data = self.black.size, self.B.data
-        # (a float band also when there are no pairs: a single red node)
-        s = np.bincount(self.pair_pos,
-                        weights=-(data[self.pair_a] * data[self.pair_b]
-                                  * inv_dr[self.pair_red]),
-                        minlength=(self.kd + 1) * n_b
-                        ).astype(float, copy=False)
-        s[::self.kd + 1] += d_b
-        chol, info = lapack.dpbtrf(s.reshape((self.kd + 1, n_b), order="F"),
-                                   lower=1, overwrite_ab=1)
+        s = self.schur(self.B.data, self.pairs, self.kd + 1, 0, inv_dr, d_b)
+        chol, info = lapack.dpbtrf(s, lower=1, overwrite_ab=1)
         if info != 0:
             raise np.linalg.LinAlgError(
                 "Newton matrix is not positive definite")
@@ -318,31 +317,24 @@ class _RedBlack:
         x[self.black] = x_b
         return x
 
-    def solve(self, ab: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """A^-1 r for the nonsymmetric matrix whose nonzero band rows are
-        ``ab`` (one per offset of ``offsets``): fill ``B`` and ``C`` and
-        eliminate the red nodes, with S solved by one banded LU with
-        partial pivoting (LAPACK ``dgbsv``).  Raises ``LinAlgError`` when
-        a red diagonal entry is 0 or not finite, or S is singular."""
-        d = ab[self.mid]
-        d_r = d[self.red]
+    def solve(self, d: np.ndarray, w: np.ndarray,
+              r: np.ndarray) -> np.ndarray:
+        """A^-1 r for the nonsymmetric operator (d, w) of
+        ``_StepProblem.assemble``: fill ``B`` and ``C`` and eliminate the
+        red nodes, with S solved by one banded LU with partial pivoting
+        (LAPACK ``dgbsv``).  Raises ``LinAlgError`` when a red diagonal
+        entry is 0 or not finite, or S is singular."""
+        d_r, d_b = self.fill(d, w)
         if not np.all(np.isfinite(d_r) & (d_r != 0.0)):
             raise np.linalg.LinAlgError("Newton matrix is singular")
         inv_dr = 1.0 / d_r
-        B, C = self.B.data, self.C.data
-        np.take(ab, self.src_b, out=B)
-        np.take(ab, self.src_c, out=C)
 
         def solve_black(rhs):
-            n_b, kd = self.black.size, self.kd
-            ld = 3 * kd + 1
-            pa, pb, red, pos = self.lu_pairs
-            s = np.bincount(pos, weights=-(C[pa] * B[pb] * inv_dr[red]),
-                            minlength=ld * n_b).astype(float, copy=False)
-            s[2 * kd::ld] += d[self.black]
-            *_, x_b, info = lapack.dgbsv(
-                kd, kd, s.reshape((ld, n_b), order="F"), rhs,
-                overwrite_ab=1, overwrite_b=1)
+            kd = self.kd
+            s = self.schur(self.C.data, self.lu_pairs, 3 * kd + 1, 2 * kd,
+                           inv_dr, d_b)
+            *_, x_b, info = lapack.dgbsv(kd, kd, s, rhs, overwrite_ab=1,
+                                         overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError("Newton matrix is singular")
             return x_b
@@ -352,7 +344,7 @@ class _RedBlack:
 
 class _Layout:
     """The grid-only data of the steps of one solve: node and face
-    coordinates, masks, per-axis slices, and the band layout of the
+    coordinates, masks, per-axis slices, and the band order of the
     interior unknowns with, in 2D/3D, their red-black split."""
 
     def __init__(self, grid: Grid):
@@ -368,28 +360,19 @@ class _Layout:
         self.lo = [axis_slices(dim, j, slice(0, -1)) for j in range(dim)]
         self.hi = [axis_slices(dim, j, slice(1, None)) for j in range(dim)]
         self.core = [axis_slices(dim, j, slice(1, -1)) for j in range(dim)]
-        # band layout of the interior unknowns, longest axis outermost
+        # band order of the interior unknowns, longest axis outermost
         self.inner = (slice(1, -1),) * dim
         ext = [n - 2 for n in grid.counts]
         self.order = sorted(range(dim), key=lambda j: -ext[j])
         self.shape = tuple(ext[j] for j in self.order)
-        self.stride = [0] * dim
-        for q, j in enumerate(self.order):
-            self.stride[j] = int(np.prod(self.shape[q + 1:]))
         self.back = tuple(np.argsort(self.order).tolist())
-        # the band offsets that hold nonzeros on and below the diagonal:
-        # the diagonal and the per-axis strides; the largest is the
-        # half-bandwidth
-        self.lower = sorted({0, *self.stride})
-        # and on both sides of it: the rows of a nonsymmetric band
-        self.offsets = sorted({*self.lower, *(-s for s in self.stride)})
         # the faces of axis j that lie on interior lines of the others
         self.cross = [tuple(slice(None) if i == j else slice(1, -1)
                             for i in range(dim)) for j in range(dim)]
 
     @cached_property
     def red_black(self) -> _RedBlack:
-        return _RedBlack(self.shape, self.lower, self.offsets)
+        return _RedBlack(self.shape)
 
 
 @dataclass
@@ -442,8 +425,6 @@ class _StepProblem:
         self.p = spec.exponents.p
         self.m = spec.exponents.m
         self.symmetric = self.k is not None and grid.dim > 1
-        # the offsets of the band rows that ``assemble`` fills
-        self.offsets = lay.lower if self.symmetric else lay.offsets
 
     def _face_data(self, u: np.ndarray, j: int):
         """Per-face coefficient c, diff D of the working power, the
@@ -492,17 +473,20 @@ class _StepProblem:
         (g_lo - e, g_hi + e): the exact Jacobian, nonsymmetric.  a_j's own
         dependence on u stays lagged everywhere, and so does the whole
         coefficient in direct mode and in 2D/3D k-mode, where the lagged
-        matrix is symmetric (see ``update``).  The face between node i (lo)
-        and i+1 (hi) on axis j contributes +g_lo, +g_hi to the diagonal of
-        lo, hi and -g_hi, -g_lo to the entries (lo, hi), (hi, lo).
+        matrix is symmetric (see ``update``).  ``assemble`` places the
+        weights.
         """
         out = []
         for j, (c, D, dlo, dhi, ubar, F) in enumerate(faces):
             pj = self.p[j]
             h = self.h[j]
             slope = flux_slope(c, D, pj)
-            g_lo = slope * dlo / (h * h)
-            g_hi = slope * dhi / (h * h)
+            if self.k is None and self.m[j] != 1.0:
+                g_lo = slope * dlo / (h * h)
+                g_hi = slope * dhi / (h * h)
+            else:
+                # dlo = dhi = 1 (see ``_face_data``): one weight per face
+                g_lo = g_hi = slope / (h * h)
             if self.k is not None and not self.symmetric:
                 # T_k(ubar) = ubar, and so dc/dubar = c (m_j-1)(p_j-1)/ubar,
                 # only on (1/k, k)
@@ -513,73 +497,61 @@ class _StepProblem:
             out.append((g_lo, g_hi))
         return out
 
-    def assemble(self, faces: list,
-                 R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The interior Newton system J delta = R at the iterate whose face
-        data are ``faces``, in band order: the nonzero band rows ab of J and
-        the interior residual b.
+    def assemble(self, faces: list, R: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The interior Newton operator (d, w) at the iterate whose face
+        data are ``faces`` and the interior residual b, in band order.
 
-        Row q of ab belongs to offset s = ``offsets[q]`` and holds entry
-        (i + s, i) at column i: the diagonal and the per-axis strides of
-        the layout, on both sides of the diagonal for a nonsymmetric band
-        (2 dim + 1 rows), below it only for the symmetric band of 2D/3D
-        k-mode.  The boundary rows of J are identity rows whose residual
-        is 0 once u carries the boundary data, so they are left out.
+        d is 1/dt plus, per face, g_lo on its lo and g_hi on its hi node.
+        w holds J[i + s, i] = -g_lo of every face of interior nodes i and
+        i + s, band axis by band axis, then J[i, i + s] = -g_hi in the same
+        order; the symmetric operator of 2D/3D k-mode (g_lo = g_hi) holds
+        the first half only.  The boundary rows of J are identity rows
+        whose residual is 0 once u carries the boundary data.
         """
         lay = self.layout
-        shape, back, offsets = lay.shape, lay.back, self.offsets
-        # one row of ab per offset, viewed as an interior field with the
-        # natural axis order
         b = R[lay.inner].transpose(lay.order).ravel()
-        ab = np.zeros((len(offsets), b.size))
-
-        def band(s):
-            return ab[offsets.index(s)].reshape(shape).transpose(back)
-
-        diag = band(0)
+        d = np.empty(b.size)
+        # d viewed as an interior field with the natural axis order
+        diag = d.reshape(lay.shape).transpose(lay.back)
         diag[...] = 1.0 / self.config.dt
-        for j, (g_lo, g_hi) in enumerate(self._face_slopes(faces)):
+        slopes = self._face_slopes(faces)
+        for j, (g_lo, g_hi) in enumerate(slopes):
             # keep the faces of interior cross lines
-            g_lo = g_lo[lay.cross[j]]
-            g_hi = g_hi[lay.cross[j]]
-            diag += g_hi[lay.lo[j]]
-            diag += g_lo[lay.hi[j]]
-            # coupling of interior nodes i and i+1: entry (i+1, i) at
-            # column i, entry (i, i+1) at column i+1
-            band(lay.stride[j])[lay.lo[j]] -= g_lo[lay.core[j]]
-            if not self.symmetric:
-                band(-lay.stride[j])[lay.hi[j]] -= g_hi[lay.core[j]]
-        return ab, b
+            diag += g_hi[lay.cross[j]][lay.lo[j]]
+            diag += g_lo[lay.cross[j]][lay.hi[j]]
+        w = np.concatenate([
+            slopes[j][h][lay.inner].transpose(lay.order).ravel()
+            for h in ((0,) if self.symmetric else (0, 1)) for j in lay.order])
+        np.negative(w, out=w)
+        return d, w, b
 
     def update(self, faces: list, R: np.ndarray,
                carry: _Carry) -> np.ndarray:
         """Solve J delta = R for the Newton update at the iterate whose face
         data are ``faces``.
 
-        Only the interior unknowns are solved for, on the band of
-        ``assemble``, ordered with the longest interior axis outermost.
-        The solve follows from the band:
+        Only the interior unknowns are solved for, on the operator (d, w)
+        of ``assemble``:
 
-        - the nonsymmetric 1D band (both modes) is solved by one banded LU
-          with partial pivoting, ``scipy.linalg.solve_banded``;
-        - the nonsymmetric 2D/3D direct-mode band is solved exactly through
-          its red-black block elimination (see ``_RedBlack.solve``): the
-          red block D_r is diagonal, so eliminating it costs no pivoting,
-          and only the Schur complement S on the black half of the
-          unknowns, of half-bandwidth ``_RedBlack.kd``, is factored, by
+        - in 1D (both modes), by one banded LU with partial pivoting,
+          ``scipy.linalg.solve_banded`` on the three rows of the
+          tridiagonal band of (d, w);
+        - in 2D/3D direct mode, exactly, through the red-black block
+          elimination of ``_RedBlack.solve``: the red block D_r is
+          diagonal, so eliminating it costs no pivoting, and only the Schur
+          complement S on the black half of the unknowns is factored, by
           one banded LU with partial pivoting (LAPACK ``dgbsv``).  On an
-          admissible problem this elimination is safe: every red diagonal
-          entry is at least 1/dt, and the matrix is column diagonally
-          dominant (each face adds its weight to one diagonal entry and
-          subtracts it below or above it in the same column), a property
-          that block elimination hands on to S.  LAPACK holds
-          (3 kd + 1) n/2 doubles for S: at 25^3 nodes, about half of what
-          the LU of the whole band took (README);
-        - the symmetric band of 2D/3D k-mode stores its lower rows only.
-          It is the lagged matrix A = [[D_r, B], [B^T, D_b]] with a
-          positive, dominating diagonal (README says why the coefficient
-          stays lagged), solved through the same block elimination with
-          one conjugate-gradient call on S = D_b - B^T D_r^-1 B, applied
+          admissible problem this is safe: every red diagonal entry is at
+          least 1/dt, and the matrix is column diagonally dominant (each
+          face adds its weight to one diagonal entry and subtracts it from
+          another entry of the same column), which block elimination
+          hands on to S;
+        - in 2D/3D k-mode, w holds one half of the couplings of the
+          symmetric lagged matrix A = [[D_r, B], [B^T, D_b]], whose
+          diagonal is positive and dominating (README says why the
+          coefficient stays lagged).  The same elimination runs one
+          conjugate-gradient call on S = D_b - B^T D_r^-1 B, applied
           matrix-free, until the residual is below CG_RTOL ||r||; the red
           rows are solved exactly, so this bounds the residual of the
           whole system.  CG is preconditioned by ``carry.factor``, the
@@ -595,14 +567,22 @@ class _StepProblem:
         definite.
         """
         lay = self.layout
-        ab, b = self.assemble(faces, R)
-        if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(b))):
+        d, w, b = self.assemble(faces, R)
+        if not (np.isfinite(d).all() and np.isfinite(w).all()
+                and np.isfinite(b).all()):
             raise np.linalg.LinAlgError("Newton system is not finite")
         if self.symmetric:
-            x = self._pcg(ab, b, carry)
+            x = self._pcg(d, w, b, carry)
         elif self.grid.dim > 1:
-            x = lay.red_black.solve(ab, b)
+            x = lay.red_black.solve(d, w, b)
         else:
+            # the band rows: J[i, i + 1] at column i + 1, the diagonal,
+            # J[i + 1, i] at column i
+            n = d.size
+            ab = np.zeros((3, n))
+            ab[0, 1:] = w[n - 1:]
+            ab[1] = d
+            ab[2, :-1] = w[:n - 1]
             try:
                 x = scipy.linalg.solve_banded(
                     (1, 1), ab, b, overwrite_ab=True, check_finite=False)
@@ -613,13 +593,17 @@ class _StepProblem:
         delta[lay.inner] = x.reshape(lay.shape).transpose(lay.back)
         return delta
 
-    def _pcg(self, ab: np.ndarray, b: np.ndarray,
+    def _pcg(self, d: np.ndarray, w: np.ndarray, b: np.ndarray,
              carry: _Carry) -> np.ndarray:
-        """Solve the symmetric system whose nonzero lower band rows are
-        ``ab`` through its red-black block elimination, by CG on S
-        preconditioned by ``carry.factor`` (see ``update``)."""
+        """Solve the symmetric system whose operator is (d, w), w one half
+        of its couplings, through its red-black block elimination, by CG
+        on S preconditioned by ``carry.factor`` (see ``update``)."""
         rb = self.layout.red_black
-        inv_dr, d_b = rb.fill(ab)
+        d_r, d_b = rb.fill(d, w)
+        if not np.all(d_r > 0.0):
+            raise np.linalg.LinAlgError(
+                "Newton matrix is not positive definite")
+        inv_dr = 1.0 / d_r
         B, Bt = rb.B, rb.Bt
         if carry.factor is None:
             carry.factor = rb.factor(inv_dr, d_b)

@@ -194,6 +194,10 @@ class TestRun:
          "newton_tol must be a number"),
         ("constant", "solver", {"newton_tol": float("nan")},
          "newton_tol must be positive"),
+        ("degiorgi-report", "level_M", 0.5,
+         "level_M must be finite and at least 1"),
+        ("degiorgi-report", "level_M", float("nan"),
+         "level_M must be finite and at least 1"),
     ])
     def test_run_settings_need_json_types(self, tmp_path, scenario, key,
                                           value, message):

@@ -37,6 +37,14 @@ def inline_problem(u0):
             "g": {"kind": "constant", "value": 0.0}, "u0": u0}
 
 
+@pytest.mark.parametrize("coeffs", [[], [{"kind": "constant", "value": 1.0}]])
+def test_coefficient_count_must_match_dimension(coeffs):
+    with pytest.raises(ValueError,
+                       match="coefficient count must match dimension"):
+        problem_from_config(dict(inline_problem(
+            {"kind": "constant", "value": 0.0}), coeffs=coeffs))
+
+
 def test_inline_u0_is_evaluated_at_time_zero():
     affine = {"kind": "affine", "const": 0.3, "x": [0.5, 0.25]}
     steady = problem_from_config(inline_problem(affine))

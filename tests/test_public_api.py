@@ -112,3 +112,16 @@ def test_time_quadrature_only_in_time_integral():
     assert _functions_referencing("trapezoid") == {
         ("analysis", "_time_integral"), ("analysis", "comparison_check"),
         ("analysis", "degiorgi_constants")}
+
+
+def test_operator_read_into_blocks_only_in_fill():
+    # _RedBlack.fill is the one place that reads the couplings of the
+    # Newton operator into the blocks B and C
+    assert _functions_referencing("take") == {("solver", "fill")}
+
+
+def test_schur_complement_assembled_only_in_schur():
+    # _RedBlack.schur is the one assembly of S; __init__ counts the
+    # degree of each red row
+    assert _functions_referencing("bincount") == {
+        ("solver", "__init__"), ("solver", "schur")}

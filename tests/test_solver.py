@@ -15,6 +15,7 @@ from anisodnl.analysis import comparison_check, gradient_power_norms
 from anisodnl.discretization import (
     Grid,
     ScalarField,
+    axis_slices,
     divergence,
     face_diff_power,
     face_mean,
@@ -130,47 +131,51 @@ def varcoeff_problem(dim):
         sigma=3.0, eps0=0.4)
 
 
-class FullBandFactor:
-    """The banded Cholesky factor of the whole lower band of a 2D/3D k-mode
-    Newton matrix: the preconditioner of ``full_system_pcg``."""
-
-    def __init__(self, offsets):
-        self.offsets = offsets
-
-    def factor(self, ab):
-        full = np.zeros((self.offsets[-1] + 1, ab.shape[1]), order="F")
-        full[self.offsets] = ab
-        chol = scipy.linalg.cholesky_banded(full, lower=True,
-                                            overwrite_ab=True,
-                                            check_finite=False)
-        return SimpleNamespace(solve=lambda r: scipy.linalg.cho_solve_banded(
-            (chol, True), r, check_finite=False))
+def couplings(shape):
+    """The flat band-order indices (lo, hi) of the two interior nodes of
+    every coupling, band axis by band axis, each in band order: the order
+    of the couplings w of ``_StepProblem.assemble``, whose first half holds
+    the entries (hi, lo) and whose second half the entries (lo, hi)."""
+    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    lo = [idx[axis_slices(len(shape), q, slice(0, -1))].ravel()
+          for q in range(len(shape))]
+    hi = [idx[axis_slices(len(shape), q, slice(1, None))].ravel()
+          for q in range(len(shape))]
+    return np.concatenate(lo), np.concatenate(hi)
 
 
-def full_system_pcg(prob, ab, b, carry):
+def full_band_factor(d, w, lo, hi):
+    """The banded Cholesky factor of the whole lower band of the symmetric
+    operator (d, w) of a 2D/3D k-mode Newton matrix, whose couplings join
+    the nodes (lo, hi): the preconditioner of ``full_system_pcg``."""
+    full = np.zeros((int(np.max(hi - lo, initial=0)) + 1, d.size),
+                    order="F")
+    full[0] = d
+    # entry (hi, lo) in row hi - lo of column lo
+    full[hi - lo, lo] = w
+    chol = scipy.linalg.cholesky_banded(full, lower=True, overwrite_ab=True,
+                                        check_finite=False)
+    return SimpleNamespace(solve=lambda r: scipy.linalg.cho_solve_banded(
+        (chol, True), r, check_finite=False))
+
+
+def full_system_pcg(prob, d, w, b, carry):
     """The reference for ``_StepProblem._pcg``: CG on the whole interior
     system to the relative residual CG_RTOL, preconditioned by the
     full-band factor of an earlier matrix, refactored when no factor is
     kept or CG needs more than CG_MAX iterations."""
     n = b.size
-    offsets = prob.layout.lower
-
-    def matvec(x):
-        y = ab[0] * x
-        for row, s in zip(ab[1:], offsets[1:]):
-            y[s:] += row[:n - s] * x[:n - s]
-            y[:n - s] += row[:n - s] * x[s:]
-        return y
-
+    lo, hi = couplings(prob.layout.shape)
+    lower = sp.coo_matrix((w, (hi, lo)), shape=(n, n))
+    A = (lower + lower.T + sp.diags(d)).tocsr()
     if carry.factor is None:
-        carry.factor = FullBandFactor(offsets).factor(ab)
-    x, info = spla.cg(spla.LinearOperator((n, n), matvec, dtype=float), b,
-                      rtol=anisodnl.solver.CG_RTOL, atol=0.0,
+        carry.factor = full_band_factor(d, w, lo, hi)
+    x, info = spla.cg(A, b, rtol=anisodnl.solver.CG_RTOL, atol=0.0,
                       maxiter=anisodnl.solver.CG_MAX,
                       M=spla.LinearOperator((n, n), carry.factor.solve,
                                             dtype=float))
     if info != 0:
-        carry.factor = FullBandFactor(offsets).factor(ab)
+        carry.factor = full_band_factor(d, w, lo, hi)
         x = carry.factor.solve(b)
     return x
 
@@ -223,18 +228,16 @@ def band_order(prob):
 
 def solved_matrix(prob, faces, R):
     """The nonsymmetric interior matrix that ``prob.update`` solves at
-    ``faces``, dense in band order, rebuilt from the band rows of
-    ``prob.assemble``: one row per offset of the layout (the diagonal and
-    each axis stride on both sides of it), no zero row between them."""
-    ab, b = prob.assemble(faces, R)
-    offsets = prob.offsets
-    strides = set(prob.layout.stride)
-    assert offsets == sorted({0, *strides, *(-s for s in strides)})
-    assert ab.shape == (len(offsets), b.size)
-    assert len(offsets) <= 2 * prob.grid.dim + 1
-    # the row of offset s holds entry (i + s, i) at column i: DIA offset -s
-    return sp.dia_matrix((ab, -np.asarray(offsets)),
-                         shape=(b.size, b.size)).toarray()
+    ``faces``, dense in band order, rebuilt from the operator (d, w) of
+    ``prob.assemble``: the diagonal d, the first half of w at the entries
+    (hi, lo) of the couplings and the second half at (lo, hi)."""
+    d, w, b = prob.assemble(faces, R)
+    lo, hi = couplings(prob.layout.shape)
+    assert d.shape == b.shape and w.shape == (2 * lo.size,)
+    J = np.diag(d)
+    J[hi, lo] = w[:lo.size]
+    J[lo, hi] = w[lo.size:]
+    return J
 
 
 class TestNewtonUpdate:
@@ -326,12 +329,12 @@ class TestNewtonUpdate:
                            True)] if n > 1 else [])
         # a red diagonal entry that is 0 or not finite is a singular
         # matrix, reported before any division by it
-        ab, b = prob.assemble(faces, R)
+        d, w, b = prob.assemble(faces, R)
         for bad in (0.0, np.inf, np.nan):
-            broken = ab.copy()
-            broken[prob.offsets.index(0), rb.red[-1]] = bad
+            broken = d.copy()
+            broken[rb.red[-1]] = bad
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
-                rb.solve(broken, b)
+                rb.solve(broken, w, b)
 
     @pytest.mark.parametrize("counts", [(9, 13), (5, 6, 7), (5, 7, 9),
                                         (10, 10)])
@@ -401,13 +404,26 @@ class TestNewtonUpdate:
         assert (rb.red.size, rb.black.size) == ((n + 1) // 2, n // 2)
         # S keeps A's half-bandwidth, the largest stride; B's transpose
         # is a view
-        assert rb.kd <= lay.lower[-1]
+        assert rb.kd <= np.prod(lay.shape[1:])
         assert rb.B.nnz == 0 or np.shares_memory(rb.B.data, rb.Bt.data)
         r = rng.standard_normal(n)
         ref = np.atleast_1d(spla.spsolve(A, r))
-        ab = np.zeros((len(lay.lower), n))
-        for q, s in enumerate(lay.lower):
-            ab[q, :n - s] = A.diagonal(-s)
+        # the operator (d, w) read off A at the couplings; ``fill`` makes
+        # A's blocks of it, from one half of w (B = C) and from both
+        # halves, there of a nonsymmetric A with its (lo, hi) entries
+        # rescaled
+        lo, hi = couplings(lay.shape)
+        dense = A.toarray()
+        d, w = dense.diagonal().copy(), dense[hi, lo]
+        skew = dense.copy()
+        skew[lo, hi] *= rng.uniform(0.5, 1.5, lo.size)
+        order = np.concatenate((rb.red, rb.black))
+        for M, half, Ct in ((dense, w, rb.Bt),
+                            (skew, np.concatenate((w, skew[lo, hi])), rb.Ct)):
+            d_r, d_b = rb.fill(d, half)
+            np.testing.assert_array_equal(M[order][:, order], np.block([
+                [np.diag(d_r), rb.B.toarray()],
+                [Ct.toarray(), np.diag(d_b)]]))
         cg_sizes = []
         cg = spla.cg
         monkeypatch.setattr(spla, "cg", lambda A, b, **kw: (
@@ -419,18 +435,18 @@ class TestNewtonUpdate:
         # is no CG and x_r = b_r / d_r
         carry = _Carry()
         for calls in (1, 2) if rb.black.size else (0, 0):
-            got = prob._pcg(ab, r, carry)
+            got = prob._pcg(d, w, r, carry)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert cg_sizes == [rb.black.size] * calls
             assert carry.factor is not None
         # a non-positive D_r or an indefinite S is reported
         for kept in (None, carry.factor):
             with pytest.raises(np.linalg.LinAlgError):
-                prob._pcg(-ab, r, _Carry(factor=kept))
+                prob._pcg(-d, -w, r, _Carry(factor=kept))
         if rb.black.size:
-            ab[0][rb.black] = -1.0
+            d[rb.black] = -1.0
             with pytest.raises(np.linalg.LinAlgError):
-                prob._pcg(ab, r, _Carry())
+                prob._pcg(d, w, r, _Carry())
 
     @pytest.mark.parametrize("k", [4, 16])
     def test_k_mode_1d_jacobian_matches_central_differences(self, k):
