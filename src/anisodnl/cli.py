@@ -469,6 +469,9 @@ def main(argv=None) -> int:
     cal_p.set_defaults(func=_cmd_calibrate)
 
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        raise SystemExit(
+            f"--seed must be a nonnegative integer, got {args.seed}")
     return args.func(args)
 
 

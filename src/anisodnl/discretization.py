@@ -46,8 +46,8 @@ class Grid:
             raise ValueError("box and counts must have the same length")
         if any(n < 3 for n in self.counts):
             raise ValueError("need at least 3 nodes per axis")
-        if any(b <= 0 for b in self.box):
-            raise ValueError("box extents must be positive")
+        if not all(b > 0 and math.isfinite(b) for b in self.box):
+            raise ValueError("box extents must be positive and finite")
 
     @property
     def dim(self) -> int:

@@ -53,6 +53,8 @@ class Exponents:
             raise ValueError("at least one axis required")
         object.__setattr__(self, "p", tuple(float(v) for v in self.p))
         object.__setattr__(self, "m", tuple(float(v) for v in self.m))
+        if not all(math.isfinite(v) for v in self.p + self.m):
+            raise ValueError("all p_j and m_j must be finite")
         if any(pj <= 1.0 for pj in self.p):
             raise ValueError("all p_j must exceed 1")
         if any(mj < 1.0 for mj in self.m):
@@ -161,12 +163,14 @@ class ProblemSpec:
             raise ValueError("box dimension must match exponents")
         if len(self.coeffs.funcs) != self.exponents.dim:
             raise ValueError("coefficient count must match dimension")
-        if any(b <= 0 for b in self.box):
-            raise ValueError("box extents must be positive")
-        if self.T <= 0:
-            raise ValueError("time horizon must be positive")
-        if self.eps0 < 0:
-            raise ValueError("eps0 must be nonnegative")
+        if not all(b > 0 and math.isfinite(b) for b in self.box):
+            raise ValueError("box extents must be positive and finite")
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise ValueError("time horizon must be positive and finite")
+        if not math.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
+        if not (self.eps0 >= 0 and math.isfinite(self.eps0)):
+            raise ValueError("eps0 must be nonnegative and finite")
 
     @property
     def dim(self) -> int:

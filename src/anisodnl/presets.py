@@ -88,8 +88,8 @@ def _coeff_from_config(entry: dict):
     kind = entry["kind"]
     if kind == "constant":
         v = float(entry["value"])
-        if v <= 0:
-            raise ValueError("coefficient must be positive")
+        if not (v > 0 and np.isfinite(v)):
+            raise ValueError("coefficient must be positive and finite")
 
         def a(x, t, u):
             return np.full(np.shape(u), v)
@@ -98,8 +98,8 @@ def _coeff_from_config(entry: dict):
     if kind == "bounded_u":
         a0 = float(entry["base"])
         a1 = float(entry["slope"])
-        if a0 <= 0 or a1 < 0:
-            raise ValueError("need base > 0 and slope >= 0")
+        if not (a0 > 0 and a1 >= 0 and np.isfinite(a0) and np.isfinite(a1)):
+            raise ValueError("need finite base > 0 and slope >= 0")
 
         def a(x, t, u):
             uu = np.maximum(np.asarray(u, dtype=float), 0.0)

@@ -19,23 +19,15 @@ of axis j by m_j u^(m_j-1).  For p_j < 2 the face flux is regularized
 solved by banded LU.  In 2D/3D, the red-black block elimination (Saad,
 Iterative Methods for Sparse Linear Systems, 2nd ed., 2003) of the red
 nodes, whose block is diagonal, is exact and leaves the Schur complement
-S on the black half of the unknowns.  Direct mode solves S by one banded
-LU, k-mode its symmetric S by conjugate gradients.
+S on the black half of the unknowns.  ``_RedBlack.solve`` is that one
+solve: direct mode solves S by one banded LU, k-mode its symmetric S by
+conjugate gradients preconditioned by a factor kept from an earlier
+Newton matrix of the same solve.
 
-A solve keeps state from one time step to the next (``_Carry``): the
-grid data of its steps, a preconditioner and the previous field.  In
-2D/3D k-mode CG runs on S, applied matrix-free, until the residual is
-below CG_RTOL times the right-hand side of the whole system (an inexact
-Newton step, Eisenstat & Walker 1996), preconditioned by the banded
-Cholesky factor of the S of an earlier Newton matrix of the same solve,
-which is factored again only when no factor is kept or CG does not
-converge within CG_MAX iterations (Newton-Krylov with a reused
-preconditioner, Knoll & Keyes 2004).  It does so on every grid: on an
-even interior extent a reflection swaps the colours, so the inexact
-solve breaks the symmetry of symmetric data, but the regularized flux
-is smooth at D = 0, and Newton does not stall there.  In k-mode Newton
-starts from the linear extrapolation of the last two fields instead of
-from u_n.
+A solve keeps state from one time step to the next in one ``_Layout``:
+the grid data of its steps, the red-black split with its kept factor,
+and the previous field.  In k-mode Newton starts from the linear
+extrapolation of the last two fields instead of from u_n.
 """
 
 from __future__ import annotations
@@ -183,8 +175,9 @@ class _RedBlack:
     offsets 2e_i and e_i - e_j, e_i + e_j of the grid.  ``B`` and ``C`` are
     the CSR blocks, of one pattern, of the operator filled last (see
     ``fill``); ``Bt`` and ``Ct`` are their transposes and share their
-    data.  ``schur`` is the one assembly of S, ``eliminate`` the one block
-    elimination of both modes.
+    data.  ``schur`` is the one assembly of S and ``solve`` the one solve
+    of both modes; ``kept`` is the factor that ``solve`` keeps for the
+    symmetric operators, None until it makes one.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -245,6 +238,7 @@ class _RedBlack:
         self.kd = int(np.max(row - col, initial=0))
         self.pairs = (pa, pb, np.repeat(np.arange(self.red.size), deg)[pa],
                       col * (self.kd + 1) + (row - col))
+        self.kept = None
 
     @cached_property
     def lu_pairs(self) -> tuple[np.ndarray, ...]:
@@ -301,35 +295,75 @@ class _RedBlack:
                 "Newton matrix is not positive definite")
         return chol
 
-    def eliminate(self, r: np.ndarray, inv_dr: np.ndarray, Ct: sp.csc_matrix,
-                  solve_black: Callable) -> np.ndarray:
-        """A^-1 r by the block elimination of A = [[D_r, B], [C^T, D_b]]
-        with 1/D_r ``inv_dr``, C^T ``Ct`` and the B filled last:
-        x_b = solve_black(r_b - C^T D_r^-1 r_r), then
-        x_r = D_r^-1 (r_r - B x_b), where ``solve_black`` solves with S."""
+    def solve(self, d: np.ndarray, w: np.ndarray,
+              r: np.ndarray) -> np.ndarray:
+        """A^-1 r for the operator (d, w) of ``_StepProblem.assemble``, by
+        the block elimination of A = [[D_r, B], [C^T, D_b]]: x_b solves
+        S x_b = r_b - C^T D_r^-1 r_r, then x_r = D_r^-1 (r_r - B x_b).  D_r
+        is diagonal, so eliminating it costs no pivoting.
+
+        - When w holds both halves (direct mode), S is solved by one banded
+          LU with partial pivoting (LAPACK ``dgbsv``).  On an admissible
+          problem this is safe: every red diagonal entry is at least 1/dt,
+          and the matrix is column diagonally dominant (each face adds its
+          weight to one diagonal entry and subtracts it from another entry
+          of the same column), which block elimination hands on to S.
+        - When w holds one half (the symmetric lagged matrix of k-mode,
+          C = B, whose diagonal is positive and dominating; README says
+          why the coefficient stays lagged), one conjugate-gradient call
+          runs on S, applied matrix-free, until the residual is below
+          CG_RTOL ||r|| (an inexact Newton step, Eisenstat & Walker 1996);
+          the red rows are solved exactly, so this bounds the residual of
+          the whole system.  CG is preconditioned by ``kept``, the banded
+          Cholesky factor of the S of an earlier operator (Newton-Krylov
+          with a reused preconditioner, Knoll & Keyes 2004).  When no
+          factor is kept, the current S is factored and kept first; when
+          CG does not converge within CG_MAX iterations, it is factored
+          and kept, and solved with its factor.  It does so on every grid:
+          on an even interior extent a reflection swaps the colours, so
+          the inexact solve breaks the symmetry of symmetric data, but the
+          regularized flux is smooth at D = 0, and Newton does not stall
+          there.
+
+        Raises ``LinAlgError`` when a red diagonal entry is 0 or not
+        finite, and then, for both halves, when S is singular; for one
+        half, when a red diagonal entry is negative or a factored S is not
+        positive definite.
+        """
+        # (a single interior node has no couplings and reads as symmetric)
+        symmetric = w.size == self.sort.size
+        d_r, d_b = self.fill(d, w)
+        if not np.all(np.isfinite(d_r) & (d_r != 0.0)):
+            raise np.linalg.LinAlgError("Newton matrix is singular")
+        if symmetric and not np.all(d_r > 0.0):
+            raise np.linalg.LinAlgError(
+                "Newton matrix is not positive definite")
+        inv_dr = 1.0 / d_r
+        if symmetric and self.kept is None:
+            self.kept = self.factor(inv_dr, d_b)
         y = inv_dr * r[self.red]
         if self.black.size == 0:
             # a single interior node, which is red
             return y
-        x_b = solve_black(r[self.black] - Ct @ y)
-        x = np.empty(r.size)
-        x[self.red] = y - inv_dr * (self.B @ x_b)
-        x[self.black] = x_b
-        return x
-
-    def solve(self, d: np.ndarray, w: np.ndarray,
-              r: np.ndarray) -> np.ndarray:
-        """A^-1 r for the nonsymmetric operator (d, w) of
-        ``_StepProblem.assemble``: fill ``B`` and ``C`` and eliminate the
-        red nodes, with S solved by one banded LU with partial pivoting
-        (LAPACK ``dgbsv``).  Raises ``LinAlgError`` when a red diagonal
-        entry is 0 or not finite, or S is singular."""
-        d_r, d_b = self.fill(d, w)
-        if not np.all(np.isfinite(d_r) & (d_r != 0.0)):
-            raise np.linalg.LinAlgError("Newton matrix is singular")
-        inv_dr = 1.0 / d_r
-
-        def solve_black(rhs):
+        B, Bt = self.B, self.Bt
+        rhs = r[self.black] - (Bt if symmetric else self.Ct) @ y
+        if symmetric:
+            m = self.black.size
+            precondition = spla.LinearOperator(
+                (m, m), lambda x: lapack.dpbtrs(self.kept, x, lower=1)[0],
+                dtype=float)
+            x_b, info = spla.cg(
+                spla.LinearOperator(
+                    (m, m), lambda x: d_b * x - Bt @ (inv_dr * (B @ x)),
+                    dtype=float), rhs,
+                rtol=0.0, atol=CG_RTOL * np.linalg.norm(r), maxiter=CG_MAX,
+                M=precondition)
+            if info:
+                # the stale factor is released before the new one is made
+                self.kept = None
+                self.kept = self.factor(inv_dr, d_b)
+                x_b = precondition.matvec(rhs)
+        else:
             kd = self.kd
             s = self.schur(self.C.data, self.lu_pairs, 3 * kd + 1, 2 * kd,
                            inv_dr, d_b)
@@ -337,19 +371,24 @@ class _RedBlack:
                                          overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError("Newton matrix is singular")
-            return x_b
-
-        return self.eliminate(r, inv_dr, self.Ct, solve_black)
+        x = np.empty(r.size)
+        x[self.red] = y - inv_dr * (B @ x_b)
+        x[self.black] = x_b
+        return x
 
 
 class _Layout:
-    """The grid-only data of the steps of one solve: node and face
-    coordinates, masks, per-axis slices, and the band order of the
-    interior unknowns with, in 2D/3D, their red-black split."""
+    """What one solve keeps from one implicit step to the next: the grid
+    data of its steps (node and face coordinates, masks, per-axis slices,
+    and the band order of the interior unknowns with, in 2D/3D, their
+    red-black split and its kept factor) and ``prev``, the field before
+    u_n.  ``solve_problem`` makes one per call, so no state passes between
+    solves."""
 
     def __init__(self, grid: Grid):
         dim = grid.dim
         self.grid = grid
+        self.prev: ScalarField | None = None
         self.interior = grid.interior_mask()
         self.boundary = ~self.interior
         self.x = grid.meshgrid()
@@ -373,19 +412,6 @@ class _Layout:
     @cached_property
     def red_black(self) -> _RedBlack:
         return _RedBlack(self.shape)
-
-
-@dataclass
-class _Carry:
-    """What one solve keeps from one implicit step to the next: the grid
-    data of its steps, the banded Cholesky factor of the S of the last
-    2D/3D k-mode Newton matrix that was factored (see ``_RedBlack``), and
-    the field before u_n.  ``solve_problem`` makes one per call, so no
-    state passes between solves."""
-
-    layout: _Layout | None = None
-    factor: np.ndarray | None = None
-    prev: ScalarField | None = None
 
 
 def ordering_tolerance(config: SolverConfig, T: float) -> float:
@@ -473,8 +499,8 @@ class _StepProblem:
         (g_lo - e, g_hi + e): the exact Jacobian, nonsymmetric.  a_j's own
         dependence on u stays lagged everywhere, and so does the whole
         coefficient in direct mode and in 2D/3D k-mode, where the lagged
-        matrix is symmetric (see ``update``).  ``assemble`` places the
-        weights.
+        matrix is symmetric (see ``_RedBlack.solve``).  ``assemble``
+        places the weights.
         """
         out = []
         for j, (c, D, dlo, dhi, ubar, F) in enumerate(faces):
@@ -526,54 +552,23 @@ class _StepProblem:
         np.negative(w, out=w)
         return d, w, b
 
-    def update(self, faces: list, R: np.ndarray,
-               carry: _Carry) -> np.ndarray:
+    def update(self, faces: list, R: np.ndarray) -> np.ndarray:
         """Solve J delta = R for the Newton update at the iterate whose face
         data are ``faces``.
 
         Only the interior unknowns are solved for, on the operator (d, w)
-        of ``assemble``:
-
-        - in 1D (both modes), by one banded LU with partial pivoting,
-          ``scipy.linalg.solve_banded`` on the three rows of the
-          tridiagonal band of (d, w);
-        - in 2D/3D direct mode, exactly, through the red-black block
-          elimination of ``_RedBlack.solve``: the red block D_r is
-          diagonal, so eliminating it costs no pivoting, and only the Schur
-          complement S on the black half of the unknowns is factored, by
-          one banded LU with partial pivoting (LAPACK ``dgbsv``).  On an
-          admissible problem this is safe: every red diagonal entry is at
-          least 1/dt, and the matrix is column diagonally dominant (each
-          face adds its weight to one diagonal entry and subtracts it from
-          another entry of the same column), which block elimination
-          hands on to S;
-        - in 2D/3D k-mode, w holds one half of the couplings of the
-          symmetric lagged matrix A = [[D_r, B], [B^T, D_b]], whose
-          diagonal is positive and dominating (README says why the
-          coefficient stays lagged).  The same elimination runs one
-          conjugate-gradient call on S = D_b - B^T D_r^-1 B, applied
-          matrix-free, until the residual is below CG_RTOL ||r||; the red
-          rows are solved exactly, so this bounds the residual of the
-          whole system.  CG is preconditioned by ``carry.factor``, the
-          banded Cholesky factor of the S of an earlier A of the same
-          solve.  When no factor is kept, the current S is factored and
-          kept first; when CG does not converge within CG_MAX iterations,
-          it is factored and kept, and solved with its factor.
-
-        Raises ``LinAlgError`` when the system is not finite, a
-        nonsymmetric matrix is singular (in 2D/3D also: a red diagonal
-        entry is 0), or a 2D/3D k-mode matrix has a red diagonal entry
-        that is not positive or an S that is factored and not positive
-        definite.
+        of ``assemble``: in 2D/3D by ``_RedBlack.solve``, in 1D (both
+        modes) by one banded LU with partial pivoting,
+        ``scipy.linalg.solve_banded`` on the three rows of the tridiagonal
+        band of (d, w).  Raises ``LinAlgError`` when the system is not
+        finite or cannot be solved (see ``_RedBlack.solve``).
         """
         lay = self.layout
         d, w, b = self.assemble(faces, R)
         if not (np.isfinite(d).all() and np.isfinite(w).all()
                 and np.isfinite(b).all()):
             raise np.linalg.LinAlgError("Newton system is not finite")
-        if self.symmetric:
-            x = self._pcg(d, w, b, carry)
-        elif self.grid.dim > 1:
+        if self.grid.dim > 1:
             x = lay.red_black.solve(d, w, b)
         else:
             # the band rows: J[i, i + 1] at column i + 1, the diagonal,
@@ -593,46 +588,9 @@ class _StepProblem:
         delta[lay.inner] = x.reshape(lay.shape).transpose(lay.back)
         return delta
 
-    def _pcg(self, d: np.ndarray, w: np.ndarray, b: np.ndarray,
-             carry: _Carry) -> np.ndarray:
-        """Solve the symmetric system whose operator is (d, w), w one half
-        of its couplings, through its red-black block elimination, by CG
-        on S preconditioned by ``carry.factor`` (see ``update``)."""
-        rb = self.layout.red_black
-        d_r, d_b = rb.fill(d, w)
-        if not np.all(d_r > 0.0):
-            raise np.linalg.LinAlgError(
-                "Newton matrix is not positive definite")
-        inv_dr = 1.0 / d_r
-        B, Bt = rb.B, rb.Bt
-        if carry.factor is None:
-            carry.factor = rb.factor(inv_dr, d_b)
-        m = rb.black.size
-
-        def precondition(x):
-            return lapack.dpbtrs(carry.factor, x, lower=1)[0]
-
-        def solve_black(rhs):
-            # the red rows come out exact, so the black residual is the
-            # whole residual of the system
-            x_b, info = spla.cg(
-                spla.LinearOperator(
-                    (m, m), lambda x: d_b * x - Bt @ (inv_dr * (B @ x)),
-                    dtype=float), rhs,
-                rtol=0.0, atol=CG_RTOL * np.linalg.norm(b), maxiter=CG_MAX,
-                M=spla.LinearOperator((m, m), precondition, dtype=float))
-            if info:
-                # the stale factor is released before the new one is made
-                carry.factor = None
-                carry.factor = rb.factor(inv_dr, d_b)
-                x_b = precondition(rhs)
-            return x_b
-
-        return rb.eliminate(b, inv_dr, Bt, solve_black)
-
 
 def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
-                  config: SolverConfig, carry: _Carry | None = None
+                  config: SolverConfig, carry: _Layout | None = None
                   ) -> tuple[ScalarField, StepReport]:
     """Advance one backward-Euler step.
 
@@ -640,27 +598,23 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     to g(., t_next) (plus 1/k in k-mode) by damped Newton with an exact
     residual.  The Newton matrix differentiates the truncation factor of
     the coefficient in 1D k-mode and lags the coefficient's dependence on
-    u elsewhere (see ``_StepProblem.update``).  ``carry`` holds what the
-    previous steps of the same solve left: the grid data of the steps, the
-    kept factor that preconditions the 2D/3D k-mode solves, and the field
-    before u_n; grid data made for another grid are made again, and the
-    factor is dropped with them.  With the previous field, k-mode Newton
+    u elsewhere (see ``_StepProblem.update``).  ``carry`` is the
+    ``_Layout`` that the previous steps of the same solve left: the grid
+    data of the steps, with the factor kept for the 2D/3D k-mode solves,
+    and the field before u_n.  None, or a layout made for another grid,
+    starts from a fresh one.  With the previous field, k-mode Newton
     starts from u_n + r (u_n - u_{n-1}),
     r = (t_next - t_n) / (t_n - t_{n-1}), clamped below at 1/k; without a
     previous field (and always in direct mode) it starts from u_n.  The
-    step records u_n in ``carry``; None starts a fresh one.  A step that
+    step records u_n in the layout.  A step that
     does not reach ``newton_tol`` within ``newton_max`` iterations, or
     whose Newton system cannot be solved, ends in ``StepFailure``, whose
     ``cause`` says which.
     """
-    if carry is None:
-        carry = _Carry()
     grid = u_n.grid
-    if carry.layout is None or carry.layout.grid != grid:
-        carry.layout = _Layout(grid)
-        carry.factor = None
-    prob = _StepProblem(spec, grid, config, u_n.values, t_next,
-                        carry.layout)
+    if carry is None or carry.grid != grid:
+        carry = _Layout(grid)
+    prob = _StepProblem(spec, grid, config, u_n.values, t_next, carry)
     u = u_n.values.copy()
     if prob.k is not None and carry.prev is not None:
         # the local time derivative carries over to the next step
@@ -686,7 +640,7 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
         if it == config.newton_max:
             break
         try:
-            delta = prob.update(faces, R, carry)
+            delta = prob.update(faces, R)
         except np.linalg.LinAlgError as exc:
             # each message of ``update`` names its cause
             cause = next((c for c in StepFailure.CAUSES if c in str(exc)),
@@ -714,14 +668,14 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
     """March the implicit scheme from 0 to T.
 
     In k-mode the initial field is u0 + 1/k and boundary data g + 1/k; in
-    direct mode the data are used as given.  One ``_Carry``, made with the
-    grid data, passes them, the kept factor and the previous field from
-    each step to the next.
+    direct mode the data are used as given.  One ``_Layout`` passes the
+    grid data, the kept factor and the previous field from each step to
+    the next.
     """
     shift = 0.0 if config.k is None else 1.0 / config.k
-    carry = _Carry(layout=_Layout(grid))
-    x = carry.layout.x
-    boundary = carry.layout.boundary
+    carry = _Layout(grid)
+    x = carry.x
+    boundary = carry.boundary
     u0 = evaluate(spec.u0, grid.counts, x) + shift
     bc0 = evaluate(spec.g, grid.counts, x, 0.0) + shift
     u0[boundary] = bc0[boundary]

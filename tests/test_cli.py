@@ -37,6 +37,24 @@ CLOSENESS_VIOLATION = {
     "u0": {"kind": "constant", "value": 0.5}}
 
 
+# one non-finite number of an inline problem, which JSON reads as NaN or
+# Infinity, and the diagnostic that names it
+NON_FINITE = [
+    ("T", float("nan"), "time horizon must be positive and finite"),
+    ("T", float("inf"), "time horizon must be positive and finite"),
+    ("box", [float("nan")], "box extents must be positive and finite"),
+    ("box", [float("inf")], "box extents must be positive and finite"),
+    ("p", [float("nan")], "all p_j and m_j must be finite"),
+    ("m", [float("inf")], "all p_j and m_j must be finite"),
+    ("sigma", float("nan"), "sigma must be finite"),
+    ("eps0", float("inf"), "eps0 must be nonnegative and finite"),
+    ("coeffs", [{"kind": "constant", "value": float("inf")}],
+     "coefficient must be positive and finite"),
+    ("coeffs", [{"kind": "bounded_u", "base": 1.0, "slope": float("nan")}],
+     "need finite base"),
+]
+
+
 class TestRun:
     def test_constant_scenario_artifacts(self, tmp_path):
         cfg = constant_config(tmp_path)
@@ -262,6 +280,25 @@ class TestRun:
         with pytest.raises(SystemExit, match="closeness"):
             main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
 
+    @pytest.mark.parametrize("key, value, message", NON_FINITE)
+    def test_non_finite_problem_number(self, tmp_path, key, value, message):
+        cfg = write_config(tmp_path, "nf.json", {
+            "scenario": "cascade", "ks": [2, 4], "grid": [9], "n_steps": 4,
+            "problem": dict(INLINE_PROBLEM, **{key: value})})
+        with pytest.raises(SystemExit,
+                           match=f"^bad problem description: {message}"):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("scenario", ["comparison", "calibrate"])
+    def test_negative_seed_rejected(self, tmp_path, scenario):
+        cfg = write_config(tmp_path, "seed.json", {
+            "scenario": scenario, "preset": "porous-cascade", "grid": [9],
+            "n_steps": 2, "k": 4})
+        with pytest.raises(SystemExit,
+                           match="--seed must be a nonnegative integer"):
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                  "--seed", "-1"])
+
     def test_preset_inside_problem_rejected(self, tmp_path):
         # presets are named at the top level, with their own grid and steps
         cfg = write_config(tmp_path, "alias.json", {
@@ -286,8 +323,23 @@ class TestValidate:
         assert "FAIL  closeness" in text
         assert "cascade: disabled" in text
 
+    @pytest.mark.parametrize("key, value, message", NON_FINITE)
+    def test_non_finite_problem_number(self, tmp_path, key, value, message):
+        cfg = write_config(tmp_path, "nf.json", {
+            "scenario": "cascade",
+            "problem": dict(INLINE_PROBLEM, **{key: value})})
+        with pytest.raises(SystemExit,
+                           match=f"^bad problem description: {message}"):
+            main(["validate", "--config", cfg])
+
 
 class TestCalibrate:
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(SystemExit,
+                           match="--seed must be a nonnegative integer"):
+            main(["calibrate", "--out", str(tmp_path / "cal"),
+                  "--grid", "9,9", "--seed", "-1"])
+
     def test_writes_fixtures(self, tmp_path):
         out = tmp_path / "cal"
         assert main(["calibrate", "--out", str(out),

@@ -31,6 +31,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((1.0,), (2,))
 
+    @pytest.mark.parametrize("extent", [np.nan, np.inf])
+    def test_rejects_non_finite_box(self, extent):
+        with pytest.raises(ValueError,
+                           match="box extents must be positive and finite"):
+            Grid((1.0, extent), (5, 5))
+
     def test_cell_weights_sum_to_volume(self):
         g = Grid((2.0, 3.0), (7, 9))
         assert np.sum(g.cell_weights()) == pytest.approx(6.0)

@@ -79,6 +79,29 @@ class TestBarExponents:
         with pytest.raises(ValueError):
             Exponents((1.0, 2.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize("p, m", [
+        ((math.nan,), (1.0,)), ((math.inf,), (1.0,)),
+        ((2.0,), (math.nan,)), ((2.0,), (math.inf,))])
+    def test_rejects_non_finite_exponents(self, p, m):
+        with pytest.raises(ValueError, match="p_j and m_j must be finite"):
+            Exponents(p, m)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("box", (math.nan,), "box extents must be positive and finite"),
+    ("box", (math.inf,), "box extents must be positive and finite"),
+    ("T", math.nan, "time horizon must be positive and finite"),
+    ("T", math.inf, "time horizon must be positive and finite"),
+    ("sigma", math.nan, "sigma must be finite"),
+    ("sigma", -math.inf, "sigma must be finite"),
+    ("eps0", math.nan, "eps0 must be nonnegative and finite"),
+    ("eps0", math.inf, "eps0 must be nonnegative and finite"),
+])
+def test_problem_rejects_non_finite_numbers(key, value, message):
+    spec = simple_spec((2.0,), (1.0,))
+    with pytest.raises(ValueError, match=message):
+        replace(spec, **{key: value})
+
 
 class TestCloseness:
     def test_pass_case(self):

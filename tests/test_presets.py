@@ -45,6 +45,20 @@ def test_coefficient_count_must_match_dimension(coeffs):
             {"kind": "constant", "value": 0.0}), coeffs=coeffs))
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"kind": "constant", "value": np.nan}, "positive and finite"),
+    ({"kind": "constant", "value": np.inf}, "positive and finite"),
+    ({"kind": "bounded_u", "base": np.nan, "slope": 0.5}, "need finite"),
+    ({"kind": "bounded_u", "base": np.inf, "slope": 0.5}, "need finite"),
+    ({"kind": "bounded_u", "base": 1.0, "slope": np.nan}, "need finite"),
+    ({"kind": "bounded_u", "base": 1.0, "slope": np.inf}, "need finite"),
+])
+def test_coefficient_numbers_must_be_finite(entry, message):
+    with pytest.raises(ValueError, match=message):
+        problem_from_config(dict(inline_problem(
+            {"kind": "constant", "value": 0.0}), coeffs=[entry] * 2))
+
+
 def test_inline_u0_is_evaluated_at_time_zero():
     affine = {"kind": "affine", "const": 0.3, "x": [0.5, 0.25]}
     steady = problem_from_config(inline_problem(affine))

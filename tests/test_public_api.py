@@ -125,3 +125,14 @@ def test_schur_complement_assembled_only_in_schur():
     # degree of each red row
     assert _functions_referencing("bincount") == {
         ("solver", "__init__"), ("solver", "schur")}
+
+
+def test_newton_systems_solved_only_in_solve_and_update():
+    # _RedBlack.solve is the one solve of a 2D/3D Newton system (CG
+    # preconditioned by the kept factor, or banded LU), _RedBlack.factor
+    # the one Cholesky factorization, and _StepProblem.update solves the
+    # 1D system
+    pinned = {"cg": "solve", "dgbsv": "solve", "dpbtrs": "solve",
+              "dpbtrf": "factor", "solve_banded": "update"}
+    assert {name: _functions_referencing(name) for name in pinned} == {
+        name: {("solver", fn)} for name, fn in pinned.items()}

@@ -38,8 +38,8 @@ from anisodnl.presets import (
 from anisodnl.solver import (
     SolverConfig,
     StepFailure,
-    _Carry,
     _Layout,
+    _RedBlack,
     _StepProblem,
     implicit_step,
     manufactured_rhs,
@@ -159,24 +159,25 @@ def full_band_factor(d, w, lo, hi):
         (chol, True), r, check_finite=False))
 
 
-def full_system_pcg(prob, d, w, b, carry):
-    """The reference for ``_StepProblem._pcg``: CG on the whole interior
-    system to the relative residual CG_RTOL, preconditioned by the
-    full-band factor of an earlier matrix, refactored when no factor is
-    kept or CG needs more than CG_MAX iterations."""
+def full_system_pcg(rb, shape, d, w, b):
+    """The reference for ``_RedBlack.solve`` of a symmetric operator (d, w)
+    on interior ``shape``: CG on the whole interior system to the relative
+    residual CG_RTOL, preconditioned by the full-band factor of an earlier
+    matrix, kept as ``rb.kept`` and refactored when no factor is kept or CG
+    needs more than CG_MAX iterations."""
     n = b.size
-    lo, hi = couplings(prob.layout.shape)
+    lo, hi = couplings(shape)
     lower = sp.coo_matrix((w, (hi, lo)), shape=(n, n))
     A = (lower + lower.T + sp.diags(d)).tocsr()
-    if carry.factor is None:
-        carry.factor = full_band_factor(d, w, lo, hi)
+    if rb.kept is None:
+        rb.kept = full_band_factor(d, w, lo, hi)
     x, info = spla.cg(A, b, rtol=anisodnl.solver.CG_RTOL, atol=0.0,
                       maxiter=anisodnl.solver.CG_MAX,
-                      M=spla.LinearOperator((n, n), carry.factor.solve,
+                      M=spla.LinearOperator((n, n), rb.kept.solve,
                                             dtype=float))
     if info != 0:
-        carry.factor = full_band_factor(d, w, lo, hi)
-        x = carry.factor.solve(b)
+        rb.kept = full_band_factor(d, w, lo, hi)
+        x = rb.kept.solve(b)
     return x
 
 
@@ -255,14 +256,15 @@ class TestNewtonUpdate:
         u[~prob.interior] = prob.bc[~prob.interior]
         R, faces = prob.residual(u)
         ref = spla.spsolve(jacobian(prob, faces), R.ravel())
-        carry = _Carry()
-        got = prob.update(faces, R, carry)
+        got = prob.update(faces, R)
         assert np.max(np.abs(got.ravel() - ref)) \
             <= 1e-12 * np.max(np.abs(ref))
         assert np.all(got[~prob.interior] == 0.0)
-        # a fresh carry is filled with the factor of this matrix in 2D/3D
-        # k-mode
-        assert (carry.factor is not None) == prob.symmetric
+        # a fresh layout keeps the factor of this matrix in 2D/3D k-mode;
+        # the operator of a single interior node has no couplings and
+        # reads as symmetric in both modes
+        kept = len(counts) > 1 and prob.layout.red_black.kept is not None
+        assert kept == (prob.symmetric or counts == (3, 3))
         assert prob.symmetric == (k is not None and len(counts) > 1)
 
     # (3, 3) has a single interior node and no black one, (4, 4) and
@@ -283,7 +285,7 @@ class TestNewtonUpdate:
         u[prob.boundary] = prob.bc[prob.boundary]
         R, faces = prob.residual(u)
         ref = np.atleast_1d(spla.spsolve(jacobian(prob, faces), R.ravel()))
-        got = prob.update(faces, R, _Carry())
+        got = prob.update(faces, R)
         assert np.max(np.abs(got.ravel() - ref)) \
             <= 1e-12 * np.max(np.abs(ref))
         assert np.all(got[prob.boundary] == 0.0)
@@ -318,7 +320,7 @@ class TestNewtonUpdate:
 
         monkeypatch.setattr(scipy.linalg, "solve_banded", banded)
         monkeypatch.setattr(lapack, "dgbsv", gbsv)
-        prob.update(faces, R, _Carry())
+        prob.update(faces, R)
         if len(counts) == 1:
             assert calls == [("solve_banded", (1, 1), (3, n), n)]
             return
@@ -348,24 +350,25 @@ class TestNewtonUpdate:
         grid = Grid(spec.box, counts)
         rng = np.random.default_rng(len(counts))
         u_prev = np.full(counts, 0.6)
+        # both problems share one layout, and with it the kept factor
+        lay = _Layout(grid)
         prob = _StepProblem(spec, grid, SolverConfig(dt=0.01, k=4), u_prev,
-                            0.01)
+                            0.01, lay)
         u = rng.uniform(0.3, 1.5, counts)
         u[~prob.interior] = prob.bc[~prob.interior]
         R, faces = prob.residual(u)
-        carry = _Carry()
         if stale == "other-iterate":
             v = rng.uniform(0.3, 1.5, counts)
             v[~prob.interior] = prob.bc[~prob.interior]
             R_v, faces_v = prob.residual(v)
-            prob.update(faces_v, R_v, carry)
+            prob.update(faces_v, R_v)
         else:
             _StepProblem(spec, grid, SolverConfig(dt=stale, k=4), u_prev,
-                         0.01).update(faces, R, carry)
-        stale_factor = carry.factor
-        got = prob.update(faces, R, carry)
+                         0.01, lay).update(faces, R)
+        stale_factor = lay.red_black.kept
+        got = prob.update(faces, R)
         J = jacobian(prob, faces)
-        if carry.factor is stale_factor:
+        if lay.red_black.kept is stale_factor:
             assert np.linalg.norm(J @ got.ravel() - R.ravel()) \
                 <= anisodnl.solver.CG_RTOL * np.linalg.norm(R)
         else:
@@ -379,7 +382,7 @@ class TestNewtonUpdate:
         # unknowns, and CG_MAX iterations reach CG_RTOL there
         keeps = {1.0: True, 1e-4: len(counts) == 3,
                  "other-iterate": False}
-        assert (carry.factor is stale_factor) == keeps[stale]
+        assert (lay.red_black.kept is stale_factor) == keeps[stale]
 
     # (9, 13) has odd interior extents, (4, 4) even ones, (3, 3) a single
     # interior node and so no black node, (3, 9) a single interior line,
@@ -433,20 +436,22 @@ class TestNewtonUpdate:
         # kept for the next system.  CG runs on the black half on every
         # grid, of odd or even interior extents.  With no black node there
         # is no CG and x_r = b_r / d_r
-        carry = _Carry()
+        assert rb.kept is None
         for calls in (1, 2) if rb.black.size else (0, 0):
-            got = prob._pcg(d, w, r, carry)
+            got = rb.solve(d, w, r)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert cg_sizes == [rb.black.size] * calls
-            assert carry.factor is not None
+            assert rb.kept is not None
         # a non-positive D_r or an indefinite S is reported
-        for kept in (None, carry.factor):
+        for kept in (None, rb.kept):
+            rb.kept = kept
             with pytest.raises(np.linalg.LinAlgError):
-                prob._pcg(-d, -w, r, _Carry(factor=kept))
+                rb.solve(-d, -w, r)
         if rb.black.size:
             d[rb.black] = -1.0
+            rb.kept = None
             with pytest.raises(np.linalg.LinAlgError):
-                prob._pcg(d, w, r, _Carry())
+                rb.solve(d, w, r)
 
     @pytest.mark.parametrize("k", [4, 16])
     def test_k_mode_1d_jacobian_matches_central_differences(self, k):
@@ -945,11 +950,20 @@ class TestCascade:
         cfg = SolverConfig(dt=spec.T / 8)
         ks = [2, 4, 8]
         tol = ordering_tolerance(cfg, spec.T)
+        solve = _RedBlack.solve
         for counts in [(17, 17), (18, 18)]:
             grid = Grid(spec.box, counts)
+            shape = _Layout(grid).shape
+
+            def reference(rb, d, w, r):
+                # a symmetric operator holds one half of its couplings
+                if w.size == rb.sort.size:
+                    return full_system_pcg(rb, shape, d, w, r)
+                return solve(rb, d, w, r)
+
             got = regularization_cascade(spec, grid, cfg, ks)
             with monkeypatch.context() as mp:
-                mp.setattr(_StepProblem, "_pcg", full_system_pcg)
+                mp.setattr(_RedBlack, "solve", reference)
                 ref = regularization_cascade(spec, grid, cfg, ks)
             for sg, sr in zip(got.series, ref.series):
                 assert np.max(np.abs(sg.values_array()
