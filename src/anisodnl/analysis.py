@@ -1,10 +1,9 @@
 """Algebraic helpers, time mollifiers, level-set bookkeeping and the
 inequality checkers (energy estimate, comparison principle).
 
-Naming note: three unrelated small parameters appear in this module. The
-mollification window is always called h, the cutoff width is delta, and
-the level-iteration exponent is dg_delta to keep it apart from the cutoff
-width.
+Naming note: the mollification window is always called h, and the
+level-iteration exponent is dg_delta.  Both time mollifiers run forward
+(causal) only.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ __all__ = [
     "b_quantity",
     "b_sandwich_constant",
     "power_inequality_constant",
-    "trapezoid_cutoff",
-    "H_delta",
-    "G_delta",
     "steklov",
     "exp_mollify",
     "series_lp_norm",
@@ -117,46 +113,6 @@ def power_inequality_constant(gamma: float, pad: float = 0.1) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cutoff functions
-
-
-def trapezoid_cutoff(tau1: float, tau2: float, delta: float, t):
-    """Piecewise-linear plateau cutoff in time.
-
-    Ramps from 0 at tau1 to 1 at tau1 + delta, stays 1 until tau2 - delta,
-    ramps back to 0 at tau2, and vanishes outside [tau1, tau2].
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if not tau1 < tau2:
-        raise ValueError("need tau1 < tau2")
-    if delta >= (tau2 - tau1) / 2.0:
-        raise ValueError("delta too large for the interval")
-    t = np.asarray(t, dtype=float)
-    up = (t - tau1) / delta
-    down = (tau2 - t) / delta
-    return np.clip(np.minimum(up, down), 0.0, 1.0)
-
-
-def H_delta(delta: float, s):
-    """Ramp clamp: 0 for s <= 0, s/delta on (0, delta), 1 beyond."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return np.clip(np.asarray(s, dtype=float) / delta, 0.0, 1.0)
-
-
-def G_delta(delta: float, s):
-    """Primitive of H_delta: 0 for s <= 0, s^2/(2 delta) on (0, delta),
-    s - delta/2 beyond."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    s = np.asarray(s, dtype=float)
-    return np.where(s <= 0.0, 0.0,
-                    np.where(s < delta, s * s / (2.0 * delta),
-                             s - delta / 2.0))
-
-
-# ---------------------------------------------------------------------------
 # time mollifiers
 
 
@@ -198,41 +154,34 @@ def _window_mean(series: TimeSeries, h: float) -> Callable:
     return mean
 
 
-def steklov(series: TimeSeries, h: float, reverse: bool = False) -> TimeSeries:
-    """Sliding window time average of width h.
+def steklov(series: TimeSeries, h: float) -> TimeSeries:
+    """Sliding window time average of width h over [t, t + h], defined at
+    the sample times in [t0, T - h].
 
-    Forward form averages over [t, t + h] and is defined at sample times
-    in [t0, T - h]; the reversed form averages over [t - h, t] and lives on
-    [t0 + h, T].  The stored series is treated as piecewise linear in time
-    and the window integral is evaluated exactly, so the average of an
-    affine series is exact and the discrete time derivative of the output
-    equals the difference quotient (v(t + h) - v(t))/h.
+    The stored series is treated as piecewise linear in time and the
+    window integral is evaluated exactly, so the average of an affine
+    series is exact and the discrete time derivative of the output equals
+    the difference quotient (v(t + h) - v(t))/h.
     """
     times = series.times
-    T0, T1 = times[0], times[-1]
-    if not 0.0 < h < T1 - T0:
+    T1 = times[-1]
+    if not 0.0 < h < T1 - times[0]:
         raise ValueError("window must lie inside the series time span")
     mean = _window_mean(series, h)
-    out = []
-    for t in times:
-        lo, hi = (t - h, t) if reverse else (t, t + h)
-        if T0 <= lo and hi <= T1:
-            out.append(ScalarField(series.grid, mean(lo, hi), float(t)))
-    return TimeSeries(out)
+    return TimeSeries([ScalarField(series.grid, mean(t, t + h), float(t))
+                       for t in times if t + h <= T1])
 
 
-def steklov_eval(series: TimeSeries, h: float, t: float,
-                 reverse: bool = False) -> np.ndarray:
+def steklov_eval(series: TimeSeries, h: float, t: float) -> np.ndarray:
     """Window average at an arbitrary time inside the valid window.
 
     Evaluates the same exact piecewise-linear quadrature as steklov(), so
     derivative identities can be probed between sample times.
     """
     times = series.times
-    lo, hi = (t - h, t) if reverse else (t, t + h)
-    if h <= 0 or lo < times[0] or hi > times[-1]:
+    if h <= 0 or t < times[0] or t + h > times[-1]:
         raise ValueError("window must lie inside the series time span")
-    return _window_mean(series, h)(lo, hi)
+    return _window_mean(series, h)(t, t + h)
 
 
 def _exp_interval(w, v_end, slope, dt: float, h: float):
@@ -262,32 +211,25 @@ def exp_mollify_eval(series: TimeSeries, h: float, t: float) -> np.ndarray:
     return _exp_interval(w[i], vals[i] + c * dt, c, dt, h)
 
 
-def exp_mollify(series: TimeSeries, h: float, reverse: bool = False) -> TimeSeries:
+def exp_mollify(series: TimeSeries, h: float) -> TimeSeries:
     """Causal exponential smoothing with kernel exp((s - t)/h)/h.
 
     Computes w(t) = (1/h) * integral over [t0, t] of exp((s - t)/h) v(s) ds
     by an exact per-interval recursion for the piecewise-linear series, so a
     constant input c yields exactly c (1 - exp(-(t - t0)/h)).  The output
-    satisfies the balance law dw/dt = (v - w)/h.  The reversed form smooths
-    anticausally from the final time.
+    satisfies the balance law dw/dt = (v - w)/h.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     times = series.times
     vals = series.values_array()
-    if reverse:
-        times = (times[-1] - times)[::-1]
-        vals = vals[::-1]
     w = np.zeros_like(vals)
     for i in range(len(times) - 1):
         dt = times[i + 1] - times[i]
         c = (vals[i + 1] - vals[i]) / dt
         w[i + 1] = _exp_interval(w[i], vals[i + 1], c, dt, h)
-    if reverse:
-        w = w[::-1]
-    out_times = series.times
-    return TimeSeries([ScalarField(series.grid, w[i], float(out_times[i]))
-                       for i in range(len(out_times))])
+    return TimeSeries([ScalarField(series.grid, w[i], float(times[i]))
+                       for i in range(len(times))])
 
 
 def _check_pair(a: TimeSeries, b: TimeSeries) -> None:

@@ -33,9 +33,7 @@ __all__ = [
     "flux",
     "flux_slope",
     "eval_flux",
-    "truncated_growth_constant",
-    "truncated_coercivity_constant",
-    "truncated_lipschitz_bound",
+    "working_power",
 ]
 
 
@@ -88,7 +86,6 @@ class BarExponents:
 
     p_bar: float
     p_bar_conj: float
-    p_bar_star: float  # math.inf marks the unbounded case p_bar >= N
     mu: float
 
 
@@ -98,18 +95,11 @@ def harmonic_mean(p) -> float:
 
 
 def compute_bar_exponents(exponents: Exponents) -> BarExponents:
-    """Harmonic mean of the p_j, its Hoelder conjugate, the Sobolev conjugate
-    (infinite marker when p_bar >= N) and mu = (m+1)/m."""
-    n = exponents.dim
+    """Harmonic mean of the p_j, its Hoelder conjugate and mu = (m+1)/m."""
     p_bar = harmonic_mean(exponents.p)
-    p_bar_conj = p_bar / (p_bar - 1.0)
-    if p_bar < n:
-        p_bar_star = n * p_bar / (n - p_bar)
-    else:
-        p_bar_star = math.inf
     m = exponents.m_min
-    return BarExponents(p_bar=p_bar, p_bar_conj=p_bar_conj,
-                        p_bar_star=p_bar_star, mu=(m + 1.0) / m)
+    return BarExponents(p_bar=p_bar, p_bar_conj=p_bar / (p_bar - 1.0),
+                        mu=(m + 1.0) / m)
 
 
 Evaluator = Callable[..., np.ndarray]
@@ -198,6 +188,17 @@ def truncate(k: int, s):
     return np.minimum(float(k), np.maximum(s, 1.0 / k))
 
 
+def working_power(k: int | None, m: float, u):
+    """The power w of u whose difference the axis flux acts on, and its
+    derivative dw/du: u itself (derivative 1) in k-mode, where the
+    truncated coefficient carries the m_j, and for m = 1; otherwise
+    max(u, 0)^m, with derivative m max(u, 0)^(m-1)."""
+    if k is not None or m == 1.0:
+        return u, 1.0
+    safe = np.maximum(u, 0.0)
+    return safe ** m, m * safe ** (m - 1.0)
+
+
 def flux_coefficient(spec: ProblemSpec, k: int | None, j: int, x, t: float,
                      u):
     """Coefficient of the axis-j flux at (x, t, u): a_j(x, t, u) in direct
@@ -241,39 +242,6 @@ def eval_flux(spec: ProblemSpec, j: int, x, t: float, u, xi,
     a_j m_j^(p_j-1) T_k(u)^((m_j-1)(p_j-1)) for integer k."""
     return flux(flux_coefficient(spec, k, j, x, t, u), xi,
                 spec.exponents.p[j])
-
-
-def truncated_growth_constant(spec: ProblemSpec, k: int, j: int) -> float:
-    """Upper structure constant b_{k,j} of the truncated axis-j flux."""
-    pj = spec.exponents.p[j]
-    mj = spec.exponents.m[j]
-    return spec.coeffs.lam * mj ** (pj - 1.0) * float(k) ** ((mj - 1.0) * (pj - 1.0))
-
-
-def truncated_coercivity_constant(spec: ProblemSpec, k: int) -> float:
-    """Lower structure constant c_k of the truncated vector field."""
-    vals = []
-    for j in range(spec.dim):
-        pj = spec.exponents.p[j]
-        mj = spec.exponents.m[j]
-        vals.append(mj ** (pj - 1.0) * float(k) ** (-(mj - 1.0) * (pj - 1.0)))
-    return min(vals) / spec.coeffs.lam
-
-
-def truncated_lipschitz_bound(spec: ProblemSpec, k: int, j: int) -> float:
-    """Lipschitz constant in u of the truncated coefficient
-    a_j m_j^(p_j-1) T_k(u)^((m_j-1)(p_j-1))."""
-    pj = spec.exponents.p[j]
-    mj = spec.exponents.m[j]
-    e = (mj - 1.0) * (pj - 1.0)
-    mfac = mj ** (pj - 1.0)
-    # derivative bound for T_k(u)^e on the band [1/k, k]
-    if e == 0.0:
-        lip_pow = 0.0
-    else:
-        lip_pow = e * float(k) ** abs(e - 1.0)
-    lip_c = spec.coeffs.lipschitz_c
-    return mfac * (lip_c * float(k) ** e + spec.coeffs.lam * lip_pow)
 
 
 @dataclass(frozen=True)

@@ -119,16 +119,24 @@ def _coeffs(entries) -> CoefficientSpec:
                            max((lip for *_, lip in parsed), default=0.0))
 
 
-def _data_from_config(entry: dict, box):
+def _data_from_config(name: str, entry: dict, box):
+    def number(key: str, value) -> float:
+        v = float(value)
+        if not np.isfinite(v):
+            raise ValueError(f"{name} entry: {key} must be finite, got {v}")
+        return v
+
     kind = entry["kind"]
     if kind == "constant":
-        return make_constant(entry["value"])
+        return make_constant(number("value", entry["value"]))
     if kind == "affine":
-        return make_affine(box, entry.get("const", 0.0),
-                           entry.get("x", [0.0] * len(box)),
-                           entry.get("t", 0.0))
+        xc = entry.get("x", [0.0] * len(box))
+        return make_affine(box, number("const", entry.get("const", 0.0)),
+                           [number(f"x[{i}]", c) for i, c in enumerate(xc)],
+                           number("t", entry.get("t", 0.0)))
     if kind == "bump":
-        return make_bump(box, entry["amplitude"], entry.get("rate", 0.0))
+        return make_bump(box, number("amplitude", entry["amplitude"]),
+                         number("rate", entry.get("rate", 0.0)))
     raise ValueError(f"unknown data kind {kind!r}")
 
 
@@ -140,9 +148,9 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     return ProblemSpec(
         box=box, T=float(cfg["T"]), exponents=exps,
         coeffs=_coeffs(cfg["coeffs"]),
-        f=_data_from_config(cfg["f"], box),
-        g=_data_from_config(cfg["g"], box),
-        u0=_data_from_config(cfg["u0"], box),
+        f=_data_from_config("f", cfg["f"], box),
+        g=_data_from_config("g", cfg["g"], box),
+        u0=_data_from_config("u0", cfg["u0"], box),
         sigma=float(cfg["sigma"]), eps0=float(cfg.get("eps0", 0.0)))
 
 

@@ -4,7 +4,7 @@ Two modes are supported.  In k-mode the unknown is the solution of the
 truncated problem: the face flux acts on differences of u itself, scaled
 by the truncated coefficient, and the data f, g, u0 are shifted by 1/k.
 In direct mode the flux acts on differences of u^{m_j} and the data are
-used as given.
+used as given.  ``model.working_power`` is that choice of power.
 
 Both modes hold their Newton matrix as one operator (d, w) over the
 interior unknowns, ordered with the longest interior axis outermost: the
@@ -13,8 +13,9 @@ weights (the boundary rows are identity rows whose residual is 0).  The
 matrix lags the dependence of the flux coefficient on u, except in 1D
 k-mode: there it also differentiates the truncation factor
 T_k(u)^((m_j-1)(p_j-1)) through the face mean, which makes it the exact
-Jacobian when a_j does not depend on u.  Direct mode scales the columns
-of axis j by m_j u^(m_j-1).  For p_j < 2 the face flux is regularized
+Jacobian when a_j does not depend on u.  The columns of axis j are
+scaled by the derivative of the working power: m_j u^(m_j-1) in direct
+mode, 1 in k-mode.  For p_j < 2 the face flux is regularized
 (``model.flux``) and the matrix uses its exact slope.  The 1D operator is
 solved by banded LU.  In 2D/3D, the red-black block elimination (Saad,
 Iterative Methods for Sparse Linear Systems, 2nd ed., 2003) of the red
@@ -44,7 +45,8 @@ import scipy.sparse.linalg as spla
 
 from .discretization import (Grid, ScalarField, TimeSeries, axis_slices,
                              face_mean, integrate_power)
-from .model import ProblemSpec, evaluate, flux, flux_coefficient, flux_slope
+from .model import (ProblemSpec, evaluate, flux, flux_coefficient, flux_slope,
+                    working_power)
 from .analysis import ordering_excess, vpm_distance
 
 __all__ = [
@@ -453,25 +455,14 @@ class _StepProblem:
         self.symmetric = self.k is not None and grid.dim > 1
 
     def _face_data(self, u: np.ndarray, j: int):
-        """Per-face coefficient c, diff D of the working power, the
-        derivative of the working power at both adjacent nodes, the face
-        mean of u and the face flux F."""
-        mj = self.m[j]
+        """Per-face coefficient c, diff D of the working power
+        (``model.working_power``), the derivative of the working power at
+        both adjacent nodes, the face mean of u and the face flux F."""
         ubar = face_mean(u, j)
         c = flux_coefficient(self.spec, self.k, j, self.layout.x_face[j],
                              self.t, ubar)
-        lo = u[self.layout.lo[j]]
-        hi = u[self.layout.hi[j]]
-        if self.k is None and mj != 1.0:
-            # direct mode works on u^(m_j)
-            safe_lo = np.maximum(lo, 0.0)
-            safe_hi = np.maximum(hi, 0.0)
-            lo = safe_lo ** mj
-            hi = safe_hi ** mj
-            dlo = mj * safe_lo ** (mj - 1.0)
-            dhi = mj * safe_hi ** (mj - 1.0)
-        else:
-            dlo = dhi = 1.0
+        lo, dlo = working_power(self.k, self.m[j], u[self.layout.lo[j]])
+        hi, dhi = working_power(self.k, self.m[j], u[self.layout.hi[j]])
         D = (hi - lo) / self.h[j]
         return c, D, dlo, dhi, ubar, flux(c, D, self.p[j])
 
@@ -489,8 +480,9 @@ class _StepProblem:
         """Per axis, the Jacobian weights (g_lo, g_hi) of every face on its
         lo and hi node.
 
-        The face slope is ``model.flux_slope`` at the face difference D.  In
-        1D k-mode the truncated coefficient
+        The weight on a node is ``model.flux_slope`` at the face
+        difference D times the derivative of the working power at that
+        node, over h^2.  In 1D k-mode the truncated coefficient
         c = a_j m_j^(p_j-1) T_k(ubar)^((m_j-1)(p_j-1)) is differentiated
         through the face mean ubar as well: the face flux F gains
         F / c * dc/dubar * 1/2 per adjacent node, that is
@@ -507,12 +499,8 @@ class _StepProblem:
             pj = self.p[j]
             h = self.h[j]
             slope = flux_slope(c, D, pj)
-            if self.k is None and self.m[j] != 1.0:
-                g_lo = slope * dlo / (h * h)
-                g_hi = slope * dhi / (h * h)
-            else:
-                # dlo = dhi = 1 (see ``_face_data``): one weight per face
-                g_lo = g_hi = slope / (h * h)
+            g_lo = slope * dlo / (h * h)
+            g_hi = slope * dhi / (h * h)
             if self.k is not None and not self.symmetric:
                 # T_k(ubar) = ubar, and so dc/dubar = c (m_j-1)(p_j-1)/ubar,
                 # only on (1/k, k)
@@ -729,11 +717,9 @@ def manufactured_rhs(u_exact: Callable, spec: ProblemSpec,
         return tuple(c + ds if i == j else c for i, c in enumerate(x))
 
     def flux_j(x, t, j):
-        mj = spec.exponents.m[j]
-
         def w_at(ds):
-            uu = ue(shift_x(x, j, ds), t)
-            return uu if (k is not None or mj == 1.0) else uu ** mj
+            return working_power(k, spec.exponents.m[j],
+                                 ue(shift_x(x, j, ds), t))[0]
 
         c = flux_coefficient(spec, k, j, x, t, ue(x, t))
         return flux(c, d4(w_at, FD_STEP), spec.exponents.p[j])

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anisodnl.analysis import (
-    G_delta,
-    H_delta,
     b_quantity,
     b_sandwich_constant,
     degiorgi_constants,
@@ -16,7 +14,6 @@ from anisodnl.analysis import (
     ordering_excess,
     power_inequality_constant,
     select_q_vector,
-    trapezoid_cutoff,
     vpm_distance,
 )
 from anisodnl.discretization import Grid, ScalarField, TimeSeries
@@ -113,35 +110,6 @@ class TestPowerInequality:
         lhs = np.abs(a - b) ** g
         rhs = np.abs(np.abs(a) ** (g - 1) * a - np.abs(b) ** (g - 1) * b)
         assert np.all(lhs <= c * rhs + 1e-12)
-
-
-class TestCutoffs:
-    def test_H_branches(self):
-        assert H_delta(1.0, 0.5) == 0.5
-        assert H_delta(1.0, 2.0) == 1.0
-        assert H_delta(1.0, -1.0) == 0.0
-
-    def test_G_branches(self):
-        assert G_delta(1.0, 2.0) == pytest.approx(1.5)
-        assert G_delta(1.0, 0.5) == pytest.approx(0.125)
-        assert G_delta(1.0, -3.0) == 0.0
-
-    def test_G_prime_is_H(self):
-        # away from the kinks at 0 and delta
-        eps = 1e-7
-        for s in (-1.0, 0.3, 0.7, 2.0, 5.0):
-            d = (G_delta(1.0, s + eps) - G_delta(1.0, s - eps)) / (2 * eps)
-            assert d == pytest.approx(float(H_delta(1.0, s)), abs=1e-6)
-
-    def test_trapezoid_endpoints(self):
-        assert trapezoid_cutoff(1.0, 3.0, 0.5, 1.5) == 1.0
-        assert trapezoid_cutoff(1.0, 3.0, 0.5, 3.0) == 0.0
-        assert trapezoid_cutoff(1.0, 3.0, 0.5, 0.0) == 0.0
-        assert trapezoid_cutoff(1.0, 3.0, 0.5, 2.0) == 1.0
-
-    def test_trapezoid_rejects_wide_ramp(self):
-        with pytest.raises(ValueError):
-            trapezoid_cutoff(0.0, 1.0, 0.6, 0.5)
 
 
 class TestFastGeometric:

@@ -52,6 +52,10 @@ NON_FINITE = [
      "coefficient must be positive and finite"),
     ("coeffs", [{"kind": "bounded_u", "base": 1.0, "slope": float("nan")}],
      "need finite base"),
+    ("f", {"kind": "constant", "value": float("nan")},
+     "f entry: value must be finite, got nan"),
+    ("u0", {"kind": "bump", "amplitude": float("nan")},
+     "u0 entry: amplitude must be finite, got nan"),
 ]
 
 

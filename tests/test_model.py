@@ -17,9 +17,7 @@ from anisodnl.model import (
     flux_slope,
     harmonic_mean,
     truncate,
-    truncated_growth_constant,
-    truncated_coercivity_constant,
-    truncated_lipschitz_bound,
+    working_power,
 )
 
 
@@ -58,16 +56,6 @@ class TestBarExponents:
         bar = compute_bar_exponents(Exponents((2.0, 4.0), (1.0, 1.0)))
         assert bar.p_bar == pytest.approx(8.0 / 3.0)
         assert bar.p_bar_conj == pytest.approx(8.0 / 5.0)
-
-    def test_sobolev_conjugate(self):
-        bar = compute_bar_exponents(Exponents((2.0, 2.0, 2.0),
-                                              (1.0, 1.0, 1.0)))
-        assert bar.p_bar == 2.0
-        assert bar.p_bar_star == pytest.approx(6.0)
-
-    def test_unbounded_marker(self):
-        bar = compute_bar_exponents(Exponents((3.0, 3.0), (1.0, 1.0)))
-        assert math.isinf(bar.p_bar_star)
 
     def test_bar_identity(self):
         p = (2.3, 3.7, 2.9)
@@ -251,37 +239,31 @@ class TestTruncatedFlux:
         b = eval_flux(spec, 0, x, 0.0, np.array([0.2]), xi, k=4)
         assert a[0] == pytest.approx(b[0])
 
-    def test_growth_and_coercivity(self):
-        spec = simple_spec((2.5,), (1.8,))
-        k = 4
-        bk = truncated_growth_constant(spec, k, 0)
-        ck = truncated_coercivity_constant(spec, k)
-        rng = np.random.default_rng(2)
-        u = rng.uniform(0.0, 10.0, size=500)
-        xi = rng.uniform(-3.0, 3.0, size=500)
-        x = (np.zeros(500),)
-        F = eval_flux(spec, 0, x, 0.0, u, xi, k=k)
-        p = spec.exponents.p[0]
-        assert np.all(np.abs(F) <= bk * np.abs(xi) ** (p - 1.0) + 1e-12)
-        assert np.all(F * xi >= ck * np.abs(xi) ** p - 1e-12)
 
-    def test_lipschitz_in_u(self):
-        def a(x, t, u):
-            uu = np.maximum(np.asarray(u, dtype=float), 0.0)
-            return 1.0 + 0.5 * uu / (1.0 + uu)
+class TestWorkingPower:
+    U = np.array([-0.4, 0.0, 0.3, 1.0, 2.7])
 
-        coeffs = CoefficientSpec((a,), 1.5, 0.5)
-        spec = simple_spec((2.0,), (1.5,), coeffs=coeffs)
-        k = 4
-        c = truncated_lipschitz_bound(spec, k, 0)
-        rng = np.random.default_rng(3)
-        u = rng.uniform(0.0, 10.0, size=500)
-        v = rng.uniform(0.0, 10.0, size=500)
-        xi = np.ones(500)
-        x = (np.zeros(500),)
-        Fu = eval_flux(spec, 0, x, 0.0, u, xi, k=k)
-        Fv = eval_flux(spec, 0, x, 0.0, v, xi, k=k)
-        assert np.all(np.abs(Fu - Fv) <= c * np.abs(u - v) + 1e-12)
+    @pytest.mark.parametrize("k, m", [(4, 2.5), (1, 1.0), (None, 1.0)])
+    def test_identity_in_k_mode_and_for_m_one(self, k, m):
+        # negative entries included: nothing is clamped
+        w, dw = working_power(k, m, self.U)
+        assert w is self.U
+        assert dw == 1.0
+
+    @pytest.mark.parametrize("m", (1.5, 2.0, 3.2))
+    def test_direct_mode_clamps_at_zero(self, m):
+        w, dw = working_power(None, m, self.U)
+        np.testing.assert_array_equal(w, np.maximum(self.U, 0.0) ** m)
+        assert w[0] == 0.0 and dw[0] == 0.0
+
+    @pytest.mark.parametrize("m", (1.5, 2.0, 3.2))
+    def test_direct_mode_derivative(self, m):
+        u = self.U[self.U > 0.0]
+        h = 1e-6
+        central = (working_power(None, m, u + h)[0]
+                   - working_power(None, m, u - h)[0]) / (2 * h)
+        np.testing.assert_allclose(working_power(None, m, u)[1], central,
+                                   rtol=1e-7)
 
 
 class TestAdmissibility:

@@ -40,15 +40,6 @@ class TestSteklov:
         for f in out.fields:
             assert np.allclose(f.values, f.t + h / 2.0)
 
-    def test_reversed_window(self):
-        times = np.linspace(0, 1, 17)
-        s = scalar_series(times, times)
-        h = 0.25
-        out = steklov(s, h, reverse=True)
-        assert out.times[0] >= h
-        for f in out.fields:
-            assert np.allclose(f.values, f.t - h / 2.0)
-
     def test_valid_window_restriction(self):
         times = np.linspace(0, 1, 17)
         s = scalar_series(times, times)
@@ -147,15 +138,6 @@ class TestExponentialMollifier:
             worst = max(worst, abs(wd[0] - (v - w[0]) / h))
         assert worst < 1e-8
 
-    def test_reversed_is_anticausal(self):
-        # reversed smoothing of a constant decays from the far end
-        times = np.linspace(0, 1, 33)
-        s = scalar_series(np.full(33, 2.0), times)
-        out = exp_mollify(s, 0.1, reverse=True)
-        assert out.fields[-1].values[0] == pytest.approx(0.0)
-        assert out.fields[0].values[0] == pytest.approx(
-            2.0 * (1.0 - math.exp(-1.0 / 0.1)), abs=1e-10)
-
     def test_rejects_nonpositive_h(self):
         times = np.linspace(0, 1, 9)
         s = scalar_series(times, times)
@@ -184,15 +166,14 @@ class TestEvaluatorsMatchSeries:
             ScalarField(g, 2.0 + np.sin(3.0 * t + x) + t * x, float(t))
             for t in times])
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_steklov_eval(self, reverse):
+    def test_steklov_eval(self):
         s = self._series()
         h = 0.17
-        out = steklov(s, h, reverse=reverse)
+        out = steklov(s, h)
         assert len(out) >= 10
         for f in out.fields:
             np.testing.assert_allclose(
-                steklov_eval(s, h, f.t, reverse=reverse), f.values,
+                steklov_eval(s, h, f.t), f.values,
                 rtol=1e-14, atol=0.0)
 
     def test_exp_mollify_eval(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,21 @@ def test_coefficient_numbers_must_be_finite(entry, message):
     with pytest.raises(ValueError, match=message):
         problem_from_config(dict(inline_problem(
             {"kind": "constant", "value": 0.0}), coeffs=[entry] * 2))
+
+
+@pytest.mark.parametrize("name, entry, key", [
+    ("f", {"kind": "constant", "value": np.nan}, "value"),
+    ("g", {"kind": "bump", "amplitude": np.inf}, "amplitude"),
+    ("u0", {"kind": "bump", "amplitude": 1.0, "rate": -np.inf}, "rate"),
+    ("f", {"kind": "affine", "const": np.nan}, "const"),
+    ("g", {"kind": "affine", "x": [0.0, np.inf]}, "x[1]"),
+    ("u0", {"kind": "affine", "t": np.nan}, "t"),
+])
+def test_data_numbers_must_be_finite(name, entry, key):
+    problem = inline_problem({"kind": "constant", "value": 0.0})
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{name} entry: {key} must be finite")):
+        problem_from_config(dict(problem, **{name: entry}))
 
 
 def test_inline_u0_is_evaluated_at_time_zero():

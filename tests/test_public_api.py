@@ -136,3 +136,68 @@ def test_newton_systems_solved_only_in_solve_and_update():
               "dpbtrf": "factor", "solve_banded": "update"}
     assert {name: _functions_referencing(name) for name in pinned} == {
         name: {("solver", fn)} for name, fn in pinned.items()}
+
+
+REPO = Path(anisodnl.__file__).parents[2]
+# the readers outside src/: the acceptance gate and the benchmark
+OUTSIDE_READERS = [REPO / "tests" / "test_acceptance.py",
+                   *sorted((REPO / "perfbench").glob("*.py"))]
+# public names that only a unit test reads, each with that test; the
+# first two are the independent reference of the step residual
+UNIT_TEST_READERS = {
+    "eval_flux": "tests/test_solver.py::TestStepProblem::"
+                 "test_residual_matches_model_flux",
+    "divergence": "tests/test_solver.py::TestStepProblem::"
+                  "test_residual_matches_model_flux",
+    "manufactured_rhs": "tests/test_solver.py::TestManufactured::"
+                        "test_hand_differentiated_oracle",
+    "gradient_power_norms": "tests/test_solver.py::TestCascade::"
+                            "test_gradient_norms_uniformly_bounded",
+}
+
+
+def _loads(node, skip=None):
+    """Names and attributes that node reads, outside the top-level
+    definition named skip."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                and child.name == skip):
+            continue
+        if isinstance(getattr(child, "ctx", None), ast.Load):
+            yield getattr(child, "id", None) or getattr(child, "attr", None)
+        yield from _loads(child, skip)
+
+
+def test_every_public_name_has_a_reader():
+    # a public name of src/ is read by another src/ definition, the gate
+    # or the benchmark, or it is deleted; only the names of
+    # UNIT_TEST_READERS are kept for their unit test alone
+    public = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        module = importlib.import_module(f"anisodnl.{path.stem}")
+        names = set(getattr(module, "__all__", ())) | {
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+        public.update((name, path) for name in names)
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    outside = set()
+    for path in OUTSIDE_READERS:
+        tree = ast.parse(path.read_text())
+        outside |= set(_loads(tree))
+        # the benchmark's tracer names what it wraps by string
+        outside |= {node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)}
+        outside |= {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+    unread = sorted(
+        name for name, home in public.items()
+        if name not in outside
+        and not any(name in _loads(tree, name if path == home else None)
+                    for path, tree in trees.items()))
+    assert unread == sorted(UNIT_TEST_READERS)
+    for test in UNIT_TEST_READERS.values():
+        path, *_, fn = test.split("::")
+        assert f"def {fn}(" in (REPO / path).read_text()
