@@ -12,9 +12,10 @@ The config file is JSON with at least {"scenario": NAME} and either
 the expression schema).  Scenarios: constant, manufactured, cascade,
 comparison, degiorgi-report, mollifier-demo, calibrate.
 
-Every run writes JSON reports validating against the schema
-"anisodnl-report/1", CSV field dumps, and a manifest with sha256
-checksums.  With a fixed seed the outputs are byte-identical across runs;
+Every run writes a JSON report of the form "anisodnl-report/1", CSV
+field dumps, and a manifest with sha256 checksums.  ``REPORT_SCHEMA``
+describes the report; the test suite and the benchmark validate reports
+against it.  With a fixed seed the outputs are byte-identical across runs;
 wall-clock timings are deliberately kept out of the serialized reports.
 """
 
@@ -28,7 +29,6 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import analysis, presets, solver
 from .discretization import (Grid, ScalarField, TimeSeries,
@@ -53,14 +53,6 @@ REPORT_SCHEMA = {
 }
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
 class OutputWriter:
     """Collects artifact files and finishes with a checksum manifest."""
 
@@ -78,9 +70,8 @@ class OutputWriter:
         self.write_text(name, csv_text(columns, rows))
 
     def write_report(self, name: str, report: dict):
-        jsonschema.validate(report, REPORT_SCHEMA)
-        self.write_text(name, json.dumps(report, indent=2, sort_keys=True,
-                                         default=_json_default) + "\n")
+        self.write_text(name,
+                        json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     def finish(self):
         manifest = {

@@ -17,13 +17,14 @@ Jacobian when a_j does not depend on u.  The columns of axis j are
 scaled by the derivative of the working power: m_j u^(m_j-1) in direct
 mode, 1 in k-mode.  For p_j < 2 the face flux is regularized
 (``model.flux``) and the matrix uses its exact slope.  The 1D operator is
-solved by banded LU.  In 2D/3D, the red-black block elimination (Saad,
-Iterative Methods for Sparse Linear Systems, 2nd ed., 2003) of the red
-nodes, whose block is diagonal, is exact and leaves the Schur complement
-S on the black half of the unknowns.  ``_RedBlack.solve`` is that one
-solve: direct mode solves S by one banded LU, k-mode its symmetric S by
-conjugate gradients preconditioned by a factor kept from an earlier
-Newton matrix of the same solve.
+tridiagonal, and LAPACK ``dgtsv`` solves it on (d, w).  In 2D/3D, the
+red-black block elimination (Saad, Iterative Methods for Sparse Linear
+Systems, 2nd ed., 2003) of the red nodes, whose block is diagonal, is
+exact and leaves the Schur complement S on the black half of the
+unknowns.  ``_RedBlack.solve`` is that one solve: direct mode solves S by
+one banded LU, k-mode its symmetric S by conjugate gradients
+preconditioned by a factor kept from an earlier Newton matrix of the
+same solve.
 
 A solve keeps state from one time step to the next in one ``_Layout``:
 the grid data of its steps, the red-black split with its kept factor,
@@ -38,7 +39,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -500,7 +500,8 @@ class _StepProblem:
             h = self.h[j]
             slope = flux_slope(c, D, pj)
             g_lo = slope * dlo / (h * h)
-            g_hi = slope * dhi / (h * h)
+            # k-mode and m_j = 1 give both nodes the one derivative 1.0
+            g_hi = g_lo if dhi is dlo else slope * dhi / (h * h)
             if self.k is not None and not self.symmetric:
                 # T_k(ubar) = ubar, and so dc/dubar = c (m_j-1)(p_j-1)/ubar,
                 # only on (1/k, k)
@@ -546,10 +547,11 @@ class _StepProblem:
 
         Only the interior unknowns are solved for, on the operator (d, w)
         of ``assemble``: in 2D/3D by ``_RedBlack.solve``, in 1D (both
-        modes) by one banded LU with partial pivoting,
-        ``scipy.linalg.solve_banded`` on the three rows of the tridiagonal
-        band of (d, w).  Raises ``LinAlgError`` when the system is not
-        finite or cannot be solved (see ``_RedBlack.solve``).
+        modes) by one tridiagonal LU with partial pivoting, LAPACK
+        ``dgtsv`` on the sub-diagonal, diagonal and super-diagonal that w
+        and d already are.  Raises ``LinAlgError`` when the system is not
+        finite or is singular, and in 2D/3D when ``_RedBlack.solve`` cannot
+        solve it.
         """
         lay = self.layout
         d, w, b = self.assemble(faces, R)
@@ -559,19 +561,18 @@ class _StepProblem:
         if self.grid.dim > 1:
             x = lay.red_black.solve(d, w, b)
         else:
-            # the band rows: J[i, i + 1] at column i + 1, the diagonal,
-            # J[i + 1, i] at column i
+            # w holds J[i + 1, i], then J[i, i + 1]; assemble made d and w
+            # fresh, but b is a view of R
             n = d.size
-            ab = np.zeros((3, n))
-            ab[0, 1:] = w[n - 1:]
-            ab[1] = d
-            ab[2, :-1] = w[:n - 1]
-            try:
-                x = scipy.linalg.solve_banded(
-                    (1, 1), ab, b, overwrite_ab=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    "Newton matrix is singular") from exc
+            if n == 1:
+                # f2py rejects the empty off-diagonals of a 1 x 1 system
+                x, info = (b / d, 0) if d[0] != 0.0 else (b, 1)
+            else:
+                *_, x, info = lapack.dgtsv(w[:n - 1], d, w[n - 1:], b,
+                                           overwrite_dl=1, overwrite_d=1,
+                                           overwrite_du=1)
+            if info != 0:
+                raise np.linalg.LinAlgError("Newton matrix is singular")
         delta = np.zeros(self.grid.counts)
         delta[lay.inner] = x.reshape(lay.shape).transpose(lay.back)
         return delta

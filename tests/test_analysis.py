@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 from anisodnl.analysis import (
     b_quantity,
     b_sandwich_constant,
+    comparison_check,
     degiorgi_constants,
+    energy_check,
+    exp_mollify_eval,
     fast_geometric_iterate,
     level_sequence,
     measure_levels,
@@ -311,3 +315,39 @@ class TestMeasureLevels:
             bound = (M ** (-m * q_bar)
                      * 2.0 ** ((j + 1) * 2 * m * q_bar / (m + 1)) * Y[j])
             assert E[j + 1] <= bound + 1e-12
+
+
+def _flat(times):
+    return linear_series(times, lambda x, t: np.full_like(x, 1.5))
+
+
+def _zero(x, t):
+    return np.zeros(np.shape(x[0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: b_sandwich_constant(0.5), "m must be at least 1",
+                 id="b_sandwich_constant"),
+    pytest.param(lambda: power_inequality_constant(1.0),
+                 "gamma must exceed 1", id="power_inequality_constant"),
+    pytest.param(lambda: exp_mollify_eval(_flat((0.0, 1.0)), 0.5, 1.5),
+                 "t outside the series time span", id="exp_mollify_eval"),
+    pytest.param(lambda: fast_geometric_iterate(0.0, 2.0, 0.5, 0.1, 4),
+                 "need C > 0, b > 1, delta > 0", id="fast_geometric-C"),
+    pytest.param(lambda: fast_geometric_iterate(1.0, 1.0, 0.5, 0.1, 4),
+                 "need C > 0, b > 1, delta > 0", id="fast_geometric-b"),
+    pytest.param(lambda: fast_geometric_iterate(1.0, 2.0, 0.0, 0.1, 4),
+                 "need C > 0, b > 1, delta > 0", id="fast_geometric-delta"),
+    pytest.param(lambda: measure_levels(_flat((0.0, 1.0)), 0.5, 1.0, 2.0, 4),
+                 "M must be at least 1", id="measure_levels"),
+    pytest.param(lambda: energy_check(_flat((0.0, 1.0)),
+                                      const_spec((2.0,), (1.0,)), 1.0, 2.0),
+                 "level must not fall below the data bound",
+                 id="energy_check"),
+    pytest.param(lambda: comparison_check(_flat((0.0,)), _flat((0.0,)),
+                                          _zero, _zero),
+                 "need at least two sample times", id="comparison_check"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from anisodnl.cli import REPORT_SCHEMA, main
+import anisodnl
+from anisodnl.cli import REPORT_SCHEMA, SCENARIOS, main
 
 
 def write_config(tmp_path, name, payload):
@@ -57,6 +62,79 @@ NON_FINITE = [
     ("u0", {"kind": "bump", "amplitude": float("nan")},
      "u0 entry: amplitude must be finite, got nan"),
 ]
+
+
+# every scenario on a small grid, with the preset it is written for
+SMALL_RUNS = {
+    "constant": {"preset": "constant", "grid": [5, 5], "n_steps": 2},
+    "manufactured": {"preset": "manufactured-1d", "grid": [9], "n_steps": 4,
+                     "levels": 2},
+    "cascade": {"preset": "aniso-cascade", "grid": [5, 5], "n_steps": 2,
+                "ks": [2, 4]},
+    "comparison": {"preset": "porous-cascade", "grid": [9], "n_steps": 4,
+                   "k": 4},
+    "degiorgi-report": {"preset": "strong-source", "grid": [9],
+                        "n_steps": 4, "ks": [2, 4]},
+    "mollifier-demo": {},
+    "calibrate": {},
+}
+
+
+@pytest.mark.parametrize("scenario", [*SCENARIOS, None],
+                         ids=lambda s: s or "calibrate-verb")
+def test_every_report_matches_schema(tmp_path, scenario):
+    # the package writes its reports without checking them: the report of
+    # every scenario, and of the calibrate verb, must validate here
+    if scenario is None:
+        argv, name = ["calibrate", "--grid", "9,9"], "calibration.json"
+    else:
+        cfg = write_config(tmp_path, "cfg.json",
+                           dict(SMALL_RUNS[scenario], scenario=scenario))
+        argv, name = ["run", "--config", cfg], "report.json"
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    report = json.loads((out / name).read_text())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["scenario"] == (scenario or "calibrate")
+
+
+def test_package_imports_no_jsonschema():
+    # jsonschema is a test dependency: the package and its command line
+    # tool run without it
+    src = Path(anisodnl.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, anisodnl, anisodnl.cli; "
+            "print('jsonschema' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
+
+
+# a config the run verb cannot use, and the start of its one-line
+# diagnostic
+BAD_CONFIGS = [
+    pytest.param(None, "cannot read config ", id="unreadable"),
+    pytest.param([1, 2], "config .* must hold a JSON object",
+                 id="not-an-object"),
+    pytest.param({"scenario": "constant", "preset": "nope"},
+                 "unknown preset 'nope'; available: ", id="unknown-preset"),
+    pytest.param({"scenario": "constant"},
+                 "config needs either a \"preset\" name or an inline "
+                 "\"problem\" object", id="no-problem"),
+    pytest.param({"scenario": "constant", "preset": "constant",
+                  "solver": [1]},
+                 "config \"solver\" must be a JSON object",
+                 id="solver-not-object"),
+]
+
+
+@pytest.mark.parametrize("payload, message", BAD_CONFIGS)
+def test_bad_config_one_line_exit(tmp_path, payload, message):
+    cfg = (str(tmp_path / "missing.json") if payload is None
+           else write_config(tmp_path, "bad.json", payload))
+    with pytest.raises(SystemExit, match=f"^{message}") as exc:
+        main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert "\n" not in str(exc.value)
 
 
 class TestRun:

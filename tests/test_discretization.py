@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from anisodnl.discretization import (
     Grid,
     ScalarField,
+    TimeSeries,
     calibrate_troisi_constant,
     divergence,
     face_diff_power,
@@ -194,3 +197,34 @@ class TestSerialization:
         assert lines[0] == "x1,value"
         assert len(lines) == 4
         assert lines[1].startswith("0,")
+
+
+LINE = Grid((1.0,), (5,))
+
+
+def _zeros(t=0.0, grid=LINE):
+    return ScalarField(grid, np.zeros(grid.counts), t)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ScalarField(LINE, np.zeros(4)),
+                 "values shape (4,) does not match grid (5,)",
+                 id="ScalarField-shape"),
+    pytest.param(lambda: ScalarField(LINE, [0.0, 0.0, np.nan, 0.0, 0.0]),
+                 "field values must be finite", id="ScalarField-finite"),
+    pytest.param(lambda: TimeSeries([_zeros(0.0),
+                                     _zeros(1.0, Grid((2.0,), (5,)))]),
+                 "all fields must share one grid", id="TimeSeries-grid"),
+    pytest.param(lambda: TimeSeries([_zeros(1.0), _zeros(1.0)]),
+                 "times must be strictly increasing", id="TimeSeries-times"),
+    pytest.param(lambda: divergence(LINE, []),
+                 "need one flux array per axis", id="divergence"),
+    pytest.param(lambda: integrate_power(_zeros(), -1.0),
+                 "exponent must be nonnegative", id="integrate_power"),
+    pytest.param(lambda: sobolev_troisi_gap(_zeros(), (2.0, 2.0)),
+                 "exponent count must match grid dimension",
+                 id="sobolev_troisi_gap"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

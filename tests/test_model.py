@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -307,3 +308,24 @@ class TestAdmissibility:
         rep = check_admissibility(spec, seed=8)
         assert not rep[check].passed
         assert rep[check].margin < 0.0
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Exponents((2.0, 2.0), (1.0,)),
+                 "p and m must have the same length", id="Exponents-lengths"),
+    pytest.param(lambda: Exponents((), ()), "at least one axis required",
+                 id="Exponents-no-axis"),
+    pytest.param(lambda: Exponents((2.0,), (0.5,)),
+                 "all m_j must be at least 1", id="Exponents-m"),
+    pytest.param(lambda: replace(const_coeffs(1), lam=0.0),
+                 "lam must be positive", id="CoefficientSpec-lam"),
+    pytest.param(lambda: replace(const_coeffs(1), lipschitz_c=-1.0),
+                 "lipschitz_c must be nonnegative",
+                 id="CoefficientSpec-lipschitz"),
+    pytest.param(lambda: replace(simple_spec((2.0,), (1.0,)),
+                                 box=(1.0, 1.0)),
+                 "box dimension must match exponents", id="ProblemSpec-box"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -83,3 +83,15 @@ def test_inline_u0_is_evaluated_at_time_zero():
     x = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5))
     assert np.array_equal(moving.u0(x), steady.u0(x))
     assert np.array_equal(steady.u0(x), 0.3 + 0.5 * x[0] + 0.25 * x[1])
+
+
+@pytest.mark.parametrize("key, entry, message", [
+    pytest.param("coeffs", [{"kind": "cubic"}] * 2,
+                 "unknown coefficient kind 'cubic'", id="coefficient-kind"),
+    pytest.param("f", {"kind": "cubic"}, "unknown data kind 'cubic'",
+                 id="data-kind"),
+])
+def test_unknown_kind(key, entry, message):
+    problem = inline_problem({"kind": "constant", "value": 0.0})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        problem_from_config(dict(problem, **{key: entry}))

@@ -131,9 +131,9 @@ def test_newton_systems_solved_only_in_solve_and_update():
     # _RedBlack.solve is the one solve of a 2D/3D Newton system (CG
     # preconditioned by the kept factor, or banded LU), _RedBlack.factor
     # the one Cholesky factorization, and _StepProblem.update solves the
-    # 1D system
+    # tridiagonal 1D system
     pinned = {"cg": "solve", "dgbsv": "solve", "dpbtrs": "solve",
-              "dpbtrf": "factor", "solve_banded": "update"}
+              "dpbtrf": "factor", "dgtsv": "update"}
     assert {name: _functions_referencing(name) for name in pinned} == {
         name: {("solver", fn)} for name, fn in pinned.items()}
 

@@ -293,8 +293,9 @@ class TestNewtonUpdate:
     @pytest.mark.parametrize("counts", [(33,), (3, 3), (4, 4), (9, 13),
                                         (5, 6, 7)])
     def test_direct_lapack_calls(self, counts, monkeypatch):
-        # 1D: one solve_banded call on the three band rows; 2D/3D: no
-        # solve_banded call, and dgbsv gets the floor(n/2) black unknowns
+        # 1D: one dgtsv call on the n - 1 sub-diagonal, n diagonal and
+        # n - 1 super-diagonal entries of (d, w); 2D/3D: no dgtsv call,
+        # and dgbsv gets the floor(n/2) black unknowns
         # of the red-black Schur complement, with half-bandwidth kd on both
         # sides, in Fortran order (so no copy), unless there is no black
         # node
@@ -307,22 +308,22 @@ class TestNewtonUpdate:
         R, faces = prob.residual(u)
         n = int(np.prod([c - 2 for c in counts]))
         calls = []
-        solve_banded, dgbsv = scipy.linalg.solve_banded, lapack.dgbsv
+        dgtsv, dgbsv = lapack.dgtsv, lapack.dgbsv
 
-        def banded(l_and_u, ab, b, **kwargs):
-            calls.append(("solve_banded", l_and_u, ab.shape, b.size))
-            return solve_banded(l_and_u, ab, b, **kwargs)
+        def gtsv(dl, d, du, b, **kwargs):
+            calls.append(("dgtsv", dl.size, d.size, du.size, b.size))
+            return dgtsv(dl, d, du, b, **kwargs)
 
         def gbsv(kl, ku, ab, b, **kwargs):
             calls.append(("dgbsv", kl, ku, ab.shape, b.size,
                           ab.flags.f_contiguous))
             return dgbsv(kl, ku, ab, b, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "solve_banded", banded)
+        monkeypatch.setattr(lapack, "dgtsv", gtsv)
         monkeypatch.setattr(lapack, "dgbsv", gbsv)
         prob.update(faces, R)
         if len(counts) == 1:
-            assert calls == [("solve_banded", (1, 1), (3, n), n)]
+            assert calls == [("dgtsv", n - 1, n, n - 1, n)]
             return
         rb = prob.layout.red_black
         kd = rb.kd
@@ -337,6 +338,67 @@ class TestNewtonUpdate:
             broken[rb.red[-1]] = bad
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
                 rb.solve(broken, w, b)
+
+    @pytest.mark.parametrize("k", [4, DIRECT])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 1023])
+    def test_1d_update_is_solve_banded(self, n, k, monkeypatch):
+        # dgtsv on (d, w) is the LU that solve_banded runs on the three
+        # band rows of the same operator, bit for bit; the update leaves R
+        # as it was (the right-hand side is a view of it), and a zero pivot
+        # is a singular matrix, the cause that implicit_step reports
+        spec = varcoeff_problem(1)
+        grid = Grid(spec.box, (n + 2,))
+        cfg = SolverConfig(dt=0.01, k=k)
+        u_prev = np.full(grid.counts, 0.6)
+        prob = _StepProblem(spec, grid, cfg, u_prev, 0.01)
+        u = np.random.default_rng(n).uniform(0.3, 1.5, grid.counts)
+        u[prob.boundary] = prob.bc[prob.boundary]
+        R, faces = prob.residual(u)
+        d, w, b = prob.assemble(faces, R)
+        ab = np.zeros((3, n))
+        ab[0, 1:] = w[n - 1:]
+        ab[1] = d
+        ab[2, :-1] = w[:n - 1]
+        ref = scipy.linalg.solve_banded((1, 1), ab, b)
+        R_before = R.copy()
+        got = prob.update(faces, R)
+        assert np.array_equal(got[1:-1], ref)
+        assert got[0] == got[-1] == 0.0
+        assert np.array_equal(R, R_before)
+
+        assemble = _StepProblem.assemble
+
+        def zero_first_column(self, faces, R):
+            d, w, b = assemble(self, faces, R)
+            d[0] = 0.0
+            w[:1] = 0.0
+            return d, w, b
+
+        monkeypatch.setattr(_StepProblem, "assemble", zero_first_column)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            prob.update(faces, R)
+        with pytest.raises(StepFailure) as exc:
+            implicit_step(ScalarField(grid, u_prev, 0.0), 0.01, spec, cfg)
+        assert exc.value.cause == "singular"
+
+    def test_direct_singular_schur_complement(self, monkeypatch):
+        # on 2 x 2 interior nodes with unit couplings, each black node
+        # couples to both red ones: with D_r = 1 and D_b = 4,
+        # S = D_b - C^T D_r^-1 B = [[2, -2], [-2, 2]], whose LU has an exact
+        # zero pivot, which dgbsv reports (the red diagonal is regular)
+        rb = _RedBlack((2, 2))
+        d = np.ones(4)
+        d[rb.black] = 4.0
+        dgbsv, calls = lapack.dgbsv, []
+
+        def gbsv(*args, **kwargs):
+            calls.append(args[2].shape)
+            return dgbsv(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dgbsv", gbsv)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            rb.solve(d, np.ones(8), np.ones(4))
+        assert calls == [(3 * rb.kd + 1, 2)]
 
     @pytest.mark.parametrize("counts", [(9, 13), (5, 6, 7), (5, 7, 9),
                                         (10, 10)])
