@@ -410,13 +410,13 @@ def _cmd_validate(args) -> int:
     for c in rep.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"  {status}  {c.name:<18} {c.detail}")
-    print(f"cascade: {'enabled' if rep.cascade_capable else 'disabled'}")
-    sig_margin = rep["sigma"].margin
-    if sig_margin <= 0:
+    print(f"cascade: {'enabled' if rep.all_passed else 'disabled'}")
+    sigma = rep["sigma"]
+    if sigma.passed:
+        print(f"sup-bound report: enabled (sigma margin {sigma.margin:.6g})")
+    else:
         print("sup-bound report: disabled (integrability exponent at or "
               "below the threshold)")
-    else:
-        print(f"sup-bound report: enabled (sigma margin {sig_margin:.6g})")
     return 0 if rep.all_passed else 1
 
 

@@ -28,8 +28,9 @@ same solve.
 
 A solve keeps state from one time step to the next in one ``_Layout``:
 the grid data of its steps, the red-black split with its kept factor,
-and the previous field.  In k-mode Newton starts from the linear
-extrapolation of the last two fields instead of from u_n.
+and the previous field.  In both modes Newton starts from the linear
+extrapolation of the last two fields, clamped below at the mode's lower
+bound (1/k in k-mode, 0 in direct mode).
 """
 
 from __future__ import annotations
@@ -384,7 +385,8 @@ class _Layout:
     data of its steps (node and face coordinates, masks, per-axis slices,
     and the band order of the interior unknowns with, in 2D/3D, their
     red-black split and its kept factor) and ``prev``, the field before
-    u_n.  ``solve_problem`` makes one per call, so no state passes between
+    u_n, from which both modes extrapolate the Newton start.
+    ``solve_problem`` makes one per call, so no state passes between
     solves."""
 
     def __init__(self, grid: Grid):
@@ -446,8 +448,10 @@ class _StepProblem:
         self.interior = lay.interior
         self.boundary = lay.boundary
         self.f_vals = evaluate(spec.f, grid.counts, lay.x, t_next)
-        self.bc = evaluate(spec.g, grid.counts, lay.x, t_next) + (
-            0.0 if self.k is None else 1.0 / self.k)
+        # the lower bound of the mode, which shifts the boundary data and
+        # floors the Newton start: 1/k in k-mode, 0 in direct mode
+        self.floor = 0.0 if self.k is None else 1.0 / self.k
+        self.bc = evaluate(spec.g, grid.counts, lay.x, t_next) + self.floor
         self.bc_boundary = self.bc[self.boundary]
         self.h = grid.spacings
         self.p = spec.exponents.p
@@ -461,9 +465,12 @@ class _StepProblem:
         ubar = face_mean(u, j)
         c = flux_coefficient(self.spec, self.k, j, self.layout.x_face[j],
                              self.t, ubar)
-        lo, dlo = working_power(self.k, self.m[j], u[self.layout.lo[j]])
-        hi, dhi = working_power(self.k, self.m[j], u[self.layout.hi[j]])
-        D = (hi - lo) / self.h[j]
+        lo, hi = self.layout.lo[j], self.layout.hi[j]
+        w, dw = working_power(self.k, self.m[j], u)
+        D = (w[hi] - w[lo]) / self.h[j]
+        # k-mode and m_j = 1 share the one scalar derivative 1.0
+        dlo, dhi = ((dw[lo], dw[hi]) if isinstance(dw, np.ndarray)
+                    else (dw, dw))
         return c, D, dlo, dhi, ubar, flux(c, D, self.p[j])
 
     def residual(self, u: np.ndarray) -> tuple[np.ndarray, list]:
@@ -591,25 +598,24 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     ``_Layout`` that the previous steps of the same solve left: the grid
     data of the steps, with the factor kept for the 2D/3D k-mode solves,
     and the field before u_n.  None, or a layout made for another grid,
-    starts from a fresh one.  With the previous field, k-mode Newton
-    starts from u_n + r (u_n - u_{n-1}),
-    r = (t_next - t_n) / (t_n - t_{n-1}), clamped below at 1/k; without a
-    previous field (and always in direct mode) it starts from u_n.  The
-    step records u_n in the layout.  A step that
-    does not reach ``newton_tol`` within ``newton_max`` iterations, or
-    whose Newton system cannot be solved, ends in ``StepFailure``, whose
-    ``cause`` says which.
+    starts from a fresh one.  With the previous field, Newton starts from
+    u_n + r (u_n - u_{n-1}), r = (t_next - t_n) / (t_n - t_{n-1}), clamped
+    below at the mode's lower bound, 1/k in k-mode and 0 in direct mode;
+    without a previous field it starts from u_n.  The step records u_n in
+    the layout.  A step that does not reach ``newton_tol`` within
+    ``newton_max`` iterations, or whose Newton system cannot be solved,
+    ends in ``StepFailure``, whose ``cause`` says which.
     """
     grid = u_n.grid
     if carry is None or carry.grid != grid:
         carry = _Layout(grid)
     prob = _StepProblem(spec, grid, config, u_n.values, t_next, carry)
     u = u_n.values.copy()
-    if prob.k is not None and carry.prev is not None:
+    if carry.prev is not None:
         # the local time derivative carries over to the next step
         r = (t_next - u_n.t) / (u_n.t - carry.prev.t)
         u += r * (u - carry.prev.values)
-        np.maximum(u, 1.0 / prob.k, out=u)
+        np.maximum(u, prob.floor, out=u)
     if config.guess_offset != 0.0:
         # perturb the initial Newton iterate; the converged state must not
         # depend on it beyond the residual tolerance
@@ -659,7 +665,8 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
     In k-mode the initial field is u0 + 1/k and boundary data g + 1/k; in
     direct mode the data are used as given.  One ``_Layout`` passes the
     grid data, the kept factor and the previous field from each step to
-    the next.
+    the next, so every step after the first starts Newton from the
+    extrapolated field in both modes.
     """
     shift = 0.0 if config.k is None else 1.0 / config.k
     carry = _Layout(grid)

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import anisodnl
+from anisodnl import analysis, solver
 from anisodnl.cli import REPORT_SCHEMA, SCENARIOS, main
+from anisodnl.discretization import ScalarField, TimeSeries
 
 
 def write_config(tmp_path, name, payload):
@@ -96,6 +99,64 @@ def test_every_report_matches_schema(tmp_path, scenario):
     report = json.loads((out / name).read_text())
     jsonschema.validate(report, REPORT_SCHEMA)
     assert report["scenario"] == (scenario or "calibrate")
+
+
+# scenario; the library functions it calls through their module, each
+# with an edit of its result that makes a verdict fail; the violations
+VERDICTS = [
+    pytest.param("manufactured",
+                 [(solver, "refinement_errors",
+                   lambda errors: [1e-3, 2e-3, 5e-4])],
+                 ["errors not monotone: [0.001, 0.002, 0.0005]"],
+                 id="manufactured"),
+    pytest.param("cascade",
+                 [(solver, "regularization_cascade",
+                   lambda res: replace(res, ordering_excess={
+                       **res.ordering_excess, (2, 4): 1.0}))],
+                 ["ordering excess 1.000e+00 for pair (2, 4)"],
+                 id="cascade"),
+    pytest.param("comparison",
+                 [(analysis, "comparison_check",
+                   lambda rep: replace(rep, violation=1.0)),
+                  (analysis, "ordering_excess", lambda worst: 2.0)],
+                 ["comparison violation 1.000e+00",
+                  "pointwise ordering excess 2.000e+00"],
+                 id="comparison"),
+    pytest.param("degiorgi-report",
+                 [(analysis, "measure_levels",
+                   lambda YE: ([float(j) for j in range(len(YE[0]))],
+                               YE[1]))],
+                 ["level quantities not decreasing"], id="degiorgi-report"),
+    pytest.param("mollifier-demo",
+                 [(analysis, "exp_mollify",
+                   lambda ts: TimeSeries([ScalarField(f.grid, 2.0 * f.values,
+                                                      f.t)
+                                          for f in ts.fields]))],
+                 ["exponential mollifier grew the L1.0 norm",
+                  "exponential mollifier grew the L2.0 norm"],
+                 id="mollifier-demo"),
+]
+
+
+@pytest.mark.parametrize("scenario, edits, expected", VERDICTS)
+def test_failed_verdict_reported(tmp_path, capsys, monkeypatch, scenario,
+                                 edits, expected):
+    # each verdict of a scenario, driven to fail by editing the result of
+    # the library function it judges: exit 1, the violations in the
+    # report, and one VIOLATION line each on stderr
+    for module, name, edit in edits:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, edit=edit, **kw:
+                            edit(real(*a, **kw)))
+    cfg = write_config(tmp_path, "cfg.json",
+                       dict(SMALL_RUNS[scenario], scenario=scenario))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["violations"] == expected
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"VIOLATION: {v}" for v in expected]
 
 
 def test_package_imports_no_jsonschema():
@@ -404,6 +465,18 @@ class TestValidate:
         text = capsys.readouterr().out
         assert "FAIL  closeness" in text
         assert "cascade: disabled" in text
+
+    def test_sigma_at_threshold_disables_sup_bound(self, tmp_path, capsys):
+        # N = 1 and p_bar = 2: sigma must exceed 1.5
+        cfg = write_config(tmp_path, "v.json", {
+            "scenario": "cascade",
+            "problem": dict(INLINE_PROBLEM, sigma=1.5)})
+        assert main(["validate", "--config", cfg]) == 1
+        text = capsys.readouterr().out
+        assert "FAIL  sigma" in text
+        assert "cascade: disabled" in text
+        assert ("sup-bound report: disabled (integrability exponent at or "
+                "below the threshold)") in text
 
     @pytest.mark.parametrize("key, value, message", NON_FINITE)
     def test_non_finite_problem_number(self, tmp_path, key, value, message):

@@ -271,12 +271,11 @@ class TestAdmissibility:
     def test_all_green(self):
         rep = check_admissibility(simple_spec((3.0, 2.0), (1.0, 1.5)))
         assert rep.all_passed
-        assert rep.cascade_capable
 
     def test_closeness_downgrade(self):
         rep = check_admissibility(simple_spec((3.0, 2.0), (1.0, 2.0)))
         assert not rep["closeness"].passed
-        assert not rep.cascade_capable
+        assert not rep.all_passed
 
     def test_zero_source_integrable(self):
         rep = check_admissibility(simple_spec((2.0,), (1.0,), sigma=7.0))
@@ -288,6 +287,20 @@ class TestAdmissibility:
         rep = check_admissibility(simple_spec((2.0, 2.0), (1.0, 1.0),
                                               sigma=1.9))
         assert not rep["sigma"].passed
+
+    def test_nan_coefficient_fails_band_and_lipschitz(self):
+        # a = 1 up to u = 5 and NaN above it: the band and the Lipschitz
+        # slack are NaN at about half the samples, and a NaN margin fails
+        def a(x, t, u):
+            return np.where(np.asarray(u) > 5.0, np.nan, 1.0)
+
+        spec = simple_spec((2.0,), (1.0,),
+                           coeffs=CoefficientSpec((a,), 1.0, 0.0))
+        rep = check_admissibility(spec)
+        for name in ("ellipticity", "lipschitz"):
+            assert not rep[name].passed
+            assert math.isnan(rep[name].margin)
+        assert not rep.all_passed
 
     @pytest.mark.parametrize("check, data", [
         # g = 0.5 = eps0 up to t = 0.1, below it afterwards

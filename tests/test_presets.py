@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from anisodnl.presets import (PRESET_NAMES, get_preset, preset_defaults,
-                              problem_from_config)
+from anisodnl.presets import (MANUFACTURED_EXACT, PRESET_NAMES, get_preset,
+                              preset_defaults, problem_from_config)
+from anisodnl.solver import manufactured_rhs
 
 DEFAULT_GRIDS = {
     "aniso-cascade": (33, 33),
@@ -25,6 +26,27 @@ def test_preset_defaults():
         for name, grid in DEFAULT_GRIDS.items()}
     for name, grid in DEFAULT_GRIDS.items():
         assert len(grid) == get_preset(name).dim
+
+
+@pytest.mark.parametrize("name", sorted(MANUFACTURED_EXACT))
+def test_manufactured_preset_matches_its_exact_solution(name):
+    # the hand-written source is the one manufactured_rhs derives from the
+    # exact solution, and u0 and g are its values at t = 0 and on the
+    # boundary
+    spec = get_preset(name)
+    exact = MANUFACTURED_EXACT[name]
+    rng = np.random.default_rng(29)
+    x = (rng.uniform(0.0, spec.box[0], size=200),)
+    t = rng.uniform(0.0, spec.T, size=200)
+    np.testing.assert_allclose(spec.f(x, t),
+                               manufactured_rhs(exact, spec)(x, t),
+                               rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(spec.u0(x), exact(x, 0.0), rtol=0.0,
+                               atol=1e-15)
+    edge = (np.repeat([0.0, spec.box[0]], 100),)
+    t_edge = np.tile(t[:100], 2)
+    np.testing.assert_allclose(spec.g(edge, t_edge), exact(edge, t_edge),
+                               rtol=0.0, atol=1e-15)
 
 
 def test_unknown_preset():

@@ -677,14 +677,14 @@ class TestNewtonUpdate:
         assert all(t <= p for t, p in zip(totals, parent))
 
     @pytest.mark.parametrize("name, counts, iters", [
-        ("varcoeff", (17, 17), 22),
-        ("aniso-cascade", (17, 17), 26),
-        ("varcoeff-3d", (5, 6, 7), 32),
+        ("varcoeff", (17, 17), 21),
+        ("aniso-cascade", (17, 17), 24),
+        ("varcoeff-3d", (5, 6, 7), 33),
         ("manufactured-quartic", (65,), 8),
     ])
     def test_direct_mode_newton_counts(self, name, counts, iters):
-        # counts recorded with the CSR Newton matrix on every node solved
-        # by spsolve; the interior band gives the same counts
+        # exact counts, with Newton started from the extrapolated field as
+        # in k-mode
         spec = varcoeff_problem(3) if name == "varcoeff-3d" \
             else get_preset(name)
         grid = Grid(spec.box, counts)
@@ -1034,20 +1034,26 @@ class TestCascade:
             for rg, rr in zip(got.reports, ref.reports):
                 assert rg.total_iterations <= rr.total_iterations
 
-    @pytest.mark.parametrize("counts", [(9,), (9, 9)])
-    def test_extrapolated_start_exact_for_linear_growth(self, counts):
-        # u = 0.7 + 1/k + 0.5 t is flat in space and linear in time, so
-        # backward Euler reproduces it and the extrapolated first iterate
-        # is already the step's solution, the shortened last step included
+    @pytest.mark.parametrize("counts, k", [
+        pytest.param((9,), 2, id="counts0"),
+        pytest.param((9, 9), 2, id="counts1"),
+        pytest.param((9,), None, id="counts0-direct"),
+        pytest.param((9, 9), None, id="counts1-direct"),
+    ])
+    def test_extrapolated_start_exact_for_linear_growth(self, counts, k):
+        # u = 0.7 + 0.5 t (plus 1/k in k-mode) is flat in space and linear
+        # in time, so backward Euler reproduces it and the extrapolated
+        # first iterate is already the step's solution, the shortened last
+        # step included, in both modes
         spec = replace(constant_problem(p=(3.0, 2.0)[:len(counts)],
                                         m=(1.0, 1.5)[:len(counts)]),
                        f=make_constant(0.5),
                        g=lambda x, t: np.full(np.shape(x[0]), 0.7 + 0.5 * t))
-        cfg = SolverConfig(dt=spec.T / 3.5, k=2)
+        cfg = SolverConfig(dt=spec.T / 3.5, k=k)
         ts, rep = solve_problem(spec, Grid(spec.box, counts), cfg)
         assert ts.fields[-1].t == spec.T
         assert [s.iterations for s in rep.steps][1:] == [0, 0, 0]
-        exact = 0.7 + 1.0 / cfg.k + 0.5 * spec.T
+        exact = 0.7 + (0.0 if k is None else 1.0 / k) + 0.5 * spec.T
         assert np.max(np.abs(ts.fields[-1].values - exact)) <= cfg.newton_tol
 
     def test_rejects_unsorted_ks(self):
