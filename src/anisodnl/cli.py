@@ -5,7 +5,7 @@ Verbs:
   anisodnl run --config cfg.json --out outdir [--seed N] [--k LIST]
                [--grid LIST] [--dt REAL]
   anisodnl validate --config cfg.json
-  anisodnl calibrate --out outdir [--grid LIST]
+  anisodnl calibrate --out outdir [--grid N1,N2] [--seed N]
 
 The config file is JSON with at least {"scenario": NAME} and either
 {"preset": NAME} or an inline problem description (see presets module for
@@ -230,9 +230,12 @@ def _scenario_manufactured(cfg, args, writer):
 
 def _scenario_cascade(cfg, args, writer):
     spec, grid, config, ks = _resolve_run(cfg, args)
-    if not spec.exponents.closeness_ok:
-        raise SystemExit("cascade: disabled, the problem fails the "
-                         "exponent closeness condition m_j < p_j' * m")
+    # the rule validate reports: the cascade runs when every check passes
+    failed = [c.name for c in check_admissibility(spec).checks
+              if not c.passed]
+    if failed:
+        raise SystemExit(f"cascade: disabled, the problem fails the "
+                         f"checks {', '.join(failed)} (see anisodnl validate)")
     res = solver.regularization_cascade(spec, grid, config, ks)
     tol = solver.ordering_tolerance(config, spec.T)
     violations = []
@@ -333,18 +336,22 @@ def _scenario_mollifier(cfg, args, writer):
 
 def _scenario_calibrate(cfg, args, writer):
     grid_counts = tuple(args.grid) if args.grid else (17, 17)
+    # both exponent vectors calibrated below have two axes
+    if len(grid_counts) != 2:
+        raise SystemExit(f"invalid grid {list(grid_counts)}: calibrate "
+                         f"needs two axes, one per exponent of p = (2, 2) "
+                         f"and p = (3, 2)")
+    grid = _grid((1.0, 1.0), grid_counts)
     results = {
         "b_sandwich": {str(m): analysis.b_sandwich_constant(m)
                        for m in (1.0, 1.5, 2.0, 3.0)},
         "power_inequality": {str(g): analysis.power_inequality_constant(g)
                              for g in (1.5, 2.0, 3.0)},
     }
-    grid = _grid(tuple([1.0] * len(grid_counts)), grid_counts)
     for p in ((2.0, 2.0), (3.0, 2.0)):
-        if len(p) == len(grid_counts):
-            key = "troisi_p" + "_".join(str(v) for v in p)
-            results[key] = calibrate_troisi_constant(
-                grid, p, trials=50, seed=args.seed)
+        key = "troisi_p" + "_".join(str(v) for v in p)
+        results[key] = calibrate_troisi_constant(
+            grid, p, trials=50, seed=args.seed)
     return results, []
 
 
@@ -456,7 +463,9 @@ def main(argv=None) -> int:
                            help="sweep calibration constants into fixtures")
     cal_p.add_argument("--out", required=True)
     cal_p.add_argument("--seed", type=int, default=0)
-    cal_p.add_argument("--grid", type=_int_list, default=None)
+    cal_p.add_argument("--grid", type=_int_list, default=None,
+                       help="two comma separated node counts "
+                            "(default 17,17)")
     cal_p.set_defaults(func=_cmd_calibrate)
 
     args = parser.parse_args(argv)

@@ -11,11 +11,18 @@ A change that moves output bytes on purpose rewrites the fixture with
 
     python tests/golden/regen.py
 
-and commits it in the same change, naming the cause.
+and commits it in the same change, naming the cause.  To list what moved
+without writing anything, run
+
+    python tests/golden/regen.py --check
+
+which prints ``compare``'s lines against the committed fixture and exits
+1 if there are any.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -132,13 +139,35 @@ def compare(expected: dict, actual: dict) -> list[str]:
     return problems
 
 
-def main() -> None:
+def check(fixture: Path) -> int:
+    """Collect into a temporary directory and print ``compare``'s lines
+    against ``fixture``; return 1 if there are any, else 0.  Writes
+    nothing outside the temporary directory."""
+    expected = json.loads(fixture.read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        problems = compare(expected, collect(Path(tmp)))
+    for line in problems:
+        print(line)
+    if not problems:
+        print(f"{fixture.name}: no differences")
+    return 1 if problems else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="rewrite the golden fixture of the CLI's output bytes")
+    parser.add_argument("--check", action="store_true",
+                        help="only list what differs from the fixture; "
+                             "exit 1 if anything does")
+    if parser.parse_args(argv).check:
+        return check(FIXTURE)
     with tempfile.TemporaryDirectory() as tmp:
         FIXTURE.write_text(dumps(collect(Path(tmp))))
     print(f"wrote {FIXTURE.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
     # run from a checkout: use its sources, not an installed copy
     sys.path.insert(0, str(ROOT / "src"))
-    main()
+    raise SystemExit(main())

@@ -423,6 +423,21 @@ class TestRun:
         with pytest.raises(SystemExit, match="closeness"):
             main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
 
+    def test_cascade_needs_every_check(self, tmp_path, capsys):
+        # manufactured-quartic passes closeness but not f_nonneg: run
+        # refuses the cascade that validate calls disabled
+        payload = {"scenario": "cascade", "preset": "manufactured-quartic",
+                   "grid": [9], "n_steps": 4, "ks": [2, 4]}
+        cfg = write_config(tmp_path, "casc.json", payload)
+        assert main(["validate", "--config", cfg]) == 1
+        assert "cascade: disabled" in capsys.readouterr().out
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg, "--out", str(out)])
+        assert exc.value.code == ("cascade: disabled, the problem fails the "
+                                  "checks f_nonneg (see anisodnl validate)")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("key, value, message", NON_FINITE)
     def test_non_finite_problem_number(self, tmp_path, key, value, message):
         cfg = write_config(tmp_path, "nf.json", {
@@ -494,6 +509,19 @@ class TestCalibrate:
                            match="--seed must be a nonnegative integer"):
             main(["calibrate", "--out", str(tmp_path / "cal"),
                   "--grid", "9,9", "--seed", "-1"])
+
+    @pytest.mark.parametrize("grid", ["5", "9,9,9"])
+    def test_grid_needs_two_axes(self, tmp_path, grid):
+        # both exponent vectors have two axes: another grid calibrates
+        # nothing, and nothing is written
+        out = tmp_path / "cal"
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--out", str(out), "--grid", grid])
+        counts = [int(n) for n in grid.split(",")]
+        assert exc.value.code == (
+            f"invalid grid {counts}: calibrate needs two axes, one per "
+            f"exponent of p = (2, 2) and p = (3, 2)")
+        assert list(out.iterdir()) == []
 
     def test_writes_fixtures(self, tmp_path):
         out = tmp_path / "cal"

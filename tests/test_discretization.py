@@ -7,14 +7,17 @@ from anisodnl.discretization import (
     Grid,
     ScalarField,
     TimeSeries,
+    _troisi_sides,
     calibrate_troisi_constant,
     divergence,
     face_diff_power,
     face_mean,
     field_to_csv,
+    integrate_face_power,
     integrate_power,
     sobolev_troisi_gap,
 )
+from anisodnl.model import harmonic_mean
 
 # Frozen by the calibration sweep (anisodnl calibrate / calibrate_troisi_constant,
 # trials=100, seed=0, pad=0.1) before the main build.
@@ -155,7 +158,8 @@ class TestSobolevTroisi:
 
     def test_rejects_nonzero_boundary(self):
         g = Grid((1.0,), (9,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^field must vanish on the boundary$"):
             sobolev_troisi_gap(ScalarField(g, np.ones(9)), (2.0,))
 
     def test_homogeneity_exact(self):
@@ -187,6 +191,133 @@ class TestSobolevTroisi:
         g = Grid((1.0,), counts)
         C = calibrate_troisi_constant(g, p, trials=100, seed=0)
         assert C == pytest.approx(TROISI_FIXTURES[(counts, p)], rel=1e-12)
+
+
+def reference_gap(fld, p):
+    """The embedding's two sides, one field at a time through the public
+    integrals, as sobolev_troisi_gap computed them before its kernel."""
+    grid = fld.grid
+    if grid.dim != len(p):
+        raise ValueError("exponent count must match grid dimension")
+    if np.any(fld.values[grid.boundary_mask()] != 0.0):
+        raise ValueError("field must vanish on the boundary")
+    lhs = integrate_power(fld, harmonic_mean(p))
+    rhs = 0.0
+    for j in range(grid.dim):
+        D = face_diff_power(fld, 1.0, j)
+        rhs += integrate_face_power(grid, D, j, p[j])
+    return lhs, rhs
+
+
+def reference_calibration(grid, p, trials, seed):
+    """The calibration sweep as a loop over trials and amplitudes, each
+    field smoothed and measured on its own."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    bump = np.ones(grid.counts)
+    for j in range(grid.dim):
+        x = grid.axis_coords(j) / grid.box[j]
+        shape = [1] * grid.dim
+        shape[j] = -1
+        bump = bump * np.sin(np.pi * x).reshape(shape)
+    bump[grid.boundary_mask()] = 0.0
+    amps = 10.0 ** np.linspace(-2.0, 2.0, 17)
+
+    def probe(base):
+        nonlocal best
+        for amp in amps:
+            lhs, rhs = reference_gap(ScalarField(grid, amp * base), p)
+            if rhs > 0:
+                best = max(best, lhs / rhs)
+
+    probe(bump)
+    for _ in range(trials):
+        raw = rng.standard_normal(grid.counts)
+        for _ in range(10):
+            sm = raw.copy()
+            for j in range(grid.dim):
+                sm = sm + np.roll(raw, 1, axis=j) + np.roll(raw, -1, axis=j)
+            raw = sm / (1 + 2 * grid.dim)
+        raw = raw / max(np.max(np.abs(raw)), 1e-30)
+        base = bump * (1.0 + rng.uniform(0.0, 1.0) * raw)
+        base[grid.boundary_mask()] = 0.0
+        probe(base)
+    return best * 1.1
+
+
+# grids of every dimension, with one exponent per axis
+SWEEP_CASES = [
+    ((33,), (3.0,)),
+    ((9, 9), (2.0, 2.0)),
+    ((17, 17), (3.0, 2.0)),
+    ((5, 6, 7), (2.0, 3.0, 1.5)),
+]
+
+
+def _zero_boundary_stack(grid, n, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n,) + grid.counts)
+    v[:, grid.boundary_mask()] = 0.0
+    return v
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("trials", [0, 1, 7])
+    @pytest.mark.parametrize("seed", [0, 7, 4101])
+    @pytest.mark.parametrize("counts, p", SWEEP_CASES)
+    def test_calibration_equals_per_field_loop(self, counts, p, seed,
+                                               trials):
+        g = Grid(tuple([1.0] * len(counts)), counts)
+        # to the last bit, and a Python float as before
+        expected = reference_calibration(g, p, trials, seed)
+        C = calibrate_troisi_constant(g, p, trials=trials, seed=seed)
+        assert type(C) is float
+        assert C == expected
+
+    @pytest.mark.parametrize("counts, p", SWEEP_CASES)
+    def test_kernel_on_one_field_equals_gap(self, counts, p):
+        g = Grid(tuple([1.0] * len(counts)), counts)
+        sides = _troisi_sides(g, p)
+        for v in _zero_boundary_stack(g, 3, 5):
+            fld = ScalarField(g, v)
+            lhs, rhs = sides(v)
+            assert (float(lhs), float(rhs)) == sobolev_troisi_gap(fld, p) \
+                == reference_gap(fld, p)
+
+    @pytest.mark.parametrize("counts, p", SWEEP_CASES)
+    def test_kernel_on_a_stack_equals_each_field(self, counts, p):
+        g = Grid(tuple([1.0] * len(counts)), counts)
+        stack = _zero_boundary_stack(g, 17, 6).reshape((17, 1) + g.counts)
+        lhs, rhs = _troisi_sides(g, p)(stack)
+        assert lhs.shape == rhs.shape == (17, 1)
+        for i, v in enumerate(stack[:, 0]):
+            assert (lhs[i, 0], rhs[i, 0]) == reference_gap(ScalarField(g, v),
+                                                           p)
+
+    @pytest.mark.parametrize("call", [
+        lambda g: sobolev_troisi_gap(ScalarField(g, np.zeros(g.counts)),
+                                     (2.0,)),
+        lambda g: calibrate_troisi_constant(g, (2.0, 2.0, 2.0), trials=1),
+        lambda g: _troisi_sides(g, (2.0,)),
+    ], ids=["gap", "calibrate", "kernel"])
+    def test_wrong_exponent_count(self, call):
+        with pytest.raises(ValueError, match="^exponent count must match "
+                                             "grid dimension$"):
+            call(Grid((1.0, 1.0), (9, 9)))
+
+    def test_kernel_checks_every_field_of_a_stack(self):
+        g = Grid((1.0, 1.0), (9, 9))
+        sides = _troisi_sides(g, (2.0, 2.0))
+        stack = _zero_boundary_stack(g, 4, 8)
+        stack[2, 0, 3] = 1.0
+        with pytest.raises(ValueError,
+                           match="^field must vanish on the boundary$"):
+            sides(stack)
+        stack[2, 0, 3] = 0.0
+        stack[3, 4, 4] = np.nan
+        with pytest.raises(ValueError,
+                           match="^field values must be finite$"):
+            sides(stack)
 
 
 class TestSerialization:

@@ -7,6 +7,8 @@ its docstring for when to run it.
 import copy
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 _REGEN_PATH = Path(__file__).parent / "golden" / "regen.py"
@@ -49,3 +51,28 @@ def test_compare_names_both_versions():
     assert str(fixture["versions"]) in problems[0]
     assert str(changed["versions"]) in problems[0]
     assert regen.REGEN_COMMAND in problems[0]
+
+
+def test_check_passes_on_the_committed_fixture():
+    # the script as run from the checkout: its own sources, exit 0
+    before = regen.FIXTURE.read_bytes()
+    done = subprocess.run([sys.executable, str(_REGEN_PATH), "--check"],
+                          cwd=regen.ROOT, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == f"{regen.FIXTURE.name}: no differences\n"
+    assert regen.FIXTURE.read_bytes() == before
+
+
+def test_check_names_the_moved_artifact(tmp_path, monkeypatch, capsys):
+    fixture = load_fixture()
+    run = "calibrate/-/seed7"
+    fixture["runs"][run]["files"]["calibration.json"] = "0" * 64
+    doctored = tmp_path / "cli_bytes.json"
+    doctored.write_text(regen.dumps(fixture))
+    monkeypatch.setattr(regen, "FIXTURE", doctored)
+    assert regen.main(["--check"]) == 1
+    assert capsys.readouterr().out == \
+        f"runs {run}: calibration.json differs\n"
+    # --check writes nothing, not even to the fixture it reads
+    assert doctored.read_text() == regen.dumps(fixture)
+    assert [p.name for p in tmp_path.iterdir()] == ["cli_bytes.json"]
