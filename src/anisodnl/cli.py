@@ -66,9 +66,6 @@ class OutputWriter:
         (self.outdir / name).write_bytes(data)
         self.files[name] = hashlib.sha256(data).hexdigest()
 
-    def write_table(self, name: str, columns, rows):
-        self.write_text(name, csv_text(columns, rows))
-
     def write_report(self, name: str, report: dict):
         self.write_text(name,
                         json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -126,7 +123,12 @@ def _resolve_problem(cfg: dict) -> tuple[ProblemSpec, dict]:
 _FLAG_KEYS = {"grid": "grid", "dt": "dt", "k": "ks"}
 
 
-def _grid(box, counts) -> Grid:
+def _grid(counts, box=None) -> Grid:
+    """The grid of ``counts`` nodes on ``box`` (default the unit box)."""
+    if (not isinstance(counts, (list, tuple))
+            or any(type(n) is not int for n in counts)):
+        raise SystemExit(f"grid must be a list of integers, got {counts!r}")
+    box = box or (1.0,) * len(counts)
     try:
         return Grid(box, counts)
     except ValueError as exc:
@@ -158,11 +160,7 @@ _SOLVER_KEYS = {"newton_tol": _config_number,
 
 def _resolve_run(cfg: dict, args) -> tuple[ProblemSpec, Grid, SolverConfig, list[int]]:
     spec, defaults = _resolve_problem(cfg)
-    counts = args.grid or cfg.get("grid", defaults["grid"])
-    if (not isinstance(counts, (list, tuple))
-            or any(type(n) is not int for n in counts)):
-        raise SystemExit(f"grid must be a list of integers, got {counts!r}")
-    grid = _grid(spec.box, counts)
+    grid = _grid(args.grid or cfg.get("grid", defaults["grid"]), spec.box)
     n_steps = _config_int(cfg, "n_steps", defaults["n_steps"])
     dt = (args.dt if args.dt is not None
           else _config_number(cfg, "dt", spec.T / n_steps))
@@ -188,17 +186,18 @@ def _resolve_run(cfg: dict, args) -> tuple[ProblemSpec, Grid, SolverConfig, list
 
 
 # ---------------------------------------------------------------------------
-# scenarios
+# scenarios: each public function runs one scenario on resolved inputs and
+# returns (results, violations, files), files mapping CSV name -> text; the
+# acceptance gate calls the same functions
 
 
-def _scenario_constant(cfg, args, writer):
-    spec, grid, config, _ = _resolve_run(cfg, args)
-    violations = []
-    results = {}
+def constant(spec, grid, config):
+    """Direct mode and k-mode (k = config.k) keep constant data constant:
+    the level c, and c + 1/k with the data shifted by 1/k."""
     c = float(np.max(evaluate(spec.u0, grid.counts, grid.meshgrid())))
-    finals = []
-    # direct mode solves the data as given, k-mode with them shifted by 1/k
-    for key, label, k in (("direct", "direct", None), ("k", "k-mode", 4)):
+    results, violations, finals = {}, [], []
+    for key, label, k in (("direct", "direct", None),
+                          ("k", "k-mode", config.k)):
         ts, rep = solver.solve_problem(spec, grid, replace(config, k=k))
         level = c if k is None else c + 1.0 / k
         dev = max(float(np.max(np.abs(f.values - level))) for f in ts.fields)
@@ -207,61 +206,44 @@ def _scenario_constant(cfg, args, writer):
         if dev > config.newton_tol:
             violations.append(f"{label} constant deviation {dev:.3e}")
         finals.append(ts.fields[-1])
-    writer.write_text("final_field.csv", field_to_csv(finals[0]))
-    return results, violations
+    return results, violations, {"final_field.csv": field_to_csv(finals[0])}
 
 
-def _scenario_manufactured(cfg, args, writer):
-    spec, grid, config, _ = _resolve_run(cfg, args)
-    name = cfg.get("preset")
-    exact = presets.MANUFACTURED_EXACT.get(name)
-    if exact is None:
-        raise SystemExit(f"scenario manufactured needs a manufactured preset,"
-                         f" got {name!r}")
-    errors = solver.refinement_errors(spec, exact, grid, config,
-                                      _config_int(cfg, "levels", 3))
+def manufactured(spec, exact, grid, config, levels):
+    """L2 errors against the exact solution over ``levels`` refinements:
+    all at the rounding floor, or strictly decreasing."""
+    errors = solver.refinement_errors(spec, exact, grid, config, levels)
     violations = []
-    floor = 1e-10
-    if not (all(e < floor for e in errors)
+    if not (all(e < 1e-10 for e in errors)
             or all(b < a for a, b in zip(errors, errors[1:]))):
         violations.append(f"errors not monotone: {errors}")
-    return {"l2_errors": errors}, violations
+    return {"l2_errors": errors}, violations, {}
 
 
-def _scenario_cascade(cfg, args, writer):
-    spec, grid, config, ks = _resolve_run(cfg, args)
-    # the rule validate reports: the cascade runs when every check passes
-    failed = [c.name for c in check_admissibility(spec).checks
-              if not c.passed]
-    if failed:
-        raise SystemExit(f"cascade: disabled, the problem fails the "
-                         f"checks {', '.join(failed)} (see anisodnl validate)")
+def cascade(spec, grid, config, ks):
+    """The truncation cascade over ``ks``, decreasing in k to within the
+    ordering tolerance."""
     res = solver.regularization_cascade(spec, grid, config, ks)
     tol = solver.ordering_tolerance(config, spec.T)
-    violations = []
-    for pair, excess in res.ordering_excess.items():
-        if excess > tol:
-            violations.append(
-                f"ordering excess {excess:.3e} for pair {pair}")
+    violations = [f"ordering excess {excess:.3e} for pair {pair}"
+                  for pair, excess in res.ordering_excess.items()
+                  if excess > tol]
     results = res.as_dict()
     results["ordering_tol"] = tol
-    writer.write_table("distances.csv", ("k_low", "k_high", "distance"),
-                       zip(ks, ks[1:], res.distances))
-    writer.write_text("limit_field.csv",
-                      field_to_csv(res.series[-1].fields[-1]))
-    return results, violations
+    return results, violations, {
+        "distances.csv": csv_text(("k_low", "k_high", "distance"),
+                                  zip(ks, ks[1:], res.distances)),
+        "limit_field.csv": field_to_csv(res.series[-1].fields[-1])}
 
 
-def _scenario_comparison(cfg, args, writer):
-    spec, grid, config, _ = _resolve_run(cfg, args)
-    rng = np.random.default_rng(args.seed)
-    k = _config_int(cfg, "k", 4)
-    base_cfg = replace(config, k=k)
-    # amplitude first, then shift: the seed fixes both draws
+def comparison(spec, grid, config, rng):
+    """Comparison of u with the solution v of data raised by a draw from
+    rng: the integrated check and the pointwise ordering u <= v."""
+    # amplitude first, then shift: the generator fixes both draws
     hi = presets.shifted_problem(spec, rng.uniform(0.1, 0.5),
                                  rng.uniform(0.05, 0.2))
-    u_ts, _ = solver.solve_problem(spec, grid, base_cfg)
-    v_ts, _ = solver.solve_problem(hi, grid, base_cfg)
+    u_ts, _ = solver.solve_problem(spec, grid, config)
+    v_ts, _ = solver.solve_problem(hi, grid, config)
     rep = analysis.comparison_check(u_ts, v_ts, spec.f, hi.f,
                                     zero_tol=10 * config.newton_tol)
     tol = solver.ordering_tolerance(config, spec.T)
@@ -271,40 +253,82 @@ def _scenario_comparison(cfg, args, writer):
     worst = analysis.ordering_excess(u_ts, v_ts)
     if worst > tol:
         violations.append(f"pointwise ordering excess {worst:.3e}")
-    writer.write_table("comparison_trace.csv", ("t", "lhs", "rhs"),
-                       zip(rep.times, rep.lhs, rep.rhs))
     results = asdict(rep)
     results["pointwise_excess"] = worst
     results["ordering_tol"] = tol
-    return results, violations
+    return results, violations, {"comparison_trace.csv": csv_text(
+        ("t", "lhs", "rhs"), zip(rep.times, rep.lhs, rep.rhs))}
 
 
-def _scenario_degiorgi(cfg, args, writer):
-    spec, grid, config, ks = _resolve_run(cfg, args)
-    k = _config_int(cfg, "k", ks[-1])
+def degiorgi(spec, grid, config, j_max, level_M=None):
+    """De Giorgi constants and the level quantities Y_j, E_j of the k-mode
+    solve (k = config.k) at the levels from level_M (default the
+    constants' M); Y_j must not increase."""
     rep = analysis.degiorgi_constants(spec, grid)
+    level_M = rep.M if level_M is None else level_M
     m = spec.exponents.m_min
-    j_max = _config_int(cfg, "j_max", 8, least=0)
-    level_M = _config_number(cfg, "level_M", rep.M)
-    if not (np.isfinite(level_M) and level_M >= 1.0):
-        raise SystemExit(f"level_M must be finite and at least 1, "
-                         f"got {level_M!r}")
-    ts, _ = solver.solve_problem(spec, grid, replace(config, k=k))
+    ts, _ = solver.solve_problem(spec, grid, config)
     Y, E = analysis.measure_levels(ts, level_M, m, rep.q_bar, j_max)
     rep.levels = list(analysis.level_sequence(level_M, m, j_max))
     rep.Y = Y
     rep.E = E
-    writer.write_table("levels.csv", ("j", "M_j", "Y_j", "E_j"),
-                       zip(range(j_max + 1), rep.levels, Y, E))
     violations = []
-    for a, b in zip(Y, Y[1:]):
-        if b > a + 1e-14:
-            violations.append("level quantities not decreasing")
-            break
-    return {"degiorgi": asdict(rep), "k": k}, violations
+    if any(b > a + 1e-14 for a, b in zip(Y, Y[1:])):
+        violations.append("level quantities not decreasing")
+    return {"degiorgi": asdict(rep), "k": config.k}, violations, {
+        "levels.csv": csv_text(("j", "M_j", "Y_j", "E_j"),
+                               zip(range(j_max + 1), rep.levels, Y, E))}
 
 
-def _scenario_mollifier(cfg, args, writer):
+def _scenario_constant(cfg, args):
+    spec, grid, config, _ = _resolve_run(cfg, args)
+    return constant(spec, grid, replace(config, k=4))
+
+
+def _scenario_manufactured(cfg, args):
+    spec, grid, config, _ = _resolve_run(cfg, args)
+    name = cfg.get("preset")
+    exact = presets.MANUFACTURED_EXACT.get(name)
+    if exact is None:
+        raise SystemExit(f"scenario manufactured needs a manufactured preset,"
+                         f" got {name!r}")
+    return manufactured(spec, exact, grid, config,
+                        _config_int(cfg, "levels", 3))
+
+
+def _scenario_cascade(cfg, args):
+    spec, grid, config, ks = _resolve_run(cfg, args)
+    # the rule validate reports: the cascade runs when every check passes
+    failed = [c.name for c in check_admissibility(spec).checks
+              if not c.passed]
+    if failed:
+        raise SystemExit(f"cascade: disabled, the problem fails the "
+                         f"checks {', '.join(failed)} (see anisodnl validate)")
+    return cascade(spec, grid, config, ks)
+
+
+def _scenario_comparison(cfg, args):
+    spec, grid, config, _ = _resolve_run(cfg, args)
+    return comparison(spec, grid, replace(config, k=_config_int(cfg, "k", 4)),
+                      np.random.default_rng(args.seed))
+
+
+def _scenario_degiorgi(cfg, args):
+    spec, grid, config, ks = _resolve_run(cfg, args)
+    k = _config_int(cfg, "k", ks[-1])
+    j_max = _config_int(cfg, "j_max", 8, least=0)
+    # the rule validate reports: the sup-bound report needs the sigma check
+    if not check_admissibility(spec)["sigma"].passed:
+        raise SystemExit("degiorgi-report: disabled, the problem fails the "
+                         "check sigma (see anisodnl validate)")
+    level_M = _config_number(cfg, "level_M") if "level_M" in cfg else None
+    if level_M is not None and not (np.isfinite(level_M) and level_M >= 1):
+        raise SystemExit(f"level_M must be finite and at least 1, "
+                         f"got {level_M!r}")
+    return degiorgi(spec, grid, replace(config, k=k), j_max, level_M)
+
+
+def _scenario_mollifier(cfg, args):
     nt = 65
     times = np.linspace(0.0, 1.0, nt)
     g1 = Grid((1.0,), (5,))
@@ -327,21 +351,19 @@ def _scenario_mollifier(cfg, args, writer):
             violations.append(f"exponential mollifier grew the L{p} norm")
     st_by_t = {f.t: f.values.flat[0] for f in stek.fields}
     ex_by_t = {f.t: f.values.flat[0] for f in expo.fields}
-    writer.write_table(
-        "mollifier_trace.csv", ("t", "input", "window", "exponential"),
+    return results, violations, {"mollifier_trace.csv": csv_text(
+        ("t", "input", "window", "exponential"),
         [(f.t, f.values.flat[0], st_by_t.get(f.t), ex_by_t.get(f.t))
-         for f in series.fields])
-    return results, violations
+         for f in series.fields])}
 
 
-def _scenario_calibrate(cfg, args, writer):
-    grid_counts = tuple(args.grid) if args.grid else (17, 17)
+def _scenario_calibrate(cfg, args):
+    grid = _grid(args.grid or cfg.get("grid", [17, 17]))
     # both exponent vectors calibrated below have two axes
-    if len(grid_counts) != 2:
-        raise SystemExit(f"invalid grid {list(grid_counts)}: calibrate "
+    if grid.dim != 2:
+        raise SystemExit(f"invalid grid {list(grid.counts)}: calibrate "
                          f"needs two axes, one per exponent of p = (2, 2) "
                          f"and p = (3, 2)")
-    grid = _grid((1.0, 1.0), grid_counts)
     results = {
         "b_sandwich": {str(m): analysis.b_sandwich_constant(m)
                        for m in (1.0, 1.5, 2.0, 3.0)},
@@ -352,7 +374,7 @@ def _scenario_calibrate(cfg, args, writer):
         key = "troisi_p" + "_".join(str(v) for v in p)
         results[key] = calibrate_troisi_constant(
             grid, p, trials=50, seed=args.seed)
-    return results, []
+    return results, [], {}
 
 
 _SCENARIO_FUNCS = {
@@ -383,9 +405,11 @@ def _write_run(scenario: str, cfg: dict, args,
         raise SystemExit(
             f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
     try:
-        results, violations = _SCENARIO_FUNCS[scenario](cfg, args, writer)
+        results, violations, files = _SCENARIO_FUNCS[scenario](cfg, args)
     except solver.StepFailure as exc:
         raise SystemExit(f"{scenario}: {exc}")
+    for name, text in files.items():
+        writer.write_text(name, text)
     settings = {k: v for k, v in cfg.items() if k != "scenario"}
     flags = vars(args)
     settings.update({key: flags[flag] for flag, key in _FLAG_KEYS.items()

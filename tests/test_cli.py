@@ -438,6 +438,23 @@ class TestRun:
                                   "checks f_nonneg (see anisodnl validate)")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("sigma", [1.2, 1.5])
+    def test_degiorgi_needs_sigma_check(self, tmp_path, capsys, sigma):
+        # N = 1 and p_bar = 2: sigma must exceed 1.5; run refuses the
+        # sup-bound report that validate calls disabled
+        cfg = write_config(tmp_path, "dg.json", {
+            "scenario": "degiorgi-report", "grid": [9], "n_steps": 4,
+            "problem": dict(INLINE_PROBLEM, sigma=sigma)})
+        assert main(["validate", "--config", cfg]) == 1
+        assert "sup-bound report: disabled" in capsys.readouterr().out
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg, "--out", str(out)])
+        assert exc.value.code == ("degiorgi-report: disabled, the problem "
+                                  "fails the check sigma (see anisodnl "
+                                  "validate)")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("key, value, message", NON_FINITE)
     def test_non_finite_problem_number(self, tmp_path, key, value, message):
         cfg = write_config(tmp_path, "nf.json", {
@@ -521,6 +538,34 @@ class TestCalibrate:
         assert exc.value.code == (
             f"invalid grid {counts}: calibrate needs two axes, one per "
             f"exponent of p = (2, 2) and p = (3, 2)")
+        assert list(out.iterdir()) == []
+
+    def test_run_reads_config_grid(self, tmp_path):
+        # run takes the grid from the config as the verb takes --grid
+        cfg = write_config(tmp_path, "cal.json",
+                           {"scenario": "calibrate", "grid": [9, 9]})
+        assert main(["run", "--config", cfg, "--seed", "7",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert main(["calibrate", "--grid", "9,9", "--seed", "7",
+                     "--out", str(tmp_path / "cal")]) == 0
+        run, verb = (json.loads(path.read_text())["results"] for path in (
+            tmp_path / "run" / "report.json",
+            tmp_path / "cal" / "calibration.json"))
+        assert run["troisi_p2.0_2.0"] == 0.0564483527460879
+        assert run == verb
+
+    @pytest.mark.parametrize("grid, message", [
+        ([9, 9, 9], "invalid grid [9, 9, 9]: calibrate needs two axes, one "
+                    "per exponent of p = (2, 2) and p = (3, 2)"),
+        ("9,9", "grid must be a list of integers, got '9,9'")],
+        ids=["three-axes", "not-a-list"])
+    def test_run_rejects_config_grid(self, tmp_path, grid, message):
+        cfg = write_config(tmp_path, "cal.json",
+                           {"scenario": "calibrate", "grid": grid})
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg, "--out", str(out)])
+        assert exc.value.code == message
         assert list(out.iterdir()) == []
 
     def test_writes_fixtures(self, tmp_path):

@@ -201,3 +201,31 @@ def test_every_public_name_has_a_reader():
     for test in UNIT_TEST_READERS.values():
         path, *_, fn = test.split("::")
         assert f"def {fn}(" in (REPO / path).read_text()
+
+
+# each library result that a scenario verdict judges -> its home modules
+# and the cli scenario functions that judge it; solver is a home of
+# ordering_excess too, the field of the cascade's result
+VERDICT_INPUTS = {
+    "comparison_check": ({"analysis"}, {"comparison"}),
+    "ordering_excess": ({"analysis", "solver"}, {"comparison", "cascade"}),
+    "shifted_problem": ({"presets"}, {"comparison"}),
+    "refinement_errors": ({"solver"}, {"manufactured"}),
+    "regularization_cascade": ({"solver"}, {"cascade"}),
+    "measure_levels": ({"analysis"}, {"degiorgi"}),
+}
+
+
+def test_each_verdict_rule_has_one_home():
+    # the gate judges criteria 2-6 through the cli scenario functions, so
+    # it reads none of the results they judge, and in src/ only their
+    # homes and the judging cli function read them
+    gate = ast.parse((REPO / "tests" / "test_acceptance.py").read_text())
+    read = set(_loads(gate)) | {alias.name for node in ast.walk(gate)
+                                if isinstance(node, ast.ImportFrom)
+                                for alias in node.names}
+    assert sorted(read & set(VERDICT_INPUTS)) == []
+    for name, (homes, judges) in VERDICT_INPUTS.items():
+        readers = {(module, fn) for module, fn in _functions_referencing(name)
+                   if module not in homes}
+        assert readers == {("cli", fn) for fn in judges}, name
