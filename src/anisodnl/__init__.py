@@ -9,7 +9,6 @@ from .model import (
     compute_bar_exponents,
     check_admissibility,
     truncate,
-    eval_flux,
 )
 from .discretization import Grid, ScalarField, TimeSeries
 from .solver import (

@@ -1,6 +1,12 @@
 """Continuous problem description: exponents, coefficients, data and the
 diffusion vector fields (exact and truncated).
 
+Both fields have one form per axis, a_j |d_j w_j|^(p_j-2) d_j w_j, on a
+power w_j = ``working_power(k, m_j, u)``: u^(m_j) for the exact field, the
+Kirchhoff power Phi_{k,j}(u), the integral of m_j T_k(r)^(m_j-1) dr, for
+the field truncated at level k.  Since Phi_{k,j}' = m_j T_k^(m_j-1), that
+is the paper's a_j m_j^(p_j-1) T_k(u)^((m_j-1)(p_j-1)) |d_j u|^(p_j-2) d_j u.
+
 Evaluator convention used throughout the package: spatial positions are
 passed as a tuple ``x = (x1, ..., xN)`` of equally shaped numpy arrays, the
 time ``t`` is a scalar.  All evaluators must be pure and vectorized, e.g.
@@ -29,10 +35,8 @@ __all__ = [
     "check_admissibility",
     "evaluate",
     "truncate",
-    "flux_coefficient",
     "flux",
     "flux_slope",
-    "eval_flux",
     "working_power",
 ]
 
@@ -190,25 +194,20 @@ def truncate(k: int, s):
 
 def working_power(k: int | None, m: float, u):
     """The power w of u whose difference the axis flux acts on, and its
-    derivative dw/du: u itself (derivative 1) in k-mode, where the
-    truncated coefficient carries the m_j, and for m = 1; otherwise
-    max(u, 0)^m, with derivative m max(u, 0)^(m-1)."""
-    if k is not None or m == 1.0:
+    derivative dw/du: u itself (derivative 1) for m = 1; in direct mode
+    max(u, 0)^m, with derivative m max(u, 0)^(m-1); in k-mode the
+    Kirchhoff power Phi_k(u) = T^m + m T^(m-1) (u - T) with T = T_k(u),
+    with derivative m T^(m-1): u^m on [1/k, k], continued linearly (and
+    C^1) outside."""
+    if m == 1.0:
         return u, 1.0
-    safe = np.maximum(u, 0.0)
-    return safe ** m, m * safe ** (m - 1.0)
-
-
-def flux_coefficient(spec: ProblemSpec, k: int | None, j: int, x, t: float,
-                     u):
-    """Coefficient of the axis-j flux at (x, t, u): a_j(x, t, u) in direct
-    mode (k None), a_j m_j^(p_j-1) T_k(u)^((m_j-1)(p_j-1)) for integer k."""
-    a = evaluate(spec.coeffs.funcs[j], np.shape(u), x, t, u)
     if k is None:
-        return a
-    pj = spec.exponents.p[j]
-    mj = spec.exponents.m[j]
-    return a * mj ** (pj - 1.0) * truncate(k, u) ** ((mj - 1.0) * (pj - 1.0))
+        safe = np.maximum(u, 0.0)
+        return safe ** m, m * safe ** (m - 1.0)
+    tk = truncate(k, u)
+    top = tk ** (m - 1.0)
+    dw = m * top
+    return tk * top + dw * (u - tk), dw
 
 
 def flux(c, xi, p: float):
@@ -233,15 +232,6 @@ def flux_slope(c, xi, p: float):
     if p < 2.0:
         return c * (D2 + e2) ** ((p - 4.0) / 2.0) * ((p - 1.0) * D2 + e2)
     return c * (D2 + e2) ** ((p - 2.0) / 2.0) * (p - 1.0)
-
-
-def eval_flux(spec: ProblemSpec, j: int, x, t: float, u, xi,
-              k: int | None = None):
-    """Axis-j flux c |xi|^(p_j - 2) xi (see ``flux``) with the c of
-    ``flux_coefficient``: a_j(x,t,u) for k None, the truncated
-    a_j m_j^(p_j-1) T_k(u)^((m_j-1)(p_j-1)) for integer k."""
-    return flux(flux_coefficient(spec, k, j, x, t, u), xi,
-                spec.exponents.p[j])
 
 
 @dataclass(frozen=True)

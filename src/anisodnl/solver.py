@@ -1,28 +1,34 @@
 """Backward-Euler time stepping with a damped Newton inner solve.
 
-Two modes are supported.  In k-mode the unknown is the solution of the
-truncated problem: the face flux acts on differences of u itself, scaled
-by the truncated coefficient, and the data f, g, u0 are shifted by 1/k.
-In direct mode the flux acts on differences of u^{m_j} and the data are
-used as given.  ``model.working_power`` is that choice of power.
+Both modes have one face flux F = a_j(ubar) |D|^(p_j-2) D on the working
+power Phi = ``model.working_power(k, m_j, u)``: D = (Phi(u_hi) -
+Phi(u_lo))/h_j, with a_j at the face mean ubar of u.  In k-mode the
+unknown is the solution of the truncated problem: Phi is the Kirchhoff
+power Phi_{k,j}, u^{m_j} on [1/k, k] and linear outside, and the data f,
+g, u0 are shifted by 1/k.  In direct mode Phi = u^{m_j}, and the data are
+used as given.  The scheme is monotone (raising u at a node does not
+lower u at its neighbours) where dF/du_lo <= 0 <= dF/du_hi.  Since
+dF/du_lo = |D|^(p-2) (a_j' D/2 - (p-1) a_j Phi'(u_lo)/h), that holds
+while a_j' (Phi(u_hi) - Phi(u_lo))/2 <= (p-1) a_j Phi'(u_lo), and its
+mirror -a_j' (Phi(u_hi) - Phi(u_lo))/2 <= (p-1) a_j Phi'(u_hi): always
+when a_j does not depend on u, as Phi' > 0 in k-mode.  Direct mode has
+Phi'(0) = 0 for m_j > 1, so there a u-dependent a_j can break it.
 
 Both modes hold their Newton matrix as one operator (d, w) over the
 interior unknowns, ordered with the longest interior axis outermost: the
 diagonal d and the couplings w of neighbouring nodes, made from the face
 weights (the boundary rows are identity rows whose residual is 0).  The
-matrix lags the dependence of the flux coefficient on u, except in 1D
-k-mode: there it also differentiates the truncation factor
-T_k(u)^((m_j-1)(p_j-1)) through the face mean, which makes it the exact
-Jacobian when a_j does not depend on u.  The columns of axis j are
-scaled by the derivative of the working power: m_j u^(m_j-1) in direct
-mode, 1 in k-mode.  For p_j < 2 the face flux is regularized
-(``model.flux``) and the matrix uses its exact slope.  The 1D operator is
-tridiagonal, and LAPACK ``dgtsv`` solves it on (d, w).  In 2D/3D, the
-red-black block elimination (Saad, Iterative Methods for Sparse Linear
-Systems, 2nd ed., 2003) of the red nodes, whose block is diagonal, is
-exact and leaves the Schur complement S on the black half of the
-unknowns.  ``_RedBlack.solve`` is that one solve: direct mode solves S by
-one banded LU, k-mode its symmetric S by conjugate gradients
+matrix lags the dependence of a_j on u.  The columns of axis j are
+scaled by Phi', which makes it the exact Jacobian when a_j does not
+depend on u; 2D/3D k-mode gives both nodes of a face the mean of their
+Phi', which keeps its matrix symmetric.  For p_j < 2 the face flux is
+regularized (``model.flux``) and the matrix uses its exact slope.  The
+1D operator is tridiagonal, and LAPACK ``dgtsv`` solves it on (d, w).
+In 2D/3D, the red-black block elimination (Saad, Iterative Methods for
+Sparse Linear Systems, 2nd ed., 2003) of the red nodes, whose block is
+diagonal, is exact and leaves the Schur complement S on the black half
+of the unknowns.  ``_RedBlack.solve`` is that one solve: direct mode
+solves S by one banded LU, k-mode its symmetric S by conjugate gradients
 preconditioned by a factor kept from an earlier Newton matrix of the
 same solve.
 
@@ -46,8 +52,7 @@ import scipy.sparse.linalg as spla
 
 from .discretization import (Grid, ScalarField, TimeSeries, axis_slices,
                              face_mean, integrate_power)
-from .model import (ProblemSpec, evaluate, flux, flux_coefficient, flux_slope,
-                    working_power)
+from .model import ProblemSpec, evaluate, flux, flux_slope, working_power
 from .analysis import ordering_excess, vpm_distance
 
 __all__ = [
@@ -430,9 +435,8 @@ class _StepProblem:
     every axis at u (one face pass); ``update`` at that iterate takes
     those face data.  The grid data come from ``layout``, or are built
     when it is None.  The Newton matrix is symmetric in 2D/3D k-mode only:
-    1D k-mode differentiates the truncated coefficient too, and direct
-    mode scales the columns of each axis by m_j u^(m_j-1) (see
-    ``_face_slopes``).
+    elsewhere it scales each column of axis j by the derivative of the
+    working power at its node (see ``_face_slopes``).
     """
 
     def __init__(self, spec: ProblemSpec, grid: Grid, config: SolverConfig,
@@ -459,19 +463,19 @@ class _StepProblem:
         self.symmetric = self.k is not None and grid.dim > 1
 
     def _face_data(self, u: np.ndarray, j: int):
-        """Per-face coefficient c, diff D of the working power
-        (``model.working_power``), the derivative of the working power at
-        both adjacent nodes, the face mean of u and the face flux F."""
+        """Per-face coefficient c = a_j at the face mean of u, diff D of
+        the working power (``model.working_power``), the derivative of the
+        working power at both adjacent nodes and the face flux F."""
         ubar = face_mean(u, j)
-        c = flux_coefficient(self.spec, self.k, j, self.layout.x_face[j],
-                             self.t, ubar)
+        c = evaluate(self.spec.coeffs.funcs[j], ubar.shape,
+                     self.layout.x_face[j], self.t, ubar)
         lo, hi = self.layout.lo[j], self.layout.hi[j]
         w, dw = working_power(self.k, self.m[j], u)
         D = (w[hi] - w[lo]) / self.h[j]
-        # k-mode and m_j = 1 share the one scalar derivative 1.0
+        # m_j = 1 has the one scalar derivative 1.0
         dlo, dhi = ((dw[lo], dw[hi]) if isinstance(dw, np.ndarray)
                     else (dw, dw))
-        return c, D, dlo, dhi, ubar, flux(c, D, self.p[j])
+        return c, D, dlo, dhi, flux(c, D, self.p[j])
 
     def residual(self, u: np.ndarray) -> tuple[np.ndarray, list]:
         """Residual at u, and the face data of every axis at u."""
@@ -489,33 +493,22 @@ class _StepProblem:
 
         The weight on a node is ``model.flux_slope`` at the face
         difference D times the derivative of the working power at that
-        node, over h^2.  In 1D k-mode the truncated coefficient
-        c = a_j m_j^(p_j-1) T_k(ubar)^((m_j-1)(p_j-1)) is differentiated
-        through the face mean ubar as well: the face flux F gains
-        F / c * dc/dubar * 1/2 per adjacent node, that is
-        e = F (m_j-1)(p_j-1) / (2 h ubar) in the weights where
-        1/k < ubar < k (T_k' vanishes outside), and the weights become
-        (g_lo - e, g_hi + e): the exact Jacobian, nonsymmetric.  a_j's own
-        dependence on u stays lagged everywhere, and so does the whole
-        coefficient in direct mode and in 2D/3D k-mode, where the lagged
-        matrix is symmetric (see ``_RedBlack.solve``).  ``assemble``
-        places the weights.
+        node, over h^2: the exact Jacobian when a_j does not depend on u,
+        nonsymmetric where the two derivatives differ.  a_j's own
+        dependence on u stays lagged.  2D/3D k-mode gives both nodes of a
+        face the mean of the two derivatives, which keeps the lagged
+        matrix symmetric (see ``_RedBlack.solve``).  ``assemble`` places
+        the weights.
         """
         out = []
-        for j, (c, D, dlo, dhi, ubar, F) in enumerate(faces):
-            pj = self.p[j]
+        for j, (c, D, dlo, dhi, _) in enumerate(faces):
             h = self.h[j]
-            slope = flux_slope(c, D, pj)
+            slope = flux_slope(c, D, self.p[j])
+            if self.symmetric:
+                dlo = dhi = (dlo + dhi) / 2.0
             g_lo = slope * dlo / (h * h)
-            # k-mode and m_j = 1 give both nodes the one derivative 1.0
+            # m_j = 1, and 2D/3D k-mode, give both nodes one derivative
             g_hi = g_lo if dhi is dlo else slope * dhi / (h * h)
-            if self.k is not None and not self.symmetric:
-                # T_k(ubar) = ubar, and so dc/dubar = c (m_j-1)(p_j-1)/ubar,
-                # only on (1/k, k)
-                inside = (ubar > 1.0 / self.k) & (ubar < self.k)
-                e = (F * inside * ((self.m[j] - 1.0) * (pj - 1.0) / (2.0 * h))
-                     / np.where(inside, ubar, 1.0))
-                g_lo, g_hi = g_lo - e, g_hi + e
             out.append((g_lo, g_hi))
         return out
 
@@ -592,9 +585,8 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
 
     Solves (u - u_n)/dt = div F + f(., t_next) with boundary nodes pinned
     to g(., t_next) (plus 1/k in k-mode) by damped Newton with an exact
-    residual.  The Newton matrix differentiates the truncation factor of
-    the coefficient in 1D k-mode and lags the coefficient's dependence on
-    u elsewhere (see ``_StepProblem.update``).  ``carry`` is the
+    residual.  The Newton matrix lags the coefficient's dependence on u
+    (see ``_StepProblem._face_slopes``).  ``carry`` is the
     ``_Layout`` that the previous steps of the same solve left: the grid
     data of the steps, with the factor kept for the 2D/3D k-mode solves,
     and the field before u_n.  None, or a layout made for another grid,
@@ -702,11 +694,11 @@ def manufactured_rhs(u_exact: Callable, spec: ProblemSpec,
     """Source evaluator that makes u_exact solve the equation.
 
     f(x, t) = dt u - sum_j d_j(a_j |d_j w_j|^{p_j - 2} d_j w_j) with
-    w_j = u^{m_j} for k None (direct mode), or w_j = u with the truncated
-    coefficient for integer k.  Derivatives are fourth-order central
-    differences with step FD_STEP, so u_exact must be smooth and evaluable
-    slightly outside the box and horizon.  Raises if u_exact is not
-    strictly positive at any probed point.
+    w_j = ``model.working_power(k, m_j, u)``: u^{m_j} for k None (direct
+    mode), the Kirchhoff power Phi_{k,j}(u) for integer k.  Derivatives
+    are fourth-order central differences with step FD_STEP, so u_exact
+    must be smooth and evaluable slightly outside the box and horizon.
+    Raises if u_exact is not strictly positive at any probed point.
     """
     if not _valid_k(k):
         raise ValueError("k must be a positive integer or None")
@@ -729,7 +721,8 @@ def manufactured_rhs(u_exact: Callable, spec: ProblemSpec,
             return working_power(k, spec.exponents.m[j],
                                  ue(shift_x(x, j, ds), t))[0]
 
-        c = flux_coefficient(spec, k, j, x, t, ue(x, t))
+        u = ue(x, t)
+        c = evaluate(spec.coeffs.funcs[j], u.shape, x, t, u)
         return flux(c, d4(w_at, FD_STEP), spec.exponents.p[j])
 
     def f(x, t):

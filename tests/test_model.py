@@ -12,7 +12,6 @@ from anisodnl.model import (
     ProblemSpec,
     check_admissibility,
     compute_bar_exponents,
-    eval_flux,
     evaluate,
     flux,
     flux_slope,
@@ -27,6 +26,12 @@ def const_coeffs(n, value=1.0):
         return np.full(np.shape(u), value)
 
     return CoefficientSpec(tuple([a] * n), max(value, 1.0 / value), 0.0)
+
+
+def axis_flux(spec, j, x, t, u, xi):
+    """The direct-mode axis-j flux a_j(x, t, u) |xi|^(p_j-2) xi."""
+    a = evaluate(spec.coeffs.funcs[j], np.shape(u), x, t, u)
+    return flux(a, xi, spec.exponents.p[j])
 
 
 def simple_spec(p, m, sigma=3.0, coeffs=None):
@@ -151,27 +156,27 @@ class TestTruncate:
 class TestFlux:
     def test_linear_case(self):
         spec = simple_spec((2.0,), (1.0,))
-        out = eval_flux(spec, 0, (np.array([0.5]),), 0.0,
+        out = axis_flux(spec, 0, (np.array([0.5]),), 0.0,
                         np.array([1.0]), np.array([0.7]))
         assert out[0] == pytest.approx(0.7)
 
     def test_cubic_case(self):
         spec = simple_spec((3.0,), (1.0,))
-        out = eval_flux(spec, 0, (np.array([0.5]),), 0.0,
+        out = axis_flux(spec, 0, (np.array([0.5]),), 0.0,
                         np.array([1.0]), np.array([-2.0]))
         assert out[0] == pytest.approx(-4.0)
 
     def test_zero_input(self):
         # the p < 2 singularity is extended by 0
         spec = simple_spec((1.5,), (1.0,))
-        out = eval_flux(spec, 0, (np.array([0.5]),), 0.0,
+        out = axis_flux(spec, 0, (np.array([0.5]),), 0.0,
                         np.array([1.0]), np.array([0.0]))
         assert out[0] == 0.0
 
     def test_odd(self):
         spec = simple_spec((2.7,), (1.0,))
         xi = np.array([0.3, -0.3])
-        out = eval_flux(spec, 0, (np.zeros(2),), 0.0, np.ones(2), xi)
+        out = axis_flux(spec, 0, (np.zeros(2),), 0.0, np.ones(2), xi)
         assert out[0] == pytest.approx(-out[1])
 
     def test_monotone_in_xi(self):
@@ -182,8 +187,8 @@ class TestFlux:
             eta = rng.uniform(-5, 5, size=400)
             x = (np.zeros(400),)
             u = np.ones(400)
-            gap = (eval_flux(spec, 0, x, 0.0, u, xi)
-                   - eval_flux(spec, 0, x, 0.0, u, eta)) * (xi - eta)
+            gap = (axis_flux(spec, 0, x, 0.0, u, xi)
+                   - axis_flux(spec, 0, x, 0.0, u, eta)) * (xi - eta)
             assert np.all(gap >= 0.0)
             assert np.all(gap[xi != eta] > 0.0)
 
@@ -215,41 +220,108 @@ class TestFluxSlope:
             self.C * 2.5 * EPS_REG ** 1.5, rel=1e-12)
 
 
+def kirchhoff(k, m, u):
+    """Phi_k(u), the integral of m T_k(r)^(m-1) dr, written piecewise:
+    u^m on [1/k, k] and its tangent lines at 1/k and k outside."""
+    lo, hi = 1.0 / k, float(k)
+    return np.where(u < lo, lo ** m + m * lo ** (m - 1) * (u - lo),
+                    np.where(u > hi, hi ** m + m * hi ** (m - 1) * (u - hi),
+                             np.abs(u) ** m))
+
+
+def truncated_coefficient(a, k, m, p, u):
+    """The paper's truncated coefficient a m^(p-1) T_k(u)^((m-1)(p-1))."""
+    return a * m ** (p - 1) * np.clip(u, 1.0 / k, k) ** ((m - 1) * (p - 1))
+
+
 class TestTruncatedFlux:
+    # the truncated field a m^(p-1) T_k(u)^((m-1)(p-1)) |xi|^(p-2) xi is
+    # the flux a |Phi_k'(u) xi|^(p-2) Phi_k'(u) xi on the Kirchhoff power
+    def truncated_flux(self, k, m, p, u, xi):
+        _, dw = working_power(k, m, u)
+        return flux(1.0, dw * xi, p)
+
     def test_reduces_for_m_one(self):
-        spec = simple_spec((3.0,), (1.0,))
-        x = (np.array([0.5]),)
-        u = np.array([7.0])
-        xi = np.array([1.3])
+        u = np.array([-0.4, 0.1, 7.0])
+        xi = np.array([1.3, -0.2, 0.5])
         for k in (1, 2, 8):
-            assert eval_flux(spec, 0, x, 0.0, u, xi, k=k) \
-                == pytest.approx(eval_flux(spec, 0, x, 0.0, u, xi))
+            w, dw = working_power(k, 1.0, u)
+            assert w is u and dw == 1.0
+            np.testing.assert_array_equal(self.truncated_flux(k, 1.0, 3.0,
+                                                              u, xi),
+                                          flux(1.0, xi, 3.0))
 
     def test_plug_in(self):
-        # k=2, m=2, p=2, a=1, u=5, xi=1: 2 * T_2(5)^1 * 1 = 4
-        spec = simple_spec((2.0,), (2.0,))
-        out = eval_flux(spec, 0, (np.array([0.5]),), 0.0,
-                        np.array([5.0]), np.array([1.0]), k=2)
+        # k=2, m=2, p=2, a=1, u=5, xi=1: 2 * T_2(5)^1 * 1 = 4, and
+        # Phi_2(5) = 2^2 + 2 * 2 * (5 - 2) = 16
+        w, _ = working_power(2, 2.0, np.array([5.0]))
+        assert w[0] == 16.0
+        out = self.truncated_flux(2, 2.0, 2.0, np.array([5.0]),
+                                  np.array([1.0]))
         assert out[0] == pytest.approx(4.0)
 
     def test_constant_below_band(self):
-        spec = simple_spec((2.0,), (2.0,))
-        x = (np.array([0.5]),)
         xi = np.array([1.0])
-        a = eval_flux(spec, 0, x, 0.0, np.array([0.1]), xi, k=4)
-        b = eval_flux(spec, 0, x, 0.0, np.array([0.2]), xi, k=4)
+        a = self.truncated_flux(4, 2.0, 2.0, np.array([0.1]), xi)
+        b = self.truncated_flux(4, 2.0, 2.0, np.array([0.2]), xi)
         assert a[0] == pytest.approx(b[0])
+
+    @pytest.mark.parametrize("m", (1.5, 2.0, 3.2))
+    def test_kirchhoff_power_is_c1(self, m):
+        # value and slope agree from both sides of 1/k and of k, and the
+        # derivative is the central difference of the power everywhere
+        # (at an edge Phi_k'' jumps, which moves the central difference by
+        # O(s) relative)
+        k, s = 4, 1e-7
+        for edge in (1.0 / k, float(k)):
+            w, dw = working_power(k, m, np.array([edge - s, edge, edge + s]))
+            assert (w[2] - w[0]) / (2 * s) == pytest.approx(dw[1], rel=1e-6)
+            assert dw[0] == pytest.approx(dw[2], rel=1e-6)
+        u = np.linspace(-0.5, 6.0, 53)
+        central = (working_power(k, m, u + s)[0]
+                   - working_power(k, m, u - s)[0]) / (2 * s)
+        np.testing.assert_allclose(working_power(k, m, u)[1], central,
+                                   rtol=1e-6)
+
+    @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+    @pytest.mark.parametrize("m", (1.5, 2.0, 3.2))
+    def test_chain_rule_gives_truncated_coefficient(self, p, m):
+        rng = np.random.default_rng(int(10 * p + m))
+        k, a = 8, 1.7
+        u = rng.uniform(-0.5, 2.0 * k, 200)
+        # |xi| >= 0.1, where the p < 2 regularization moves no digit
+        xi = rng.choice((-1.0, 1.0), 200) * rng.uniform(0.1, 3.0, 200)
+        _, dw = working_power(k, m, u)
+        np.testing.assert_allclose(
+            flux(a, dw * xi, p),
+            truncated_coefficient(a, k, m, p, u) * np.abs(xi) ** (p - 2) * xi,
+            rtol=1e-12)
 
 
 class TestWorkingPower:
     U = np.array([-0.4, 0.0, 0.3, 1.0, 2.7])
 
-    @pytest.mark.parametrize("k, m", [(4, 2.5), (1, 1.0), (None, 1.0)])
+    @pytest.mark.parametrize("k, m", [(4, 1.0), (1, 1.0), (None, 1.0)])
     def test_identity_in_k_mode_and_for_m_one(self, k, m):
         # negative entries included: nothing is clamped
         w, dw = working_power(k, m, self.U)
         assert w is self.U
         assert dw == 1.0
+
+    @pytest.mark.parametrize("k, m", [(4, 2.5), (2, 1.5), (16, 2.0),
+                                      (16, 3.2)])
+    def test_kirchhoff_power_in_k_mode(self, k, m):
+        # the k-mode power of m > 1 is Phi_k: u^m on [1/k, k], edges
+        # included, and its tangent lines outside, negative u too
+        u = np.concatenate((self.U, np.linspace(-1.0, 2.0 * k, 401),
+                            [1.0 / k, float(k)]))
+        w, dw = working_power(k, m, u)
+        np.testing.assert_allclose(w, kirchhoff(k, m, u), rtol=1e-13,
+                                   atol=1e-13 * k ** m)
+        np.testing.assert_allclose(
+            dw, m * np.clip(u, 1.0 / k, k) ** (m - 1), rtol=1e-13)
+        band = (u >= 1.0 / k) & (u <= k)
+        np.testing.assert_allclose(w[band], u[band] ** m, rtol=1e-14)
 
     @pytest.mark.parametrize("m", (1.5, 2.0, 3.2))
     def test_direct_mode_clamps_at_zero(self, m):

@@ -105,6 +105,12 @@ def test_flux_regularization_read_only_in_model():
         ("model", None), ("model", "flux"), ("model", "flux_slope")}
 
 
+def test_truncation_read_only_by_working_power():
+    # k-mode truncates through the Kirchhoff power of model.working_power
+    # alone, so no flux, coefficient or solver code clamps u by T_k
+    assert _functions_referencing("truncate") == {("model", "working_power")}
+
+
 def test_time_quadrature_only_in_time_integral():
     # every trajectory measure integrates in time through
     # analysis._time_integral; comparison_check keeps its cumulative trace
@@ -143,10 +149,9 @@ REPO = Path(anisodnl.__file__).parents[2]
 OUTSIDE_READERS = [REPO / "tests" / "test_acceptance.py",
                    *sorted((REPO / "perfbench").glob("*.py"))]
 # public names that only a unit test reads, each with that test; the
-# first two are the independent reference of the step residual
+# first is the divergence of the independent reference of the step
+# residual
 UNIT_TEST_READERS = {
-    "eval_flux": "tests/test_solver.py::TestStepProblem::"
-                 "test_residual_matches_model_flux",
     "divergence": "tests/test_solver.py::TestStepProblem::"
                   "test_residual_matches_model_flux",
     "manufactured_rhs": "tests/test_solver.py::TestManufactured::"

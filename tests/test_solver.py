@@ -11,7 +11,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import anisodnl.solver
-from anisodnl.analysis import comparison_check, gradient_power_norms
+from anisodnl.analysis import (comparison_check, gradient_power_norms,
+                               ordering_excess)
 from anisodnl.discretization import (
     Grid,
     ScalarField,
@@ -25,7 +26,8 @@ from anisodnl.model import (
     CoefficientSpec,
     Exponents,
     ProblemSpec,
-    eval_flux,
+    evaluate,
+    flux,
 )
 from anisodnl.presets import (
     get_preset,
@@ -517,9 +519,9 @@ class TestNewtonUpdate:
 
     @pytest.mark.parametrize("k", [4, 16])
     def test_k_mode_1d_jacobian_matches_central_differences(self, k):
-        # blocks of nodes below, inside and above [1/k, k]: every face mean
-        # lies clear of 1/k and k, and the truncated coefficient is constant
-        # on the faces outside, so its derivative term must vanish there
+        # blocks of nodes below, inside and above [1/k, k]: the Kirchhoff
+        # power is linear outside the band, and the Newton matrix, scaled
+        # by its derivative column by column, is the exact Jacobian
         spec = get_preset("porous-cascade")
         spec = replace(spec, exponents=Exponents((2.0,), (2.25,)))
         grid = Grid(spec.box, (33,))
@@ -530,17 +532,25 @@ class TestNewtonUpdate:
                  (2.0 / k, k / 4.0), (2.0 * k, 3.0 * k)]
         u = np.array([rng.uniform(*bands[(i // 4) % 4]) for i in range(33)])
         u[prob.boundary] = prob.bc[prob.boundary]
-        ubar = face_mean(u, 0)
-        assert np.any(ubar < 1.0 / k) and np.any(ubar > k)
+        assert np.any(u < 1.0 / k) and np.any(u > k)
         _, faces = prob.residual(u)
         J = jacobian(prob, faces).toarray()
         fd = np.empty_like(J)
-        step = 1e-7
+        # Phi_k spans 1e-3 to 2e3 across one face at k = 16, so a smaller
+        # step loses the difference to rounding
+        step = 1e-5
         for i in range(u.size):
             e = np.zeros(u.size)
             e[i] = step * max(1.0, u[i])
-            fd[:, i] = ((prob.residual(u + e)[0] - prob.residual(u - e)[0])
-                        / (2 * e[i]))
+            if u[i] == 1.0 / k:
+                # the boundary data g + 1/k sit at 1/k, where Phi_k'' jumps:
+                # a second-order difference from the band side
+                fd[:, i] = ((4 * prob.residual(u + e)[0]
+                             - prob.residual(u + 2 * e)[0]
+                             - 3 * prob.residual(u)[0]) / (2 * e[i]))
+            else:
+                fd[:, i] = ((prob.residual(u + e)[0]
+                             - prob.residual(u - e)[0]) / (2 * e[i]))
         np.testing.assert_allclose(J, fd, rtol=1e-6,
                                    atol=1e-9 * np.max(np.abs(fd)))
 
@@ -747,21 +757,33 @@ def counted_coefficients(spec):
     return replace(spec, coeffs=replace(spec.coeffs, funcs=funcs)), calls
 
 
+def kirchhoff_field(k, m, u):
+    """Phi_k(u), the integral of m T_k(r)^(m-1) dr: u^m on [1/k, k] and
+    its tangent lines at 1/k and k outside."""
+    lo, hi = 1.0 / k, float(k)
+    return np.where(u < lo, lo ** m + m * lo ** (m - 1) * (u - lo),
+                    np.where(u > hi, hi ** m + m * hi ** (m - 1) * (u - hi),
+                             np.abs(u) ** m))
+
+
 def reference_residual(spec, grid, k, u_prev, u, dt, t):
-    """Step residual from the model's flux and the conservative divergence,
-    with the rows of boundary nodes u - g (shifted by 1/k in k-mode)."""
+    """Step residual from the model's flux and coefficients and the
+    conservative divergence, on differences of u^(m_j) in direct mode and
+    of the Kirchhoff power Phi_k in k-mode, with the rows of boundary
+    nodes u - g (shifted by 1/k in k-mode)."""
     x = grid.meshgrid()
-    fld = ScalarField(grid, u)
     fluxes = []
     for j in range(grid.dim):
         x_face = tuple(face_mean(c, j) for c in x)
         uf = face_mean(u, j)
+        m = spec.exponents.m[j]
         if k is None:
-            xi = face_diff_power(fld, spec.exponents.m[j], j)
-            fluxes.append(eval_flux(spec, j, x_face, t, uf, xi))
+            xi = face_diff_power(ScalarField(grid, u), m, j)
         else:
-            xi = face_diff_power(fld, 1.0, j)
-            fluxes.append(eval_flux(spec, j, x_face, t, uf, xi, k=k))
+            xi = face_diff_power(ScalarField(grid, kirchhoff_field(k, m, u)),
+                                 1.0, j)
+        a = evaluate(spec.coeffs.funcs[j], uf.shape, x_face, t, uf)
+        fluxes.append(flux(a, xi, spec.exponents.p[j]))
     R = (u - u_prev) / dt - spec.f(x, t) - divergence(grid, fluxes).values
     bc = spec.g(x, t) + (0.0 if k is None else 1.0 / k)
     boundary = grid.boundary_mask()
@@ -945,6 +967,113 @@ class TestComparison:
         ts, _ = solve_problem(spec, grid, cfg)
         rep = comparison_check(ts, ts, spec.f, spec.f)
         assert rep.violation == 0.0
+
+
+def step_problem(p, m, block, raised=None):
+    """Unit coefficients, f = g = 0 on the unit box, T = 1/64, and u0 = 1
+    on the open box ``block`` (one (lo, hi) per axis), 0 elsewhere;
+    ``raised`` = (delta, point) adds delta at the grid node at point."""
+    dim = len(p)
+
+    def u0(x):
+        inside = np.ones(np.shape(x[0]), dtype=bool)
+        for (lo, hi), c in zip(block, x):
+            inside &= (c > lo) & (c < hi)
+        out = inside.astype(float)
+        if raised is not None:
+            delta, point = raised
+            at = np.ones(np.shape(x[0]), dtype=bool)
+            for c, q in zip(x, point):
+                at &= np.isclose(c, q, rtol=0.0, atol=1e-12)
+            out = out + delta * at
+        return out
+
+    return ProblemSpec(
+        box=(1.0,) * dim, T=1.0 / 64, exponents=Exponents(p, m),
+        coeffs=CoefficientSpec(
+            (lambda x, t, u: np.full(np.shape(u), 1.0),) * dim, 1.0, 0.0),
+        f=make_constant(0.0), g=make_constant(0.0), u0=u0, sigma=3.0)
+
+
+class TestKirchhoffFlux:
+    # k-mode's face flux is direct mode's on the Kirchhoff power Phi_k
+    # (model.working_power), a monotone scheme for every m_j >= 1
+
+    FRONT_1D = ((0.2, 0.45),)
+    FRONT_2D = ((0.2, 0.8), (0.2, 0.45))
+
+    @pytest.mark.parametrize("p, m, counts, block, k, raised, n_steps", [
+        pytest.param((2.0,), (3.0,), (65,), FRONT_1D, 64, (1e-3, (0.5,)),
+                     16, id="1d-m3"),
+        pytest.param((2.0,), (4.0,), (65,), FRONT_1D, 64, (0.1, (0.5,)), 32,
+                     id="1d-m4"),
+        pytest.param((2.0, 2.0), (1.5, 2.8), (17, 17), FRONT_2D, 16,
+                     (0.1, (0.5, 0.5)), 16, id="2d-k16"),
+        pytest.param((2.0, 2.0), (1.5, 2.8), (17, 17), FRONT_2D, 64,
+                     (0.1, (0.5, 0.5625)), 16, id="2d-k64"),
+    ])
+    def test_raised_data_give_ordered_solutions(self, p, m, counts, block,
+                                                k, raised, n_steps):
+        # m_j > 2 and step data whose front jumps from 1/k to 1 + 1/k:
+        # raising u0 at one node next to the front raises the solution
+        # everywhere (the face-mean flux a_j m_j^(p_j-1) T_k(ubar)^(...)
+        # lowered a neighbour there)
+        lo = step_problem(p, m, block)
+        hi = step_problem(p, m, block, raised)
+        grid = Grid(lo.box, counts)
+        cfg = SolverConfig(dt=lo.T / n_steps, k=k)
+        u, _ = solve_problem(lo, grid, cfg)
+        v, _ = solve_problem(hi, grid, cfg)
+        assert np.max(v.fields[0].values - u.fields[0].values) \
+            == pytest.approx(raised[0])
+        assert ordering_excess(u, v) <= ordering_tolerance(cfg, lo.T)
+
+    @pytest.mark.parametrize("p, k, n_steps", [(2.0, 16, 4), (2.0, 64, 4),
+                                               (3.0, 64, 16)])
+    def test_step_data_solve(self, p, k, n_steps):
+        # m = 3 at the front of step data, at the default newton_max 40
+        spec = step_problem((p,), (3.0,), self.FRONT_1D)
+        cfg = SolverConfig(dt=spec.T / n_steps, k=k)
+        assert cfg.newton_max == 40
+        _, rep = solve_problem(spec, Grid(spec.box, (65,)), cfg)
+        assert rep.max_residual <= cfg.newton_tol
+
+    @pytest.mark.parametrize("p, m, counts", [
+        ((3.0,), (1.5,), (65,)), ((2.5,), (1.2,), (65,)),
+        ((2.0,), (1.5,), (65,)), ((2.0,), (2.0,), (65,)),
+        ((3.0,), (1.0,), (65,)), ((3.0, 2.0), (1.5, 1.5), (17, 17))])
+    def test_cascade_converges_to_direct_solve(self, p, m, counts):
+        # on a fixed grid the truncated solutions tend to the direct-mode
+        # solve like 1/k: the mean gap over all space-time nodes falls by
+        # about 16 from k = 1024 to k = 16384
+        spec = bump_problem(p, m, 0.0, 0.5)
+        grid = Grid(spec.box, counts)
+        cfg = SolverConfig(dt=spec.T / 32)
+        direct, _ = solve_problem(spec, grid, cfg)
+
+        def gap(k):
+            ts, _ = solve_problem(spec, grid, replace(cfg, k=k))
+            return np.mean([np.abs(a.values - b.values)
+                            for a, b in zip(ts.fields, direct.fields)])
+
+        assert gap(16384) <= gap(1024) / 8
+
+    @pytest.mark.parametrize("counts", [(9,), (7, 9), (5, 6, 7)])
+    def test_k_mode_residual_is_direct_on_the_band(self, counts):
+        # with every node in [1/k, k] = [0.5, 2], Phi_k(u) = u^m_j, so
+        # k-mode's interior rows are direct mode's (m = (1.2, 1.0, 1.4),
+        # and a_j depends on u)
+        spec = varcoeff_problem(len(counts))
+        grid = Grid(spec.box, counts)
+        u_prev = np.full(counts, 0.6)
+        u = np.random.default_rng(len(counts)).uniform(0.5, 1.5, counts)
+        got, _ = _StepProblem(spec, grid, SolverConfig(dt=0.01, k=2),
+                              u_prev, 0.01).residual(u)
+        ref, _ = _StepProblem(spec, grid, SolverConfig(dt=0.01), u_prev,
+                              0.01).residual(u)
+        inner = grid.interior_mask()
+        assert np.max(np.abs(got[inner] - ref[inner])) \
+            <= 1e-12 * np.max(np.abs(ref[inner]))
 
 
 class TestCascade:
