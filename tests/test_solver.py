@@ -1015,9 +1015,8 @@ class TestKirchhoffFlux:
     def test_raised_data_give_ordered_solutions(self, p, m, counts, block,
                                                 k, raised, n_steps):
         # m_j > 2 and step data whose front jumps from 1/k to 1 + 1/k:
-        # raising u0 at one node next to the front raises the solution
-        # everywhere (the face-mean flux a_j m_j^(p_j-1) T_k(ubar)^(...)
-        # lowered a neighbour there)
+        # raising u0 at one node next to the front lowers the solution
+        # nowhere
         lo = step_problem(p, m, block)
         hi = step_problem(p, m, block, raised)
         grid = Grid(lo.box, counts)
