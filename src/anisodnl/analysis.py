@@ -1,6 +1,10 @@
 """Algebraic helpers, time mollifiers, level-set bookkeeping and the
 inequality checkers (energy estimate, comparison principle).
 
+Every space-time measure integrates in space by
+``discretization.integrate`` (over a stack of fields where it can) and in
+time by ``_time_integral``, the one trapezoid rule over sample times.
+
 Naming note: the mollification window is always called h, and the
 level-iteration exponent is dg_delta.  Both time mollifiers run forward
 (causal) only.
@@ -20,8 +24,7 @@ from .discretization import (
     TimeSeries,
     face_diff_power,
     face_mean,
-    integrate_face_power,
-    integrate_power,
+    integrate,
 )
 from .model import ProblemSpec, evaluate, harmonic_mean
 
@@ -239,16 +242,17 @@ def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
         raise ValueError("series must share grid and time axis")
 
 
-def _time_integral(fn: Callable, *series: TimeSeries) -> float:
-    """Trapezoid rule in time of fn at the paired fields of the series."""
-    return float(np.trapezoid(
-        [fn(*fields) for fields in zip(*(s.fields for s in series))],
-        series[0].times))
+def _time_integral(times: np.ndarray, per_time) -> float:
+    """Trapezoid rule in time of one value per sample time."""
+    return float(np.trapezoid(per_time, times))
 
 
 def series_lp_norm(series: TimeSeries, p: float) -> float:
     """Space-time L^p norm of a series under trapezoid quadrature."""
-    return _time_integral(lambda f: integrate_power(f, p), series) ** (1.0 / p)
+    if p <= 0:
+        raise ValueError("p must be positive")
+    per_time = integrate(series.grid, np.abs(series.values_array()) ** p)
+    return _time_integral(series.times, per_time) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +363,16 @@ def degiorgi_constants(spec: ProblemSpec, grid: Grid) -> DeGiorgiReport:
 
     ts = np.linspace(0.0, spec.T, DEGIORGI_TIMES)
     x = grid.meshgrid()
-    g_max = 0.0
-    f_sig = []
-    f_pb = []
-    for t in ts:
-        fvals = evaluate(spec.f, grid.counts, x, float(t))
-        gvals = evaluate(spec.g, grid.counts, x, float(t))
-        g_max = max(g_max, float(np.max(np.abs(gvals))))
-        f_sig.append(integrate_power(ScalarField(grid, fvals),
-                                     sigma * bar.p_bar_conj))
-        f_pb.append(integrate_power(ScalarField(grid, fvals), bar.p_bar_conj))
+    g_max = max([0.0] + [float(np.max(np.abs(evaluate(
+        spec.g, grid.counts, x, float(t))))) for t in ts])
+    f_abs = np.abs([evaluate(spec.f, grid.counts, x, float(t)) for t in ts])
+    if not np.all(np.isfinite(f_abs)):
+        raise ValueError("field values must be finite")
     u0_max = float(np.max(np.abs(evaluate(spec.u0, grid.counts, x))))
     M_star = max(u0_max, g_max) + 1.0
-    int_f_sig = float(np.trapezoid(f_sig, ts))
-    int_f_pb = float(np.trapezoid(f_pb, ts))
+    int_f_sig = _time_integral(
+        ts, integrate(grid, f_abs ** (sigma * bar.p_bar_conj)))
+    int_f_pb = _time_integral(ts, integrate(grid, f_abs ** bar.p_bar_conj))
     omega_T = spec.volume * spec.T
 
     K = C_STRUCT * int_f_sig ** Q
@@ -404,11 +404,10 @@ def measure_levels(series: TimeSeries, M: float, m: float, q_bar: float,
         raise ValueError("M must be at least 1")
     levels = level_sequence(M, m, j_max)
     expo = 2.0 * m * q_bar / (m + 1.0)
-    w = series.grid.cell_weights()
-    Ys = [_time_integral(lambda f: float(np.sum(
-        _level_excess(f.values, Mj, m) ** expo * w)), series) for Mj in levels]
-    Es = [_time_integral(lambda f: float(np.sum((f.values > Mj) * w)), series)
-          for Mj in levels]
+    grid, times, v = series.grid, series.times, series.values_array()
+    Ys = [_time_integral(times, integrate(
+        grid, _level_excess(v, Mj, m) ** expo)) for Mj in levels]
+    Es = [_time_integral(times, integrate(grid, v > Mj)) for Mj in levels]
     return Ys, Es
 
 
@@ -437,35 +436,28 @@ def energy_check(series: TimeSeries, spec: ProblemSpec, M: float,
     """
     if M < M_star:
         raise ValueError("level must not fall below the data bound")
-    grid = series.grid
+    grid, times, v = series.grid, series.times, series.values_array()
     m = spec.exponents.m_min
     bar = spec.bar()
-    w = grid.cell_weights()
     x = grid.meshgrid()
-
-    def gradient_term(f, j):
-        mj = spec.exponents.m[j]
-        pj = spec.exponents.p[j]
-        trunc = ScalarField(grid, np.maximum(f.values ** m - M ** m, 0.0))
-        D = face_diff_power(trunc, 1.0, j)
-        weight = face_mean(f.values, j) ** ((mj - m) * (pj - 1.0))
-        return integrate_face_power(grid, weight ** (1.0 / pj) * D, j, pj)
-
-    def source_term(f):
-        fvals = evaluate(spec.f, grid.counts, x, float(f.t))
-        return float(np.sum(
-            np.abs(fvals) ** bar.p_bar_conj * (f.values > M) * w))
-
-    energies = [float(np.sum(_level_excess(f.values, M, m) ** 2 * w))
-                for f in series.fields]
-    sup_energy = max([0.0] + energies)
-    grads = tuple(_time_integral(lambda f: gradient_term(f, j), series)
-                  for j in range(spec.dim))
-    rhs = _time_integral(source_term, series)
+    trunc = np.maximum(v ** m - M ** m, 0.0)
+    grads = []
+    for j, (mj, pj) in enumerate(zip(spec.exponents.m, spec.exponents.p)):
+        D = face_diff_power(grid, trunc, 1.0, j)
+        weight = face_mean(v, 1 + j) ** ((mj - m) * (pj - 1.0))
+        grads.append(_time_integral(times, integrate(
+            grid, np.abs(weight ** (1.0 / pj) * D) ** pj, face_axis=j)))
+    f_abs = np.abs([evaluate(spec.f, grid.counts, x, float(t))
+                    for t in times])
+    rhs = _time_integral(times, integrate(
+        grid, f_abs ** bar.p_bar_conj * (v > M)))
+    energies = integrate(grid, _level_excess(v, M, m) ** 2)
+    sup_energy = max([0.0] + energies.tolist())
     lhs = sup_energy + sum(grads)
     ratio = 0.0 if rhs == 0.0 and lhs == 0.0 else (math.inf if rhs == 0.0
                                                    else lhs / rhs)
-    return EnergyReport(sup_level_energy=sup_energy, gradient_terms=grads,
+    return EnergyReport(sup_level_energy=sup_energy,
+                        gradient_terms=tuple(grads),
                         source_integral=rhs, ratio=ratio)
 
 
@@ -502,7 +494,6 @@ def comparison_check(u: TimeSeries, v: TimeSeries, f_u: Callable,
     if len(u) < 2:
         raise ValueError("need at least two sample times")
     grid = u.grid
-    w = grid.cell_weights()
     x = grid.meshgrid()
 
     src = []
@@ -513,12 +504,12 @@ def comparison_check(u: TimeSeries, v: TimeSeries, f_u: Callable,
         fv = evaluate(f_v, grid.counts, x, t)
         region = (vv < uu) | ((np.abs(uu) <= zero_tol)
                               & (np.abs(vv) <= zero_tol))
-        src.append(float(np.sum((fu * (uu > zero_tol) - fv) * region * w)))
-        lhs = float(np.sum(np.maximum(uu - vv, 0.0) * w))
+        src.append(integrate(grid, (fu * (uu > zero_tol) - fv) * region))
+        lhs = float(integrate(grid, np.maximum(uu - vv, 0.0)))
         if n == 0:
             base = lhs
             continue
-        rhs = base + float(np.trapezoid(src, tu[:n + 1]))
+        rhs = base + _time_integral(tu[:n + 1], src)
         report.times.append(t)
         report.lhs.append(lhs)
         report.rhs.append(rhs)
@@ -541,11 +532,12 @@ def ordering_excess(lo: TimeSeries, hi: TimeSeries) -> float:
 def gradient_power_norms(series: TimeSeries, m: float,
                          p: Sequence[float]) -> tuple[float, ...]:
     """Per-axis space-time L^{p_j} norms of the face differences of u^m."""
-    grid = series.grid
-    return tuple(
-        _time_integral(lambda f: integrate_face_power(
-            grid, face_diff_power(f, m, j), j, pj), series) ** (1.0 / pj)
-        for j, pj in enumerate(p))
+    grid, v = series.grid, series.values_array()
+    if len(p) != grid.dim:
+        raise ValueError("exponent count must match grid dimension")
+    return tuple(_time_integral(series.times, integrate(
+        grid, np.abs(face_diff_power(grid, v, m, j)) ** pj, face_axis=j))
+        ** (1.0 / pj) for j, pj in enumerate(p))
 
 
 def vpm_distance(a: TimeSeries, b: TimeSeries, m: Sequence[float],
@@ -554,15 +546,19 @@ def vpm_distance(a: TimeSeries, b: TimeSeries, m: Sequence[float],
 
     d(a, b) = || a - b ||_{L^{q*}} + sum_j || d_j a^{m_j} - d_j b^{m_j} ||_{p_j}
     with q* = max(min_j m_j + 1, max_j m_j), all norms over space-time.
+    Each sample time is integrated on its own, so no trajectory is
+    stacked: the cascade measures every pair of its members.
     """
     _check_pair(a, b)
     grid = a.grid
+    if not len(m) == len(p) == grid.dim:
+        raise ValueError("exponent count must match grid dimension")
+    pairs = [(fa.values, fb.values) for fa, fb in zip(a.fields, b.fields)]
     q_star = max(min(m) + 1.0, max(m))
-    d = _time_integral(lambda fa, fb: integrate_power(
-        ScalarField(grid, fa.values - fb.values), q_star), a, b)
-    d **= 1.0 / q_star
+    d = _time_integral(a.times, [integrate(grid, np.abs(u - v) ** q_star)
+                                 for u, v in pairs]) ** (1.0 / q_star)
     for j, (mj, pj) in enumerate(zip(m, p)):
-        d += _time_integral(lambda fa, fb: integrate_face_power(
-            grid, face_diff_power(fa, mj, j) - face_diff_power(fb, mj, j),
-            j, pj), a, b) ** (1.0 / pj)
+        d += _time_integral(a.times, [integrate(grid, np.abs(
+            face_diff_power(grid, u, mj, j) - face_diff_power(grid, v, mj, j))
+            ** pj, face_axis=j) for u, v in pairs]) ** (1.0 / pj)
     return d

@@ -3,7 +3,9 @@
 The grid covers a box [0, L_1] x ... x [0, L_N] with equally spaced nodes
 per axis.  Fields store nodal values.  Gradients of powers are formed as
 face differences of nodal powers, so the discrete chain-rule identity
-d_j u^m = (u_{i+1}^m - u_i^m)/h holds exactly.
+d_j u^m = (u_{i+1}^m - u_i^m)/h holds exactly.  ``integrate`` is the one
+space quadrature, and it and ``face_diff_power`` take a stack of fields
+on the trailing grid axes, ``(*lead, *counts)``, as well as one field.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "face_mean",
     "face_diff_power",
     "divergence",
+    "integrate",
     "integrate_power",
     "sobolev_troisi_gap",
     "calibrate_troisi_constant",
@@ -63,10 +66,6 @@ class Grid:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         axes = [self.axis_coords(j) for j in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
-
-    def cell_weights(self) -> np.ndarray:
-        """Trapezoid quadrature weights: cell volume with boundary halves."""
-        return _quadrature_weights(self)
 
     def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.counts, dtype=bool)
@@ -131,23 +130,6 @@ class TimeSeries:
         return np.stack([f.values for f in self.fields])
 
 
-def _quadrature_weights(grid: Grid, face_axis: int | None = None):
-    """Cell volume times per-axis trapezoid weights (boundary halves).
-
-    Along ``face_axis``, if given, the weights belong to the faces of that
-    axis and are full: one midpoint cell per face.
-    """
-    out = None
-    for j, n in enumerate(grid.counts):
-        if j == face_axis:
-            w = np.ones(n - 1)
-        else:
-            w = np.ones(n)
-            w[0] = w[-1] = 0.5
-        out = w if out is None else np.multiply.outer(out, w)
-    return out * math.prod(grid.spacings)
-
-
 def axis_slices(dim: int, axis: int, sl: slice) -> tuple[slice, ...]:
     """Index that applies ``sl`` along one axis and keeps the others whole."""
     return tuple(sl if i == axis else slice(None) for i in range(dim))
@@ -164,19 +146,20 @@ def face_mean(values: np.ndarray, axis: int) -> np.ndarray:
     return (values[lo] + values[hi]) / 2.0
 
 
-def face_diff_power(fld: ScalarField, exponent: float, axis: int) -> np.ndarray:
-    """Face differences of nodal powers along one axis.
+def face_diff_power(grid: Grid, values: np.ndarray, exponent: float,
+                    axis: int) -> np.ndarray:
+    """Face differences of nodal powers along one grid axis.
 
-    Returns (u_{i+1}^e - u_i^e)/h_axis on the interior faces of the given
-    axis, an array with one fewer entry along that axis.
+    ``values`` holds fields on its trailing grid axes, ``(*lead, *counts)``.
+    Returns (u_{i+1}^e - u_i^e)/h_axis on the faces of that axis, an array
+    with one fewer entry along it.
     """
-    vals = fld.values
     e = float(exponent)
-    if e != round(e) and np.any(vals < 0.0):
+    if e != round(e) and np.any(values < 0.0):
         raise ValueError("negative values with fractional exponent")
-    powered = vals if e == 1.0 else vals ** e
-    h = fld.grid.spacings[axis]
-    return np.diff(powered, axis=axis) / h
+    powered = values if e == 1.0 else values ** e
+    lead = values.ndim - grid.dim
+    return np.diff(powered, axis=lead + axis) / grid.spacings[axis]
 
 
 def divergence(grid: Grid, face_fluxes: Sequence[np.ndarray]) -> ScalarField:
@@ -202,19 +185,31 @@ def divergence(grid: Grid, face_fluxes: Sequence[np.ndarray]) -> ScalarField:
     return ScalarField(grid, out)
 
 
+def integrate(grid: Grid, values: np.ndarray, face_axis: int | None = None):
+    """Integral over the box of each field of a ``(*lead, *counts)`` stack.
+
+    The weights are the cell volume times per-axis trapezoid weights
+    (boundary halves); along ``face_axis``, if given, the fields live on
+    the faces of that axis and each face gets one full midpoint cell.
+    Returns an array of shape ``lead`` (a scalar for one field).  Each
+    field is summed as one contiguous run, so a stack gives every field
+    the bits it gets alone.
+    """
+    w = None
+    for j, n in enumerate(grid.counts):
+        wj = np.ones(n - (j == face_axis))
+        if j != face_axis:
+            wj[0] = wj[-1] = 0.5
+        w = wj if w is None else np.multiply.outer(w, wj)
+    a = values * (w * math.prod(grid.spacings))
+    return a.reshape(a.shape[:a.ndim - grid.dim] + (-1,)).sum(axis=-1)
+
+
 def integrate_power(fld: ScalarField, exponent: float) -> float:
     """Trapezoid-rule integral of |u|^exponent over the box."""
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    w = fld.grid.cell_weights()
-    return float(np.sum(np.abs(fld.values) ** exponent * w))
-
-
-def integrate_face_power(grid: Grid, face_vals: np.ndarray, axis: int,
-                         exponent: float) -> float:
-    """Integral of |face data|^exponent using midpoint cells on the axis."""
-    w = _quadrature_weights(grid, axis)
-    return float(np.sum(np.abs(face_vals) ** exponent * w))
+    return float(integrate(fld.grid, np.abs(fld.values) ** exponent))
 
 
 def _troisi_sides(grid: Grid, p: Sequence[float]):
@@ -225,7 +220,7 @@ def _troisi_sides(grid: Grid, p: Sequence[float]):
     trapezoid integral of |v|^pbar and rhs the sum over axes of the
     midpoint integral of |d_j v|^{p_j}, both arrays of shape ``lead``.
     Each field is summed as one contiguous run, so a stack gives every
-    field the bits it gets alone.  The weights are built once, here.
+    field the bits it gets alone.
     """
     if grid.dim != len(p):
         raise ValueError("exponent count must match grid dimension")
@@ -233,23 +228,17 @@ def _troisi_sides(grid: Grid, p: Sequence[float]):
     if p_bar < 0:
         raise ValueError("exponent must be nonnegative")
     boundary = grid.boundary_mask()
-    cell = grid.cell_weights()
-    faces = [_quadrature_weights(grid, j) for j in range(grid.dim)]
-
-    def total(a):
-        return a.reshape(a.shape[:a.ndim - grid.dim] + (-1,)).sum(axis=-1)
 
     def sides(values: np.ndarray):
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
         if np.any(values[..., boundary] != 0.0):
             raise ValueError("field must vanish on the boundary")
-        lead = values.ndim - grid.dim
-        lhs = total(np.abs(values) ** p_bar * cell)
+        lhs = integrate(grid, np.abs(values) ** p_bar)
         rhs = 0.0
-        for j, w in enumerate(faces):
-            D = np.diff(values, axis=lead + j) / grid.spacings[j]
-            rhs = rhs + total(np.abs(D) ** p[j] * w)
+        for j in range(grid.dim):
+            D = face_diff_power(grid, values, 1.0, j)
+            rhs = rhs + integrate(grid, np.abs(D) ** p[j], face_axis=j)
         return lhs, rhs
 
     return sides

@@ -13,11 +13,13 @@ from anisodnl.analysis import (
     energy_check,
     exp_mollify_eval,
     fast_geometric_iterate,
+    gradient_power_norms,
     level_sequence,
     measure_levels,
     ordering_excess,
     power_inequality_constant,
     select_q_vector,
+    series_lp_norm,
     vpm_distance,
 )
 from anisodnl.discretization import Grid, ScalarField, TimeSeries
@@ -325,6 +327,13 @@ def _zero(x, t):
     return np.zeros(np.shape(x[0]))
 
 
+def _plane(times=(0.0, 0.5, 1.0)):
+    """Series on a 5x5 grid of the unit square with values t x + y + 1."""
+    g = Grid((1.0, 1.0), (5, 5))
+    x, y = g.meshgrid()
+    return TimeSeries([ScalarField(g, t * x + y + 1.0, t) for t in times])
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: b_sandwich_constant(0.5), "m must be at least 1",
                  id="b_sandwich_constant"),
@@ -347,6 +356,28 @@ def _zero(x, t):
     pytest.param(lambda: comparison_check(_flat((0.0,)), _flat((0.0,)),
                                           _zero, _zero),
                  "need at least two sample times", id="comparison_check"),
+    pytest.param(lambda: series_lp_norm(_flat((0.0, 1.0)), 0.0),
+                 "p must be positive", id="series_lp_norm-0"),
+    pytest.param(lambda: series_lp_norm(_flat((0.0, 1.0)), -1.0),
+                 "p must be positive", id="series_lp_norm-negative"),
+    # one (m, p) on a 2D pair would silently drop axis 1
+    pytest.param(lambda: vpm_distance(_plane(), _plane(), (1.0,), (2.0,)),
+                 "exponent count must match grid dimension",
+                 id="vpm_distance-one"),
+    pytest.param(lambda: vpm_distance(_plane(), _plane(), (1.0,) * 3,
+                                      (2.0,) * 3),
+                 "exponent count must match grid dimension",
+                 id="vpm_distance-three"),
+    pytest.param(lambda: gradient_power_norms(_plane(), 1.0, (2.0,)),
+                 "exponent count must match grid dimension",
+                 id="gradient_power_norms-one"),
+    pytest.param(lambda: gradient_power_norms(_plane(), 1.0, (2.0,) * 3),
+                 "exponent count must match grid dimension",
+                 id="gradient_power_norms-three"),
+    pytest.param(lambda: degiorgi_constants(
+        const_spec((2.0, 2.0), (1.0, 1.0), f_val=np.nan),
+        Grid((1.0, 1.0), (5, 5))),
+        "field values must be finite", id="degiorgi_constants-f"),
 ])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -13,7 +13,7 @@ from anisodnl.discretization import (
     face_diff_power,
     face_mean,
     field_to_csv,
-    integrate_face_power,
+    integrate,
     integrate_power,
     sobolev_troisi_gap,
 )
@@ -26,6 +26,10 @@ TROISI_FIXTURES = {
     ((33, 33), (3.0, 2.0)): 0.03552776602087543,
     ((65,), (2.0,)): 0.11147568426037813,
 }
+
+
+# grids of every dimension for the stacked-field tests
+STACK_GRIDS = [(33,), (17, 17), (5, 6, 7)]
 
 
 class TestGrid:
@@ -43,10 +47,6 @@ class TestGrid:
                            match="box extents must be positive and finite"):
             Grid((1.0, extent), (5, 5))
 
-    def test_cell_weights_sum_to_volume(self):
-        g = Grid((2.0, 3.0), (7, 9))
-        assert np.sum(g.cell_weights()) == pytest.approx(6.0)
-
     def test_masks_partition(self):
         g = Grid((1.0, 1.0), (5, 5))
         assert np.all(g.interior_mask() ^ g.boundary_mask())
@@ -55,27 +55,83 @@ class TestGrid:
 class TestFaceDiffPower:
     def test_constant_field(self):
         g = Grid((1.0,), (5,))
-        f = ScalarField(g, np.full(5, 3.7))
-        assert np.all(face_diff_power(f, 2.0, 0) == 0.0)
+        assert np.all(face_diff_power(g, np.full(5, 3.7), 2.0, 0) == 0.0)
 
     def test_affine_exact(self):
         g = Grid((1.0, 1.0), (9, 5))
         x = g.meshgrid()[0]
-        f = ScalarField(g, x)
-        assert np.allclose(face_diff_power(f, 1.0, 0), 1.0)
-        assert np.allclose(face_diff_power(f, 1.0, 1), 0.0)
+        assert np.allclose(face_diff_power(g, x, 1.0, 0), 1.0)
+        assert np.allclose(face_diff_power(g, x, 1.0, 1), 0.0)
 
     def test_square_values(self):
         g = Grid((1.0,), (3,))
-        f = ScalarField(g, np.array([0.0, 0.5, 1.0]))
-        d = face_diff_power(f, 2.0, 0)
+        d = face_diff_power(g, np.array([0.0, 0.5, 1.0]), 2.0, 0)
         assert d == pytest.approx([0.5, 1.5])
 
     def test_fractional_exponent_rejects_negative(self):
         g = Grid((1.0,), (3,))
-        f = ScalarField(g, np.array([-1.0, 0.5, 1.0]))
-        with pytest.raises(ValueError):
-            face_diff_power(f, 1.5, 0)
+        with pytest.raises(ValueError, match="^negative values with "
+                                             "fractional exponent$"):
+            face_diff_power(g, np.array([-1.0, 0.5, 1.0]), 1.5, 0)
+
+    @pytest.mark.parametrize("counts", STACK_GRIDS)
+    def test_stack_equals_each_field(self, counts):
+        g = Grid(tuple([1.0] * len(counts)), counts)
+        stack = np.random.default_rng(3).uniform(0.0, 2.0, (4, 2) + counts)
+        for j in range(g.dim):
+            d = face_diff_power(g, stack, 1.5, j)
+            assert d.shape[:2] == (4, 2)
+            for i in np.ndindex(4, 2):
+                assert np.array_equal(d[i],
+                                      face_diff_power(g, stack[i], 1.5, j))
+
+
+def trapezoid_weights(grid, face_axis=None):
+    """The quadrature weights of the box, written out node by node: each
+    node gets the product of its per-axis weights h_j, halved at the two
+    ends of an axis; on the faces of face_axis every face gets h_j."""
+    w = np.empty(tuple(n - (j == face_axis)
+                       for j, n in enumerate(grid.counts)))
+    for idx in np.ndindex(w.shape):
+        w[idx] = 1.0
+        for j, i in enumerate(idx):
+            end = j != face_axis and i in (0, grid.counts[j] - 1)
+            w[idx] *= 0.5 if end else 1.0
+    return w * np.prod(grid.spacings)
+
+
+class TestIntegrate:
+    @pytest.mark.parametrize("counts", STACK_GRIDS)
+    def test_stack_equals_each_field(self, counts):
+        # to the bit, on the nodes and on the faces of every axis
+        g = Grid(tuple(0.5 + j for j in range(len(counts))), counts)
+        rng = np.random.default_rng(11)
+        for face_axis in (None, *range(g.dim)):
+            shape = tuple(n - (j == face_axis) for j, n in enumerate(counts))
+            stack = rng.standard_normal((3, 5) + shape)
+            total = integrate(g, stack, face_axis=face_axis)
+            assert total.shape == (3, 5)
+            for i in np.ndindex(3, 5):
+                assert total[i] == integrate(g, stack[i], face_axis=face_axis)
+
+    @pytest.mark.parametrize("counts", STACK_GRIDS)
+    def test_matches_written_out_weights(self, counts):
+        g = Grid(tuple(0.5 + j for j in range(len(counts))), counts)
+        rng = np.random.default_rng(12)
+        for face_axis in (None, *range(g.dim)):
+            w = trapezoid_weights(g, face_axis)
+            v = rng.standard_normal(w.shape)
+            assert integrate(g, v, face_axis=face_axis) == np.sum(v * w)
+
+    def test_ones_give_the_volume(self):
+        g = Grid((2.0, 3.0), (7, 9))
+        assert integrate(g, np.ones(g.counts)) == pytest.approx(6.0,
+                                                                rel=1e-15)
+        for j in range(g.dim):
+            faces = np.ones(tuple(n - (i == j)
+                                  for i, n in enumerate(g.counts)))
+            assert integrate(g, faces, face_axis=j) == pytest.approx(
+                6.0, rel=1e-15)
 
 
 class TestFaceMean:
@@ -194,18 +250,19 @@ class TestSobolevTroisi:
 
 
 def reference_gap(fld, p):
-    """The embedding's two sides, one field at a time through the public
-    integrals, as sobolev_troisi_gap computed them before its kernel."""
+    """The embedding's two sides, one field at a time, each summed as one
+    array against the written-out weights of trapezoid_weights."""
     grid = fld.grid
     if grid.dim != len(p):
         raise ValueError("exponent count must match grid dimension")
     if np.any(fld.values[grid.boundary_mask()] != 0.0):
         raise ValueError("field must vanish on the boundary")
-    lhs = integrate_power(fld, harmonic_mean(p))
+    lhs = float(np.sum(np.abs(fld.values) ** harmonic_mean(p)
+                       * trapezoid_weights(grid)))
     rhs = 0.0
     for j in range(grid.dim):
-        D = face_diff_power(fld, 1.0, j)
-        rhs += integrate_face_power(grid, D, j, p[j])
+        D = np.diff(fld.values, axis=j) / grid.spacings[j]
+        rhs += float(np.sum(np.abs(D) ** p[j] * trapezoid_weights(grid, j)))
     return lhs, rhs
 
 

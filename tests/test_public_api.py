@@ -73,14 +73,15 @@ def test_no_function_local_imports():
     assert local == []
 
 
-def _references(node, name, function=None):
-    """(innermost enclosing function, line) of each reference to name."""
+def _references(node, name, function=None, kinds=("attr", "id")):
+    """(innermost enclosing function, line) of each reference to name, as
+    an attribute, a bare name or both."""
     for child in ast.iter_child_nodes(node):
-        if name in (getattr(child, "attr", None), getattr(child, "id", None)):
+        if name in (getattr(child, kind, None) for kind in kinds):
             yield function, child.lineno
         inner = (child.name if isinstance(
             child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
-        yield from _references(child, name, inner)
+        yield from _references(child, name, inner, kinds)
 
 
 def test_evaluator_broadcast_only_in_evaluate():
@@ -92,10 +93,11 @@ def test_evaluator_broadcast_only_in_evaluate():
     assert found == [("model", "evaluate")]
 
 
-def _functions_referencing(name):
+def _functions_referencing(name, kinds=("attr", "id")):
     """(module, innermost enclosing function) of every reference to name."""
     return {(path.stem, fn) for path in SOURCES
-            for fn, _ in _references(ast.parse(path.read_text()), name)}
+            for fn, _ in _references(ast.parse(path.read_text()), name,
+                                     kinds=kinds)}
 
 
 def test_flux_regularization_read_only_in_model():
@@ -113,11 +115,21 @@ def test_truncation_read_only_by_working_power():
 
 def test_time_quadrature_only_in_time_integral():
     # every trajectory measure integrates in time through
-    # analysis._time_integral; comparison_check keeps its cumulative trace
-    # and degiorgi_constants integrates data sampled at DEGIORGI_TIMES
+    # analysis._time_integral, comparison_check's prefix integrals and
+    # degiorgi_constants' data sampled at DEGIORGI_TIMES too
     assert _functions_referencing("trapezoid") == {
-        ("analysis", "_time_integral"), ("analysis", "comparison_check"),
-        ("analysis", "degiorgi_constants")}
+        ("analysis", "_time_integral")}
+
+
+def test_space_quadrature_only_in_integrate():
+    # discretization.integrate is the one space quadrature: it alone
+    # builds the weights (np.multiply.outer) and sums a field (np.sum or
+    # .sum); besides it, only _RedBlack.__init__ sums node indices to
+    # colour the grid.  The builtin sum of Python numbers is not counted.
+    assert _functions_referencing("sum", kinds=("attr",)) == {
+        ("discretization", "integrate"), ("solver", "__init__")}
+    assert _functions_referencing("multiply", kinds=("attr",)) == {
+        ("discretization", "integrate")}
 
 
 def test_operator_read_into_blocks_only_in_fill():

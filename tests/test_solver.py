@@ -778,10 +778,9 @@ def reference_residual(spec, grid, k, u_prev, u, dt, t):
         uf = face_mean(u, j)
         m = spec.exponents.m[j]
         if k is None:
-            xi = face_diff_power(ScalarField(grid, u), m, j)
+            xi = face_diff_power(grid, u, m, j)
         else:
-            xi = face_diff_power(ScalarField(grid, kirchhoff_field(k, m, u)),
-                                 1.0, j)
+            xi = face_diff_power(grid, kirchhoff_field(k, m, u), 1.0, j)
         a = evaluate(spec.coeffs.funcs[j], uf.shape, x_face, t, uf)
         fluxes.append(flux(a, xi, spec.exponents.p[j]))
     R = (u - u_prev) / dt - spec.f(x, t) - divergence(grid, fluxes).values
