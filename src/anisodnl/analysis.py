@@ -363,13 +363,12 @@ def degiorgi_constants(spec: ProblemSpec, grid: Grid) -> DeGiorgiReport:
 
     ts = np.linspace(0.0, spec.T, DEGIORGI_TIMES)
     x = grid.meshgrid()
-    g_max = max([0.0] + [float(np.max(np.abs(evaluate(
-        spec.g, grid.counts, x, float(t))))) for t in ts])
-    f_abs = np.abs([evaluate(spec.f, grid.counts, x, float(t)) for t in ts])
-    if not np.all(np.isfinite(f_abs)):
+    f_abs, g_abs = (np.abs([evaluate(fn, grid.counts, x, float(t))
+                            for t in ts]) for fn in (spec.f, spec.g))
+    u0_abs = np.abs(evaluate(spec.u0, grid.counts, x))
+    if not all(np.all(np.isfinite(v)) for v in (f_abs, g_abs, u0_abs)):
         raise ValueError("field values must be finite")
-    u0_max = float(np.max(np.abs(evaluate(spec.u0, grid.counts, x))))
-    M_star = max(u0_max, g_max) + 1.0
+    M_star = max(float(np.max(u0_abs)), float(np.max(g_abs))) + 1.0
     int_f_sig = _time_integral(
         ts, integrate(grid, f_abs ** (sigma * bar.p_bar_conj)))
     int_f_pb = _time_integral(ts, integrate(grid, f_abs ** bar.p_bar_conj))

@@ -304,7 +304,11 @@ def _scenario_cascade(cfg, args):
     if failed:
         raise SystemExit(f"cascade: disabled, the problem fails the "
                          f"checks {', '.join(failed)} (see anisodnl validate)")
-    return cascade(spec, grid, config, ks)
+    try:
+        return cascade(spec, grid, config, ks)
+    except solver.StepFailure as exc:
+        # the one-line diagnostic names the member that failed
+        raise SystemExit(f"cascade: k = {exc.k}: {exc}") from exc
 
 
 def _scenario_comparison(cfg, args):

@@ -111,7 +111,13 @@ Evaluator = Callable[..., np.ndarray]
 
 def evaluate(fn: Evaluator, shape, *args) -> np.ndarray:
     """fn(*args) as a float array of the given shape; a read-only view, so
-    a caller that writes to it makes a copy."""
+    a caller that writes to it makes a copy.
+
+    Evaluators act elementwise.  The solver marches several truncation
+    levels as one stack of fields of shape (members, *counts): it passes
+    a_j the stacked u at the points of one field, and member i's rows of
+    the result must be what a_j gives member i's field alone.  f, g and
+    u0 take stacked points the same way."""
     return np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
 
 
@@ -138,7 +144,9 @@ class ProblemSpec:
 
     box gives the per-axis extents; the domain is the product of [0, L_j].
     eps0 = 0 means g is identically zero; otherwise g >= eps0 > 0 is
-    expected everywhere (audited by sampling).
+    expected everywhere (audited by sampling).  Every evaluator acts
+    elementwise in its points and in u, so that a stack of fields gives
+    a stack of values (see ``evaluate``).
     """
 
     box: tuple[float, ...]
@@ -185,20 +193,22 @@ class ProblemSpec:
 EPS_REG = 1e-8
 
 
-def truncate(k: int, s):
-    """Truncation T_k(s) = min(k, max(s, 1/k)); identity on [1/k, k]."""
-    if k < 1:
+def truncate(k, s):
+    """Truncation T_k(s) = min(k, max(s, 1/k)); identity on [1/k, k].  k
+    is a level or an array of levels that broadcasts against s."""
+    if (k.min() if isinstance(k, np.ndarray) else k) < 1:
         raise ValueError("k must be a positive integer")
-    return np.minimum(float(k), np.maximum(s, 1.0 / k))
+    return np.minimum(k, np.maximum(s, 1.0 / k))
 
 
-def working_power(k: int | None, m: float, u):
+def working_power(k, m: float, u):
     """The power w of u whose difference the axis flux acts on, and its
     derivative dw/du: u itself (derivative 1) for m = 1; in direct mode
-    max(u, 0)^m, with derivative m max(u, 0)^(m-1); in k-mode the
-    Kirchhoff power Phi_k(u) = T^m + m T^(m-1) (u - T) with T = T_k(u),
-    with derivative m T^(m-1): u^m on [1/k, k], continued linearly (and
-    C^1) outside."""
+    (k None) max(u, 0)^m, with derivative m max(u, 0)^(m-1); in k-mode
+    the Kirchhoff power Phi_k(u) = T^m + m T^(m-1) (u - T) with
+    T = T_k(u), with derivative m T^(m-1): u^m on [1/k, k], continued
+    linearly (and C^1) outside.  In k-mode k may be an array of levels
+    that broadcasts against u, one per stacked field."""
     if m == 1.0:
         return u, 1.0
     if k is None:

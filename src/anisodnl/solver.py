@@ -32,15 +32,25 @@ solves S by one banded LU, k-mode its symmetric S by conjugate gradients
 preconditioned by a factor kept from an earlier Newton matrix of the
 same solve.
 
-A solve keeps state from one time step to the next in one ``_Layout``:
-the grid data of its steps, the red-black split with its kept factor,
-and the previous field.  In both modes Newton starts from the linear
-extrapolation of the last two fields, clamped below at the mode's lower
-bound (1/k in k-mode, 0 in direct mode).
+One Newton loop, ``_stacked_step``, advances the members of a solve side
+by side: solves that share grid, time axis and data and differ in their
+truncation level, held as one field or as a stack of fields of shape
+(members, *counts).  Each member keeps
+its own Newton start, line search, convergence test and report and, in
+2D/3D, its own kept factor, and leaves the stack once it converges, so
+it gets the bits of a solve of its own.  ``implicit_step`` and
+``solve_problem`` run it on one field; a 1D ``regularization_cascade``
+marches all its members together.  A march keeps state from one time
+step to the next in one ``_Layout``: the grid data of its steps, the
+red-black split with each member's kept factor, and the previous fields.
+In both modes Newton starts from the linear extrapolation of the last
+two fields, clamped below at the mode's lower bound (1/k in k-mode, 0 in
+direct mode).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -146,22 +156,25 @@ class SolveReport:
 class StepFailure(RuntimeError):
     """Nonlinear solve failed to converge at one time step.
 
-    ``implicit_step`` raises it with step -1; ``solve_problem`` sets the
-    index of the failed step, which the message reads.  ``cause`` is one
-    of CAUSES, or None when not known: the Newton system or update was
-    not finite, its matrix not positive definite or singular, or Newton
-    reached ``newton_max`` iterations.
+    ``implicit_step`` raises it with step -1; the march of ``solve_problem``
+    and ``regularization_cascade`` sets the index of the failed step, which
+    the message reads.  ``k`` is the truncation level of the member that
+    failed (None in direct mode).  ``cause`` is one of CAUSES, or None
+    when not known: the Newton system or update was not finite, its matrix
+    not positive definite or singular, or Newton reached ``newton_max``
+    iterations.
     """
 
     CAUSES = ("not finite", "not positive definite", "singular",
               "iteration limit")
 
     def __init__(self, step_index: int, residual_history: list[float],
-                 cause: str | None = None):
-        super().__init__(step_index, residual_history, cause)
+                 cause: str | None = None, k: int | None = None):
+        super().__init__(step_index, residual_history, cause, k)
         self.step_index = step_index
         self.residual_history = residual_history
         self.cause = cause
+        self.k = k
 
     def __str__(self) -> str:
         text = (f"step {self.step_index} failed, final residual "
@@ -389,38 +402,72 @@ class _Layout:
     """What one solve keeps from one implicit step to the next: the grid
     data of its steps (node and face coordinates, masks, per-axis slices,
     and the band order of the interior unknowns with, in 2D/3D, their
-    red-black split and its kept factor) and ``prev``, the field before
-    u_n, from which both modes extrapolate the Newton start.
-    ``solve_problem`` makes one per call, so no state passes between
-    solves."""
+    red-black split), and per member of the solve its kept factor and
+    ``prev``, its field before u_n, from which both modes extrapolate the
+    Newton start.  The march of ``solve_problem`` and
+    ``regularization_cascade`` makes one per call, so no state passes
+    between solves.  The slices index a field or a stack of fields, of
+    shape (*lead, *counts) with lead () or (members,); ``band`` and
+    ``unband`` are indexed by the number of leading axes.
+    """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, size: int = 1):
         dim = grid.dim
         self.grid = grid
-        self.prev: ScalarField | None = None
+        self.size = size
+        # the field or the stack of fields before u_n, and its time
+        self.prev: np.ndarray | None = None
+        self.prev_t = 0.0
         self.interior = grid.interior_mask()
         self.boundary = ~self.interior
+        # the boundary nodes of a field or a stack of fields
+        self.edge = (Ellipsis,) + np.nonzero(self.boundary)
         self.x = grid.meshgrid()
         self.x_face = [tuple(face_mean(c, j) for c in self.x)
                        for j in range(dim)]
+        every = (Ellipsis,)
         # per axis: the lo and hi node of every face, and the nodes between
         # two faces of the axis
-        self.lo = [axis_slices(dim, j, slice(0, -1)) for j in range(dim)]
-        self.hi = [axis_slices(dim, j, slice(1, None)) for j in range(dim)]
-        self.core = [axis_slices(dim, j, slice(1, -1)) for j in range(dim)]
-        # band order of the interior unknowns, longest axis outermost
-        self.inner = (slice(1, -1),) * dim
+        self.lo = [every + axis_slices(dim, j, slice(0, -1))
+                   for j in range(dim)]
+        self.hi = [every + axis_slices(dim, j, slice(1, None))
+                   for j in range(dim)]
+        self.core = [every + axis_slices(dim, j, slice(1, -1))
+                     for j in range(dim)]
+        # band order of the interior unknowns, longest axis outermost, and
+        # the permutations of a field or a stack into it and back
+        self.inner = every + (slice(1, -1),) * dim
         ext = [n - 2 for n in grid.counts]
         self.order = sorted(range(dim), key=lambda j: -ext[j])
         self.shape = tuple(ext[j] for j in self.order)
-        self.back = tuple(np.argsort(self.order).tolist())
+        back = [int(q) for q in np.argsort(self.order)]
+        self.band = (tuple(self.order),
+                     (0,) + tuple(j + 1 for j in self.order))
+        self.unband = (tuple(back), (0,) + tuple(q + 1 for q in back))
         # the faces of axis j that lie on interior lines of the others
-        self.cross = [tuple(slice(None) if i == j else slice(1, -1)
-                            for i in range(dim)) for j in range(dim)]
+        self.cross = [every + tuple(slice(None) if i == j else slice(1, -1)
+                                    for i in range(dim)) for j in range(dim)]
 
     @cached_property
-    def red_black(self) -> _RedBlack:
-        return _RedBlack(self.shape)
+    def red_black(self) -> list[_RedBlack]:
+        """One red-black split per member: shallow copies of one, which
+        share its patterns and blocks B and C (``fill`` fills them before
+        each solve), and each keep their own factor."""
+        rb = _RedBlack(self.shape)
+        return [rb] + [copy.copy(rb) for _ in range(self.size - 1)]
+
+    def rows(self, fields: np.ndarray) -> np.ndarray:
+        """A field or a stack of fields as one row of nodes per member: a
+        view, so writing to it writes to the fields, for the contiguous
+        fields the solver makes."""
+        return fields.reshape(-1, self.boundary.size)
+
+    def keep(self, size: int) -> None:
+        """Keep the first ``size`` members; the others left the solve."""
+        self.size = size
+        self.prev = self.prev[:size] if size else None
+        if "red_black" in self.__dict__:
+            del self.red_black[size:]
 
 
 def ordering_tolerance(config: SolverConfig, T: float) -> float:
@@ -428,45 +475,88 @@ def ordering_tolerance(config: SolverConfig, T: float) -> float:
     return config.newton_tol * (1.0 + T / config.dt)
 
 
-class _StepProblem:
-    """Residual and Newton update for one implicit step.
+def _levels(ks: Sequence[int | None], stacked: bool, dim: int):
+    """The truncation levels ``ks`` of the members (None in direct mode,
+    where every k is None) and the lower bound of each, 1/k in k-mode and
+    0 in direct mode: numbers for one field, arrays that broadcast over
+    a stack of fields."""
+    if not stacked:
+        (k,) = ks
+        return k, 0.0 if k is None else 1.0 / k
+    lead = (len(ks),) + (1,) * dim
+    if ks[0] is None:
+        return None, np.zeros(lead)
+    k = np.array(ks, dtype=float).reshape(lead)
+    return k, 1.0 / k
 
-    ``residual(u)`` returns the residual together with the face data of
-    every axis at u (one face pass); ``update`` at that iterate takes
-    those face data.  The grid data come from ``layout``, or are built
-    when it is None.  The Newton matrix is symmetric in 2D/3D k-mode only:
-    elsewhere it scales each column of axis j by the derivative of the
-    working power at its node (see ``_face_slopes``).
+
+def _select_faces(faces: list, sel) -> list:
+    """The face data of the members at ``sel`` of the stack."""
+    return [tuple(v[sel] if isinstance(v, np.ndarray) else v for v in face)
+            for face in faces]
+
+
+class _StepProblem:
+    """Residual and Newton update of one implicit step, for one member or
+    a stack of members that share grid, time step and data and differ in
+    their truncation level: member i solves the problem truncated at
+    ``ks[i]`` (every k None: direct mode).
+
+    The fields are one field of shape counts, for one member, or a stack
+    of shape (members, *counts), as ``u_prev`` is.  ``residual(u)``
+    returns the residual together with the face data of every axis at u
+    (one face pass); ``update`` at that iterate takes those face data.
+    ``select`` restricts a stack to some of its members, whose indices in
+    ``layout`` are ``members``.  The grid data and the kept factors
+    come from ``layout``, or are built when it is None.  The Newton matrix
+    is symmetric in 2D/3D k-mode only: elsewhere it scales each column of
+    axis j by the derivative of the working power at its node (see
+    ``_face_slopes``).
     """
 
     def __init__(self, spec: ProblemSpec, grid: Grid, config: SolverConfig,
-                 u_prev: np.ndarray, t_next: float,
+                 ks: Sequence[int | None], u_prev: np.ndarray, t_next: float,
                  layout: _Layout | None = None):
         self.spec = spec
         self.grid = grid
         self.config = config
         self.u_prev = u_prev
         self.t = t_next
-        self.k = config.k
-        self.layout = lay = _Layout(grid) if layout is None else layout
+        self.layout = lay = (_Layout(grid, len(ks)) if layout is None
+                             else layout)
+        self.stacked = u_prev.ndim > grid.dim
+        self.members = np.arange(len(ks))
         self.interior = lay.interior
         self.boundary = lay.boundary
+        # the data are evaluated once for every member
         self.f_vals = evaluate(spec.f, grid.counts, lay.x, t_next)
-        # the lower bound of the mode, which shifts the boundary data and
-        # floors the Newton start: 1/k in k-mode, 0 in direct mode
-        self.floor = 0.0 if self.k is None else 1.0 / self.k
-        self.bc = evaluate(spec.g, grid.counts, lay.x, t_next) + self.floor
-        self.bc_boundary = self.bc[self.boundary]
+        # the floor of each member shifts its boundary data and floors its
+        # Newton start
+        self.k, self.floor = _levels(ks, self.stacked, grid.dim)
+        bc = evaluate(spec.g, grid.counts, lay.x, t_next) + self.floor
+        self.bc_boundary = bc[lay.edge]
         self.h = grid.spacings
         self.p = spec.exponents.p
         self.m = spec.exponents.m
         self.symmetric = self.k is not None and grid.dim > 1
 
+    def select(self, sel) -> _StepProblem:
+        """The problem of the members at ``sel`` (an index array, mask or
+        slice of a stack)."""
+        sub = copy.copy(self)
+        sub.members = self.members[sel]
+        sub.u_prev = self.u_prev[sel]
+        sub.bc_boundary = self.bc_boundary[sel]
+        sub.floor = self.floor[sel]
+        if self.k is not None:
+            sub.k = self.k[sel]
+        return sub
+
     def _face_data(self, u: np.ndarray, j: int):
         """Per-face coefficient c = a_j at the face mean of u, diff D of
         the working power (``model.working_power``), the derivative of the
         working power at both adjacent nodes and the face flux F."""
-        ubar = face_mean(u, j)
+        ubar = face_mean(u, u.ndim - self.grid.dim + j)
         c = evaluate(self.spec.coeffs.funcs[j], ubar.shape,
                      self.layout.x_face[j], self.t, ubar)
         lo, hi = self.layout.lo[j], self.layout.hi[j]
@@ -484,7 +574,7 @@ class _StepProblem:
         faces = [self._face_data(u, j) for j in range(self.grid.dim)]
         for j, (*_, F) in enumerate(faces):
             R[lay.core[j]] -= (F[lay.hi[j]] - F[lay.lo[j]]) / self.h[j]
-        R[self.boundary] = u[self.boundary] - self.bc_boundary
+        R[lay.edge] = u[lay.edge] - self.bc_boundary
         return R, faces
 
     def _face_slopes(self, faces: list):
@@ -514,8 +604,9 @@ class _StepProblem:
 
     def assemble(self, faces: list, R: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The interior Newton operator (d, w) at the iterate whose face
-        data are ``faces`` and the interior residual b, in band order.
+        """The interior Newton operator (d, w) of every member at the
+        iterate whose face data are ``faces`` and its interior residual b,
+        one row per member, in band order.
 
         d is 1/dt plus, per face, g_lo on its lo and g_hi on its hi node.
         w holds J[i + s, i] = -g_lo of every face of interior nodes i and
@@ -525,10 +616,13 @@ class _StepProblem:
         whose residual is 0 once u carries the boundary data.
         """
         lay = self.layout
-        b = R[lay.inner].transpose(lay.order).ravel()
-        d = np.empty(b.size)
-        # d viewed as an interior field with the natural axis order
-        diag = d.reshape(lay.shape).transpose(lay.back)
+        lead = R.shape[:R.ndim - self.grid.dim]
+        band = lay.band[len(lead)]
+        size = len(self.members)
+        b = R[lay.inner].transpose(band).reshape(size, -1)
+        d = np.empty(b.shape)
+        # d viewed as the interior fields with the natural axis order
+        diag = d.reshape(lead + lay.shape).transpose(lay.unband[len(lead)])
         diag[...] = 1.0 / self.config.dt
         slopes = self._face_slopes(faces)
         for j, (g_lo, g_hi) in enumerate(slopes):
@@ -536,52 +630,230 @@ class _StepProblem:
             diag += g_hi[lay.cross[j]][lay.lo[j]]
             diag += g_lo[lay.cross[j]][lay.hi[j]]
         w = np.concatenate([
-            slopes[j][h][lay.inner].transpose(lay.order).ravel()
-            for h in ((0,) if self.symmetric else (0, 1)) for j in lay.order])
+            slopes[j][h][lay.inner].transpose(band).reshape(size, -1)
+            for h in ((0,) if self.symmetric else (0, 1)) for j in lay.order],
+            axis=1)
         np.negative(w, out=w)
         return d, w, b
 
-    def update(self, faces: list, R: np.ndarray) -> np.ndarray:
-        """Solve J delta = R for the Newton update at the iterate whose face
-        data are ``faces``.
+    def update(self, faces: list, R: np.ndarray):
+        """Solve J delta = R for the Newton update of every member at the
+        iterate whose face data are ``faces``.
 
-        Only the interior unknowns are solved for, on the operator (d, w)
-        of ``assemble``: in 2D/3D by ``_RedBlack.solve``, in 1D (both
-        modes) by one tridiagonal LU with partial pivoting, LAPACK
-        ``dgtsv`` on the sub-diagonal, diagonal and super-diagonal that w
-        and d already are.  Raises ``LinAlgError`` when the system is not
-        finite or is singular, and in 2D/3D when ``_RedBlack.solve`` cannot
-        solve it.
+        Returns (delta, failed): the updates of the members before the
+        first one whose system cannot be solved (None if that is the
+        first), and that member's position in the stack with the
+        ``LinAlgError`` that names why (the system is not finite or is
+        singular, or in 2D/3D ``_RedBlack.solve`` cannot solve it), or
+        None.  Only the interior
+        unknowns are solved for, on the operators (d, w) of ``assemble``:
+        in 2D/3D by each member's ``_RedBlack.solve``, with its own kept
+        factor; in 1D (both modes) by one tridiagonal LU with partial
+        pivoting, LAPACK ``dgtsv``, on the members' systems one after the
+        other, joined by zero couplings.  Elimination then never crosses
+        from one member to the next, so each member gets the bits of a
+        call of its own, and the row of a zero pivot names the singular
+        member.
         """
         lay = self.layout
         d, w, b = self.assemble(faces, R)
+        solved, failed = len(d), None
         if not (np.isfinite(d).all() and np.isfinite(w).all()
                 and np.isfinite(b).all()):
-            raise np.linalg.LinAlgError("Newton system is not finite")
+            solved = int(np.argmin(np.isfinite(d).all(axis=1)
+                                   & np.isfinite(w).all(axis=1)
+                                   & np.isfinite(b).all(axis=1)))
+            failed = (solved, np.linalg.LinAlgError(
+                "Newton system is not finite"))
         if self.grid.dim > 1:
-            x = lay.red_black.solve(d, w, b)
+            x = np.empty((solved, d.shape[1]))
+            for a in range(solved):
+                try:
+                    x[a] = lay.red_black[self.members[a]].solve(
+                        d[a], w[a], b[a])
+                except np.linalg.LinAlgError as exc:
+                    solved, failed = a, (a, exc)
+                    break
         else:
-            # w holds J[i + 1, i], then J[i, i + 1]; assemble made d and w
-            # fresh, but b is a view of R
-            n = d.size
-            if n == 1:
-                # f2py rejects the empty off-diagonals of a 1 x 1 system
-                x, info = (b / d, 0) if d[0] != 0.0 else (b, 1)
-            else:
-                *_, x, info = lapack.dgtsv(w[:n - 1], d, w[n - 1:], b,
-                                           overwrite_dl=1, overwrite_d=1,
-                                           overwrite_du=1)
-            if info != 0:
-                raise np.linalg.LinAlgError("Newton matrix is singular")
-        delta = np.zeros(self.grid.counts)
-        delta[lay.inner] = x.reshape(lay.shape).transpose(lay.back)
-        return delta
+            n, x = d.shape[1], np.empty(0)
+            while solved:
+                if solved * n == 1:
+                    # f2py rejects the empty off-diagonals of a 1 x 1 system
+                    x, info = ((b[0] / d[0], 0) if d[0, 0] != 0.0
+                               else (b[0], 1))
+                else:
+                    # each member's J[i + 1, i] and J[i, i + 1], the two
+                    # halves of its w, and a zero coupling to the next
+                    off = np.zeros((2, solved, n))
+                    off[0, :, :-1] = w[:solved, :n - 1]
+                    off[1, :, :-1] = w[:solved, n - 1:]
+                    *_, x, info = lapack.dgtsv(
+                        off[0].ravel()[:-1], d[:solved].ravel(),
+                        off[1].ravel()[:-1], b[:solved].ravel(),
+                        overwrite_dl=1, overwrite_du=1)
+                if info == 0:
+                    break
+                # the call is repeated without the singular member and the
+                # ones after it
+                solved = (info - 1) // n
+                failed = (solved, np.linalg.LinAlgError(
+                    "Newton matrix is singular"))
+        if not solved:
+            return None, failed
+        lead = (solved,) if self.stacked else ()
+        delta = np.zeros(lead + self.grid.counts)
+        delta[lay.inner] = x.reshape(-1)[:solved * d.shape[1]].reshape(
+            lead + lay.shape).transpose(lay.unband[len(lead)])
+        return delta, failed
+
+
+def _merge(parts: list, dim: int):
+    """The iterate, residual and face data of the members from the trials
+    of a line search that each accepted: ``parts`` holds, per trial, the
+    stack positions of its accepted members and their trial, residual and
+    face data."""
+    order = np.argsort(np.concatenate([pos for pos, *_ in parts]))
+
+    def rows(items):
+        # m_j = 1 has the one scalar derivative for every member
+        if not isinstance(items[0], np.ndarray):
+            return items[0]
+        return np.concatenate(items)[order]
+
+    u = rows([p[1] for p in parts])
+    R = rows([p[2] for p in parts])
+    faces = [tuple(rows([p[3][j][q] for p in parts]) for q in range(5))
+             for j in range(dim)]
+    return u, R, faces
+
+
+def _stacked_step(spec: ProblemSpec, config: SolverConfig,
+                  ks: Sequence[int | None], u_n: np.ndarray, t_n: float,
+                  t_next: float, lay: _Layout):
+    """Advance the members of one solve a backward-Euler step side by
+    side: member i, at level ``ks[i]`` (see ``_StepProblem``), from its
+    field ``u_n[i]`` at t_n (``u_n`` itself for one unstacked field), with
+    what the earlier steps left in ``lay``.
+
+    Each member runs the damped Newton of ``implicit_step`` with its own
+    start, line search, convergence test and report, on the stack of the
+    members still active: one that converges leaves it, and only the
+    members whose line-search trial did not lower their residual go on to
+    the halved trial.  When a member fails, it and every later member
+    leave the solve and ``lay``, and the earlier ones run on.
+
+    Returns (u, reports, failure): the stacked fields at t_next of the
+    members before the first one that failed, their StepReports, and that
+    member's StepFailure (step -1), or None.
+    """
+    prob = _StepProblem(spec, lay.grid, config, ks, u_n, t_next, lay)
+    u = u_n.copy()
+    if lay.prev is not None:
+        # the local time derivative carries over to the next step
+        r = (t_next - t_n) / (t_n - lay.prev_t)
+        u += r * (u - lay.prev)
+        np.maximum(u, prob.floor, out=u)
+    if config.guess_offset != 0.0:
+        # perturb the initial Newton iterate; the converged state must not
+        # depend on it beyond the residual tolerance
+        u[..., prob.interior] += config.guess_offset
+    u[lay.edge] = prob.bc_boundary
+    u_next = np.empty((len(ks), lay.boundary.size))
+    reports: list = [None] * len(ks)
+    hists = [[] for _ in ks]
+    clamped = [False] * len(ks)
+    alive, failure = len(ks), None
+    dim = lay.grid.dim
+
+    def fail(pos, cause, exc=None):
+        nonlocal alive, failure
+        alive = int(prob.members[pos])
+        failure = StepFailure(-1, hists[alive], cause, k=ks[alive])
+        failure.__cause__ = exc
+
+    R, faces = prob.residual(u)
+    for it in range(config.newton_max + 1):
+        res = lay.rows(np.abs(R)).max(axis=1)
+        converged = 0
+        for a, (i, r) in enumerate(zip(prob.members.tolist(), res.tolist())):
+            hists[i].append(r)
+            if r <= config.newton_tol:
+                converged += 1
+                u_next[i] = lay.rows(u)[a]
+                reports[i] = StepReport(iterations=it, residual=r,
+                                        clamped=clamped[i])
+        if converged == res.size:
+            break
+        if it == config.newton_max:
+            # the first member that has not converged
+            fail(int(np.argmax(~(res <= config.newton_tol))),
+                 "iteration limit")
+            break
+        if converged:
+            active = ~(res <= config.newton_tol)
+            prob, u, R, res = prob.select(active), u[active], R[active], \
+                res[active]
+            faces = _select_faces(faces, active)
+        delta, failed = prob.update(faces, R)
+        if failed is not None:
+            pos, exc = failed
+            # each message of ``update`` names its cause
+            fail(pos, next((c for c in StepFailure.CAUSES if c in str(exc)),
+                           None), exc)
+            if pos == 0:
+                break
+            head = slice(0, pos)
+            prob, u, R, res = prob.select(head), u[head], R[head], res[head]
+            faces = _select_faces(faces, head)
+        # the members that still search: stack positions, problem, iterate,
+        # update and residual; the trials that each accepted
+        pos = np.arange(res.size)
+        sub, u_s, delta_s, res_s = prob, u, delta, res
+        parts = []
+        lam = 1.0
+        # up to ten halvings; the eleventh trial is taken as it is
+        for trial_no in range(11):
+            trial = u_s - lam * delta_s
+            if sub.k is None:
+                low = lay.rows(trial < 0.0).any(axis=1)
+                if low.any():
+                    # clamp the members with a negative node at 0
+                    rows = lay.rows(trial)
+                    np.maximum(rows, 0.0, out=rows, where=low[:, None])
+                    for i in sub.members[low].tolist():
+                        clamped[i] = True
+            R_trial, faces_trial = sub.residual(trial)
+            ok = (lay.rows(np.abs(R_trial)).max(axis=1) < res_s
+                  if trial_no < 10 else np.ones(pos.size, dtype=bool))
+            if ok.all() and not parts:
+                # every member accepts: the trial's residual and face data
+                # are the next iteration's as they are
+                u, R, faces = trial, R_trial, faces_trial
+                break
+            if ok.any():
+                # some members accepted (a stack: one field accepts all
+                # or nothing)
+                parts.append((pos[ok], trial[ok], R_trial[ok],
+                              _select_faces(faces_trial, ok)))
+                if ok.all():
+                    u, R, faces = _merge(parts, dim)
+                    break
+                wait = ~ok
+                pos, sub = pos[wait], sub.select(wait)
+                u_s, delta_s, res_s = u_s[wait], delta_s[wait], res_s[wait]
+            lam /= 2.0
+    lay.prev, lay.prev_t = u_n, t_n
+    if failure is not None:
+        lay.keep(alive)
+    return (u_next[:alive].reshape((alive,) + lay.grid.counts),
+            reports[:alive], failure)
 
 
 def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
                   config: SolverConfig, carry: _Layout | None = None
                   ) -> tuple[ScalarField, StepReport]:
-    """Advance one backward-Euler step.
+    """Advance one backward-Euler step: the one-member case of the
+    stacked step that the march of ``solve_problem`` takes.
 
     Solves (u - u_n)/dt = div F + f(., t_next) with boundary nodes pinned
     to g(., t_next) (plus 1/k in k-mode) by damped Newton with an exact
@@ -589,70 +861,87 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     (see ``_StepProblem._face_slopes``).  ``carry`` is the
     ``_Layout`` that the previous steps of the same solve left: the grid
     data of the steps, with the factor kept for the 2D/3D k-mode solves,
-    and the field before u_n.  None, or a layout made for another grid,
-    starts from a fresh one.  With the previous field, Newton starts from
-    u_n + r (u_n - u_{n-1}), r = (t_next - t_n) / (t_n - t_{n-1}), clamped
-    below at the mode's lower bound, 1/k in k-mode and 0 in direct mode;
-    without a previous field it starts from u_n.  The step records u_n in
-    the layout.  A step that does not reach ``newton_tol`` within
-    ``newton_max`` iterations, or whose Newton system cannot be solved,
-    ends in ``StepFailure``, whose ``cause`` says which.
+    and the field before u_n.  None, or a layout made for another grid or
+    for more members, starts from a fresh one.  With the previous field,
+    Newton starts from u_n + r (u_n - u_{n-1}),
+    r = (t_next - t_n) / (t_n - t_{n-1}), clamped below at the mode's
+    lower bound, 1/k in k-mode and 0 in direct mode; without a previous
+    field it starts from u_n.  The step records u_n in the layout.  A step
+    that does not reach ``newton_tol`` within ``newton_max`` iterations,
+    or whose Newton system cannot be solved, ends in ``StepFailure``,
+    whose ``cause`` says which.
     """
     grid = u_n.grid
-    if carry is None or carry.grid != grid:
+    if carry is None or carry.grid != grid or carry.size != 1:
         carry = _Layout(grid)
-    prob = _StepProblem(spec, grid, config, u_n.values, t_next, carry)
-    u = u_n.values.copy()
-    if carry.prev is not None:
-        # the local time derivative carries over to the next step
-        r = (t_next - u_n.t) / (u_n.t - carry.prev.t)
-        u += r * (u - carry.prev.values)
-        np.maximum(u, prob.floor, out=u)
-    if config.guess_offset != 0.0:
-        # perturb the initial Newton iterate; the converged state must not
-        # depend on it beyond the residual tolerance
-        u[prob.interior] += config.guess_offset
-    u[prob.boundary] = prob.bc_boundary
-    clamped = False
+    u, reports, failure = _stacked_step(spec, config, (config.k,),
+                                        u_n.values, u_n.t, t_next, carry)
+    if failure is not None:
+        raise failure
+    return ScalarField(grid, u[0], t_next), reports[0]
 
-    hist = []
-    R, faces = prob.residual(u)
-    for it in range(config.newton_max + 1):
-        res = float(np.max(np.abs(R)))
-        hist.append(res)
-        if res <= config.newton_tol:
-            carry.prev = u_n
-            return (ScalarField(grid, u, t_next),
-                    StepReport(iterations=it, residual=res, clamped=clamped))
-        if it == config.newton_max:
+
+def _time_axis(spec: ProblemSpec, config: SolverConfig
+               ) -> list[tuple[float, SolverConfig]]:
+    """The end time and config of every step from 0 to T; when dt does not
+    divide T, the last step is shortened to end at T."""
+    n_steps = int(round(spec.T / config.dt))
+    last = config
+    if abs(n_steps * config.dt - spec.T) > 1e-9 * spec.T:
+        n_steps = int(np.ceil(spec.T / config.dt))
+        last = replace(config, dt=spec.T - (n_steps - 1) * config.dt)
+    return [(min((n + 1) * config.dt, spec.T),
+             last if n == n_steps - 1 else config) for n in range(n_steps)]
+
+
+def _start(spec: ProblemSpec, lay: _Layout,
+           ks: Sequence[int | None]) -> np.ndarray:
+    """The stacked initial fields of the members at levels ``ks``: u0 with
+    the boundary data g at t = 0, both shifted by 1/k in k-mode."""
+    _, floor = _levels(ks, True, lay.grid.dim)
+    u = evaluate(spec.u0, lay.grid.counts, lay.x) + floor
+    bc = evaluate(spec.g, lay.grid.counts, lay.x, 0.0) + floor
+    u[lay.edge] = bc[lay.edge]
+    return u
+
+
+def _march(spec: ProblemSpec, grid: Grid, config: SolverConfig,
+           ks: Sequence[int]) -> tuple[list[TimeSeries], list[SolveReport]]:
+    """March the members at levels ``ks`` side by side from 0 to T, one
+    ``_stacked_step`` per time step, with one ``_Layout``.
+
+    Returns each member's trajectory and report.  When a member fails, the
+    members before it march on, and the march then raises the StepFailure
+    of the first failing member in ks order, with the index of its step:
+    the failure that solving the members one after another raises.
+    """
+    lay = _Layout(grid, len(ks))
+    u = _start(spec, lay, ks)
+    fields = [[ScalarField(grid, v, 0.0)] for v in u]
+    reports = [SolveReport() for _ in ks]
+    t, first_failure = 0.0, None
+    for n, (t_next, step_config) in enumerate(_time_axis(spec, config)):
+        u, steps, failure = _stacked_step(spec, step_config, ks[:lay.size],
+                                          u, t, t_next, lay)
+        if failure is not None:
+            failure.step_index = n
+            first_failure = failure
+            del fields[len(steps):], reports[len(steps):]
+        if not steps:
             break
-        try:
-            delta = prob.update(faces, R)
-        except np.linalg.LinAlgError as exc:
-            # each message of ``update`` names its cause
-            cause = next((c for c in StepFailure.CAUSES if c in str(exc)),
-                         None)
-            raise StepFailure(-1, hist, cause) from exc
-        lam = 1.0
-        # up to ten halvings; the eleventh trial is taken as it is
-        for trial_no in range(11):
-            trial = u - lam * delta
-            if prob.k is None and np.any(trial < 0.0):
-                trial = np.maximum(trial, 0.0)
-                clamped = True
-            R_trial, faces_trial = prob.residual(trial)
-            if trial_no == 10 or float(np.max(np.abs(R_trial))) < res:
-                # the accepted trial's residual and face data are the next
-                # iteration's
-                u, R, faces = trial, R_trial, faces_trial
-                break
-            lam /= 2.0
-    raise StepFailure(-1, hist, "iteration limit")
+        for member, report, v, step in zip(fields, reports, u, steps):
+            member.append(ScalarField(grid, v, t_next))
+            report.steps.append(step)
+        t = t_next
+    if first_failure is not None:
+        raise first_failure
+    return [TimeSeries(member) for member in fields], reports
 
 
 def solve_problem(spec: ProblemSpec, grid: Grid,
                   config: SolverConfig) -> tuple[TimeSeries, SolveReport]:
-    """March the implicit scheme from 0 to T.
+    """March the implicit scheme from 0 to T, one ``implicit_step`` per
+    time step.
 
     In k-mode the initial field is u0 + 1/k and boundary data g + 1/k; in
     direct mode the data are used as given.  One ``_Layout`` passes the
@@ -660,24 +949,10 @@ def solve_problem(spec: ProblemSpec, grid: Grid,
     the next, so every step after the first starts Newton from the
     extrapolated field in both modes.
     """
-    shift = 0.0 if config.k is None else 1.0 / config.k
     carry = _Layout(grid)
-    x = carry.x
-    boundary = carry.boundary
-    u0 = evaluate(spec.u0, grid.counts, x) + shift
-    bc0 = evaluate(spec.g, grid.counts, x, 0.0) + shift
-    u0[boundary] = bc0[boundary]
-    fields = [ScalarField(grid, u0, 0.0)]
+    fields = [ScalarField(grid, _start(spec, carry, (config.k,))[0], 0.0)]
     report = SolveReport()
-    n_steps = int(round(spec.T / config.dt))
-    last = config
-    if abs(n_steps * config.dt - spec.T) > 1e-9 * spec.T:
-        # dt does not divide T: the last step is shortened to end at T
-        n_steps = int(np.ceil(spec.T / config.dt))
-        last = replace(config, dt=spec.T - (n_steps - 1) * config.dt)
-    for n in range(n_steps):
-        t_next = min((n + 1) * config.dt, spec.T)
-        step_config = last if n == n_steps - 1 else config
+    for n, (t_next, step_config) in enumerate(_time_axis(spec, config)):
         try:
             f_next, step = implicit_step(fields[-1], t_next, spec,
                                          step_config, carry=carry)
@@ -780,7 +1055,11 @@ def regularization_cascade(spec: ProblemSpec, grid: Grid,
     positive part of u_l - u_k over space-time for each consecutive pair
     k < l (expected below the ordering tolerance since the family
     decreases in k), and the successive trajectory distances in the
-    solution-space metric.
+    solution-space metric.  1D members march side by side (``_march``),
+    2D/3D members one after another through ``solve_problem``; either
+    way each member's trajectory and report are those of its own solve,
+    to the bit.  A failure raises the StepFailure of the first failing
+    member in ks order, whose ``k`` names it.
     """
     ks = list(ks)
     if not ks:
@@ -791,11 +1070,18 @@ def regularization_cascade(spec: ProblemSpec, grid: Grid,
         raise ValueError("ks must be strictly increasing")
     if not spec.exponents.closeness_ok:
         raise ValueError("cascade requires the exponent closeness condition")
-    series, reports = [], []
-    for k in ks:
-        ts, rep = solve_problem(spec, grid, replace(config, k=k))
-        series.append(ts)
-        reports.append(rep)
+    if grid.dim == 1:
+        series, reports = _march(spec, grid, config, tuple(ks))
+    else:
+        # 2D/3D members march one after another: each solves its Newton
+        # systems with its own factor either way, and the benchmark's
+        # tracer counts one solve_problem per member and one implicit_step
+        # per step of a 2D cascade
+        series, reports = [], []
+        for k in ks:
+            ts, rep = solve_problem(spec, grid, replace(config, k=k))
+            series.append(ts)
+            reports.append(rep)
     excess = {}
     for (ka, sa), (kb, sb) in zip(zip(ks, series), zip(ks[1:], series[1:])):
         excess[(ka, kb)] = max(0.0, ordering_excess(sb, sa))

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -378,6 +379,17 @@ def _plane(times=(0.0, 0.5, 1.0)):
         const_spec((2.0, 2.0), (1.0, 1.0), f_val=np.nan),
         Grid((1.0, 1.0), (5, 5))),
         "field values must be finite", id="degiorgi_constants-f"),
+    # a NaN g was dropped from the data bound, and a NaN u0 made it NaN
+    pytest.param(lambda: degiorgi_constants(
+        replace(const_spec((2.0, 2.0), (1.0, 1.0)),
+                g=lambda x, t: np.full(np.shape(x[0]), np.nan)),
+        Grid((1.0, 1.0), (5, 5))),
+        "field values must be finite", id="degiorgi_constants-g"),
+    pytest.param(lambda: degiorgi_constants(
+        replace(const_spec((2.0, 2.0), (1.0, 1.0)),
+                u0=lambda x: np.full(np.shape(x[0]), np.nan)),
+        Grid((1.0, 1.0), (5, 5))),
+        "field values must be finite", id="degiorgi_constants-u0"),
 ])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

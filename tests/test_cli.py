@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -378,6 +379,16 @@ class TestRun:
         assert exc.value.code == ("constant: step 0 failed, "
                                   "final residual 4.686e+00 "
                                   "(iteration limit)")
+
+    def test_cascade_step_failure_names_its_member(self, tmp_path):
+        # k = 1 converges in one Newton iteration, k = 2 needs four
+        cfg = write_config(tmp_path, "fail.json", {
+            "scenario": "cascade", "preset": "porous-cascade", "grid": [9],
+            "n_steps": 2, "ks": [1, 2], "solver": {"newton_max": 2}})
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert re.fullmatch(r"cascade: k = 2: step 0 failed, final residual "
+                            r"\S+ \(iteration limit\)", exc.value.code)
 
     def test_failed_run_removes_earlier_report(self, tmp_path):
         payload = {"scenario": "constant", "preset": "porous-cascade",

@@ -5,6 +5,8 @@ import pytest
 
 from anisodnl.presets import (MANUFACTURED_EXACT, PRESET_NAMES, get_preset,
                               preset_defaults, problem_from_config)
+from anisodnl.discretization import Grid
+from anisodnl.model import evaluate
 from anisodnl.solver import manufactured_rhs
 
 DEFAULT_GRIDS = {
@@ -47,6 +49,29 @@ def test_manufactured_preset_matches_its_exact_solution(name):
     t_edge = np.tile(t[:100], 2)
     np.testing.assert_allclose(spec.g(edge, t_edge), exact(edge, t_edge),
                                rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_evaluators_act_elementwise_on_stacks(name):
+    # the solver marches the members of a cascade as one stack of fields
+    # of shape (members, *counts): each a_j takes the stacked u at points
+    # of one field, and each member's field is the one it gives that
+    # member alone; f, g and u0 take stacked points the same way
+    spec = get_preset(name)
+    grid = Grid(spec.box, (9,) * spec.dim)
+    x = grid.meshgrid()
+    t = 0.3 * spec.T
+    u = np.random.default_rng(3).uniform(0.1, 2.0, (3,) + grid.counts)
+    for a in spec.coeffs.funcs:
+        assert np.array_equal(evaluate(a, u.shape, x, t, u),
+                              [evaluate(a, grid.counts, x, t, v) for v in u])
+    scales = (1.0, 0.5, 0.25)
+    xs = tuple(np.stack([s * c for s in scales]) for c in x)
+    for fn, args in ((spec.f, (t,)), (spec.g, (t,)), (spec.u0, ())):
+        assert np.array_equal(
+            evaluate(fn, xs[0].shape, xs, *args),
+            [evaluate(fn, grid.counts, tuple(s * c for c in x), *args)
+             for s in scales])
 
 
 def test_unknown_preset():

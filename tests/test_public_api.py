@@ -156,6 +156,39 @@ def test_newton_systems_solved_only_in_solve_and_update():
         name: {("solver", fn)} for name, fn in pinned.items()}
 
 
+def _callers(name):
+    """(module, innermost enclosing function) of every call of name, as a
+    bare name or an attribute, and the number of such calls."""
+    found = []
+    for path in SOURCES:
+        for fn, node in _calls(ast.parse(path.read_text())):
+            if name in (getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                found.append((path.stem, fn))
+    return set(found), len(found)
+
+
+def _calls(node, function=None):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield function, child
+        inner = (child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+        yield from _calls(child, inner)
+
+
+def test_newton_loop_has_one_home():
+    # _stacked_step is the one Newton loop, for a stack of members or one:
+    # it alone makes a _StepProblem, implicit_step takes it for one member
+    # and _march for a stack, and LAPACK dgtsv, the 1D solve of every
+    # member, has one call
+    assert _callers("_StepProblem") == ({("solver", "_stacked_step")}, 1)
+    assert _callers("_stacked_step")[0] == {("solver", "implicit_step"),
+                                            ("solver", "_march")}
+    assert _callers("dgtsv") == ({("solver", "update")}, 1)
+    assert _callers("_march")[0] == {("solver", "regularization_cascade")}
+
+
 REPO = Path(anisodnl.__file__).parents[2]
 # the readers outside src/: the acceptance gate and the benchmark
 OUTSIDE_READERS = [REPO / "tests" / "test_acceptance.py",

@@ -43,6 +43,9 @@ from anisodnl.solver import (
     _Layout,
     _RedBlack,
     _StepProblem,
+    _march,
+    _stacked_step,
+    _start,
     implicit_step,
     manufactured_rhs,
     ordering_tolerance,
@@ -187,6 +190,26 @@ def full_system_pcg(rb, shape, d, w, b):
 DIRECT = pytest.param(None, id="direct")
 
 
+def one_member(spec, grid, cfg, u_prev, t_next, layout=None):
+    """The _StepProblem of one field at level cfg.k."""
+    return _StepProblem(spec, grid, cfg, (cfg.k,), u_prev, t_next, layout)
+
+
+def update(prob, faces, R):
+    """The Newton update of a one-member problem, or the LinAlgError
+    that names why its system cannot be solved."""
+    delta, failed = prob.update(faces, R)
+    if failed is not None:
+        raise failed[1]
+    return delta
+
+
+def assemble(prob, faces, R):
+    """The operator (d, w) and interior residual b of a one-member
+    problem."""
+    return tuple(a[0] for a in prob.assemble(faces, R))
+
+
 def jacobian(prob, faces) -> sp.csr_matrix:
     """Sparse Jacobian of the residual (see ``_StepProblem._face_slopes``),
     with identity rows at the boundary nodes: the reference for the band
@@ -234,7 +257,7 @@ def solved_matrix(prob, faces, R):
     ``faces``, dense in band order, rebuilt from the operator (d, w) of
     ``prob.assemble``: the diagonal d, the first half of w at the entries
     (hi, lo) of the couplings and the second half at (lo, hi)."""
-    d, w, b = prob.assemble(faces, R)
+    d, w, b = assemble(prob, faces, R)
     lo, hi = couplings(prob.layout.shape)
     assert d.shape == b.shape and w.shape == (2 * lo.size,)
     J = np.diag(d)
@@ -253,19 +276,20 @@ class TestNewtonUpdate:
         grid = Grid(spec.box, counts)
         cfg = SolverConfig(dt=0.01, k=k)
         rng = np.random.default_rng(len(counts))
-        prob = _StepProblem(spec, grid, cfg, np.full(counts, 0.6), 0.01)
+        prob = one_member(spec, grid, cfg, np.full(counts, 0.6), 0.01)
         u = rng.uniform(0.3, 1.5, counts)
-        u[~prob.interior] = prob.bc[~prob.interior]
+        u[prob.boundary] = prob.bc_boundary
         R, faces = prob.residual(u)
         ref = spla.spsolve(jacobian(prob, faces), R.ravel())
-        got = prob.update(faces, R)
+        got = update(prob, faces, R)
         assert np.max(np.abs(got.ravel() - ref)) \
             <= 1e-12 * np.max(np.abs(ref))
         assert np.all(got[~prob.interior] == 0.0)
         # a fresh layout keeps the factor of this matrix in 2D/3D k-mode;
         # the operator of a single interior node has no couplings and
         # reads as symmetric in both modes
-        kept = len(counts) > 1 and prob.layout.red_black.kept is not None
+        kept = (len(counts) > 1
+                and prob.layout.red_black[0].kept is not None)
         assert kept == (prob.symmetric or counts == (3, 3))
         assert prob.symmetric == (k is not None and len(counts) > 1)
 
@@ -279,15 +303,15 @@ class TestNewtonUpdate:
     def test_direct_update_matches_sparse_lu(self, counts, clamped):
         spec = varcoeff_problem(len(counts))
         grid = Grid(spec.box, counts)
-        prob = _StepProblem(spec, grid, SolverConfig(dt=0.01),
-                            np.full(counts, 0.6), 0.01)
+        prob = one_member(spec, grid, SolverConfig(dt=0.01),
+                          np.full(counts, 0.6), 0.01)
         u = np.random.default_rng(sum(counts)).uniform(0.3, 1.5, counts)
         if clamped:
             u[(slice(1, 4),) * len(counts)] = 0.0
-        u[prob.boundary] = prob.bc[prob.boundary]
+        u[prob.boundary] = prob.bc_boundary
         R, faces = prob.residual(u)
         ref = np.atleast_1d(spla.spsolve(jacobian(prob, faces), R.ravel()))
-        got = prob.update(faces, R)
+        got = update(prob, faces, R)
         assert np.max(np.abs(got.ravel() - ref)) \
             <= 1e-12 * np.max(np.abs(ref))
         assert np.all(got[prob.boundary] == 0.0)
@@ -302,11 +326,10 @@ class TestNewtonUpdate:
         # sides, in Fortran order (so no copy), unless there is no black
         # node
         spec = varcoeff_problem(len(counts))
-        prob = _StepProblem(spec, Grid(spec.box, counts),
-                            SolverConfig(dt=0.01), np.full(counts, 0.6),
-                            0.01)
+        prob = one_member(spec, Grid(spec.box, counts),
+                          SolverConfig(dt=0.01), np.full(counts, 0.6), 0.01)
         u = np.random.default_rng(7).uniform(0.3, 1.5, counts)
-        u[prob.boundary] = prob.bc[prob.boundary]
+        u[prob.boundary] = prob.bc_boundary
         R, faces = prob.residual(u)
         n = int(np.prod([c - 2 for c in counts]))
         calls = []
@@ -323,18 +346,18 @@ class TestNewtonUpdate:
 
         monkeypatch.setattr(lapack, "dgtsv", gtsv)
         monkeypatch.setattr(lapack, "dgbsv", gbsv)
-        prob.update(faces, R)
+        update(prob, faces, R)
         if len(counts) == 1:
             assert calls == [("dgtsv", n - 1, n, n - 1, n)]
             return
-        rb = prob.layout.red_black
+        rb = prob.layout.red_black[0]
         kd = rb.kd
         assert rb.black.size == n // 2
         assert calls == ([("dgbsv", kd, kd, (3 * kd + 1, n // 2), n // 2,
                            True)] if n > 1 else [])
         # a red diagonal entry that is 0 or not finite is a singular
         # matrix, reported before any division by it
-        d, w, b = prob.assemble(faces, R)
+        d, w, b = assemble(prob, faces, R)
         for bad in (0.0, np.inf, np.nan):
             broken = d.copy()
             broken[rb.red[-1]] = bad
@@ -352,33 +375,33 @@ class TestNewtonUpdate:
         grid = Grid(spec.box, (n + 2,))
         cfg = SolverConfig(dt=0.01, k=k)
         u_prev = np.full(grid.counts, 0.6)
-        prob = _StepProblem(spec, grid, cfg, u_prev, 0.01)
+        prob = one_member(spec, grid, cfg, u_prev, 0.01)
         u = np.random.default_rng(n).uniform(0.3, 1.5, grid.counts)
-        u[prob.boundary] = prob.bc[prob.boundary]
+        u[prob.boundary] = prob.bc_boundary
         R, faces = prob.residual(u)
-        d, w, b = prob.assemble(faces, R)
+        d, w, b = assemble(prob, faces, R)
         ab = np.zeros((3, n))
         ab[0, 1:] = w[n - 1:]
         ab[1] = d
         ab[2, :-1] = w[:n - 1]
         ref = scipy.linalg.solve_banded((1, 1), ab, b)
         R_before = R.copy()
-        got = prob.update(faces, R)
+        got = update(prob, faces, R)
         assert np.array_equal(got[1:-1], ref)
         assert got[0] == got[-1] == 0.0
         assert np.array_equal(R, R_before)
 
-        assemble = _StepProblem.assemble
+        stacked = _StepProblem.assemble
 
         def zero_first_column(self, faces, R):
-            d, w, b = assemble(self, faces, R)
-            d[0] = 0.0
-            w[:1] = 0.0
+            d, w, b = stacked(self, faces, R)
+            d[:, 0] = 0.0
+            w[:, :1] = 0.0
             return d, w, b
 
         monkeypatch.setattr(_StepProblem, "assemble", zero_first_column)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            prob.update(faces, R)
+            update(prob, faces, R)
         with pytest.raises(StepFailure) as exc:
             implicit_step(ScalarField(grid, u_prev, 0.0), 0.01, spec, cfg)
         assert exc.value.cause == "singular"
@@ -416,23 +439,23 @@ class TestNewtonUpdate:
         u_prev = np.full(counts, 0.6)
         # both problems share one layout, and with it the kept factor
         lay = _Layout(grid)
-        prob = _StepProblem(spec, grid, SolverConfig(dt=0.01, k=4), u_prev,
-                            0.01, lay)
+        prob = one_member(spec, grid, SolverConfig(dt=0.01, k=4), u_prev,
+                          0.01, lay)
         u = rng.uniform(0.3, 1.5, counts)
-        u[~prob.interior] = prob.bc[~prob.interior]
+        u[prob.boundary] = prob.bc_boundary
         R, faces = prob.residual(u)
         if stale == "other-iterate":
             v = rng.uniform(0.3, 1.5, counts)
-            v[~prob.interior] = prob.bc[~prob.interior]
+            v[prob.boundary] = prob.bc_boundary
             R_v, faces_v = prob.residual(v)
-            prob.update(faces_v, R_v)
+            update(prob, faces_v, R_v)
         else:
-            _StepProblem(spec, grid, SolverConfig(dt=stale, k=4), u_prev,
-                         0.01, lay).update(faces, R)
-        stale_factor = lay.red_black.kept
-        got = prob.update(faces, R)
+            update(one_member(spec, grid, SolverConfig(dt=stale, k=4),
+                              u_prev, 0.01, lay), faces, R)
+        stale_factor = lay.red_black[0].kept
+        got = update(prob, faces, R)
         J = jacobian(prob, faces)
-        if lay.red_black.kept is stale_factor:
+        if lay.red_black[0].kept is stale_factor:
             assert np.linalg.norm(J @ got.ravel() - R.ravel()) \
                 <= anisodnl.solver.CG_RTOL * np.linalg.norm(R)
         else:
@@ -446,7 +469,7 @@ class TestNewtonUpdate:
         # unknowns, and CG_MAX iterations reach CG_RTOL there
         keeps = {1.0: True, 1e-4: len(counts) == 3,
                  "other-iterate": False}
-        assert (lay.red_black.kept is stale_factor) == keeps[stale]
+        assert (lay.red_black[0].kept is stale_factor) == keeps[stale]
 
     # (9, 13) has odd interior extents, (4, 4) even ones, (3, 3) a single
     # interior node and so no black node, (3, 9) a single interior line,
@@ -456,18 +479,18 @@ class TestNewtonUpdate:
     def test_red_black_factor_is_exact_inverse(self, counts, monkeypatch):
         spec = varcoeff_problem(len(counts))
         grid = Grid(spec.box, counts)
-        prob = _StepProblem(spec, grid, SolverConfig(dt=0.01, k=4),
-                            np.full(counts, 0.6), 0.01)
+        prob = one_member(spec, grid, SolverConfig(dt=0.01, k=4),
+                          np.full(counts, 0.6), 0.01)
         rng = np.random.default_rng(sum(counts))
         u = rng.uniform(0.3, 1.5, counts)
-        u[prob.boundary] = prob.bc[prob.boundary]
+        u[prob.boundary] = prob.bc_boundary
         _, faces = prob.residual(u)
         # the matrix on the interior unknowns, in the band order
         lay = prob.layout
         idx = band_order(prob)
         A = jacobian(prob, faces)[idx][:, idx].tocsc()
         n = idx.size
-        rb = lay.red_black
+        rb = lay.red_black[0]
         assert (rb.red.size, rb.black.size) == ((n + 1) // 2, n // 2)
         # S keeps A's half-bandwidth, the largest stride; B's transpose
         # is a view
@@ -525,13 +548,13 @@ class TestNewtonUpdate:
         spec = get_preset("porous-cascade")
         spec = replace(spec, exponents=Exponents((2.0,), (2.25,)))
         grid = Grid(spec.box, (33,))
-        prob = _StepProblem(spec, grid, SolverConfig(dt=0.01, k=k),
-                            np.full(33, 0.6), 0.01)
+        prob = one_member(spec, grid, SolverConfig(dt=0.01, k=k),
+                          np.full(33, 0.6), 0.01)
         rng = np.random.default_rng(k)
         bands = [(2.0 / k, k / 4.0), (0.3 / k, 0.6 / k),
                  (2.0 / k, k / 4.0), (2.0 * k, 3.0 * k)]
         u = np.array([rng.uniform(*bands[(i // 4) % 4]) for i in range(33)])
-        u[prob.boundary] = prob.bc[prob.boundary]
+        u[prob.boundary] = prob.bc_boundary
         assert np.any(u < 1.0 / k) and np.any(u > k)
         _, faces = prob.residual(u)
         J = jacobian(prob, faces).toarray()
@@ -565,9 +588,9 @@ class TestNewtonUpdate:
                                 (1.5, 1.0, 2.0)[:dim])
         grid = Grid(spec.box, counts)
         u_prev = np.full(counts, 0.6)
-        prob = _StepProblem(spec, grid, SolverConfig(dt=0.01), u_prev, 0.01)
+        prob = one_member(spec, grid, SolverConfig(dt=0.01), u_prev, 0.01)
         u = np.random.default_rng(dim).uniform(0.3, 1.5, counts)
-        u[prob.boundary] = prob.bc[prob.boundary]
+        u[prob.boundary] = prob.bc_boundary
         R, faces = prob.residual(u)
         J = solved_matrix(prob, faces, R)
         idx = band_order(prob)
@@ -592,10 +615,11 @@ class TestNewtonUpdate:
         # 30-50% off); m = 1 and a = 1, so no lagged term is left
         dim = len(counts)
         spec = constant_problem(0.7, (1.5, 1.7)[:dim], (1.0, 1.0)[:dim])
-        prob = _StepProblem(spec, Grid(spec.box, counts),
-                            SolverConfig(dt=0.01, k=k), np.full(counts, 0.6),
-                            0.01)
-        u = prob.bc.copy()
+        prob = one_member(spec, Grid(spec.box, counts),
+                          SolverConfig(dt=0.01, k=k), np.full(counts, 0.6),
+                          0.01)
+        # the boundary data are constant
+        u = np.full(counts, prob.bc_boundary[0])
         R, faces = prob.residual(u)
         J = jacobian(prob, faces).toarray()
         fd = np.empty_like(J)
@@ -618,8 +642,8 @@ class TestNewtonUpdate:
         spec = constant_problem(0.0, (3.0, 2.0, 2.5)[:dim],
                                 (1.5, 1.2, 2.0)[:dim])
         grid = Grid(spec.box, counts)
-        prob = _StepProblem(spec, grid, SolverConfig(dt=0.01),
-                            np.full(counts, 0.6), 0.01)
+        prob = one_member(spec, grid, SolverConfig(dt=0.01),
+                          np.full(counts, 0.6), 0.01)
         u = np.random.default_rng(dim).uniform(0.3, 1.5, counts)
         u[prob.boundary] = 0.0
         u[(slice(1, 4),) * dim] = 0.0
@@ -800,8 +824,8 @@ class TestStepProblem:
         spec = varcoeff_problem(len(counts))
         grid = Grid(spec.box, counts)
         dt, t = 0.01, 0.01
-        prob = _StepProblem(spec, grid, SolverConfig(dt=dt, k=k),
-                            np.full(counts, 0.6), t)
+        prob = one_member(spec, grid, SolverConfig(dt=dt, k=k),
+                          np.full(counts, 0.6), t)
         u = np.random.default_rng(len(counts)).uniform(0.3, 1.5, counts)
         if clamped:
             u[(slice(1, 4),) * len(counts)] = 0.0
@@ -1065,10 +1089,10 @@ class TestKirchhoffFlux:
         grid = Grid(spec.box, counts)
         u_prev = np.full(counts, 0.6)
         u = np.random.default_rng(len(counts)).uniform(0.5, 1.5, counts)
-        got, _ = _StepProblem(spec, grid, SolverConfig(dt=0.01, k=2),
-                              u_prev, 0.01).residual(u)
-        ref, _ = _StepProblem(spec, grid, SolverConfig(dt=0.01), u_prev,
-                              0.01).residual(u)
+        got, _ = one_member(spec, grid, SolverConfig(dt=0.01, k=2), u_prev,
+                            0.01).residual(u)
+        ref, _ = one_member(spec, grid, SolverConfig(dt=0.01), u_prev,
+                            0.01).residual(u)
         inner = grid.interior_mask()
         assert np.max(np.abs(got[inner] - ref[inner])) \
             <= 1e-12 * np.max(np.abs(ref[inner]))
@@ -1108,17 +1132,19 @@ class TestCascade:
                                                dt_steps, monkeypatch):
         # the kept factor and the extrapolated first iterate change how
         # Newton gets there, not where it ends: every field agrees with
-        # steps that start from u_n with no factor kept
+        # steps that start from u_n with no factor kept.  Every step of a
+        # march is a stacked step, which takes that state from its layout
         spec = get_preset(name)
         grid = Grid(spec.box, counts)
         cfg = SolverConfig(dt=spec.T / dt_steps)
         warm = regularization_cascade(spec, grid, cfg, ks)
-        step = implicit_step
+        step = anisodnl.solver._stacked_step
 
-        def fresh_step(u_n, t_next, spec, config, carry):
-            return step(u_n, t_next, spec, config, carry=None)
+        def fresh_step(spec, config, ks, u_n, t_n, t_next, lay):
+            return step(spec, config, ks, u_n, t_n, t_next,
+                        _Layout(lay.grid, lay.size))
 
-        monkeypatch.setattr(anisodnl.solver, "implicit_step", fresh_step)
+        monkeypatch.setattr(anisodnl.solver, "_stacked_step", fresh_step)
         cold = regularization_cascade(spec, grid, cfg, ks)
         tol = ordering_tolerance(cfg, spec.T)
         for sw, sc in zip(warm.series, cold.series):
@@ -1204,7 +1230,8 @@ class TestCascade:
         def no_member(*args):
             raise AssertionError("a member was solved")
 
-        monkeypatch.setattr(anisodnl.solver, "solve_problem", no_member)
+        # every solve takes its steps through the stacked step
+        monkeypatch.setattr(anisodnl.solver, "_stacked_step", no_member)
         spec = get_preset("porous-cascade")
         grid = Grid(spec.box, (9,))
         cfg = SolverConfig(dt=spec.T / 2)
@@ -1234,6 +1261,106 @@ class TestCascade:
         norms = [max(gradient_power_norms(ts, m, spec.exponents.p))
                  for ts in res.series]
         assert max(norms) <= 2.0 * min(norms)
+
+
+def step_records(report):
+    """Iterations, residual and clamp flag of every step of a report."""
+    return [(s.iterations, s.residual, s.clamped) for s in report.steps]
+
+
+class TestMarch:
+    # members marched side by side each do the arithmetic of their own
+    # one-member solve
+
+    @pytest.mark.parametrize("name, counts, ks", [
+        ("porous-cascade", (65,), [1, 2, 4, 8, 16, 32, 64]),
+        ("aniso-cascade", (17, 17), [2, 4, 8, 16]),
+        ("aniso-cascade", (18, 18), [2, 4, 8]),
+        ("varcoeff-3d", (5, 6, 7), [2, 4]),
+    ])
+    def test_members_match_their_own_solves(self, name, counts, ks,
+                                            monkeypatch):
+        spec = (varcoeff_problem(3) if name == "varcoeff-3d"
+                else get_preset(name))
+        grid = Grid(spec.box, counts)
+        cfg = SolverConfig(dt=spec.T / 8)
+        merged = []
+        merge = anisodnl.solver._merge
+        monkeypatch.setattr(anisodnl.solver, "_merge", lambda parts, dim: (
+            merged.append(len(parts)), merge(parts, dim))[1])
+        series, reports = _march(spec, grid, cfg, tuple(ks))
+        res = regularization_cascade(spec, grid, cfg, ks)
+        for i, k in enumerate(ks):
+            own, own_report = solve_problem(spec, grid, replace(cfg, k=k))
+            for ts, rep in ((series[i], reports[i]),
+                            (res.series[i], res.reports[i])):
+                assert [f.t for f in ts.fields] == [f.t for f in own.fields]
+                assert np.array_equal(ts.values_array(), own.values_array())
+                assert step_records(rep) == step_records(own_report)
+        if len(counts) == 1:
+            # some step had members that accepted different line-search
+            # trials
+            assert merged
+
+    def test_singular_member_leaves_the_stack(self):
+        # a = -1 where u < 0.3: on two interior nodes with h = 1 and
+        # dt = 1 the member at k = 8 (u = 1/8) has the singular matrix
+        # [[-1, 1], [1, -1]], and the member at k = 2 (u = 1/2) a regular
+        # one; f = 1 moves both off their start
+        spec = replace(
+            varcoeff_problem(1), box=(3.0,), T=1.0,
+            exponents=Exponents((2.0,), (1.0,)),
+            coeffs=CoefficientSpec(
+                (lambda x, t, u: np.where(u < 0.3, -1.0, 1.0),), 1.0, 0.0),
+            f=make_constant(1.0), g=make_constant(0.0),
+            u0=make_constant(0.0))
+        grid = Grid(spec.box, (4,))
+        cfg = SolverConfig(dt=1.0)
+        lay = _Layout(grid, 2)
+        u_n = _start(spec, lay, (2, 8))
+        u, reports, failure = _stacked_step(spec, cfg, (2, 8), u_n, 0.0,
+                                            1.0, lay)
+        assert (failure.k, failure.cause) == (8, "singular")
+        assert lay.size == 1 and len(reports) == 1
+        own, own_report = implicit_step(ScalarField(grid, u_n[0], 0.0), 1.0,
+                                        spec, replace(cfg, k=2))
+        assert np.array_equal(u[0], own.values)
+        assert reports == [own_report]
+        with pytest.raises(StepFailure) as alone:
+            implicit_step(ScalarField(grid, u_n[1], 0.0), 1.0, spec,
+                          replace(cfg, k=8))
+        assert failure.residual_history == alone.value.residual_history
+
+    def test_first_failing_member_is_raised(self):
+        # a_1 is NaN below a level that rises from 0.1 to 0.4 at T/2: the
+        # member at k = 64, whose boundary value 1/64 lies below it from
+        # the start, fails at step 0, the one at k = 4 (boundary value
+        # 1/4) at the first step past T/2, and the one at k = 2 (1/2)
+        # never.  The cascade raises what marching one member after
+        # another raises: the failure of k = 4
+        spec = get_preset("porous-cascade")
+
+        def a(x, t, u):
+            level = 0.1 if t < spec.T / 2 else 0.4
+            return np.where(u < level, np.nan, 1.0)
+
+        spec = replace(spec, coeffs=CoefficientSpec((a,), 1.0, 0.0))
+        grid = Grid(spec.box, (33,))
+        cfg = SolverConfig(dt=spec.T / 8)
+        failures = {}
+        for k in (4, 64):
+            with pytest.raises(StepFailure) as exc:
+                solve_problem(spec, grid, replace(cfg, k=k))
+            failures[k] = exc.value
+        assert failures[64].step_index == 0 < failures[4].step_index
+        solve_problem(spec, grid, replace(cfg, k=2))
+        with pytest.raises(StepFailure) as exc:
+            regularization_cascade(spec, grid, cfg, [2, 4, 64])
+        got, want = exc.value, failures[4]
+        assert (got.k, got.step_index, got.cause, str(got)) == (
+            4, want.step_index, want.cause, str(want))
+        np.testing.assert_array_equal(got.residual_history,
+                                      want.residual_history)
 
 
 class TestRobustness:
