@@ -118,7 +118,12 @@ def evaluate(fn: Evaluator, shape, *args) -> np.ndarray:
     a_j the stacked u at the points of one field, and member i's rows of
     the result must be what a_j gives member i's field alone.  f, g and
     u0 take stacked points the same way."""
-    return np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
+    values = np.asarray(fn(*args), dtype=float)
+    if values.shape != shape:
+        return np.broadcast_to(values, shape)
+    view = values.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -223,13 +228,13 @@ def working_power(k, m: float, u):
 def flux(c, xi, p: float):
     """Flux c |xi|^(p-2) xi; for p < 2 the regularized
     c (xi^2 + EPS_REG^2)^((p-2)/2) xi, whose slope is finite at xi = 0
-    (Barrett & Liu, Math. Comp. 61, 1993).  It is 0 at xi = 0 whatever
-    c is."""
-    xi = np.asarray(xi, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mag = ((xi * xi + EPS_REG * EPS_REG) ** ((p - 2.0) / 2.0) if p < 2.0
-               else np.abs(xi) ** (p - 2.0))
-        return np.where(xi == 0.0, 0.0, c * mag * xi)
+    (Barrett & Liu, Math. Comp. 61, 1993).  It is 0 at xi = 0 whatever c
+    is.  Its magnitude cannot divide by zero: for p < 2 its base is at
+    least EPS_REG^2, for p >= 2 its power is non-negative; only an
+    infinite c, or a product beyond the float range, warns."""
+    mag = ((xi * xi + EPS_REG * EPS_REG) ** ((p - 2.0) / 2.0) if p < 2.0
+           else np.abs(xi) ** (p - 2.0))
+    return np.where(xi == 0.0, 0.0, c * mag * xi)
 
 
 def flux_slope(c, xi, p: float):

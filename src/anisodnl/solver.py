@@ -51,6 +51,7 @@ direct mode).
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -59,6 +60,7 @@ import numpy as np
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .discretization import (Grid, ScalarField, TimeSeries, axis_slices,
                              face_mean, integrate_power)
@@ -85,6 +87,20 @@ FD_STEP = 1e-3
 # a 2D/3D k-mode Newton system; a looser tolerance costs Newton iterations
 CG_RTOL = 1e-4
 CG_MAX = 8
+
+
+def _matvec(a, x: np.ndarray) -> np.ndarray:
+    """a @ x for a CSR or CSC matrix ``a`` and a vector x, both of floats:
+    the kernel that scipy's own product runs, with its summation order,
+    without scipy.sparse's operator dispatch.  ``_sparsetools`` is
+    private; its ``csr_matvec``/``csc_matvec`` are the calls of
+    ``_compressed._cs_matrix._matmul_vector`` in scipy 1.17.1, the version
+    this was checked against."""
+    rows, cols = a.shape
+    out = np.zeros(rows)
+    getattr(_sparsetools, a.format + "_matvec")(
+        rows, cols, a.indptr, a.indices, a.data, x, out)
+    return out
 
 
 def _valid_k(k) -> bool:
@@ -198,7 +214,13 @@ class _RedBlack:
     ``fill``); ``Bt`` and ``Ct`` are their transposes and share their
     data.  ``schur`` is the one assembly of S and ``solve`` the one solve
     of both modes; ``kept`` is the factor that ``solve`` keeps for the
-    symmetric operators, None until it makes one.
+    symmetric operators, None until it makes one, and ``cg_operators``
+    the operator S and the preconditioner that it hands to CG, made on its
+    first symmetric solve and kept: they read the ``d_b``, ``inv_dr``
+    (D_b and 1/D_r) and ``kept`` of the current solve.  ``by_colour``
+    lists the red nodes, then the black ones, and ``to_band`` is its
+    inverse, so one gather reads both halves of a vector and one puts
+    them back.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -207,6 +229,8 @@ class _RedBlack:
         black = coords.sum(axis=0) % 2 == 1
         self.red = np.flatnonzero(~black)
         self.black = np.flatnonzero(black)
+        self.by_colour = np.concatenate((self.red, self.black))
+        self.to_band = np.argsort(self.by_colour)
         num = np.empty(n, dtype=np.intp)
         num[self.red] = np.arange(self.red.size)
         num[self.black] = np.arange(self.black.size)
@@ -260,6 +284,7 @@ class _RedBlack:
         self.pairs = (pa, pb, np.repeat(np.arange(self.red.size), deg)[pa],
                       col * (self.kd + 1) + (row - col))
         self.kept = None
+        self.cg_operators = self.d_b = self.inv_dr = None
 
     @cached_property
     def lu_pairs(self) -> tuple[np.ndarray, ...]:
@@ -288,7 +313,8 @@ class _RedBlack:
         else:
             np.take(w, self.src_b, out=self.B.data)
             np.take(w, self.src_c, out=self.C.data)
-        return d[self.red], d[self.black]
+        d = d[self.by_colour]
+        return d[:self.red.size], d[self.red.size:]
 
     def schur(self, c: np.ndarray, pairs: tuple[np.ndarray, ...], ld: int,
               diag: int, inv_dr: np.ndarray, d_b: np.ndarray) -> np.ndarray:
@@ -362,23 +388,34 @@ class _RedBlack:
         inv_dr = 1.0 / d_r
         if symmetric and self.kept is None:
             self.kept = self.factor(inv_dr, d_b)
-        y = inv_dr * r[self.red]
+        n_r = self.red.size
+        r_rb = r[self.by_colour]
+        y = inv_dr * r_rb[:n_r]
         if self.black.size == 0:
             # a single interior node, which is red
             return y
-        B, Bt = self.B, self.Bt
-        rhs = r[self.black] - (Bt if symmetric else self.Ct) @ y
+        rhs = r_rb[n_r:] - _matvec(self.Bt if symmetric else self.Ct, y)
         if symmetric:
-            m = self.black.size
-            precondition = spla.LinearOperator(
-                (m, m), lambda x: lapack.dpbtrs(self.kept, x, lower=1)[0],
-                dtype=float)
+            self.d_b, self.inv_dr = d_b, inv_dr
+            if self.cg_operators is None:
+                m = self.black.size
+                # through a weak proxy, so that the operators form no
+                # reference cycle with the split, and its factor and
+                # blocks are freed as soon as its layout is
+                rb = weakref.proxy(self)
+                self.cg_operators = (
+                    spla.LinearOperator(
+                        (m, m), lambda x: rb.d_b * x - _matvec(
+                            rb.Bt, rb.inv_dr * _matvec(rb.B, x)),
+                        dtype=float),
+                    spla.LinearOperator(
+                        (m, m),
+                        lambda x: lapack.dpbtrs(rb.kept, x, lower=1)[0],
+                        dtype=float))
+            schur, precondition = self.cg_operators
             x_b, info = spla.cg(
-                spla.LinearOperator(
-                    (m, m), lambda x: d_b * x - Bt @ (inv_dr * (B @ x)),
-                    dtype=float), rhs,
-                rtol=0.0, atol=CG_RTOL * np.linalg.norm(r), maxiter=CG_MAX,
-                M=precondition)
+                schur, rhs, rtol=0.0, atol=CG_RTOL * np.linalg.norm(r),
+                maxiter=CG_MAX, M=precondition)
             if info:
                 # the stale factor is released before the new one is made
                 self.kept = None
@@ -392,10 +429,9 @@ class _RedBlack:
                                          overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError("Newton matrix is singular")
-        x = np.empty(r.size)
-        x[self.red] = y - inv_dr * (B @ x_b)
-        x[self.black] = x_b
-        return x
+        # x_r and x_b side by side, put back into the band order
+        return np.concatenate((y - inv_dr * _matvec(self.B, x_b),
+                               x_b))[self.to_band]
 
 
 class _Layout:
@@ -440,6 +476,7 @@ class _Layout:
         ext = [n - 2 for n in grid.counts]
         self.order = sorted(range(dim), key=lambda j: -ext[j])
         self.shape = tuple(ext[j] for j in self.order)
+        self.unknowns = int(np.prod(ext))
         back = [int(q) for q in np.argsort(self.order)]
         self.band = (tuple(self.order),
                      (0,) + tuple(j + 1 for j in self.order))
@@ -452,7 +489,8 @@ class _Layout:
     def red_black(self) -> list[_RedBlack]:
         """One red-black split per member: shallow copies of one, which
         share its patterns and blocks B and C (``fill`` fills them before
-        each solve), and each keep their own factor."""
+        each solve), and each keep their own factor and CG operators (the
+        copies are made before any solve)."""
         rb = _RedBlack(self.shape)
         return [rb] + [copy.copy(rb) for _ in range(self.size - 1)]
 
@@ -556,10 +594,10 @@ class _StepProblem:
         """Per-face coefficient c = a_j at the face mean of u, diff D of
         the working power (``model.working_power``), the derivative of the
         working power at both adjacent nodes and the face flux F."""
-        ubar = face_mean(u, u.ndim - self.grid.dim + j)
+        lo, hi = self.layout.lo[j], self.layout.hi[j]
+        ubar = (u[lo] + u[hi]) / 2.0
         c = evaluate(self.spec.coeffs.funcs[j], ubar.shape,
                      self.layout.x_face[j], self.t, ubar)
-        lo, hi = self.layout.lo[j], self.layout.hi[j]
         w, dw = working_power(self.k, self.m[j], u)
         D = (w[hi] - w[lo]) / self.h[j]
         # m_j = 1 has the one scalar derivative 1.0
@@ -602,11 +640,11 @@ class _StepProblem:
             out.append((g_lo, g_hi))
         return out
 
-    def assemble(self, faces: list, R: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The interior Newton operator (d, w) of every member at the
-        iterate whose face data are ``faces`` and its interior residual b,
-        one row per member, in band order.
+    def assemble(self, faces: list, R: np.ndarray) -> np.ndarray:
+        """The interior Newton system of every member at the iterate whose
+        face data are ``faces``, one row per member: its interior residual
+        b, then the operator (d, w), each in band order (``unpack`` reads
+        them), so that one pass checks all of them.
 
         d is 1/dt plus, per face, g_lo on its lo and g_hi on its hi node.
         w holds J[i + s, i] = -g_lo of every face of interior nodes i and
@@ -618,23 +656,39 @@ class _StepProblem:
         lay = self.layout
         lead = R.shape[:R.ndim - self.grid.dim]
         band = lay.band[len(lead)]
-        size = len(self.members)
-        b = R[lay.inner].transpose(band).reshape(size, -1)
-        d = np.empty(b.shape)
-        # d viewed as the interior fields with the natural axis order
-        diag = d.reshape(lead + lay.shape).transpose(lay.unband[len(lead)])
-        diag[...] = 1.0 / self.config.dt
         slopes = self._face_slopes(faces)
+        # b and the blocks of w, in band order
+        b = R[lay.inner].transpose(band)
+        couplings = [slopes[j][h][lay.inner].transpose(band)
+                     for h in ((0,) if self.symmetric else (0, 1))
+                     for j in lay.order]
+        rows = len(self.members)
+        system = np.empty(
+            (rows, (2 * b.size + sum(g.size for g in couplings)) // rows))
+
+        def block(start: int, values: np.ndarray) -> np.ndarray:
+            # the columns of ``system`` from ``start``, shaped as ``values``
+            return system[:, start:start + values.size // rows].reshape(
+                values.shape)
+
+        block(0, b)[...] = b
+        # d viewed as the interior fields with the natural axis order
+        diag = block(lay.unknowns, b).transpose(lay.unband[len(lead)])
+        diag[...] = 1.0 / self.config.dt
         for j, (g_lo, g_hi) in enumerate(slopes):
             # keep the faces of interior cross lines
             diag += g_hi[lay.cross[j]][lay.lo[j]]
             diag += g_lo[lay.cross[j]][lay.hi[j]]
-        w = np.concatenate([
-            slopes[j][h][lay.inner].transpose(band).reshape(size, -1)
-            for h in ((0,) if self.symmetric else (0, 1)) for j in lay.order],
-            axis=1)
-        np.negative(w, out=w)
-        return d, w, b
+        start = 2 * lay.unknowns
+        for g in couplings:
+            np.negative(g, out=block(start, g))
+            start += g.size // rows
+        return system
+
+    def unpack(self, system: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The views (d, w, b) of the systems of ``assemble``."""
+        n = self.layout.unknowns
+        return system[:, n:2 * n], system[:, 2 * n:], system[:, :n]
 
     def update(self, faces: list, R: np.ndarray):
         """Solve J delta = R for the Newton update of every member at the
@@ -656,13 +710,12 @@ class _StepProblem:
         member.
         """
         lay = self.layout
-        d, w, b = self.assemble(faces, R)
+        system = self.assemble(faces, R)
+        d, w, b = self.unpack(system)
         solved, failed = len(d), None
-        if not (np.isfinite(d).all() and np.isfinite(w).all()
-                and np.isfinite(b).all()):
-            solved = int(np.argmin(np.isfinite(d).all(axis=1)
-                                   & np.isfinite(w).all(axis=1)
-                                   & np.isfinite(b).all(axis=1)))
+        finite = np.isfinite(system)
+        if not finite.all():
+            solved = int(np.argmin(finite.all(axis=1)))
             failed = (solved, np.linalg.LinAlgError(
                 "Newton system is not finite"))
         if self.grid.dim > 1:
@@ -708,11 +761,12 @@ class _StepProblem:
 
 
 def _merge(parts: list, dim: int):
-    """The iterate, residual and face data of the members from the trials
-    of a line search that each accepted: ``parts`` holds, per trial, the
-    stack positions of its accepted members and their trial, residual and
-    face data."""
-    order = np.argsort(np.concatenate([pos for pos, *_ in parts]))
+    """The iterate, residual, residual maxima and face data of the members
+    from the trials of a line search that each accepted, in stack order:
+    ``parts`` holds, per trial, its accepted members (their indices in the
+    layout, which rise along the stack) and their trial, residual, maxima
+    and face data."""
+    order = np.argsort(np.concatenate([members for members, *_ in parts]))
 
     def rows(items):
         # m_j = 1 has the one scalar derivative for every member
@@ -720,11 +774,10 @@ def _merge(parts: list, dim: int):
             return items[0]
         return np.concatenate(items)[order]
 
-    u = rows([p[1] for p in parts])
-    R = rows([p[2] for p in parts])
-    faces = [tuple(rows([p[3][j][q] for p in parts]) for q in range(5))
+    u, R, res = (rows([p[q] for p in parts]) for q in (1, 2, 3))
+    faces = [tuple(rows([p[4][j][q] for p in parts]) for q in range(5))
              for j in range(dim)]
-    return u, R, faces
+    return u, R, res, faces
 
 
 def _stacked_step(spec: ProblemSpec, config: SolverConfig,
@@ -760,37 +813,41 @@ def _stacked_step(spec: ProblemSpec, config: SolverConfig,
     u[lay.edge] = prob.bc_boundary
     u_next = np.empty((len(ks), lay.boundary.size))
     reports: list = [None] * len(ks)
-    hists = [[] for _ in ks]
-    clamped = [False] * len(ks)
+    clamped = np.zeros(len(ks), dtype=bool)
+    # per iteration, the members in the stack and their residual maxima
+    trace = []
     alive, failure = len(ks), None
     dim = lay.grid.dim
 
     def fail(pos, cause, exc=None):
         nonlocal alive, failure
         alive = int(prob.members[pos])
-        failure = StepFailure(-1, hists[alive], cause, k=ks[alive])
+        # a failing member was in the stack at every iteration
+        history = [float(maxima[members == alive][0])
+                   for members, maxima in trace]
+        failure = StepFailure(-1, history, cause, k=ks[alive])
         failure.__cause__ = exc
 
     R, faces = prob.residual(u)
+    res = lay.rows(np.abs(R)).max(axis=1)
     for it in range(config.newton_max + 1):
-        res = lay.rows(np.abs(R)).max(axis=1)
-        converged = 0
-        for a, (i, r) in enumerate(zip(prob.members.tolist(), res.tolist())):
-            hists[i].append(r)
-            if r <= config.newton_tol:
-                converged += 1
+        trace.append((prob.members, res))
+        done = res <= config.newton_tol
+        converged = bool(done.any())
+        if converged:
+            for a in np.flatnonzero(done).tolist():
+                i = int(prob.members[a])
                 u_next[i] = lay.rows(u)[a]
-                reports[i] = StepReport(iterations=it, residual=r,
-                                        clamped=clamped[i])
-        if converged == res.size:
-            break
+                reports[i] = StepReport(iterations=it, residual=float(res[a]),
+                                        clamped=bool(clamped[i]))
+            if done.all():
+                break
         if it == config.newton_max:
             # the first member that has not converged
-            fail(int(np.argmax(~(res <= config.newton_tol))),
-                 "iteration limit")
+            fail(int(np.argmax(~done)), "iteration limit")
             break
         if converged:
-            active = ~(res <= config.newton_tol)
+            active = ~done
             prob, u, R, res = prob.select(active), u[active], R[active], \
                 res[active]
             faces = _select_faces(faces, active)
@@ -805,9 +862,8 @@ def _stacked_step(spec: ProblemSpec, config: SolverConfig,
             head = slice(0, pos)
             prob, u, R, res = prob.select(head), u[head], R[head], res[head]
             faces = _select_faces(faces, head)
-        # the members that still search: stack positions, problem, iterate,
-        # update and residual; the trials that each accepted
-        pos = np.arange(res.size)
+        # the members that still search: problem, iterate, update and
+        # residual maxima; the trials that each accepted
         sub, u_s, delta_s, res_s = prob, u, delta, res
         parts = []
         lam = 1.0
@@ -820,26 +876,26 @@ def _stacked_step(spec: ProblemSpec, config: SolverConfig,
                     # clamp the members with a negative node at 0
                     rows = lay.rows(trial)
                     np.maximum(rows, 0.0, out=rows, where=low[:, None])
-                    for i in sub.members[low].tolist():
-                        clamped[i] = True
+                    clamped[sub.members[low]] = True
             R_trial, faces_trial = sub.residual(trial)
-            ok = (lay.rows(np.abs(R_trial)).max(axis=1) < res_s
-                  if trial_no < 10 else np.ones(pos.size, dtype=bool))
+            res_trial = lay.rows(np.abs(R_trial)).max(axis=1)
+            ok = (res_trial < res_s if trial_no < 10
+                  else np.ones(res_s.size, dtype=bool))
             if ok.all() and not parts:
                 # every member accepts: the trial's residual and face data
                 # are the next iteration's as they are
-                u, R, faces = trial, R_trial, faces_trial
+                u, R, res, faces = trial, R_trial, res_trial, faces_trial
                 break
             if ok.any():
                 # some members accepted (a stack: one field accepts all
                 # or nothing)
-                parts.append((pos[ok], trial[ok], R_trial[ok],
-                              _select_faces(faces_trial, ok)))
+                parts.append((sub.members[ok], trial[ok], R_trial[ok],
+                              res_trial[ok], _select_faces(faces_trial, ok)))
                 if ok.all():
-                    u, R, faces = _merge(parts, dim)
+                    u, R, res, faces = _merge(parts, dim)
                     break
                 wait = ~ok
-                pos, sub = pos[wait], sub.select(wait)
+                sub = sub.select(wait)
                 u_s, delta_s, res_s = u_s[wait], delta_s[wait], res_s[wait]
             lam /= 2.0
     lay.prev, lay.prev_t = u_n, t_n

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +129,18 @@ class TestEvaluate:
         assert np.all(out == 2.0)
         assert not out.flags.writeable
 
+    def test_full_shape_is_a_read_only_view(self):
+        # a value that already has the shape comes back as a read-only
+        # view of it, without a copy; writing to the evaluator's own
+        # array stays possible
+        values = np.arange(6.0).reshape(2, 3)
+        out = evaluate(lambda x: values, (2, 3), (np.zeros((2, 3)),))
+        assert np.shares_memory(out, values)
+        assert not out.flags.writeable
+        assert values.flags.writeable
+        with pytest.raises(ValueError):
+            out[0, 0] = 1.0
+
     def test_rejects_shape_that_does_not_broadcast(self):
         with pytest.raises(ValueError):
             evaluate(lambda x: np.ones(3), (4,), (np.zeros(4),))
@@ -191,6 +204,56 @@ class TestFlux:
                    - axis_flux(spec, 0, x, 0.0, u, eta)) * (xi - eta)
             assert np.all(gap >= 0.0)
             assert np.all(gap[xi != eta] > 0.0)
+
+
+# face differences at and around 0, at the smallest subnormal and near the
+# limits of the float range, of both signs
+EXTREME_DIFFERENCES = np.array([0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+                                1e150, -1e150])
+
+
+def errstate_flux(c, xi, p):
+    """``flux`` with its arithmetic under an errstate that ignores every
+    floating-point warning: the reference of the warning-free form."""
+    xi = np.asarray(xi, dtype=float)
+    with np.errstate(all="ignore"):
+        mag = ((xi * xi + EPS_REG * EPS_REG) ** ((p - 2.0) / 2.0) if p < 2.0
+               else np.abs(xi) ** (p - 2.0))
+        return np.where(xi == 0.0, 0.0, c * mag * xi)
+
+
+def errstate_flux_slope(c, xi, p):
+    """``flux_slope`` under an errstate that ignores every warning."""
+    D2, e2 = xi * xi, EPS_REG * EPS_REG
+    with np.errstate(all="ignore"):
+        if p < 2.0:
+            return c * (D2 + e2) ** ((p - 4.0) / 2.0) * ((p - 1.0) * D2 + e2)
+        return c * (D2 + e2) ** ((p - 2.0) / 2.0) * (p - 1.0)
+
+
+@pytest.mark.parametrize("p", (1.1, 1.5, 2.0, 2.5, 4.0))
+def test_flux_and_slope_raise_no_warning(p):
+    # flux needs no errstate: for p < 2 the base of its power is at least
+    # EPS_REG^2, for p >= 2 its power is non-negative.  Only a flux beyond
+    # the float range warns, here |D|^(p - 1) = 1e450 at p = 4 and
+    # |D| = 1e150, where it is an infinity of the sign of D
+    c = np.full(EXTREME_DIFFERENCES.shape, 1.3)
+    out_of_range = (np.abs(EXTREME_DIFFERENCES) == 1e150) & (p == 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope = flux_slope(c, EXTREME_DIFFERENCES, p)
+        fine = flux(c[~out_of_range], EXTREME_DIFFERENCES[~out_of_range], p)
+    got = np.empty(EXTREME_DIFFERENCES.shape)
+    got[~out_of_range] = fine
+    if out_of_range.any():
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got[out_of_range] = flux(c[out_of_range],
+                                     EXTREME_DIFFERENCES[out_of_range], p)
+        assert np.all(np.isinf(got[out_of_range]))
+    for value, ref in ((got, errstate_flux(c, EXTREME_DIFFERENCES, p)),
+                       (slope, errstate_flux_slope(c, EXTREME_DIFFERENCES,
+                                                   p))):
+        assert value.tobytes() == ref.tobytes()
 
 
 class TestFluxSlope:

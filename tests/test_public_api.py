@@ -156,6 +156,13 @@ def test_newton_systems_solved_only_in_solve_and_update():
         name: {("solver", fn)} for name, fn in pinned.items()}
 
 
+def test_cg_operators_made_only_where_the_split_keeps_them():
+    # _RedBlack.solve makes the Schur operator and the kept-factor
+    # preconditioner that it hands to CG on its first k-mode solve and
+    # keeps them, so no other code wraps a Newton product for scipy
+    assert _functions_referencing("LinearOperator") == {("solver", "solve")}
+
+
 def _callers(name):
     """(module, innermost enclosing function) of every call of name, as a
     bare name or an attribute, and the number of such calls."""
