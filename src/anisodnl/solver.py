@@ -30,7 +30,7 @@ diagonal, is exact and leaves the Schur complement S on the black half
 of the unknowns.  ``_RedBlack.solve`` is that one solve: direct mode
 solves S by one banded LU, k-mode its symmetric S by conjugate gradients
 preconditioned by a factor kept from an earlier Newton matrix of the
-same solve.
+same solve, renewed when CG fails and after a slow CG solve.
 
 One Newton loop, ``_stacked_step``, advances the members of a solve side
 by side: solves that share grid, time axis and data and differ in their
@@ -87,6 +87,9 @@ FD_STEP = 1e-3
 # a 2D/3D k-mode Newton system; a looser tolerance costs Newton iterations
 CG_RTOL = 1e-4
 CG_MAX = 8
+# CG iterations at which a converged solve gives up its kept factor, so
+# that the next solve of the split factors its own S first
+CG_RENEW = 4
 
 
 def _matvec(a, x: np.ndarray) -> np.ndarray:
@@ -214,7 +217,8 @@ class _RedBlack:
     ``fill``); ``Bt`` and ``Ct`` are their transposes and share their
     data.  ``schur`` is the one assembly of S and ``solve`` the one solve
     of both modes; ``kept`` is the factor that ``solve`` keeps for the
-    symmetric operators, None until it makes one, and ``cg_operators``
+    symmetric operators, None until it makes one and again after a slow
+    CG solve drops it (``solve`` alone sets it), and ``cg_operators``
     the operator S and the preconditioner that it hands to CG, made on its
     first symmetric solve and kept: they read the ``d_b``, ``inv_dr``
     (D_b and 1/D_r) and ``kept`` of the current solve.  ``by_colour``
@@ -366,7 +370,12 @@ class _RedBlack:
           with a reused preconditioner, Knoll & Keyes 2004).  When no
           factor is kept, the current S is factored and kept first; when
           CG does not converge within CG_MAX iterations, it is factored
-          and kept, and solved with its factor.  It does so on every grid:
+          and kept, and solved with its factor.  When CG converges but
+          needs CG_RENEW or more iterations, the factor has gone stale:
+          the solve keeps CG's result and drops the factor, so that the
+          next solve factors its own S and CG converges there at its
+          first iterate.  The decision reads only iteration counts, so a
+          repeated run gives the same bits.  CG runs on every grid:
           on an even interior extent a reflection swaps the colours, so
           the inexact solve breaks the symmetry of symmetric data, but the
           regularized flux is smooth at D = 0, and Newton does not stall
@@ -413,14 +422,21 @@ class _RedBlack:
                         lambda x: lapack.dpbtrs(rb.kept, x, lower=1)[0],
                         dtype=float))
             schur, precondition = self.cg_operators
+            # CG hands each iterate to the callback: their number is the
+            # iteration count
+            iterates = []
             x_b, info = spla.cg(
                 schur, rhs, rtol=0.0, atol=CG_RTOL * np.linalg.norm(r),
-                maxiter=CG_MAX, M=precondition)
+                maxiter=CG_MAX, M=precondition, callback=iterates.append)
             if info:
                 # the stale factor is released before the new one is made
                 self.kept = None
                 self.kept = self.factor(inv_dr, d_b)
                 x_b = precondition.matvec(rhs)
+            elif len(iterates) >= CG_RENEW:
+                # a slow solve keeps its result and releases the factor, so
+                # that the next one factors its own S
+                self.kept = None
         else:
             kd = self.kd
             s = self.schur(self.C.data, self.lu_pairs, 3 * kd + 1, 2 * kd,

@@ -145,6 +145,25 @@ def test_schur_complement_assembled_only_in_schur():
         ("solver", "__init__"), ("solver", "schur")}
 
 
+def _attribute_stores(name):
+    """(module, class, innermost enclosing function) of every assignment
+    to, or deletion of, an attribute called name."""
+    def stores(node, cls=None, function=None):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == name
+                    and isinstance(child.ctx, (ast.Store, ast.Del))):
+                yield cls, function
+            if isinstance(child, ast.ClassDef):
+                yield from stores(child, child.name, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from stores(child, cls, child.name)
+            else:
+                yield from stores(child, cls, function)
+
+    return {(path.stem, cls, fn) for path in SOURCES
+            for cls, fn in stores(ast.parse(path.read_text()))}
+
+
 def test_newton_systems_solved_only_in_solve_and_update():
     # _RedBlack.solve is the one solve of a 2D/3D Newton system (CG
     # preconditioned by the kept factor, or banded LU), _RedBlack.factor
@@ -154,6 +173,13 @@ def test_newton_systems_solved_only_in_solve_and_update():
               "dpbtrf": "factor", "dgtsv": "update"}
     assert {name: _functions_referencing(name) for name in pinned} == {
         name: {("solver", fn)} for name, fn in pinned.items()}
+    # the renewal of the kept factor has one home: _RedBlack.solve alone
+    # factors (when no factor is kept, and when CG fails) and drops the
+    # factor (after a slow solve); the split's kept is set nowhere else
+    # but in its __init__
+    assert _callers("factor") == ({("solver", "solve")}, 2)
+    assert _attribute_stores("kept") == {("solver", "_RedBlack", "__init__"),
+                                         ("solver", "_RedBlack", "solve")}
 
 
 def test_cg_operators_made_only_where_the_split_keeps_them():

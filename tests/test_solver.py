@@ -170,22 +170,50 @@ def full_system_pcg(rb, shape, d, w, b):
     """The reference for ``_RedBlack.solve`` of a symmetric operator (d, w)
     on interior ``shape``: CG on the whole interior system to the relative
     residual CG_RTOL, preconditioned by the full-band factor of an earlier
-    matrix, kept as ``rb.kept`` and refactored when no factor is kept or CG
-    needs more than CG_MAX iterations."""
+    matrix, kept as ``rb.kept``.  The matrix is factored first when no
+    factor is kept, and factored and solved exactly when CG does not
+    converge within CG_MAX iterations; a solve that converges after
+    CG_RENEW or more iterations drops the factor, so the next one factors
+    its own matrix."""
     n = b.size
     lo, hi = couplings(shape)
     lower = sp.coo_matrix((w, (hi, lo)), shape=(n, n))
     A = (lower + lower.T + sp.diags(d)).tocsr()
     if rb.kept is None:
         rb.kept = full_band_factor(d, w, lo, hi)
+    iterates = []
     x, info = spla.cg(A, b, rtol=anisodnl.solver.CG_RTOL, atol=0.0,
                       maxiter=anisodnl.solver.CG_MAX,
                       M=spla.LinearOperator((n, n), rb.kept.solve,
-                                            dtype=float))
+                                            dtype=float),
+                      callback=iterates.append)
     if info != 0:
         rb.kept = full_band_factor(d, w, lo, hi)
         x = rb.kept.solve(b)
+    elif len(iterates) >= anisodnl.solver.CG_RENEW:
+        rb.kept = None
     return x
+
+
+def counting_cg(monkeypatch):
+    """Replace ``spla.cg`` by a wrapper that records the iteration count
+    and exit code of each call, and return the list it appends them to."""
+    runs, cg = [], spla.cg
+
+    def counted(A, b, callback=None, **kwargs):
+        iterates = []
+
+        def record(x):
+            iterates.append(x)
+            if callback is not None:
+                callback(x)
+
+        x, info = cg(A, b, callback=record, **kwargs)
+        runs.append((len(iterates), info))
+        return x, info
+
+    monkeypatch.setattr(spla, "cg", counted)
+    return runs
 
 
 # k None is direct mode; the id keeps the test names readable
@@ -430,12 +458,15 @@ class TestNewtonUpdate:
 
     @pytest.mark.parametrize("counts", [(9, 13), (5, 6, 7), (5, 7, 9),
                                         (10, 10)])
-    @pytest.mark.parametrize("stale", [1.0, 1e-4, "other-iterate"])
-    def test_k_mode_stale_factor(self, counts, stale):
-        # the kept factor comes from the same faces at 100 times or 1/100
-        # of the dt, or from the faces of another random iterate at the
-        # same dt: CG reaches ||J delta - R|| <= CG_RTOL ||R|| with it, or
-        # the matrix is factored again and the update is the exact solve
+    @pytest.mark.parametrize("stale", [1.0, 1e-4, "other-iterate", 0.012])
+    def test_k_mode_stale_factor(self, counts, stale, monkeypatch):
+        # the kept factor comes from the same faces at 100 times, 1/100 or
+        # 1.2 times the dt, or from the faces of another random iterate at
+        # the same dt.  When CG converges, ||J delta - R|| <= CG_RTOL ||R||,
+        # and the factor stays kept after fewer than CG_RENEW iterations
+        # and is dropped after more; when CG does not converge within
+        # CG_MAX, the matrix is factored again and the update is the exact
+        # solve
         spec = varcoeff_problem(len(counts))
         grid = Grid(spec.box, counts)
         rng = np.random.default_rng(len(counts))
@@ -455,24 +486,76 @@ class TestNewtonUpdate:
         else:
             update(one_member(spec, grid, SolverConfig(dt=stale, k=4),
                               u_prev, 0.01, lay), faces, R)
-        stale_factor = lay.red_black[0].kept
+        rb = lay.red_black[0]
+        stale_factor = rb.kept
+        assert stale_factor is not None
+        runs = counting_cg(monkeypatch)
         got = update(prob, faces, R)
         J = jacobian(prob, faces)
-        if lay.red_black[0].kept is stale_factor:
+        [(iterations, info)] = runs
+        if info == 0:
             assert np.linalg.norm(J @ got.ravel() - R.ravel()) \
                 <= anisodnl.solver.CG_RTOL * np.linalg.norm(R)
+            renews = iterations >= anisodnl.solver.CG_RENEW
+            assert rb.kept is (None if renews else stale_factor)
+            outcome = "renews" if renews else "keeps"
         else:
+            assert (iterations, info) == (anisodnl.solver.CG_MAX,) * 2
             ref = spla.spsolve(J, R.ravel())
             assert np.max(np.abs(got.ravel() - ref)) \
                 <= 1e-12 * np.max(np.abs(ref))
-        # which branch runs: the factor at the larger dt preconditions
-        # well enough, the one of unrelated random slopes does not; the
-        # one dominated by its diagonal 1/dt does not in 2D, but the
-        # reduced systems of (5, 6, 7) and (5, 7, 9) have only 30 and 52
-        # unknowns, and CG_MAX iterations reach CG_RTOL there
-        keeps = {1.0: True, 1e-4: len(counts) == 3,
-                 "other-iterate": False}
-        assert (lay.red_black[0].kept is stale_factor) == keeps[stale]
+            assert rb.kept is not None and rb.kept is not stale_factor
+            outcome = "refactors"
+        # which branch runs: the factor at 1.2 times the dt preconditions
+        # well, the one at 100 times the dt well enough, the one of
+        # unrelated random slopes not at all; the one dominated by its
+        # diagonal 1/dt does not in 2D, but the reduced systems of
+        # (5, 6, 7) and (5, 7, 9) have only 30 and 52 unknowns, and CG
+        # reaches CG_RTOL there within CG_MAX iterations
+        expected = {0.012: "keeps", 1.0: "renews",
+                    1e-4: "renews" if len(counts) == 3 else "refactors",
+                    "other-iterate": "refactors"}
+        assert outcome == expected[stale]
+
+    @pytest.mark.parametrize("counts", [(9, 13), (10, 10), (5, 7, 9)])
+    def test_slow_solve_renews_the_factor_for_the_next(self, counts,
+                                                       monkeypatch):
+        # a solve that CG brings to CG_RTOL only after CG_RENEW or more
+        # iterations keeps its result and drops the kept factor; the next
+        # solve, of another iterate, factors its own S once, and CG
+        # converges at its first iterate
+        spec = varcoeff_problem(len(counts))
+        grid = Grid(spec.box, counts)
+        rng = np.random.default_rng(len(counts))
+        u_prev = np.full(counts, 0.6)
+        lay = _Layout(grid)
+        prob = one_member(spec, grid, SolverConfig(dt=0.01, k=4), u_prev,
+                          0.01, lay)
+        u, v = rng.uniform(0.3, 1.5, (2,) + counts)
+        u[prob.boundary] = v[prob.boundary] = prob.bc_boundary
+        R, faces = prob.residual(u)
+        # a factor at 100 times the dt: slow, but within CG_MAX
+        update(one_member(spec, grid, SolverConfig(dt=1.0, k=4), u_prev,
+                          0.01, lay), faces, R)
+        rb = lay.red_black[0]
+        factors = []
+        factor = _RedBlack.factor
+        monkeypatch.setattr(_RedBlack, "factor", lambda *args: (
+            factors.append(1), factor(*args))[1])
+        runs = counting_cg(monkeypatch)
+        update(prob, faces, R)
+        [(iterations, info)] = runs
+        assert info == 0
+        assert anisodnl.solver.CG_RENEW <= iterations \
+            < anisodnl.solver.CG_MAX
+        assert rb.kept is None and not factors
+        R_v, faces_v = prob.residual(v)
+        got = update(prob, faces_v, R_v)
+        assert runs[1:] == [(1, 0)] and factors == [1]
+        assert rb.kept is not None
+        J = jacobian(prob, faces_v)
+        assert np.linalg.norm(J @ got.ravel() - R_v.ravel()) \
+            <= anisodnl.solver.CG_RTOL * np.linalg.norm(R_v)
 
     # (9, 13) has odd interior extents, (4, 4) even ones, (3, 3) a single
     # interior node and so no black node, (3, 9) a single interior line,
