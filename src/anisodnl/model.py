@@ -200,8 +200,11 @@ EPS_REG = 1e-8
 
 def truncate(k, s):
     """Truncation T_k(s) = min(k, max(s, 1/k)); identity on [1/k, k].  k
-    is a level or an array of levels that broadcasts against s."""
-    if (k.min() if isinstance(k, np.ndarray) else k) < 1:
+    is a level, at least 1, or an array of levels that broadcasts against
+    s, one per stacked field.  The solver makes such arrays from levels
+    that it has checked, so an array is not checked again at every call
+    (a reduction per call in the Newton loop)."""
+    if not isinstance(k, np.ndarray) and k < 1:
         raise ValueError("k must be a positive integer")
     return np.minimum(k, np.maximum(s, 1.0 / k))
 

@@ -34,13 +34,14 @@ same solve, renewed when CG fails and after a slow CG solve.
 
 One Newton loop, ``_stacked_step``, advances the members of a solve side
 by side: solves that share grid, time axis and data and differ in their
-truncation level, held as one field or as a stack of fields of shape
-(members, *counts).  Each member keeps
-its own Newton start, line search, convergence test and report and, in
-2D/3D, its own kept factor, and leaves the stack once it converges, so
-it gets the bits of a solve of its own.  ``implicit_step`` and
-``solve_problem`` run it on one field; a 1D ``regularization_cascade``
-marches all its members together.  A march keeps state from one time
+truncation level, held as a stack of fields of shape (members, *counts).
+Each member keeps its own Newton start, step length, convergence test
+and report and, in 2D/3D, its own kept factor.  No member leaves the
+stack within a step: one that has converged or failed gets a zero
+update, so its row stays as it is, and every member gets the bits of a
+solve of its own.  ``implicit_step`` and ``solve_problem`` run it on a
+stack of one; a 1D ``regularization_cascade`` marches all its members
+together.  A march keeps state from one time
 step to the next in one ``_Layout``: the grid data of its steps, the
 red-black split with each member's kept factor, and the previous fields.
 In both modes Newton starts from the linear extrapolation of the last
@@ -458,21 +459,20 @@ class _Layout:
     ``prev``, its field before u_n, from which both modes extrapolate the
     Newton start.  The march of ``solve_problem`` and
     ``regularization_cascade`` makes one per call, so no state passes
-    between solves.  The slices index a field or a stack of fields, of
-    shape (*lead, *counts) with lead () or (members,); ``band`` and
-    ``unband`` are indexed by the number of leading axes.
+    between solves.  The slices index a stack of fields, of shape
+    (members, *counts).
     """
 
     def __init__(self, grid: Grid, size: int = 1):
         dim = grid.dim
         self.grid = grid
         self.size = size
-        # the field or the stack of fields before u_n, and its time
+        # the stack of fields before u_n, and its time
         self.prev: np.ndarray | None = None
         self.prev_t = 0.0
         self.interior = grid.interior_mask()
         self.boundary = ~self.interior
-        # the boundary nodes of a field or a stack of fields
+        # the boundary nodes of a stack of fields
         self.edge = (Ellipsis,) + np.nonzero(self.boundary)
         self.x = grid.meshgrid()
         self.x_face = [tuple(face_mean(c, j) for c in self.x)
@@ -487,16 +487,14 @@ class _Layout:
         self.core = [every + axis_slices(dim, j, slice(1, -1))
                      for j in range(dim)]
         # band order of the interior unknowns, longest axis outermost, and
-        # the permutations of a field or a stack into it and back
+        # the permutations of a stack into it and back
         self.inner = every + (slice(1, -1),) * dim
         ext = [n - 2 for n in grid.counts]
         self.order = sorted(range(dim), key=lambda j: -ext[j])
         self.shape = tuple(ext[j] for j in self.order)
         self.unknowns = int(np.prod(ext))
-        back = [int(q) for q in np.argsort(self.order)]
-        self.band = (tuple(self.order),
-                     (0,) + tuple(j + 1 for j in self.order))
-        self.unband = (tuple(back), (0,) + tuple(q + 1 for q in back))
+        self.band = (0,) + tuple(j + 1 for j in self.order)
+        self.unband = (0,) + tuple(int(q) + 1 for q in np.argsort(self.order))
         # the faces of axis j that lie on interior lines of the others
         self.cross = [every + tuple(slice(None) if i == j else slice(1, -1)
                                     for i in range(dim)) for j in range(dim)]
@@ -511,9 +509,9 @@ class _Layout:
         return [rb] + [copy.copy(rb) for _ in range(self.size - 1)]
 
     def rows(self, fields: np.ndarray) -> np.ndarray:
-        """A field or a stack of fields as one row of nodes per member: a
-        view, so writing to it writes to the fields, for the contiguous
-        fields the solver makes."""
+        """A stack of fields as one row of nodes per member: a view, so
+        writing to it writes to the fields, for the contiguous stacks the
+        solver makes."""
         return fields.reshape(-1, self.boundary.size)
 
     def keep(self, size: int) -> None:
@@ -529,14 +527,10 @@ def ordering_tolerance(config: SolverConfig, T: float) -> float:
     return config.newton_tol * (1.0 + T / config.dt)
 
 
-def _levels(ks: Sequence[int | None], stacked: bool, dim: int):
+def _levels(ks: Sequence[int | None], dim: int):
     """The truncation levels ``ks`` of the members (None in direct mode,
     where every k is None) and the lower bound of each, 1/k in k-mode and
-    0 in direct mode: numbers for one field, arrays that broadcast over
-    a stack of fields."""
-    if not stacked:
-        (k,) = ks
-        return k, 0.0 if k is None else 1.0 / k
+    0 in direct mode, as arrays that broadcast over a stack of fields."""
     lead = (len(ks),) + (1,) * dim
     if ks[0] is None:
         return None, np.zeros(lead)
@@ -544,67 +538,44 @@ def _levels(ks: Sequence[int | None], stacked: bool, dim: int):
     return k, 1.0 / k
 
 
-def _select_faces(faces: list, sel) -> list:
-    """The face data of the members at ``sel`` of the stack."""
-    return [tuple(v[sel] if isinstance(v, np.ndarray) else v for v in face)
-            for face in faces]
-
-
 class _StepProblem:
-    """Residual and Newton update of one implicit step, for one member or
-    a stack of members that share grid, time step and data and differ in
-    their truncation level: member i solves the problem truncated at
-    ``ks[i]`` (every k None: direct mode).
+    """Residual and Newton update of one implicit step, for a stack of
+    members that share grid, time step and data and differ in their
+    truncation level: member i solves the problem truncated at ``ks[i]``
+    (every k None: direct mode).
 
-    The fields are one field of shape counts, for one member, or a stack
-    of shape (members, *counts), as ``u_prev`` is.  ``residual(u)``
-    returns the residual together with the face data of every axis at u
-    (one face pass); ``update`` at that iterate takes those face data.
-    ``select`` restricts a stack to some of its members, whose indices in
-    ``layout`` are ``members``.  The grid data and the kept factors
-    come from ``layout``, or are built when it is None.  The Newton matrix
-    is symmetric in 2D/3D k-mode only: elsewhere it scales each column of
+    The fields are stacks of shape (members, *counts), as ``u_prev`` is;
+    a single solve is a stack of one.  ``residual(u)`` returns the
+    residual together with the face data of every axis at u (one face
+    pass); ``update`` at that iterate takes those face data.  The grid
+    data and the kept factors come from ``layout``.  The Newton matrix is
+    symmetric in 2D/3D k-mode only: elsewhere it scales each column of
     axis j by the derivative of the working power at its node (see
     ``_face_slopes``).
     """
 
-    def __init__(self, spec: ProblemSpec, grid: Grid, config: SolverConfig,
+    def __init__(self, spec: ProblemSpec, config: SolverConfig,
                  ks: Sequence[int | None], u_prev: np.ndarray, t_next: float,
-                 layout: _Layout | None = None):
+                 layout: _Layout):
         self.spec = spec
-        self.grid = grid
+        self.grid = grid = layout.grid
         self.config = config
         self.u_prev = u_prev
         self.t = t_next
-        self.layout = lay = (_Layout(grid, len(ks)) if layout is None
-                             else layout)
-        self.stacked = u_prev.ndim > grid.dim
-        self.members = np.arange(len(ks))
+        self.layout = lay = layout
         self.interior = lay.interior
         self.boundary = lay.boundary
         # the data are evaluated once for every member
         self.f_vals = evaluate(spec.f, grid.counts, lay.x, t_next)
         # the floor of each member shifts its boundary data and floors its
         # Newton start
-        self.k, self.floor = _levels(ks, self.stacked, grid.dim)
+        self.k, self.floor = _levels(ks, grid.dim)
         bc = evaluate(spec.g, grid.counts, lay.x, t_next) + self.floor
         self.bc_boundary = bc[lay.edge]
         self.h = grid.spacings
         self.p = spec.exponents.p
         self.m = spec.exponents.m
         self.symmetric = self.k is not None and grid.dim > 1
-
-    def select(self, sel) -> _StepProblem:
-        """The problem of the members at ``sel`` (an index array, mask or
-        slice of a stack)."""
-        sub = copy.copy(self)
-        sub.members = self.members[sel]
-        sub.u_prev = self.u_prev[sel]
-        sub.bc_boundary = self.bc_boundary[sel]
-        sub.floor = self.floor[sel]
-        if self.k is not None:
-            sub.k = self.k[sel]
-        return sub
 
     def _face_data(self, u: np.ndarray, j: int):
         """Per-face coefficient c = a_j at the face mean of u, diff D of
@@ -670,15 +641,13 @@ class _StepProblem:
         whose residual is 0 once u carries the boundary data.
         """
         lay = self.layout
-        lead = R.shape[:R.ndim - self.grid.dim]
-        band = lay.band[len(lead)]
         slopes = self._face_slopes(faces)
         # b and the blocks of w, in band order
-        b = R[lay.inner].transpose(band)
-        couplings = [slopes[j][h][lay.inner].transpose(band)
+        b = R[lay.inner].transpose(lay.band)
+        couplings = [slopes[j][h][lay.inner].transpose(lay.band)
                      for h in ((0,) if self.symmetric else (0, 1))
                      for j in lay.order]
-        rows = len(self.members)
+        rows = len(R)
         system = np.empty(
             (rows, (2 * b.size + sum(g.size for g in couplings)) // rows))
 
@@ -689,7 +658,7 @@ class _StepProblem:
 
         block(0, b)[...] = b
         # d viewed as the interior fields with the natural axis order
-        diag = block(lay.unknowns, b).transpose(lay.unband[len(lead)])
+        diag = block(lay.unknowns, b).transpose(lay.unband)
         diag[...] = 1.0 / self.config.dt
         for j, (g_lo, g_hi) in enumerate(slopes):
             # keep the faces of interior cross lines
@@ -706,94 +675,84 @@ class _StepProblem:
         n = self.layout.unknowns
         return system[:, n:2 * n], system[:, 2 * n:], system[:, :n]
 
-    def update(self, faces: list, R: np.ndarray):
-        """Solve J delta = R for the Newton update of every member at the
-        iterate whose face data are ``faces``.
+    def update(self, faces: list, R: np.ndarray, live: np.ndarray):
+        """Solve J delta = R for the Newton update of the members marked
+        in the mask ``live`` at the iterate whose face data are ``faces``;
+        the other members get a zero update, and their systems are left
+        out of the checks.
 
-        Returns (delta, failed): the updates of the members before the
-        first one whose system cannot be solved (None if that is the
-        first), and that member's position in the stack with the
-        ``LinAlgError`` that names why (the system is not finite or is
-        singular, or in 2D/3D ``_RedBlack.solve`` cannot solve it), or
-        None.  Only the interior
+        Returns (delta, failed): the updates of the stack, zero also for
+        the first live member whose system cannot be solved and every
+        member after it, and that member's position in the stack with the
+        ``LinAlgError`` that names why (the system is not finite or is singular, or in 2D/3D
+        ``_RedBlack.solve`` cannot solve it), or None.  Only the interior
         unknowns are solved for, on the operators (d, w) of ``assemble``:
-        in 2D/3D by each member's ``_RedBlack.solve``, with its own kept
-        factor; in 1D (both modes) by one tridiagonal LU with partial
+        in 2D/3D by each live member's ``_RedBlack.solve``, with its own
+        kept factor; in 1D (both modes) by one tridiagonal LU with partial
         pivoting, LAPACK ``dgtsv``, on the members' systems one after the
-        other, joined by zero couplings.  Elimination then never crosses
-        from one member to the next, so each member gets the bits of a
-        call of its own, and the row of a zero pivot names the singular
-        member.
+        other, joined by zero couplings, with identity rows for the
+        members that are not live.  Elimination then never crosses from
+        one member to the next, so each member gets the bits of a call of
+        its own, and the row of a zero pivot names the singular member.
         """
         lay = self.layout
         system = self.assemble(faces, R)
         d, w, b = self.unpack(system)
-        solved, failed = len(d), None
+        (solved, n), failed = d.shape, None
         finite = np.isfinite(system)
         if not finite.all():
-            solved = int(np.argmin(finite.all(axis=1)))
-            failed = (solved, np.linalg.LinAlgError(
-                "Newton system is not finite"))
+            bad = live & ~finite.all(axis=1)
+            if bad.any():
+                solved = int(np.argmax(bad))
+                failed = (solved, np.linalg.LinAlgError(
+                    "Newton system is not finite"))
         if self.grid.dim > 1:
-            x = np.empty((solved, d.shape[1]))
+            x = np.zeros((solved, n))
             for a in range(solved):
-                try:
-                    x[a] = lay.red_black[self.members[a]].solve(
-                        d[a], w[a], b[a])
-                except np.linalg.LinAlgError as exc:
-                    solved, failed = a, (a, exc)
-                    break
+                if live[a]:
+                    try:
+                        x[a] = lay.red_black[a].solve(d[a], w[a], b[a])
+                    except np.linalg.LinAlgError as exc:
+                        failed = (a, exc)
+                        break
         else:
-            n, x = d.shape[1], np.empty(0)
+            masked = not live.all()
+            if masked:
+                system[~live] = 0.0
+                d[~live] = 1.0
+            x = np.zeros((0, n))
             while solved:
                 if solved * n == 1:
                     # f2py rejects the empty off-diagonals of a 1 x 1 system
-                    x, info = ((b[0] / d[0], 0) if d[0, 0] != 0.0
-                               else (b[0], 1))
+                    x_s, info = ((b[0] / d[0], 0) if d[0, 0] != 0.0
+                                 else (b[0], 1))
                 else:
                     # each member's J[i + 1, i] and J[i, i + 1], the two
                     # halves of its w, and a zero coupling to the next
                     off = np.zeros((2, solved, n))
                     off[0, :, :-1] = w[:solved, :n - 1]
                     off[1, :, :-1] = w[:solved, n - 1:]
-                    *_, x, info = lapack.dgtsv(
+                    *_, x_s, info = lapack.dgtsv(
                         off[0].ravel()[:-1], d[:solved].ravel(),
                         off[1].ravel()[:-1], b[:solved].ravel(),
                         overwrite_dl=1, overwrite_du=1)
                 if info == 0:
+                    x = x_s.reshape(solved, n)
                     break
                 # the call is repeated without the singular member and the
                 # ones after it
                 solved = (info - 1) // n
                 failed = (solved, np.linalg.LinAlgError(
                     "Newton matrix is singular"))
-        if not solved:
-            return None, failed
-        lead = (solved,) if self.stacked else ()
-        delta = np.zeros(lead + self.grid.counts)
-        delta[lay.inner] = x.reshape(-1)[:solved * d.shape[1]].reshape(
-            lead + lay.shape).transpose(lay.unband[len(lead)])
+            if masked:
+                # the identity rows solve to 0, but a product with a
+                # neighbour's non-finite entry would not
+                x[~live[:solved]] = 0.0
+        # x holds the members before ``solved``, and the others stay 0
+        delta = np.zeros(R.shape)
+        delta[:len(x)][lay.inner] = x.reshape(
+            (len(x),) + lay.shape).transpose(lay.unband)
         return delta, failed
-
-
-def _merge(parts: list, dim: int):
-    """The iterate, residual, residual maxima and face data of the members
-    from the trials of a line search that each accepted, in stack order:
-    ``parts`` holds, per trial, its accepted members (their indices in the
-    layout, which rise along the stack) and their trial, residual, maxima
-    and face data."""
-    order = np.argsort(np.concatenate([members for members, *_ in parts]))
-
-    def rows(items):
-        # m_j = 1 has the one scalar derivative for every member
-        if not isinstance(items[0], np.ndarray):
-            return items[0]
-        return np.concatenate(items)[order]
-
-    u, R, res = (rows([p[q] for p in parts]) for q in (1, 2, 3))
-    faces = [tuple(rows([p[4][j][q] for p in parts]) for q in range(5))
-             for j in range(dim)]
-    return u, R, res, faces
 
 
 def _stacked_step(spec: ProblemSpec, config: SolverConfig,
@@ -801,21 +760,26 @@ def _stacked_step(spec: ProblemSpec, config: SolverConfig,
                   t_next: float, lay: _Layout):
     """Advance the members of one solve a backward-Euler step side by
     side: member i, at level ``ks[i]`` (see ``_StepProblem``), from its
-    field ``u_n[i]`` at t_n (``u_n`` itself for one unstacked field), with
-    what the earlier steps left in ``lay``.
+    field ``u_n[i]`` at t_n, with what the earlier steps left in ``lay``.
 
     Each member runs the damped Newton of ``implicit_step`` with its own
-    start, line search, convergence test and report, on the stack of the
-    members still active: one that converges leaves it, and only the
-    members whose line-search trial did not lower their residual go on to
-    the halved trial.  When a member fails, it and every later member
-    leave the solve and ``lay``, and the earlier ones run on.
+    start, step length, convergence test and report, and no member
+    leaves the stack within the step.  The mask ``live`` marks the
+    members that have neither converged nor failed; the others get a zero
+    update, so their rows keep their last iterate.  Each line-search
+    trial is u - lam delta over the whole stack: a member keeps the step
+    length lam of its first trial that lowers its residual, and only the
+    members still searching halve theirs.  A trial recomputed at an
+    accepted lam gives the same bits, so the last trial holds every
+    member's accepted iterate, residual and face data.  When a member
+    fails, it and every later member stop, and leave ``lay``; the
+    earlier ones run on.
 
     Returns (u, reports, failure): the stacked fields at t_next of the
     members before the first one that failed, their StepReports, and that
     member's StepFailure (step -1), or None.
     """
-    prob = _StepProblem(spec, lay.grid, config, ks, u_n, t_next, lay)
+    prob = _StepProblem(spec, config, ks, u_n, t_next, lay)
     u = u_n.copy()
     if lay.prev is not None:
         # the local time derivative carries over to the next step
@@ -827,105 +791,82 @@ def _stacked_step(spec: ProblemSpec, config: SolverConfig,
         # depend on it beyond the residual tolerance
         u[..., prob.interior] += config.guess_offset
     u[lay.edge] = prob.bc_boundary
-    u_next = np.empty((len(ks), lay.boundary.size))
-    reports: list = [None] * len(ks)
-    clamped = np.zeros(len(ks), dtype=bool)
-    # per iteration, the members in the stack and their residual maxima
+    size = len(ks)
+    # per-member step lengths broadcast over the stack
+    lead = (size,) + (1,) * lay.grid.dim
+    reports: list = [None] * size
+    clamped = np.zeros(size, dtype=bool)
+    live = np.ones(size, dtype=bool)
+    # the residual maxima of the stack at every iteration
     trace = []
-    alive, failure = len(ks), None
-    dim = lay.grid.dim
+    alive, failure = size, None
 
     def fail(pos, cause, exc=None):
         nonlocal alive, failure
-        alive = int(prob.members[pos])
-        # a failing member was in the stack at every iteration
-        history = [float(maxima[members == alive][0])
-                   for members, maxima in trace]
-        failure = StepFailure(-1, history, cause, k=ks[alive])
+        alive = pos
+        live[pos:] = False
+        failure = StepFailure(-1, [float(maxima[pos]) for maxima in trace],
+                              cause, k=ks[pos])
         failure.__cause__ = exc
 
     R, faces = prob.residual(u)
     res = lay.rows(np.abs(R)).max(axis=1)
     for it in range(config.newton_max + 1):
-        trace.append((prob.members, res))
+        trace.append(res)
         done = res <= config.newton_tol
-        converged = bool(done.any())
-        if converged:
-            for a in np.flatnonzero(done).tolist():
-                i = int(prob.members[a])
-                u_next[i] = lay.rows(u)[a]
-                reports[i] = StepReport(iterations=it, residual=float(res[a]),
+        if done.any():
+            done &= live
+            for i in np.flatnonzero(done).tolist():
+                reports[i] = StepReport(iterations=it, residual=float(res[i]),
                                         clamped=bool(clamped[i]))
-            if done.all():
+            live &= ~done
+            if not live.any():
                 break
         if it == config.newton_max:
             # the first member that has not converged
-            fail(int(np.argmax(~done)), "iteration limit")
+            fail(int(np.argmax(live)), "iteration limit")
             break
-        if converged:
-            active = ~done
-            prob, u, R, res = prob.select(active), u[active], R[active], \
-                res[active]
-            faces = _select_faces(faces, active)
-        delta, failed = prob.update(faces, R)
+        delta, failed = prob.update(faces, R, live)
         if failed is not None:
             pos, exc = failed
             # each message of ``update`` names its cause
             fail(pos, next((c for c in StepFailure.CAUSES if c in str(exc)),
                            None), exc)
-            if pos == 0:
+            if not live.any():
                 break
-            head = slice(0, pos)
-            prob, u, R, res = prob.select(head), u[head], R[head], res[head]
-            faces = _select_faces(faces, head)
-        # the members that still search: problem, iterate, update and
-        # residual maxima; the trials that each accepted
-        sub, u_s, delta_s, res_s = prob, u, delta, res
-        parts = []
         lam = 1.0
         # up to ten halvings; the eleventh trial is taken as it is
         for trial_no in range(11):
-            trial = u_s - lam * delta_s
-            if sub.k is None:
-                low = lay.rows(trial < 0.0).any(axis=1)
+            trial = u - lam * delta
+            if prob.k is None:
+                low = live & lay.rows(trial < 0.0).any(axis=1)
                 if low.any():
                     # clamp the members with a negative node at 0
                     rows = lay.rows(trial)
                     np.maximum(rows, 0.0, out=rows, where=low[:, None])
-                    clamped[sub.members[low]] = True
-            R_trial, faces_trial = sub.residual(trial)
+                    clamped |= low
+            R_trial, faces_trial = prob.residual(trial)
             res_trial = lay.rows(np.abs(R_trial)).max(axis=1)
-            ok = (res_trial < res_s if trial_no < 10
-                  else np.ones(res_s.size, dtype=bool))
-            if ok.all() and not parts:
-                # every member accepts: the trial's residual and face data
-                # are the next iteration's as they are
-                u, R, res, faces = trial, R_trial, res_trial, faces_trial
+            # a member that accepted stays below its residual at every
+            # later trial, and one that is not live stays at it
+            ok = res_trial < res
+            if trial_no == 10 or (ok == live).all():
                 break
-            if ok.any():
-                # some members accepted (a stack: one field accepts all
-                # or nothing)
-                parts.append((sub.members[ok], trial[ok], R_trial[ok],
-                              res_trial[ok], _select_faces(faces_trial, ok)))
-                if ok.all():
-                    u, R, res, faces = _merge(parts, dim)
-                    break
-                wait = ~ok
-                sub = sub.select(wait)
-                u_s, delta_s, res_s = u_s[wait], delta_s[wait], res_s[wait]
-            lam /= 2.0
+            lam = (np.where(ok.reshape(lead), lam, lam / 2.0) if ok.any()
+                   else lam / 2.0)
+        u, R, res, faces = trial, R_trial, res_trial, faces_trial
     lay.prev, lay.prev_t = u_n, t_n
     if failure is not None:
         lay.keep(alive)
-    return (u_next[:alive].reshape((alive,) + lay.grid.counts),
-            reports[:alive], failure)
+    return u[:alive], reports[:alive], failure
 
 
 def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
                   config: SolverConfig, carry: _Layout | None = None
                   ) -> tuple[ScalarField, StepReport]:
-    """Advance one backward-Euler step: the one-member case of the
-    stacked step that the march of ``solve_problem`` takes.
+    """Advance one backward-Euler step: the stacked step that the march
+    of ``solve_problem`` takes, on a stack of one member (``u_n``'s
+    values with a leading axis of length 1).
 
     Solves (u - u_n)/dt = div F + f(., t_next) with boundary nodes pinned
     to g(., t_next) (plus 1/k in k-mode) by damped Newton with an exact
@@ -947,7 +888,8 @@ def implicit_step(u_n: ScalarField, t_next: float, spec: ProblemSpec,
     if carry is None or carry.grid != grid or carry.size != 1:
         carry = _Layout(grid)
     u, reports, failure = _stacked_step(spec, config, (config.k,),
-                                        u_n.values, u_n.t, t_next, carry)
+                                        u_n.values[None], u_n.t, t_next,
+                                        carry)
     if failure is not None:
         raise failure
     return ScalarField(grid, u[0], t_next), reports[0]
@@ -970,7 +912,7 @@ def _start(spec: ProblemSpec, lay: _Layout,
            ks: Sequence[int | None]) -> np.ndarray:
     """The stacked initial fields of the members at levels ``ks``: u0 with
     the boundary data g at t = 0, both shifted by 1/k in k-mode."""
-    _, floor = _levels(ks, True, lay.grid.dim)
+    _, floor = _levels(ks, lay.grid.dim)
     u = evaluate(spec.u0, lay.grid.counts, lay.x) + floor
     bc = evaluate(spec.g, lay.grid.counts, lay.x, 0.0) + floor
     u[lay.edge] = bc[lay.edge]

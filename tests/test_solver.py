@@ -221,23 +221,32 @@ DIRECT = pytest.param(None, id="direct")
 
 
 def one_member(spec, grid, cfg, u_prev, t_next, layout=None):
-    """The _StepProblem of one field at level cfg.k."""
-    return _StepProblem(spec, grid, cfg, (cfg.k,), u_prev, t_next, layout)
+    """The _StepProblem of one field at level cfg.k: a stack of one, on
+    ``layout`` or a fresh layout of ``grid``."""
+    return _StepProblem(spec, cfg, (cfg.k,), u_prev[None], t_next,
+                        _Layout(grid) if layout is None else layout)
+
+
+def residual(prob, u):
+    """The residual of a one-member problem at the field u, as a field,
+    and the face data of the stack of one."""
+    R, faces = prob.residual(u[None])
+    return R[0], faces
 
 
 def update(prob, faces, R):
-    """The Newton update of a one-member problem, or the LinAlgError
-    that names why its system cannot be solved."""
-    delta, failed = prob.update(faces, R)
+    """The Newton update of a one-member problem, as a field, or the
+    LinAlgError that names why its system cannot be solved."""
+    delta, failed = prob.update(faces, R[None], np.ones(1, dtype=bool))
     if failed is not None:
         raise failed[1]
-    return delta
+    return delta[0]
 
 
 def assemble(prob, faces, R):
     """The operator (d, w) and interior residual b of a one-member
     problem."""
-    return tuple(a[0] for a in prob.unpack(prob.assemble(faces, R)))
+    return tuple(a[0] for a in prob.unpack(prob.assemble(faces, R[None])))
 
 
 def jacobian(prob, faces) -> sp.csr_matrix:
@@ -249,7 +258,8 @@ def jacobian(prob, faces) -> sp.csr_matrix:
     idx = np.arange(n).reshape(prob.grid.counts)
     rows, cols, vals = [], [], []
     diag = np.full(prob.grid.counts, 1.0 / prob.config.dt)
-    for j, (g_lo, g_hi) in enumerate(prob._face_slopes(faces)):
+    for j, slopes in enumerate(prob._face_slopes(faces)):
+        g_lo, g_hi = (g[0] for g in slopes)
         i_lo = idx[lay.lo[j]]
         i_hi = idx[lay.hi[j]]
         diag[lay.lo[j]] += g_lo
@@ -308,8 +318,8 @@ class TestNewtonUpdate:
         rng = np.random.default_rng(len(counts))
         prob = one_member(spec, grid, cfg, np.full(counts, 0.6), 0.01)
         u = rng.uniform(0.3, 1.5, counts)
-        u[prob.boundary] = prob.bc_boundary
-        R, faces = prob.residual(u)
+        u[prob.boundary] = prob.bc_boundary[0]
+        R, faces = residual(prob, u)
         ref = spla.spsolve(jacobian(prob, faces), R.ravel())
         got = update(prob, faces, R)
         assert np.max(np.abs(got.ravel() - ref)) \
@@ -338,8 +348,8 @@ class TestNewtonUpdate:
         u = np.random.default_rng(sum(counts)).uniform(0.3, 1.5, counts)
         if clamped:
             u[(slice(1, 4),) * len(counts)] = 0.0
-        u[prob.boundary] = prob.bc_boundary
-        R, faces = prob.residual(u)
+        u[prob.boundary] = prob.bc_boundary[0]
+        R, faces = residual(prob, u)
         ref = np.atleast_1d(spla.spsolve(jacobian(prob, faces), R.ravel()))
         got = update(prob, faces, R)
         assert np.max(np.abs(got.ravel() - ref)) \
@@ -359,8 +369,8 @@ class TestNewtonUpdate:
         prob = one_member(spec, Grid(spec.box, counts),
                           SolverConfig(dt=0.01), np.full(counts, 0.6), 0.01)
         u = np.random.default_rng(7).uniform(0.3, 1.5, counts)
-        u[prob.boundary] = prob.bc_boundary
-        R, faces = prob.residual(u)
+        u[prob.boundary] = prob.bc_boundary[0]
+        R, faces = residual(prob, u)
         n = int(np.prod([c - 2 for c in counts]))
         calls = []
         dgtsv, dgbsv = lapack.dgtsv, lapack.dgbsv
@@ -407,8 +417,8 @@ class TestNewtonUpdate:
         u_prev = np.full(grid.counts, 0.6)
         prob = one_member(spec, grid, cfg, u_prev, 0.01)
         u = np.random.default_rng(n).uniform(0.3, 1.5, grid.counts)
-        u[prob.boundary] = prob.bc_boundary
-        R, faces = prob.residual(u)
+        u[prob.boundary] = prob.bc_boundary[0]
+        R, faces = residual(prob, u)
         d, w, b = assemble(prob, faces, R)
         ab = np.zeros((3, n))
         ab[0, 1:] = w[n - 1:]
@@ -476,12 +486,12 @@ class TestNewtonUpdate:
         prob = one_member(spec, grid, SolverConfig(dt=0.01, k=4), u_prev,
                           0.01, lay)
         u = rng.uniform(0.3, 1.5, counts)
-        u[prob.boundary] = prob.bc_boundary
-        R, faces = prob.residual(u)
+        u[prob.boundary] = prob.bc_boundary[0]
+        R, faces = residual(prob, u)
         if stale == "other-iterate":
             v = rng.uniform(0.3, 1.5, counts)
-            v[prob.boundary] = prob.bc_boundary
-            R_v, faces_v = prob.residual(v)
+            v[prob.boundary] = prob.bc_boundary[0]
+            R_v, faces_v = residual(prob, v)
             update(prob, faces_v, R_v)
         else:
             update(one_member(spec, grid, SolverConfig(dt=stale, k=4),
@@ -532,8 +542,8 @@ class TestNewtonUpdate:
         prob = one_member(spec, grid, SolverConfig(dt=0.01, k=4), u_prev,
                           0.01, lay)
         u, v = rng.uniform(0.3, 1.5, (2,) + counts)
-        u[prob.boundary] = v[prob.boundary] = prob.bc_boundary
-        R, faces = prob.residual(u)
+        u[prob.boundary] = v[prob.boundary] = prob.bc_boundary[0]
+        R, faces = residual(prob, u)
         # a factor at 100 times the dt: slow, but within CG_MAX
         update(one_member(spec, grid, SolverConfig(dt=1.0, k=4), u_prev,
                           0.01, lay), faces, R)
@@ -549,7 +559,7 @@ class TestNewtonUpdate:
         assert anisodnl.solver.CG_RENEW <= iterations \
             < anisodnl.solver.CG_MAX
         assert rb.kept is None and not factors
-        R_v, faces_v = prob.residual(v)
+        R_v, faces_v = residual(prob, v)
         got = update(prob, faces_v, R_v)
         assert runs[1:] == [(1, 0)] and factors == [1]
         assert rb.kept is not None
@@ -569,8 +579,8 @@ class TestNewtonUpdate:
                           np.full(counts, 0.6), 0.01)
         rng = np.random.default_rng(sum(counts))
         u = rng.uniform(0.3, 1.5, counts)
-        u[prob.boundary] = prob.bc_boundary
-        _, faces = prob.residual(u)
+        u[prob.boundary] = prob.bc_boundary[0]
+        _, faces = residual(prob, u)
         # the matrix on the interior unknowns, in the band order
         lay = prob.layout
         idx = band_order(prob)
@@ -641,11 +651,11 @@ class TestNewtonUpdate:
                             np.full(counts, 0.6), 0.01, lay)
                  for dt in (0.01, 0.01, 0.012)]
         iterates = rng.uniform(0.3, 1.5, (2,) + counts)
-        iterates[:, probs[0].boundary] = probs[0].bc_boundary
+        iterates[:, probs[0].boundary] = probs[0].bc_boundary[0]
         # A at one iterate, B at another, C at B's iterate and a larger dt
         systems = []
         for prob, u in zip(probs, iterates[[0, 1, 1]]):
-            R, faces = prob.residual(u)
+            R, faces = residual(prob, u)
             systems.append(tuple(a.copy() for a in assemble(prob, faces, R)))
         rb = lay.red_black[0]
         rb.solve(*systems[0])
@@ -670,7 +680,7 @@ class TestNewtonUpdate:
         grid = Grid(spec.box, (9, 13))
         prob = one_member(spec, grid, SolverConfig(dt=0.01, k=4),
                           np.full(grid.counts, 0.6), 0.01)
-        R, faces = prob.residual(np.full(grid.counts, 0.7))
+        R, faces = residual(prob, np.full(grid.counts, 0.7))
         gc.disable()
         try:
             update(prob, faces, R)
@@ -695,9 +705,9 @@ class TestNewtonUpdate:
         bands = [(2.0 / k, k / 4.0), (0.3 / k, 0.6 / k),
                  (2.0 / k, k / 4.0), (2.0 * k, 3.0 * k)]
         u = np.array([rng.uniform(*bands[(i // 4) % 4]) for i in range(33)])
-        u[prob.boundary] = prob.bc_boundary
+        u[prob.boundary] = prob.bc_boundary[0]
         assert np.any(u < 1.0 / k) and np.any(u > k)
-        _, faces = prob.residual(u)
+        _, faces = residual(prob, u)
         J = jacobian(prob, faces).toarray()
         fd = np.empty_like(J)
         # Phi_k spans 1e-3 to 2e3 across one face at k = 16, so a smaller
@@ -709,12 +719,12 @@ class TestNewtonUpdate:
             if u[i] == 1.0 / k:
                 # the boundary data g + 1/k sit at 1/k, where Phi_k'' jumps:
                 # a second-order difference from the band side
-                fd[:, i] = ((4 * prob.residual(u + e)[0]
-                             - prob.residual(u + 2 * e)[0]
-                             - 3 * prob.residual(u)[0]) / (2 * e[i]))
+                fd[:, i] = ((4 * residual(prob, u + e)[0]
+                             - residual(prob, u + 2 * e)[0]
+                             - 3 * residual(prob, u)[0]) / (2 * e[i]))
             else:
-                fd[:, i] = ((prob.residual(u + e)[0]
-                             - prob.residual(u - e)[0]) / (2 * e[i]))
+                fd[:, i] = ((residual(prob, u + e)[0]
+                             - residual(prob, u - e)[0]) / (2 * e[i]))
         np.testing.assert_allclose(J, fd, rtol=1e-6,
                                    atol=1e-9 * np.max(np.abs(fd)))
 
@@ -731,8 +741,8 @@ class TestNewtonUpdate:
         u_prev = np.full(counts, 0.6)
         prob = one_member(spec, grid, SolverConfig(dt=0.01), u_prev, 0.01)
         u = np.random.default_rng(dim).uniform(0.3, 1.5, counts)
-        u[prob.boundary] = prob.bc_boundary
-        R, faces = prob.residual(u)
+        u[prob.boundary] = prob.bc_boundary[0]
+        R, faces = residual(prob, u)
         J = solved_matrix(prob, faces, R)
         idx = band_order(prob)
         fd = np.empty_like(J)
@@ -741,7 +751,7 @@ class TestNewtonUpdate:
             e = np.zeros(u.size)
             e[i] = step
             e = e.reshape(counts)
-            fd[:, q] = ((prob.residual(u + e)[0] - prob.residual(u - e)[0])
+            fd[:, q] = ((residual(prob, u + e)[0] - residual(prob, u - e)[0])
                         / (2 * step)).ravel()[idx]
         np.testing.assert_allclose(J, fd, rtol=1e-6,
                                    atol=1e-9 * np.max(np.abs(fd)))
@@ -760,8 +770,8 @@ class TestNewtonUpdate:
                           SolverConfig(dt=0.01, k=k), np.full(counts, 0.6),
                           0.01)
         # the boundary data are constant
-        u = np.full(counts, prob.bc_boundary[0])
-        R, faces = prob.residual(u)
+        u = np.full(counts, prob.bc_boundary[0, 0])
+        R, faces = residual(prob, u)
         J = jacobian(prob, faces).toarray()
         fd = np.empty_like(J)
         for i in range(u.size):
@@ -769,7 +779,7 @@ class TestNewtonUpdate:
             # a step that u + e represents exactly
             e[i] = (u.flat[i] + 1e-12) - u.flat[i]
             e = e.reshape(counts)
-            fd[:, i] = ((prob.residual(u + e)[0] - prob.residual(u - e)[0])
+            fd[:, i] = ((residual(prob, u + e)[0] - residual(prob, u - e)[0])
                         / (2 * e.flat[i])).ravel()
         np.testing.assert_allclose(J, fd, rtol=1e-5,
                                    atol=1e-9 * np.max(np.abs(fd)))
@@ -788,7 +798,7 @@ class TestNewtonUpdate:
         u = np.random.default_rng(dim).uniform(0.3, 1.5, counts)
         u[prob.boundary] = 0.0
         u[(slice(1, 4),) * dim] = 0.0
-        R, faces = prob.residual(u)
+        R, faces = residual(prob, u)
         J = solved_matrix(prob, faces, R)
         idx = band_order(prob)
         ref = jacobian(prob, faces)[idx][:, idx].toarray()
@@ -970,9 +980,9 @@ class TestStepProblem:
         u = np.random.default_rng(len(counts)).uniform(0.3, 1.5, counts)
         if clamped:
             u[(slice(1, 4),) * len(counts)] = 0.0
-        ref = reference_residual(spec, grid, prob.k, np.full(counts, 0.6),
+        ref = reference_residual(spec, grid, k, np.full(counts, 0.6),
                                  u, dt, t)
-        got, _ = prob.residual(u)
+        got, _ = residual(prob, u)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("k", [4, DIRECT])
@@ -1232,10 +1242,10 @@ class TestKirchhoffFlux:
         grid = Grid(spec.box, counts)
         u_prev = np.full(counts, 0.6)
         u = np.random.default_rng(len(counts)).uniform(0.5, 1.5, counts)
-        got, _ = one_member(spec, grid, SolverConfig(dt=0.01, k=2), u_prev,
-                            0.01).residual(u)
-        ref, _ = one_member(spec, grid, SolverConfig(dt=0.01), u_prev,
-                            0.01).residual(u)
+        got, _ = residual(one_member(spec, grid, SolverConfig(dt=0.01, k=2),
+                                     u_prev, 0.01), u)
+        ref, _ = residual(one_member(spec, grid, SolverConfig(dt=0.01),
+                                     u_prev, 0.01), u)
         inner = grid.interior_mask()
         assert np.max(np.abs(got[inner] - ref[inner])) \
             <= 1e-12 * np.max(np.abs(ref[inner]))
@@ -1427,10 +1437,25 @@ class TestMarch:
                 else get_preset(name))
         grid = Grid(spec.box, counts)
         cfg = SolverConfig(dt=spec.T / 8)
-        merged = []
-        merge = anisodnl.solver._merge
-        monkeypatch.setattr(anisodnl.solver, "_merge", lambda parts, dim: (
-            merged.append(len(parts)), merge(parts, dim))[1])
+        # per Newton iteration of a step, its live members and the
+        # iterates of its line-search trials
+        rounds = []
+        residual, update = _StepProblem.residual, _StepProblem.update
+
+        def every_row(self, u):
+            # each call of a step sees all the members of the step: all of
+            # ks in a march, one in a solve of its own
+            assert u.shape == self.u_prev.shape and len(u) in (1, len(ks))
+            if rounds:
+                rounds[-1][1].append(u.copy())
+            return residual(self, u)
+
+        def new_round(self, faces, R, live):
+            rounds.append((live.copy(), []))
+            return update(self, faces, R, live)
+
+        monkeypatch.setattr(_StepProblem, "residual", every_row)
+        monkeypatch.setattr(_StepProblem, "update", new_round)
         series, reports = _march(spec, grid, cfg, tuple(ks))
         res = regularization_cascade(spec, grid, cfg, ks)
         for i, k in enumerate(ks):
@@ -1442,14 +1467,21 @@ class TestMarch:
                 assert step_records(rep) == step_records(own_report)
         if len(counts) == 1:
             # some step had members that accepted different line-search
-            # trials
-            assert merged
+            # trials: one live member's row stayed from one trial to the
+            # next while another's changed
+            def kept(live, a, b):
+                same = (a == b).reshape(len(a), -1).all(axis=1)
+                return bool(np.any(same & live) and np.any(~same & live))
+
+            assert any(kept(live, a, b) for live, trials in rounds
+                       for a, b in zip(trials, trials[1:]))
 
     def test_singular_member_leaves_the_stack(self):
         # a = -1 where u < 0.3: on two interior nodes with h = 1 and
         # dt = 1 the member at k = 8 (u = 1/8) has the singular matrix
         # [[-1, 1], [1, -1]], and the member at k = 2 (u = 1/2) a regular
-        # one; f = 1 moves both off their start
+        # one; f = 1 moves both off their start.  A member at k = 16 after
+        # the failing one leaves the stack with it
         spec = replace(
             varcoeff_problem(1), box=(3.0,), T=1.0,
             exponents=Exponents((2.0,), (1.0,)),
@@ -1459,20 +1491,21 @@ class TestMarch:
             u0=make_constant(0.0))
         grid = Grid(spec.box, (4,))
         cfg = SolverConfig(dt=1.0)
-        lay = _Layout(grid, 2)
-        u_n = _start(spec, lay, (2, 8))
-        u, reports, failure = _stacked_step(spec, cfg, (2, 8), u_n, 0.0,
-                                            1.0, lay)
-        assert (failure.k, failure.cause) == (8, "singular")
-        assert lay.size == 1 and len(reports) == 1
-        own, own_report = implicit_step(ScalarField(grid, u_n[0], 0.0), 1.0,
-                                        spec, replace(cfg, k=2))
-        assert np.array_equal(u[0], own.values)
-        assert reports == [own_report]
-        with pytest.raises(StepFailure) as alone:
-            implicit_step(ScalarField(grid, u_n[1], 0.0), 1.0, spec,
-                          replace(cfg, k=8))
-        assert failure.residual_history == alone.value.residual_history
+        for ks in ((2, 8), (2, 8, 16)):
+            lay = _Layout(grid, len(ks))
+            u_n = _start(spec, lay, ks)
+            u, reports, failure = _stacked_step(spec, cfg, ks, u_n, 0.0, 1.0,
+                                                lay)
+            assert (failure.k, failure.cause) == (8, "singular")
+            assert lay.size == 1 and len(reports) == 1 and len(u) == 1
+            own, own_report = implicit_step(ScalarField(grid, u_n[0], 0.0),
+                                            1.0, spec, replace(cfg, k=2))
+            assert np.array_equal(u[0], own.values)
+            assert reports == [own_report]
+            with pytest.raises(StepFailure) as alone:
+                implicit_step(ScalarField(grid, u_n[1], 0.0), 1.0, spec,
+                              replace(cfg, k=8))
+            assert failure.residual_history == alone.value.residual_history
 
     def test_first_failing_member_is_raised(self):
         # a_1 is NaN below a level that rises from 0.1 to 0.4 at T/2: the
