@@ -30,7 +30,12 @@ diagonal, is exact and leaves the Schur complement S on the black half
 of the unknowns.  ``_RedBlack.solve`` is that one solve: direct mode
 solves S by one banded LU, k-mode its symmetric S by conjugate gradients
 preconditioned by a factor kept from an earlier Newton matrix of the
-same solve, renewed when CG fails and after a slow CG solve.
+same solve, renewed when CG fails and after a slow CG solve.  S is kept
+in LAPACK's band storage, one row wider than its half-bandwidth kd when
+that makes the width a multiple of BAND_STEP: the 2D grids of 2^j + 1
+nodes per axis have kd = 2^j - 1, and one row short of a multiple of 16
+the band kernels took up to 1.75 times as long.  The added row is zero,
+so S and its factors stay the same matrices.
 
 One Newton loop, ``_stacked_step``, advances the members of a solve side
 by side: solves that share grid, time axis and data and differ in their
@@ -91,6 +96,9 @@ CG_MAX = 8
 # CG iterations at which a converged solve gives up its kept factor, so
 # that the next solve of the split factors its own S first
 CG_RENEW = 4
+# S is stored one band row wider when that makes its width a multiple of
+# BAND_STEP: LAPACK's band kernels ran much slower one row short of it
+BAND_STEP = 16
 
 
 def _matvec(a, x: np.ndarray) -> np.ndarray:
@@ -213,19 +221,24 @@ class _RedBlack:
     eliminating the red nodes leaves the Schur complement
     S = D_b - C^T D_r^-1 B on the black ones; the lagged k-mode matrix is
     symmetric, C = B.  S couples black nodes that share a red neighbour:
-    offsets 2e_i and e_i - e_j, e_i + e_j of the grid.  ``B`` and ``C`` are
-    the CSR blocks, of one pattern, of the operator filled last (see
-    ``fill``); ``Bt`` and ``Ct`` are their transposes and share their
-    data.  ``schur`` is the one assembly of S and ``solve`` the one solve
-    of both modes; ``kept`` is the factor that ``solve`` keeps for the
-    symmetric operators, None until it makes one and again after a slow
-    CG solve drops it (``solve`` alone sets it), and ``cg_operators``
-    the operator S and the preconditioner that it hands to CG, made on its
-    first symmetric solve and kept: they read the ``d_b``, ``inv_dr``
-    (D_b and 1/D_r) and ``kept`` of the current solve.  ``by_colour``
-    lists the red nodes, then the black ones, and ``to_band`` is its
-    inverse, so one gather reads both halves of a vector and one puts
-    them back.
+    offsets 2e_i and e_i - e_j, e_i + e_j of the grid, so its
+    half-bandwidth ``kd`` is about the largest stride.  S is stored with
+    the width ``band``: kd, or kd + 1 when that is a multiple of
+    BAND_STEP, since LAPACK's band kernels ran much slower one row short
+    of it; the added row is zero.  The lower storage of the symmetric S
+    and its Cholesky factor has band + 1 rows, the general storage of
+    the LU 3 band + 1.  ``B`` and ``C`` are the CSR blocks, of one
+    pattern, of the operator filled last (see ``fill``); ``Bt`` and
+    ``Ct`` are their transposes and share their data.  ``schur`` is the
+    one assembly of S and ``solve`` the one solve of both modes; ``kept``
+    is the factor that ``solve`` keeps for the symmetric operators, None
+    until it makes one and again after a slow CG solve drops it
+    (``solve`` alone sets it), and ``cg_operators`` the operator S and
+    the preconditioner that it hands to CG, made on its first symmetric
+    solve and kept: they read the ``d_b``, ``inv_dr`` (D_b and 1/D_r)
+    and ``kept`` of the current solve.  ``by_colour`` lists the red
+    nodes, then the black ones, and ``to_band`` is its inverse, so one
+    gather reads both halves of a vector and one puts them back.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -282,12 +295,15 @@ class _RedBlack:
                 pb.append(start + v)
         pa, pb = np.concatenate(pa), np.concatenate(pb)
         row, col = indices[pa], indices[pb]
-        # half-bandwidth of S; the pairs as (a, b, red row, position), the
-        # position in S's lower band storage of shape (kd + 1, n_black) in
-        # Fortran order
+        # half-bandwidth of S, and the width of its band storage, whose
+        # added row is zero; the pairs as (a, b, red row, position), the
+        # position in S's lower band storage of shape (band + 1, n_black)
+        # in Fortran order
         self.kd = int(np.max(row - col, initial=0))
+        self.band = (self.kd + 1 if self.kd % BAND_STEP == BAND_STEP - 1
+                     else self.kd)
         self.pairs = (pa, pb, np.repeat(np.arange(self.red.size), deg)[pa],
-                      col * (self.kd + 1) + (row - col))
+                      col * (self.band + 1) + (row - col))
         self.kept = None
         self.cg_operators = self.d_b = self.inv_dr = None
 
@@ -296,8 +312,8 @@ class _RedBlack:
         """The pairs of a nonsymmetric S (see ``solve``): every pair in
         both orders (a before b: upper triangle) as (a, b, red row,
         position), the position in LAPACK's general band storage of shape
-        (3 kd + 1, n_black) in Fortran order, whose first kd rows are left
-        for the fill-in of the LU factor.  Made on first use, so that
+        (3 band + 1, n_black) in Fortran order, whose first band rows are
+        left for the fill-in of the LU factor.  Made on first use, so that
         k-mode does not hold them."""
         pa, pb, red, _ = self.pairs
         upper = pa != pb
@@ -306,7 +322,7 @@ class _RedBlack:
         red = np.concatenate((red, red[upper]))
         indices = self.B.indices.astype(np.intp)
         row, col = indices[a], indices[b]
-        pos = col * (3 * self.kd + 1) + 2 * self.kd + (row - col)
+        pos = col * (3 * self.band + 1) + 2 * self.band + (row - col)
         return a, b, red, pos
 
     def fill(self, d: np.ndarray,
@@ -340,7 +356,8 @@ class _RedBlack:
         the S of the symmetric operator with 1/D_r, D_b and the B that
         ``fill`` filled last.  Raises ``LinAlgError`` when S is not
         positive definite."""
-        s = self.schur(self.B.data, self.pairs, self.kd + 1, 0, inv_dr, d_b)
+        s = self.schur(self.B.data, self.pairs, self.band + 1, 0, inv_dr,
+                       d_b)
         chol, info = lapack.dpbtrf(s, lower=1, overwrite_ab=1)
         if info != 0:
             raise np.linalg.LinAlgError(
@@ -439,10 +456,10 @@ class _RedBlack:
                 # that the next one factors its own S
                 self.kept = None
         else:
-            kd = self.kd
-            s = self.schur(self.C.data, self.lu_pairs, 3 * kd + 1, 2 * kd,
-                           inv_dr, d_b)
-            *_, x_b, info = lapack.dgbsv(kd, kd, s, rhs, overwrite_ab=1,
+            band = self.band
+            s = self.schur(self.C.data, self.lu_pairs, 3 * band + 1,
+                           2 * band, inv_dr, d_b)
+            *_, x_b, info = lapack.dgbsv(band, band, s, rhs, overwrite_ab=1,
                                          overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError("Newton matrix is singular")
@@ -530,11 +547,11 @@ def ordering_tolerance(config: SolverConfig, T: float) -> float:
 def _levels(ks: Sequence[int | None], dim: int):
     """The truncation levels ``ks`` of the members (None in direct mode,
     where every k is None) and the lower bound of each, 1/k in k-mode and
-    0 in direct mode, as arrays that broadcast over a stack of fields."""
-    lead = (len(ks),) + (1,) * dim
+    0 in direct mode: k-mode's as arrays that broadcast over a stack of
+    fields, direct mode's as the one float 0.0."""
     if ks[0] is None:
-        return None, np.zeros(lead)
-    k = np.array(ks, dtype=float).reshape(lead)
+        return None, 0.0
+    k = np.array(ks, dtype=float).reshape((len(ks),) + (1,) * dim)
     return k, 1.0 / k
 
 
@@ -565,12 +582,13 @@ class _StepProblem:
         self.layout = lay = layout
         self.interior = lay.interior
         self.boundary = lay.boundary
-        # the data are evaluated once for every member
-        self.f_vals = evaluate(spec.f, grid.counts, lay.x, t_next)
+        # the data are evaluated once for every member, with a stack axis
+        # of length 1
+        self.f_vals = evaluate(spec.f, grid.counts, lay.x, t_next)[None]
         # the floor of each member shifts its boundary data and floors its
         # Newton start
         self.k, self.floor = _levels(ks, grid.dim)
-        bc = evaluate(spec.g, grid.counts, lay.x, t_next) + self.floor
+        bc = evaluate(spec.g, grid.counts, lay.x, t_next)[None] + self.floor
         self.bc_boundary = bc[lay.edge]
         self.h = grid.spacings
         self.p = spec.exponents.p
@@ -911,10 +929,11 @@ def _time_axis(spec: ProblemSpec, config: SolverConfig
 def _start(spec: ProblemSpec, lay: _Layout,
            ks: Sequence[int | None]) -> np.ndarray:
     """The stacked initial fields of the members at levels ``ks``: u0 with
-    the boundary data g at t = 0, both shifted by 1/k in k-mode."""
+    the boundary data g at t = 0, both shifted by 1/k in k-mode (in
+    direct mode, a stack of one)."""
     _, floor = _levels(ks, lay.grid.dim)
-    u = evaluate(spec.u0, lay.grid.counts, lay.x) + floor
-    bc = evaluate(spec.g, lay.grid.counts, lay.x, 0.0) + floor
+    u = evaluate(spec.u0, lay.grid.counts, lay.x)[None] + floor
+    bc = evaluate(spec.g, lay.grid.counts, lay.x, 0.0)[None] + floor
     u[lay.edge] = bc[lay.edge]
     return u
 

@@ -189,6 +189,24 @@ def test_cg_operators_made_only_where_the_split_keeps_them():
     assert _functions_referencing("LinearOperator") == {("solver", "solve")}
 
 
+def test_band_storage_width_decided_only_in_init():
+    # _RedBlack.__init__ alone sets S's half-bandwidth kd and the width
+    # band of its band storage (from kd and BAND_STEP), and nothing else
+    # reads kd: the band layouts of the pairs, the schur calls and the
+    # LAPACK band calls read band (dpbtrs reads the factor dpbtrf made).
+    # _Layout.band is the permutation into band order, another attribute
+    assert _attribute_stores("kd") == {("solver", "_RedBlack", "__init__")}
+    assert {store for store in _attribute_stores("band")
+            if store[1] == "_RedBlack"} == {
+        ("solver", "_RedBlack", "__init__")}
+    assert _functions_referencing("kd") == {("solver", "__init__")}
+    assert _functions_referencing("BAND_STEP") == {("solver", None),
+                                                   ("solver", "__init__")}
+    width_readers = _functions_referencing("band", kinds=("attr",))
+    assert {("solver", "lu_pairs")} | _callers("schur")[0] \
+        | _callers("dgbsv")[0] | _callers("dpbtrf")[0] <= width_readers
+
+
 def _callers(name):
     """(module, innermost enclosing function) of every call of name, as a
     bare name or an attribute, and the number of such calls."""

@@ -466,6 +466,81 @@ class TestNewtonUpdate:
             rb.solve(d, np.ones(8), np.ones(4))
         assert calls == [(3 * rb.kd + 1, 2)]
 
+    # interior (n, n) gives S the half-bandwidth n, (n, n, n) gives n^2
+    @pytest.mark.parametrize("shape, kd, band", [
+        ((7, 7), 7, 7), ((15, 15), 15, 16), ((31, 31), 31, 32),
+        ((63, 63), 63, 64), ((127, 127), 127, 128),
+        ((15, 15, 15), 225, 225), ((23, 23, 23), 529, 529),
+        ((31, 31, 31), 961, 961)])
+    def test_band_storage_width(self, shape, kd, band):
+        # S is stored one row wider when that makes its width a multiple
+        # of BAND_STEP, and kd stays its true half-bandwidth
+        rb = _RedBlack(shape)
+        assert (rb.kd, rb.band) == (kd, band)
+
+    @pytest.mark.parametrize("k", [4, DIRECT])
+    @pytest.mark.parametrize("counts", [(33, 33), (65, 65)])
+    def test_wide_band_lapack_calls(self, counts, k, monkeypatch):
+        # the 2D grids of 2^j + 1 nodes give S the half-bandwidth
+        # 2^j - 1, which is stored at 2^j: dgbsv gets kl = ku = band and
+        # 3 band + 1 rows, dpbtrf and dpbtrs band + 1 rows; the added rows
+        # of S and of the kept factor are exact zeros, and the update is
+        # still the solve of the Jacobian
+        spec = varcoeff_problem(2)
+        prob = one_member(spec, Grid(spec.box, counts),
+                          SolverConfig(dt=0.01, k=k), np.full(counts, 0.6),
+                          0.01)
+        u = np.random.default_rng(counts[0]).uniform(0.3, 1.5, counts)
+        u[prob.boundary] = prob.bc_boundary[0]
+        R, faces = residual(prob, u)
+        n_b = (counts[0] - 2) ** 2 // 2
+        kd = counts[0] - 2
+        calls, bands = [], []
+        originals = {name: getattr(lapack, name)
+                     for name in ("dgbsv", "dpbtrf", "dpbtrs")}
+
+        def gbsv(kl, ku, ab, b, **kwargs):
+            calls.append(("dgbsv", kl, ku, ab.shape, b.size))
+            bands.append(ab.copy())
+            return originals["dgbsv"](kl, ku, ab, b, **kwargs)
+
+        def pbtrf(ab, **kwargs):
+            calls.append(("dpbtrf", ab.shape))
+            bands.append(ab.copy())
+            return originals["dpbtrf"](ab, **kwargs)
+
+        def pbtrs(ab, b, **kwargs):
+            calls.append(("dpbtrs", ab.shape, b.size))
+            return originals["dpbtrs"](ab, b, **kwargs)
+
+        for name, wrapper in (("dgbsv", gbsv), ("dpbtrf", pbtrf),
+                              ("dpbtrs", pbtrs)):
+            monkeypatch.setattr(lapack, name, wrapper)
+        got = update(prob, faces, R)
+        rb = prob.layout.red_black[0]
+        assert (rb.kd, rb.band) == (kd, kd + 1)
+        band = rb.band
+        [s] = bands
+        if k is None:
+            assert calls == [("dgbsv", band, band, (3 * band + 1, n_b), n_b)]
+            # row 2 band holds the diagonal, row 2 band - i the i-th
+            # super- and row 2 band + i the i-th sub-diagonal; the rows
+            # above are left for the fill-in
+            assert not s[:2 * band - kd].any()
+            assert not s[2 * band + kd + 1:].any()
+            assert s[2 * band - kd].any() and s[2 * band + kd].any()
+        else:
+            assert calls[0] == ("dpbtrf", (band + 1, n_b))
+            assert len(calls) > 1
+            assert set(calls[1:]) == {("dpbtrs", (band + 1, n_b), n_b)}
+            # row i holds the i-th sub-diagonal, of S and of its factor
+            assert s[kd].any() and not s[kd + 1:].any()
+            assert rb.kept.shape == (band + 1, n_b)
+            assert rb.kept[kd].any() and not rb.kept[kd + 1:].any()
+        ref = spla.spsolve(jacobian(prob, faces), R.ravel())
+        assert np.max(np.abs(got.ravel() - ref)) \
+            <= 1e-12 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("counts", [(9, 13), (5, 6, 7), (5, 7, 9),
                                         (10, 10)])
     @pytest.mark.parametrize("stale", [1.0, 1e-4, "other-iterate", 0.012])
