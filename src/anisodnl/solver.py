@@ -57,16 +57,13 @@ direct mode).
 from __future__ import annotations
 
 import copy
+import importlib
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg.lapack as lapack
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse import _sparsetools
 
 from .discretization import (Grid, ScalarField, TimeSeries, axis_slices,
                              face_mean, integrate_power)
@@ -99,6 +96,33 @@ CG_RENEW = 4
 # S is stored one band row wider when that makes its width a multiple of
 # BAND_STEP: LAPACK's band kernels ran much slower one row short of it
 BAND_STEP = 16
+
+
+class _Deferred:
+    """Stand-in for a scipy module, imported on first use.
+
+    The first attribute read imports the module and puts it in this
+    module's globals in place of the stand-in, so every later read is the
+    module's own.  Importing scipy's linear algebra takes longer than
+    numpy and the package together, and each path loads only what it
+    calls: 1D ``scipy.linalg``, 2D/3D direct mode ``scipy.sparse`` as
+    well, k-mode ``scipy.sparse.linalg`` too.
+    """
+
+    def __init__(self, name: str, module: str):
+        self._name = name
+        self._module = module
+
+    def __getattr__(self, attr):
+        module = importlib.import_module(self._module)
+        globals()[self._name] = module
+        return getattr(module, attr)
+
+
+lapack = _Deferred("lapack", "scipy.linalg.lapack")
+sp = _Deferred("sp", "scipy.sparse")
+spla = _Deferred("spla", "scipy.sparse.linalg")
+_sparsetools = _Deferred("_sparsetools", "scipy.sparse._sparsetools")
 
 
 def _matvec(a, x: np.ndarray) -> np.ndarray:

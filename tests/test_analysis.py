@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anisodnl.analysis import (
+    VPM_CHUNK,
+    _time_integral,
     b_quantity,
     b_sandwich_constant,
     comparison_check,
@@ -23,7 +25,8 @@ from anisodnl.analysis import (
     series_lp_norm,
     vpm_distance,
 )
-from anisodnl.discretization import Grid, ScalarField, TimeSeries
+from anisodnl.discretization import (Grid, ScalarField, TimeSeries,
+                                     face_diff_power, integrate)
 from anisodnl.model import CoefficientSpec, Exponents, ProblemSpec
 
 # Frozen by the pre-build sweep (b_sandwich_constant / power_inequality_constant
@@ -208,6 +211,38 @@ class TestSeriesPairs:
         b = linear_series((0.0, 0.1, 0.2), lambda x, t: x + t)
         with pytest.raises(ValueError):
             vpm_distance(a, b, (1.0,), (2.0,))
+
+
+def per_sample_vpm_distance(a, b, m, p):
+    """vpm_distance with every sample integrated on its own."""
+    grid = a.grid
+    pairs = [(fa.values, fb.values) for fa, fb in zip(a.fields, b.fields)]
+    q_star = max(min(m) + 1.0, max(m))
+    d = _time_integral(a.times, [integrate(grid, np.abs(u - v) ** q_star)
+                                 for u, v in pairs]) ** (1.0 / q_star)
+    for j, (mj, pj) in enumerate(zip(m, p)):
+        d += _time_integral(a.times, [integrate(grid, np.abs(
+            face_diff_power(grid, u, mj, j) - face_diff_power(grid, v, mj, j))
+            ** pj, face_axis=j) for u, v in pairs]) ** (1.0 / pj)
+    return d
+
+
+@pytest.mark.parametrize("counts, m, p", [
+    ((1025,), (2.3,), (2.0,)),
+    ((65, 65), (1.2, 1.45), (3.1, 2.4)),
+    ((17, 17, 17), (1.0, 1.3, 1.1), (1.7, 2.0, 2.6)),
+], ids=["1d", "2d", "3d"])
+def test_vpm_distance_chunks_keep_the_bits(counts, m, p):
+    # 33 samples fill no whole number of chunks on these grids, so the last
+    # stack is a short one; each sample keeps the bits it gets alone
+    grid = Grid((1.0,) * len(counts), counts)
+    per_chunk = VPM_CHUNK // math.prod(counts)
+    assert 1 < per_chunk < 33 and 33 % per_chunk
+    rng = np.random.default_rng(len(counts))
+    times = np.linspace(0.0, 0.5, 33)
+    a, b = (TimeSeries([ScalarField(grid, rng.uniform(0.05, 2.0, counts), t)
+                        for t in times]) for _ in range(2))
+    assert vpm_distance(a, b, m, p) == per_sample_vpm_distance(a, b, m, p)
 
 
 class TestDeGiorgiConstants:

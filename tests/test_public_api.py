@@ -3,6 +3,10 @@ entry in ``__all__`` or in the package namespace behind."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +75,82 @@ def test_no_function_local_imports():
              for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert local == []
+
+
+def test_no_module_level_scipy_import():
+    # importing scipy's linear algebra takes several times as long as
+    # numpy, so the solver imports each scipy module on its first use
+    # (solver._Deferred) and no module imports scipy when it loads (every
+    # import sits at module level, test_no_function_local_imports)
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == "scipy"
+                     for alias in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "scipy"]
+    assert found == []
+
+
+def _fresh_interpreter(code: str) -> dict:
+    """Run code in a new Python process that imports the package from
+    src/; return the JSON object that its last output line holds."""
+    src = Path(anisodnl.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_cli_without_solve_loads_no_scipy(tmp_path):
+    # the import, validate and --help run on numpy alone
+    cfg = tmp_path / "v.json"
+    cfg.write_text(json.dumps({"scenario": "cascade",
+                               "preset": "aniso-cascade"}))
+    out = _fresh_interpreter(f"""
+import json, sys
+import anisodnl, anisodnl.cli
+status = anisodnl.cli.main(["validate", "--config", {str(cfg)!r}])
+try:
+    anisodnl.cli.main(["--help"])
+except SystemExit:
+    pass
+print(json.dumps({{"status": status, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}}))
+""")
+    assert out == {"status": 0, "scipy": []}
+
+
+def test_each_solve_loads_only_what_it_calls():
+    # a 1D solve needs scipy.linalg alone, a 2D k-mode solve scipy.sparse
+    # and scipy.sparse.linalg as well; after that the solver's names are
+    # the modules themselves, so the Newton loop reads no stand-in
+    out = _fresh_interpreter("""
+import json, sys
+from anisodnl import presets, solver
+from anisodnl.discretization import Grid
+watched = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
+loaded = {}
+spec = presets.get_preset("porous-cascade")
+solver.solve_problem(spec, Grid(spec.box, (9,)),
+                     solver.SolverConfig(dt=spec.T / 4))
+loaded["1d"] = [m for m in watched if m in sys.modules]
+spec = presets.get_preset("aniso-cascade")
+solver.solve_problem(spec, Grid(spec.box, (9, 9)),
+                     solver.SolverConfig(dt=spec.T / 4, k=4))
+loaded["2d"] = [m for m in watched if m in sys.modules]
+homes = {"lapack": "scipy.linalg.lapack", "sp": "scipy.sparse",
+         "spla": "scipy.sparse.linalg",
+         "_sparsetools": "scipy.sparse._sparsetools"}
+loaded["bound"] = sorted(name for name, home in homes.items()
+                         if getattr(solver, name) is sys.modules[home])
+print(json.dumps(loaded))
+""")
+    assert out == {"1d": ["scipy.linalg"],
+                   "2d": ["scipy.linalg", "scipy.sparse",
+                          "scipy.sparse.linalg"],
+                   "bound": ["_sparsetools", "lapack", "sp", "spla"]}
 
 
 def _references(node, name, function=None, kinds=("attr", "id")):
