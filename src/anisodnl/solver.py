@@ -43,12 +43,15 @@ truncation level, held as a stack of fields of shape (members, *counts).
 Each member keeps its own Newton start, step length, convergence test
 and report and, in 2D/3D, its own kept factor.  No member leaves the
 stack within a step: one that has converged or failed gets a zero
-update, so its row stays as it is, and every member gets the bits of a
-solve of its own.  ``implicit_step`` and ``solve_problem`` run it on a
-stack of one; a 1D ``regularization_cascade`` marches all its members
-together.  A march keeps state from one time
-step to the next in one ``_Layout``: the grid data of its steps, the
-red-black split with each member's kept factor, and the previous fields.
+update, so its row stays as it is.  In every dimension each live
+member's Newton system is solved by a call of its own (``dgtsv`` in 1D,
+``_RedBlack.solve`` in 2D/3D), so every member gets the bits of a solve
+of its own; the per-call overhead is small beside the LAPACK work.
+``implicit_step`` and ``solve_problem`` run it on a stack of one; a 1D
+``regularization_cascade`` marches all its members together.  A march
+keeps state from one time step to the next in one ``_Layout``: the grid
+data of its steps, the red-black split with each member's kept factor,
+and the previous fields.
 In both modes Newton starts from the linear extrapolation of the last
 two fields, clamped below at the mode's lower bound (1/k in k-mode, 0 in
 direct mode).
@@ -726,74 +729,52 @@ class _StepProblem:
         Returns (delta, failed): the updates of the stack, zero also for
         the first live member whose system cannot be solved and every
         member after it, and that member's position in the stack with the
-        ``LinAlgError`` that names why (the system is not finite or is singular, or in 2D/3D
-        ``_RedBlack.solve`` cannot solve it), or None.  Only the interior
-        unknowns are solved for, on the operators (d, w) of ``assemble``:
-        in 2D/3D by each live member's ``_RedBlack.solve``, with its own
-        kept factor; in 1D (both modes) by one tridiagonal LU with partial
-        pivoting, LAPACK ``dgtsv``, on the members' systems one after the
-        other, joined by zero couplings, with identity rows for the
-        members that are not live.  Elimination then never crosses from
-        one member to the next, so each member gets the bits of a call of
-        its own, and the row of a zero pivot names the singular member.
+        ``LinAlgError`` that names why (the system is not finite or is
+        singular, or in 2D/3D ``_RedBlack.solve`` cannot solve it), or
+        None.  Only the interior unknowns are solved for, on the operators
+        (d, w) of ``assemble``, and each live member by a call of its own,
+        in stack order: in 2D/3D its ``_RedBlack.solve``, with its own
+        kept factor; in 1D (both modes) one tridiagonal LU with partial
+        pivoting, LAPACK ``dgtsv``, on its row of the systems, which is
+        scratch and is overwritten (R is not).  A call of its own costs
+        about 2 us more than a member's share of one call joining them,
+        beside about 26 us of LAPACK work on 1,023 unknowns, and gives
+        every member the bits of a solve of its own.
         """
         lay = self.layout
         system = self.assemble(faces, R)
         d, w, b = self.unpack(system)
-        (solved, n), failed = d.shape, None
-        finite = np.isfinite(system)
-        if not finite.all():
-            bad = live & ~finite.all(axis=1)
-            if bad.any():
-                solved = int(np.argmax(bad))
-                failed = (solved, np.linalg.LinAlgError(
-                    "Newton system is not finite"))
-        if self.grid.dim > 1:
-            x = np.zeros((solved, n))
-            for a in range(solved):
-                if live[a]:
-                    try:
-                        x[a] = lay.red_black[a].solve(d[a], w[a], b[a])
-                    except np.linalg.LinAlgError as exc:
-                        failed = (a, exc)
-                        break
-        else:
-            masked = not live.all()
-            if masked:
-                system[~live] = 0.0
-                d[~live] = 1.0
-            x = np.zeros((0, n))
-            while solved:
-                if solved * n == 1:
+        n = d.shape[1]
+        finite = np.isfinite(system).all(axis=1)
+        x, failed = np.zeros(d.shape), None
+        for a in np.flatnonzero(live).tolist():
+            try:
+                if not finite[a]:
+                    raise np.linalg.LinAlgError("Newton system is not finite")
+                if self.grid.dim > 1:
+                    x[a] = lay.red_black[a].solve(d[a], w[a], b[a])
+                elif n == 1:
                     # f2py rejects the empty off-diagonals of a 1 x 1 system
-                    x_s, info = ((b[0] / d[0], 0) if d[0, 0] != 0.0
-                                 else (b[0], 1))
+                    if d[a, 0] == 0.0:
+                        raise np.linalg.LinAlgError(
+                            "Newton matrix is singular")
+                    x[a] = b[a] / d[a]
                 else:
-                    # each member's J[i + 1, i] and J[i, i + 1], the two
-                    # halves of its w, and a zero coupling to the next
-                    off = np.zeros((2, solved, n))
-                    off[0, :, :-1] = w[:solved, :n - 1]
-                    off[1, :, :-1] = w[:solved, n - 1:]
-                    *_, x_s, info = lapack.dgtsv(
-                        off[0].ravel()[:-1], d[:solved].ravel(),
-                        off[1].ravel()[:-1], b[:solved].ravel(),
-                        overwrite_dl=1, overwrite_du=1)
-                if info == 0:
-                    x = x_s.reshape(solved, n)
-                    break
-                # the call is repeated without the singular member and the
-                # ones after it
-                solved = (info - 1) // n
-                failed = (solved, np.linalg.LinAlgError(
-                    "Newton matrix is singular"))
-            if masked:
-                # the identity rows solve to 0, but a product with a
-                # neighbour's non-finite entry would not
-                x[~live[:solved]] = 0.0
-        # x holds the members before ``solved``, and the others stay 0
+                    # J[i + 1, i] and J[i, i + 1] are the two halves of w
+                    *_, x_a, info = lapack.dgtsv(
+                        w[a, :n - 1], d[a], w[a, n - 1:], b[a],
+                        overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                        overwrite_b=1)
+                    if info != 0:
+                        raise np.linalg.LinAlgError(
+                            "Newton matrix is singular")
+                    x[a] = x_a
+            except np.linalg.LinAlgError as exc:
+                failed = (a, exc)
+                break
         delta = np.zeros(R.shape)
-        delta[:len(x)][lay.inner] = x.reshape(
-            (len(x),) + lay.shape).transpose(lay.unband)
+        delta[lay.inner] = x.reshape((len(x),) + lay.shape).transpose(
+            lay.unband)
         return delta, failed
 
 

@@ -46,6 +46,7 @@ from anisodnl.solver import (
     _RedBlack,
     _StepProblem,
     _march,
+    _matvec,
     _stacked_step,
     _start,
     implicit_step,
@@ -447,6 +448,51 @@ class TestNewtonUpdate:
             implicit_step(ScalarField(grid, u_prev, 0.0), 0.01, spec, cfg)
         assert exc.value.cause == "singular"
 
+    @pytest.mark.parametrize("ks", [(2, 4, 8), (None,) * 3],
+                             ids=["k", "direct"])
+    def test_1d_update_solves_each_live_member_alone(self, ks, monkeypatch):
+        # each live member of a 1D stack gets a dgtsv call of its own on
+        # its n unknowns, in stack order, and the bits of the update of a
+        # stack of one; a member that is not live gets no call and a zero
+        # update
+        spec = varcoeff_problem(1)
+        n = 31
+        grid = Grid(spec.box, (n + 2,))
+        cfg = SolverConfig(dt=0.01)
+        u_prev = np.full((3, n + 2), 0.6)
+        prob = _StepProblem(spec, cfg, ks, u_prev, 0.01, _Layout(grid))
+        u = np.random.default_rng(3).uniform(0.3, 1.5, u_prev.shape)
+        u[prob.layout.edge] = prob.bc_boundary
+        R, faces = prob.residual(u)
+        calls, dgtsv = [], lapack.dgtsv
+
+        def gtsv(dl, d, du, b, **kwargs):
+            calls.append((dl.size, d.size, du.size, b.size))
+            return dgtsv(dl, d, du, b, **kwargs)
+
+        monkeypatch.setattr(lapack, "dgtsv", gtsv)
+        live = np.array([True, False, True])
+        delta, failed = prob.update(faces, R, live)
+        assert failed is None
+        assert calls == [(n - 1, n, n - 1, n)] * 2
+        assert np.all(delta[1] == 0.0)
+        for a in (0, 2):
+            alone = one_member(spec, grid, replace(cfg, k=ks[a]),
+                               u_prev[a], 0.01)
+            R_a, faces_a = residual(alone, u[a])
+            assert np.array_equal(delta[a], update(alone, faces_a, R_a))
+        # the first member whose system is not finite stops the loop: it
+        # and the later members keep a zero update
+        u[1, 5] = np.nan
+        R, faces = prob.residual(u)
+        calls.clear()
+        got, failed = prob.update(faces, R, np.ones(3, dtype=bool))
+        assert failed[0] == 1 and str(failed[1]) == (
+            "Newton system is not finite")
+        assert calls == [(n - 1, n, n - 1, n)]
+        assert np.array_equal(got[0], delta[0])
+        assert np.all(got[1:] == 0.0)
+
     def test_direct_singular_schur_complement(self, monkeypatch):
         # on 2 x 2 interior nodes with unit couplings, each black node
         # couples to both red ones: with D_r = 1 and D_b = 4,
@@ -477,6 +523,24 @@ class TestNewtonUpdate:
         # of BAND_STEP, and kd stays its true half-bandwidth
         rb = _RedBlack(shape)
         assert (rb.kd, rb.band) == (kd, band)
+
+    @pytest.mark.parametrize("shape", [(31, 31), (63, 63), (7, 8, 9)])
+    def test_matvec_is_scipy_product(self, shape):
+        # _matvec runs scipy's private kernels of the CSR blocks B, C and
+        # of their CSC transposes Bt, Ct; each product has the bits of
+        # scipy's own, so a scipy whose kernels differ fails here
+        rb = _RedBlack(shape)
+        rng = np.random.default_rng(len(shape))
+        n = int(np.prod(shape))
+        # both halves of w: B and C hold different entries
+        rb.fill(rng.uniform(1.0, 2.0, n),
+                rng.lognormal(0.0, 3.0, 2 * rb.sort.size))
+        x_b = rng.normal(size=rb.black.size)
+        x_r = rng.normal(size=rb.red.size)
+        for block, x, fmt in ((rb.B, x_b, "csr"), (rb.C, x_b, "csr"),
+                              (rb.Bt, x_r, "csc"), (rb.Ct, x_r, "csc")):
+            assert block.format == fmt
+            assert np.array_equal(_matvec(block, x), block @ x)
 
     @pytest.mark.parametrize("k", [4, DIRECT])
     @pytest.mark.parametrize("counts", [(33, 33), (65, 65)])
@@ -1640,9 +1704,11 @@ class TestRobustness:
 
     @pytest.mark.parametrize("cause, dim, k", [
         pytest.param("not finite", 2, 2, id="not finite"),
+        pytest.param("not finite", 1, 2, id="not-finite-1d"),
         pytest.param("not positive definite", 2, 2,
                      id="not positive definite"),
         pytest.param("singular", 1, 2, id="singular"),
+        pytest.param("singular", 1, None, id="singular-1d-direct"),
         pytest.param("singular", 2, None, id="singular-2d-direct"),
         pytest.param("iteration limit", 2, 2, id="iteration limit"),
     ])
@@ -1661,7 +1727,7 @@ class TestRobustness:
             exponents=Exponents((2.0,) * dim, (1.0,) * dim),
             coeffs=CoefficientSpec(
                 (lambda x, t, u: np.full(np.shape(u), a),) * dim, 1.0, 0.0))
-        counts, dt = (9, 9), spec.T / 4
+        counts, dt = (9,) * dim, spec.T / 4
         if cause == "singular":
             spec = replace(spec, box=(3.0,) * dim, T=1.0)
             counts, dt = (4,) * dim, 1.0 / dim ** 2
