@@ -564,10 +564,16 @@ def vpm_distance(a: TimeSeries, b: TimeSeries, m: Sequence[float],
     for i in range(0, len(a), step):
         u = np.stack([f.values for f in a.fields[i:i + step]])
         v = np.stack([f.values for f in b.fields[i:i + step]])
-        per_time[0, i:i + step] = integrate(grid, np.abs(u - v) ** q_star)
+        # each difference is an array of its own: abs and power in place
+        diff = u - v
+        np.abs(diff, out=diff)
+        diff **= q_star
+        per_time[0, i:i + step] = integrate(grid, diff)
         for j, (mj, pj) in enumerate(zip(m, p)):
-            per_time[j + 1, i:i + step] = integrate(grid, np.abs(
-                face_diff_power(grid, u, mj, j)
-                - face_diff_power(grid, v, mj, j)) ** pj, face_axis=j)
+            diff = face_diff_power(grid, u, mj, j)
+            diff -= face_diff_power(grid, v, mj, j)
+            np.abs(diff, out=diff)
+            diff **= pj
+            per_time[j + 1, i:i + step] = integrate(grid, diff, face_axis=j)
     return sum(_time_integral(a.times, row) ** (1.0 / e)
                for row, e in zip(per_time, (q_star, *p)))

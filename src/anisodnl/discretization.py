@@ -159,7 +159,9 @@ def face_diff_power(grid: Grid, values: np.ndarray, exponent: float,
         raise ValueError("negative values with fractional exponent")
     powered = values if e == 1.0 else values ** e
     lead = values.ndim - grid.dim
-    return np.diff(powered, axis=lead + axis) / grid.spacings[axis]
+    out = np.diff(powered, axis=lead + axis)
+    out /= grid.spacings[axis]
+    return out
 
 
 def divergence(grid: Grid, face_fluxes: Sequence[np.ndarray]) -> ScalarField:

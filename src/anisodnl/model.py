@@ -216,28 +216,56 @@ def working_power(k, m: float, u):
     the Kirchhoff power Phi_k(u) = T^m + m T^(m-1) (u - T) with
     T = T_k(u), with derivative m T^(m-1): u^m on [1/k, k], continued
     linearly (and C^1) outside.  In k-mode k may be an array of levels
-    that broadcasts against u, one per stacked field."""
+    that broadcasts against u, one per stacked field.
+
+    For m = 1 the power is u itself, not a copy, so a caller must not
+    write to it; otherwise w and dw are arrays of their own, computed in
+    place on temporaries this function made, to the bits of the
+    expressions above."""
     if m == 1.0:
         return u, 1.0
     if k is None:
-        safe = np.maximum(u, 0.0)
-        return safe ** m, m * safe ** (m - 1.0)
+        w = np.maximum(u, 0.0)
+        dw = w ** (m - 1.0)
+        dw *= m
+        w **= m
+        return w, dw
     tk = truncate(k, u)
-    top = tk ** (m - 1.0)
-    dw = m * top
-    return tk * top + dw * (u - tk), dw
+    w = u - tk
+    dw = tk ** (m - 1.0)
+    # T^m = T T^(m-1), formed before dw takes its factor m
+    tk *= dw
+    dw *= m
+    w *= dw
+    w += tk
+    return w, dw
 
 
 def flux(c, xi, p: float):
     """Flux c |xi|^(p-2) xi; for p < 2 the regularized
     c (xi^2 + EPS_REG^2)^((p-2)/2) xi, whose slope is finite at xi = 0
     (Barrett & Liu, Math. Comp. 61, 1993).  It is 0 at xi = 0 whatever c
-    is.  Its magnitude cannot divide by zero: for p < 2 its base is at
-    least EPS_REG^2, for p >= 2 its power is non-negative; only an
-    infinite c, or a product beyond the float range, warns."""
-    mag = ((xi * xi + EPS_REG * EPS_REG) ** ((p - 2.0) / 2.0) if p < 2.0
-           else np.abs(xi) ** (p - 2.0))
-    return np.where(xi == 0.0, 0.0, c * mag * xi)
+    is, +0.0 also at xi = -0.0.  Its magnitude cannot divide by zero: for
+    p < 2 its base is at least EPS_REG^2, for p >= 2 its power is
+    non-negative; only an infinite c, or a product beyond the float
+    range, warns.
+
+    p = 2 (the porous-medium flux) is c xi, with no power: numpy's
+    |xi| ** 0.0 is exactly 1 at every xi (NaN and infinities included)
+    and c 1.0 = c, so it has the bits of the general form.  The general
+    form is computed in place on the magnitude this function made."""
+    if p == 2.0:
+        return np.where(xi == 0.0, 0.0, c * xi)
+    if p < 2.0:
+        mag = xi * xi
+        mag += EPS_REG * EPS_REG
+        mag **= (p - 2.0) / 2.0
+    else:
+        mag = np.abs(xi)
+        mag **= p - 2.0
+    mag *= c
+    mag *= xi
+    return np.where(xi == 0.0, 0.0, mag)
 
 
 def flux_slope(c, xi, p: float):
@@ -245,11 +273,29 @@ def flux_slope(c, xi, p: float):
     c (xi^2 + EPS_REG^2)^((p-4)/2) ((p-1) xi^2 + EPS_REG^2); for p >= 2 the
     slope c (p-1) (xi^2 + EPS_REG^2)^((p-2)/2) of the regularized power.
     That differs from the derivative of c |xi|^(p-2) xi only for
-    |xi| <~ EPS_REG, and at xi = 0 it is c (p-1) EPS_REG^(p-2) > 0."""
-    D2, e2 = xi * xi, EPS_REG * EPS_REG
+    |xi| <~ EPS_REG, and at xi = 0 it is c (p-1) EPS_REG^(p-2) > 0.
+
+    For p = 2 the slope is c itself, not a copy, so a caller must not
+    write to it, and passes c at the shape of xi as the solver does: the
+    power is (xi^2 + EPS_REG^2) ** 0.0, exactly 1, and c 1.0 (p-1) = c
+    bit for bit.  Otherwise it is computed in place on arrays this
+    function made."""
+    if p == 2.0:
+        return c
+    e2 = EPS_REG * EPS_REG
+    D2 = xi * xi
+    slope = D2 + e2
     if p < 2.0:
-        return c * (D2 + e2) ** ((p - 4.0) / 2.0) * ((p - 1.0) * D2 + e2)
-    return c * (D2 + e2) ** ((p - 2.0) / 2.0) * (p - 1.0)
+        slope **= (p - 4.0) / 2.0
+        slope *= c
+        D2 *= p - 1.0
+        D2 += e2
+        slope *= D2
+    else:
+        slope **= (p - 2.0) / 2.0
+        slope *= c
+        slope *= p - 1.0
+    return slope
 
 
 @dataclass(frozen=True)

@@ -591,7 +591,10 @@ class _StepProblem:
     The fields are stacks of shape (members, *counts), as ``u_prev`` is;
     a single solve is a stack of one.  ``residual(u)`` returns the
     residual together with the face data of every axis at u (one face
-    pass); ``update`` at that iterate takes those face data.  The grid
+    pass); ``update`` at that iterate takes those face data.  Each pass
+    makes every array once and computes in place only on arrays that it
+    made itself: it never writes to u, ``u_prev``, R, the face data or
+    an evaluator's values, some of which are read-only views.  The grid
     data and the kept factors come from ``layout``.  The Newton matrix is
     symmetric in 2D/3D k-mode only: elsewhere it scales each column of
     axis j by the derivative of the working power at its node (see
@@ -627,11 +630,13 @@ class _StepProblem:
         the working power (``model.working_power``), the derivative of the
         working power at both adjacent nodes and the face flux F."""
         lo, hi = self.layout.lo[j], self.layout.hi[j]
-        ubar = (u[lo] + u[hi]) / 2.0
+        ubar = u[lo] + u[hi]
+        ubar /= 2.0
         c = evaluate(self.spec.coeffs.funcs[j], ubar.shape,
                      self.layout.x_face[j], self.t, ubar)
         w, dw = working_power(self.k, self.m[j], u)
-        D = (w[hi] - w[lo]) / self.h[j]
+        D = w[hi] - w[lo]
+        D /= self.h[j]
         # m_j = 1 has the one scalar derivative 1.0
         dlo, dhi = ((dw[lo], dw[hi]) if isinstance(dw, np.ndarray)
                     else (dw, dw))
@@ -640,10 +645,14 @@ class _StepProblem:
     def residual(self, u: np.ndarray) -> tuple[np.ndarray, list]:
         """Residual at u, and the face data of every axis at u."""
         lay = self.layout
-        R = (u - self.u_prev) / self.config.dt - self.f_vals
+        R = u - self.u_prev
+        R /= self.config.dt
+        R -= self.f_vals
         faces = [self._face_data(u, j) for j in range(self.grid.dim)]
         for j, (*_, F) in enumerate(faces):
-            R[lay.core[j]] -= (F[lay.hi[j]] - F[lay.lo[j]]) / self.h[j]
+            div = F[lay.hi[j]] - F[lay.lo[j]]
+            div /= self.h[j]
+            R[lay.core[j]] -= div
         R[lay.edge] = u[lay.edge] - self.bc_boundary
         return R, faces
 
@@ -665,10 +674,17 @@ class _StepProblem:
             h = self.h[j]
             slope = flux_slope(c, D, self.p[j])
             if self.symmetric:
-                dlo = dhi = (dlo + dhi) / 2.0
-            g_lo = slope * dlo / (h * h)
+                dlo = dlo + dhi
+                dlo /= 2.0
+                dhi = dlo
+            g_lo = slope * dlo
+            g_lo /= h * h
             # m_j = 1, and 2D/3D k-mode, give both nodes one derivative
-            g_hi = g_lo if dhi is dlo else slope * dhi / (h * h)
+            if dhi is dlo:
+                g_hi = g_lo
+            else:
+                g_hi = slope * dhi
+                g_hi /= h * h
             out.append((g_lo, g_hi))
         return out
 
@@ -735,24 +751,33 @@ class _StepProblem:
         (d, w) of ``assemble``, and each live member by a call of its own,
         in stack order: in 2D/3D its ``_RedBlack.solve``, with its own
         kept factor; in 1D (both modes) one tridiagonal LU with partial
-        pivoting, LAPACK ``dgtsv``, on its row of the systems, which is
-        scratch and is overwritten (R is not).  A call of its own costs
+        pivoting, LAPACK ``dgtsv``, on its row of the systems, whose
+        (d, w) are scratch and are overwritten.  A call of its own costs
         about 2 us more than a member's share of one call joining them,
         beside about 26 us of LAPACK work on 1,023 unknowns, and gives
-        every member the bits of a solve of its own.
+        every member the bits of a solve of its own.  Each solve lands
+        in the member's interior rows of delta, with no stack of
+        solutions in between: ``dgtsv`` overwrites the copy of b made
+        there, and the 2D/3D solution is put there from its band order
+        (a failed member's rows are reset to zero).  Neither the face
+        data nor R is written to.
         """
         lay = self.layout
         system = self.assemble(faces, R)
         d, w, b = self.unpack(system)
         n = d.shape[1]
         finite = np.isfinite(system).all(axis=1)
-        x, failed = np.zeros(d.shape), None
+        delta, failed = np.zeros(R.shape), None
+        # each member's interior unknowns in band order, a view of delta:
+        # in 1D a contiguous row
+        x = delta[lay.inner].transpose(lay.band)
         for a in np.flatnonzero(live).tolist():
             try:
                 if not finite[a]:
                     raise np.linalg.LinAlgError("Newton system is not finite")
                 if self.grid.dim > 1:
-                    x[a] = lay.red_black[a].solve(d[a], w[a], b[a])
+                    x[a] = lay.red_black[a].solve(d[a], w[a],
+                                                  b[a]).reshape(lay.shape)
                 elif n == 1:
                     # f2py rejects the empty off-diagonals of a 1 x 1 system
                     if d[a, 0] == 0.0:
@@ -760,21 +785,20 @@ class _StepProblem:
                             "Newton matrix is singular")
                     x[a] = b[a] / d[a]
                 else:
-                    # J[i + 1, i] and J[i, i + 1] are the two halves of w
-                    *_, x_a, info = lapack.dgtsv(
-                        w[a, :n - 1], d[a], w[a, n - 1:], b[a],
+                    # J[i + 1, i] and J[i, i + 1] are the two halves of w;
+                    # dgtsv solves in place in the member's row of delta
+                    x[a] = b[a]
+                    *_, info = lapack.dgtsv(
+                        w[a, :n - 1], d[a], w[a, n - 1:], x[a],
                         overwrite_dl=1, overwrite_d=1, overwrite_du=1,
                         overwrite_b=1)
                     if info != 0:
+                        x[a] = 0.0
                         raise np.linalg.LinAlgError(
                             "Newton matrix is singular")
-                    x[a] = x_a
             except np.linalg.LinAlgError as exc:
                 failed = (a, exc)
                 break
-        delta = np.zeros(R.shape)
-        delta[lay.inner] = x.reshape((len(x),) + lay.shape).transpose(
-            lay.unband)
         return delta, failed
 
 
@@ -860,7 +884,8 @@ def _stacked_step(spec: ProblemSpec, config: SolverConfig,
         lam = 1.0
         # up to ten halvings; the eleventh trial is taken as it is
         for trial_no in range(11):
-            trial = u - lam * delta
+            # 1.0 delta is delta to the bit
+            trial = u - delta if trial_no == 0 else u - lam * delta
             if prob.k is None:
                 low = live & lay.rows(trial < 0.0).any(axis=1)
                 if low.any():

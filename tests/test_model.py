@@ -207,9 +207,9 @@ class TestFlux:
 
 
 # face differences at and around 0, at the smallest subnormal and near the
-# limits of the float range, of both signs
-EXTREME_DIFFERENCES = np.array([0.0, 5e-324, -5e-324, 1e-300, -1e-300,
-                                1e150, -1e150])
+# limits of the float range, of both signs; -0.0, where the flux is +0.0
+EXTREME_DIFFERENCES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300,
+                                -1e-300, 1e150, -1e150])
 
 
 def errstate_flux(c, xi, p):

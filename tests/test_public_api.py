@@ -325,8 +325,9 @@ REPO = Path(anisodnl.__file__).parents[2]
 OUTSIDE_READERS = [REPO / "tests" / "test_acceptance.py",
                    *sorted((REPO / "perfbench").glob("*.py"))]
 # public names that only a unit test reads, each with that test; the
-# first is the divergence of the independent reference of the step
-# residual
+# first, discretization.divergence, is kept as the independent divergence
+# of the step residual's reference: the residual forms its own per-axis
+# divergence terms in place, and the test checks it against this one
 UNIT_TEST_READERS = {
     "divergence": "tests/test_solver.py::TestStepProblem::"
                   "test_residual_matches_model_flux",

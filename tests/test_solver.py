@@ -25,6 +25,7 @@ from anisodnl.discretization import (
     integrate_power,
 )
 from anisodnl.model import (
+    EPS_REG,
     CoefficientSpec,
     Exponents,
     ProblemSpec,
@@ -411,7 +412,9 @@ class TestNewtonUpdate:
         # dgtsv on (d, w) is the LU that solve_banded runs on the three
         # band rows of the same operator, bit for bit; the update leaves R
         # as it was (the right-hand side is a view of it), and a zero pivot
-        # is a singular matrix, the cause that implicit_step reports
+        # is a singular matrix, the cause that implicit_step reports: a
+        # zero last column, met after dgtsv has written to the member's
+        # rows, which still end as a zero update
         spec = varcoeff_problem(1)
         grid = Grid(spec.box, (n + 2,))
         cfg = SolverConfig(dt=0.01, k=k)
@@ -434,16 +437,19 @@ class TestNewtonUpdate:
 
         stacked = _StepProblem.assemble
 
-        def zero_first_column(self, faces, R):
+        def zero_last_column(self, faces, R):
+            # d's last entry and, above it, the last of w's second half
             system = stacked(self, faces, R)
             d, w, _ = self.unpack(system)
-            d[:, 0] = 0.0
-            w[:, :1] = 0.0
+            d[:, -1] = 0.0
+            w[:, -1:] = 0.0
             return system
 
-        monkeypatch.setattr(_StepProblem, "assemble", zero_first_column)
+        monkeypatch.setattr(_StepProblem, "assemble", zero_last_column)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             update(prob, faces, R)
+        delta, _ = prob.update(faces, R[None], np.ones(1, dtype=bool))
+        assert np.all(delta == 0.0)
         with pytest.raises(StepFailure) as exc:
             implicit_step(ScalarField(grid, u_prev, 0.0), 0.01, spec, cfg)
         assert exc.value.cause == "singular"
@@ -1143,6 +1149,203 @@ class TestStepProblem:
         _, rep = implicit_step(u_n, 0.01, spec, SolverConfig(dt=0.01, k=k))
         assert rep.iterations >= 2
         assert calls == [n_residuals[0]] * len(counts)
+
+
+def same_exponents(dim, p, m):
+    """``varcoeff_problem`` in dim D with p_j = p and m_j = m on every
+    axis."""
+    return replace(varcoeff_problem(dim),
+                   exponents=Exponents((p,) * dim, (m,) * dim))
+
+
+def stacked_iterate(prob, seed):
+    """A stack of fields for prob, positive with a block of zeros per
+    member (faces with D = 0, and clamped nodes in direct mode), carrying
+    the boundary data."""
+    shape = prob.u_prev.shape
+    u = np.random.default_rng(seed).uniform(0.3, 1.5, shape)
+    u[(slice(None),) + (slice(1, 4),) * (len(shape) - 1)] = 0.0
+    u[prob.layout.edge] = prob.bc_boundary
+    return u
+
+
+# The expression forms of the face pass, the Newton system and its solve
+# as they were before the pass computed in place and p = 2 skipped its
+# power: the reference that the in-place forms match bit for bit.
+
+def expression_working_power(k, m, u):
+    if m == 1.0:
+        return u, 1.0
+    if k is None:
+        safe = np.maximum(u, 0.0)
+        return safe ** m, m * safe ** (m - 1.0)
+    tk = np.minimum(k, np.maximum(u, 1.0 / k))
+    top = tk ** (m - 1.0)
+    dw = m * top
+    return tk * top + dw * (u - tk), dw
+
+
+def expression_flux(c, xi, p):
+    e2 = EPS_REG * EPS_REG
+    mag = ((xi * xi + e2) ** ((p - 2.0) / 2.0) if p < 2.0
+           else np.abs(xi) ** (p - 2.0))
+    return np.where(xi == 0.0, 0.0, c * mag * xi)
+
+
+def expression_flux_slope(c, xi, p):
+    D2, e2 = xi * xi, EPS_REG * EPS_REG
+    if p < 2.0:
+        return c * (D2 + e2) ** ((p - 4.0) / 2.0) * ((p - 1.0) * D2 + e2)
+    return c * (D2 + e2) ** ((p - 2.0) / 2.0) * (p - 1.0)
+
+
+def expression_face_data(prob, u, j):
+    lo, hi = prob.layout.lo[j], prob.layout.hi[j]
+    ubar = (u[lo] + u[hi]) / 2.0
+    c = evaluate(prob.spec.coeffs.funcs[j], ubar.shape,
+                 prob.layout.x_face[j], prob.t, ubar)
+    w, dw = expression_working_power(prob.k, prob.m[j], u)
+    D = (w[hi] - w[lo]) / prob.h[j]
+    dlo, dhi = ((dw[lo], dw[hi]) if isinstance(dw, np.ndarray)
+                else (dw, dw))
+    return c, D, dlo, dhi, expression_flux(c, D, prob.p[j])
+
+
+def expression_residual(prob, u):
+    lay = prob.layout
+    R = (u - prob.u_prev) / prob.config.dt - prob.f_vals
+    faces = [expression_face_data(prob, u, j) for j in range(prob.grid.dim)]
+    for j, (*_, F) in enumerate(faces):
+        R[lay.core[j]] -= (F[lay.hi[j]] - F[lay.lo[j]]) / prob.h[j]
+    R[lay.edge] = u[lay.edge] - prob.bc_boundary
+    return R, faces
+
+
+def expression_face_slopes(prob, faces):
+    out = []
+    for j, (c, D, dlo, dhi, _) in enumerate(faces):
+        h = prob.h[j]
+        slope = expression_flux_slope(c, D, prob.p[j])
+        if prob.symmetric:
+            dlo = dhi = (dlo + dhi) / 2.0
+        g_lo = slope * dlo / (h * h)
+        g_hi = g_lo if dhi is dlo else slope * dhi / (h * h)
+        out.append((g_lo, g_hi))
+    return out
+
+
+def expression_assemble(prob, faces, R):
+    lay = prob.layout
+    slopes = expression_face_slopes(prob, faces)
+    b = R[lay.inner].transpose(lay.band)
+    couplings = [slopes[j][h][lay.inner].transpose(lay.band)
+                 for h in ((0,) if prob.symmetric else (0, 1))
+                 for j in lay.order]
+    rows = len(R)
+    system = np.empty(
+        (rows, (2 * b.size + sum(g.size for g in couplings)) // rows))
+
+    def block(start, values):
+        return system[:, start:start + values.size // rows].reshape(
+            values.shape)
+
+    block(0, b)[...] = b
+    diag = block(lay.unknowns, b).transpose(lay.unband)
+    diag[...] = 1.0 / prob.config.dt
+    for j, (g_lo, g_hi) in enumerate(slopes):
+        diag += g_hi[lay.cross[j]][lay.lo[j]]
+        diag += g_lo[lay.cross[j]][lay.hi[j]]
+    start = 2 * lay.unknowns
+    for g in couplings:
+        np.negative(g, out=block(start, g))
+        start += g.size // rows
+    return system
+
+
+def expression_update(prob, faces, R):
+    """The update of every member, solved into a stack x that is then
+    copied into the update."""
+    lay = prob.layout
+    d, w, b = prob.unpack(expression_assemble(prob, faces, R))
+    n = d.shape[1]
+    x = np.zeros(d.shape)
+    for a in range(len(R)):
+        if prob.grid.dim > 1:
+            x[a] = lay.red_black[a].solve(d[a], w[a], b[a])
+        else:
+            *_, x_a, info = lapack.dgtsv(
+                w[a, :n - 1], d[a], w[a, n - 1:], b[a], overwrite_dl=1,
+                overwrite_d=1, overwrite_du=1, overwrite_b=1)
+            assert info == 0
+            x[a] = x_a
+    delta = np.zeros(R.shape)
+    delta[lay.inner] = x.reshape((len(x),) + lay.shape).transpose(
+        lay.unband)
+    return delta
+
+
+def frozen(value):
+    """value, made read-only when it is an array."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
+
+
+class TestInPlacePasses:
+    # the face pass, the Newton system and the update compute in place on
+    # arrays they made, and give the bits of their expression forms
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.2])
+    @pytest.mark.parametrize("m", [1.0, 1.4])
+    @pytest.mark.parametrize("k", ["ks", DIRECT])
+    @pytest.mark.parametrize("counts, ks", [
+        ((1025,), (2, 4, 8, 16, 32, 64)), ((33, 33), (2, 4))])
+    def test_passes_match_expression_forms(self, counts, ks, k, m, p):
+        spec = same_exponents(len(counts), p, m)
+        grid = Grid(spec.box, counts)
+        levels = ks if k == "ks" else (None,) * len(ks)
+        cfg = SolverConfig(dt=0.01)
+        u_prev = np.full((len(ks),) + counts, 0.6)
+        # a layout each, so that neither solve reuses a factor the other
+        # kept
+        got, ref = (_StepProblem(spec, cfg, levels, u_prev, 0.01,
+                                 _Layout(grid, len(ks))) for _ in range(2))
+        u = stacked_iterate(got, len(counts))
+        R, faces = got.residual(u)
+        R_ref, faces_ref = expression_residual(ref, u)
+        assert R.tobytes() == R_ref.tobytes()
+        for face, face_ref in zip(faces, faces_ref):
+            for value, value_ref in zip(face, face_ref):
+                assert (np.asarray(value).tobytes()
+                        == np.asarray(value_ref).tobytes())
+        for pair, pair_ref in zip(got._face_slopes(faces),
+                                  expression_face_slopes(ref, faces)):
+            for g, g_ref in zip(pair, pair_ref):
+                assert g.tobytes() == g_ref.tobytes()
+        assert (got.assemble(faces, R).tobytes()
+                == expression_assemble(ref, faces, R).tobytes())
+        delta, failed = got.update(faces, R, np.ones(len(ks), dtype=bool))
+        assert failed is None
+        assert delta.tobytes() == expression_update(ref, faces, R).tobytes()
+
+    @pytest.mark.parametrize("p", [2.0, 3.2])
+    @pytest.mark.parametrize("m", [1.0, 1.4])
+    @pytest.mark.parametrize("k", [4, DIRECT])
+    @pytest.mark.parametrize("counts", [(9,), (7, 9), (5, 6, 7)])
+    def test_passes_write_to_no_input(self, counts, k, m, p):
+        # u, u_prev, R and the face data go in read-only: a pass that
+        # wrote to one of them would raise
+        spec = same_exponents(len(counts), p, m)
+        grid = Grid(spec.box, counts)
+        prob = one_member(spec, grid, SolverConfig(dt=0.01, k=k),
+                          frozen(np.full(counts, 0.6)), 0.01)
+        u = frozen(stacked_iterate(prob, len(counts)))
+        R, faces = prob.residual(u)
+        for value in (R, *(v for face in faces for v in face)):
+            frozen(value)
+        prob.assemble(faces, R)
+        delta, failed = prob.update(faces, R, np.ones(1, dtype=bool))
+        assert failed is None and np.any(delta != 0.0)
 
 
 class TestLowerBound:
